@@ -52,12 +52,22 @@
 //! so driving an engine to completion is bit- **and cycle-identical** to the
 //! pre-refactor monolithic descent (`tests/shard_invariance.rs` pins this
 //! against a checked-in fingerprint).
+//!
+//! **Host parallelism.** Leaf verification executes per *query*, not per
+//! wave: chunks of whole query segments run concurrently on the host pool
+//! (`crate::dispatch`), each query running its own waves back to back. That
+//! equals whole-batch wave execution because a query's pool, bound and
+//! result list are touched by its own leaves only, and each wave's bound is
+//! still snapshotted before the wave; per-wave accounts are summed over the
+//! chunks and charged as the same kernels in the same order.
 
+use crate::dispatch::{query_chunk_bounds, run_query_chunks};
 use crate::search::{
-    verify_block, Frontier, RawEntry, SearchCtx, SearchScratch, TopK, VERIFY_EXTRA_WORK,
+    verify_block, Frontier, LeafScratch, SearchCtx, SearchScratch, TopK, FRONTIER_ENTRY_BYTES,
+    VERIFY_EXTRA_WORK,
 };
 use gpu_sim::primitives::{reduce_max_f64, sort_pairs_by_key};
-use gpu_sim::{DeviceBuffer, GpuError};
+use gpu_sim::{GpuError, Reservation};
 use metric_space::index::{sort_neighbors, Neighbor};
 use metric_space::lemmas::prune_node_range;
 use metric_space::BatchMetric;
@@ -76,10 +86,11 @@ struct Frame {
     /// Level `entries` sits at (the root frontier starts at 1).
     level: u32,
     /// Per-level intermediate-result buffers (the paper's `Q'_Res`),
-    /// allocated on expansion and held until this frame pops — each level's
+    /// reserved on expansion and held until this frame pops — each level's
     /// buffer stays live while deeper levels run, which is the memory
-    /// pressure the two-stage strategy reacts to.
-    held: Vec<DeviceBuffer<RawEntry>>,
+    /// pressure the two-stage strategy reacts to. Only the bytes exist: the
+    /// frontier itself lives host-side in `entries`.
+    held: Vec<Reservation>,
     /// Pending query groups in reverse order (`pop()` yields the next),
     /// formed when the frontier overran the per-layer memory bound.
     groups: Vec<Vec<Frontier>>,
@@ -280,9 +291,7 @@ where
                     .observe_level(level, queries_here, frontier_len);
                 if level < shape.h {
                     self.ctx.audit.observe_frontier_bytes(
-                        frontier_len
-                            * u64::from(shape.nc)
-                            * crate::search::FRONTIER_ENTRY_BYTES as u64,
+                        frontier_len * u64::from(shape.nc) * FRONTIER_ENTRY_BYTES as u64,
                     );
                 }
             }
@@ -333,33 +342,29 @@ where
             // the paper's Q'_Res; with grouping on, the size-limit check
             // above guarantees it fits — with it off this is exactly where
             // the naive strategy deadlocks.
+            let context = match self.mode {
+                Mode::Range { .. } => "MRQ intermediate results",
+                Mode::Knn { .. } => "MkNNQ intermediate results",
+            };
+            let bytes = (entries.len() * shape.nc as usize * FRONTIER_ENTRY_BYTES) as u64;
+            top.held.push(self.ctx.dev.reserve(bytes, context)?);
             let next = match &mut self.mode {
                 Mode::Range { radii, .. } => {
-                    top.held.push(self.ctx.dev.alloc::<RawEntry>(
-                        entries.len() * shape.nc as usize,
-                        "MRQ intermediate results",
-                    )?);
                     expand_range(self.ctx, self.queries, radii, &entries, &mut self.scratch)
                 }
                 Mode::Knn {
                     beam,
                     pools,
                     external,
-                } => {
-                    top.held.push(self.ctx.dev.alloc::<RawEntry>(
-                        entries.len() * shape.nc as usize,
-                        "MkNNQ intermediate results",
-                    )?);
-                    expand_knn(
-                        self.ctx,
-                        self.queries,
-                        &entries,
-                        pools,
-                        external,
-                        *beam,
-                        &mut self.scratch,
-                    )
-                }
+                } => expand_knn(
+                    self.ctx,
+                    self.queries,
+                    &entries,
+                    pools,
+                    external,
+                    *beam,
+                    &mut self.scratch,
+                ),
             };
             top.entries = Some(next);
             top.level = level + 1;
@@ -471,6 +476,7 @@ where
     let shape = ctx.shape();
     ctx.pivot_distances(queries, entries, scratch);
     let mut next = scratch.take_frontier();
+    let (mut pruned, mut expanded) = (0u64, 0u64);
     for (i, e) in entries.iter().enumerate() {
         let r = radii[e.query as usize];
         let dqi = scratch.dq[i];
@@ -486,9 +492,9 @@ where
                 f64::INFINITY
             };
             if prune_node_range(child.min_dis, upper, dqi, r) {
-                ctx.stats.add(&ctx.stats.nodes_pruned, 1);
+                pruned += 1;
             } else {
-                ctx.stats.add(&ctx.stats.nodes_expanded, 1);
+                expanded += 1;
                 next.push(Frontier {
                     node: cid as u32,
                     query: e.query,
@@ -497,6 +503,8 @@ where
             }
         }
     }
+    ctx.stats.add(&ctx.stats.nodes_pruned, pruned);
+    ctx.stats.add(&ctx.stats.nodes_expanded, expanded);
     ctx.dev
         .launch_charged((entries.len() * shape.nc as usize) as u64 * 4, 8);
     next
@@ -562,6 +570,7 @@ where
     // it never drops below the true global k-th distance.
     let mut next = scratch.take_frontier();
     scratch.gaps.clear();
+    let (mut pruned, mut expanded) = (0u64, 0u64);
     for (i, e) in entries.iter().enumerate() {
         let node = ctx.nodes.get(e.node as usize);
         let bound = pools[e.query as usize]
@@ -569,7 +578,7 @@ where
             .min(external[e.query as usize]);
         let dqi = scratch.dq[i];
         if dqi - node.own_max_dis > bound {
-            ctx.stats.add(&ctx.stats.nodes_pruned, u64::from(shape.nc));
+            pruned += u64::from(shape.nc);
             continue;
         }
         for j in 0..shape.nc as usize {
@@ -584,9 +593,9 @@ where
                 f64::INFINITY
             };
             if prune_node_range(child.min_dis, upper, dqi, bound) {
-                ctx.stats.add(&ctx.stats.nodes_pruned, 1);
+                pruned += 1;
             } else {
-                ctx.stats.add(&ctx.stats.nodes_expanded, 1);
+                expanded += 1;
                 let gap = if dqi < child.min_dis {
                     child.min_dis - dqi
                 } else if dqi > child.max_dis {
@@ -603,6 +612,8 @@ where
             }
         }
     }
+    ctx.stats.add(&ctx.stats.nodes_pruned, pruned);
+    ctx.stats.add(&ctx.stats.nodes_expanded, expanded);
     ctx.dev
         .launch_charged((entries.len() * shape.nc as usize) as u64 * 4, 8);
 
@@ -664,9 +675,172 @@ fn truncate_beam<O, M>(
 // Leaf verification
 // ---------------------------------------------------------------------------
 
-/// Verify one MRQ segment's leaves: the stored-distance filter (zero
-/// distance calls) runs inline; survivors are resolved against the arena in
-/// query-contiguous id blocks — one batched kernel for the whole segment.
+/// Leaf verification runs in `KNN_WAVES` sequential kernel waves, each
+/// query's leaves ordered by ring proximity to its mapped coordinate.
+/// Within a wave the bound is snapshotted (parallel threads cannot observe
+/// each other); between waves the pools — and hence the Lemma 5.2 bound —
+/// tighten, implementing the paper's "progressively narrowed distance
+/// boundary". Any snapshot bound is an upper bound on the true k-th
+/// distance, so every wave's filter is exact.
+const KNN_WAVES: usize = 4;
+
+/// What one verification kernel launch is charged and counted: grid size
+/// (leaf rows), total work, span, and the verified / abandoned counters.
+/// Per-run slots combine by sum (max for the span), so the aggregate is the
+/// same whichever thread ran which run.
+#[derive(Clone, Copy, Default)]
+struct WaveAcct {
+    n: u64,
+    total: u64,
+    span: u64,
+    verified: u64,
+    abandoned: u64,
+}
+
+impl WaveAcct {
+    fn merge(mut self, o: &WaveAcct) -> WaveAcct {
+        self.n += o.n;
+        self.total += o.total;
+        self.span = self.span.max(o.span);
+        self.verified += o.verified;
+        self.abandoned += o.abandoned;
+        self
+    }
+
+    /// Charge the wave as one batched kernel (nothing when no leaf row took
+    /// part) and flush its counters.
+    fn launch<O, M>(&self, ctx: &SearchCtx<'_, O, M>) {
+        if self.n == 0 {
+            return;
+        }
+        ctx.dev
+            .launch_batch(self.n as usize, || ((), self.total, self.span));
+        ctx.stats.add(&ctx.stats.leaf_verified, self.verified);
+        ctx.stats.add(&ctx.stats.leaf_abandoned, self.abandoned);
+        ctx.stats
+            .add(&ctx.stats.distance_computations, self.verified);
+        ctx.stats
+            .add(&ctx.stats.leaf_filtered, self.n - self.verified);
+    }
+}
+
+/// One host work item of leaf verification: a run of whole query segments
+/// with the window of per-query state (`S` = kNN pool or range result list)
+/// those queries own — `state[0]` belongs to `entries[0].query` — plus an
+/// accounting slot and private staging.
+struct LeafRun<'a, S, A> {
+    /// Index of `entries[0]` in the segment's whole frontier.
+    first: usize,
+    entries: &'a [Frontier],
+    state: &'a mut [S],
+    acct: &'a mut A,
+    scratch: &'a mut LeafScratch,
+}
+
+/// Cut a leaf frontier into [`LeafRun`]s: the runs' `state` windows are
+/// disjoint because the frontier ascends by query.
+fn leaf_runs<'a, S, A: Default>(
+    entries: &'a [Frontier],
+    mut state: &'a mut [S],
+    accts: &'a mut Vec<A>,
+    scratch: &'a mut Vec<LeafScratch>,
+) -> Vec<LeafRun<'a, S, A>> {
+    let cuts = query_chunk_bounds(entries.len(), |i| entries[i].query);
+    accts.resize_with(cuts.len() - 1, A::default);
+    if scratch.len() < accts.len() {
+        scratch.resize_with(accts.len(), LeafScratch::default);
+    }
+    let mut next = 0u32; // query id of `state[0]`
+    cuts.windows(2)
+        .zip(accts)
+        .zip(scratch)
+        .map(|((w, acct), scratch)| {
+            let entries = &entries[w[0]..w[1]];
+            let (lo, hi) = (entries[0].query, entries[entries.len() - 1].query);
+            let (_, rest) = std::mem::take(&mut state).split_at_mut((lo - next) as usize);
+            let (window, rest) = rest.split_at_mut((hi - lo + 1) as usize);
+            (state, next) = (rest, hi + 1);
+            LeafRun {
+                first: w[0],
+                entries,
+                state: window,
+                acct,
+                scratch,
+            }
+        })
+        .collect()
+}
+
+/// The fused leaf kernel of one query: stream each leaf's `dis`/`obj`
+/// column slices through the stored-distance filter (Lemma 5.1/5.2 against
+/// the parent pivot — zero distance calls, tie-safe strict `>`) straight
+/// into the id block, then resolve the survivors in one batched kernel
+/// (exact or early-abandoning) whose results go to `sink`. `leaves` yields
+/// `(node, dqp)`; everything charged lands in `acct`.
+#[allow(clippy::too_many_arguments)]
+fn verify_leaves<O, M>(
+    ctx: &SearchCtx<'_, O, M>,
+    threads: usize,
+    query: &O,
+    bound: f64,
+    leaves: impl Iterator<Item = (u32, f64)>,
+    stage: &mut LeafScratch,
+    acct: &mut WaveAcct,
+    sink: impl FnMut(u32, f64),
+) where
+    O: Send + Sync,
+    M: BatchMetric<O>,
+{
+    let (dis_col, obj_col) = (ctx.table.dis_column(), ctx.table.obj_column());
+    // A tombstone-free table (the common case) never touches the column.
+    let deleted = ctx
+        .table
+        .has_tombstones()
+        .then(|| ctx.table.deleted_column());
+    stage.ids.clear();
+    let (mut dead, mut filtered) = (0u64, 0u64);
+    for (node, dqp) in leaves {
+        let node = ctx.nodes.get(node as usize);
+        let rows = node.pos as usize..(node.pos + node.size) as usize;
+        acct.n += u64::from(node.size);
+        let del = deleted.map(|d| &d[rows.clone()]);
+        for (i, (&dis, &obj)) in dis_col[rows.clone()].iter().zip(&obj_col[rows]).enumerate() {
+            if del.is_some_and(|d| d[i]) {
+                dead += 1;
+            } else if (dis - dqp).abs() > bound {
+                // (A root leaf's `dqp = NaN` fails this test for every row:
+                // there is no parent pivot to filter against.)
+                filtered += 1;
+            } else {
+                stage.ids.push(obj);
+            }
+        }
+    }
+    acct.total += dead + 3 * filtered;
+    acct.span = acct
+        .span
+        .max(u64::from(dead > 0))
+        .max(3 * u64::from(filtered > 0));
+    if stage.ids.is_empty() {
+        return;
+    }
+    // With bounding on, `bound` is also the kernel bound. MRQ: the radius,
+    // so a returned distance is exactly a hit. MkNNQ: the wave's snapshot —
+    // tie-safe, `Some(d)` iff `d ≤ bound`, so candidates at exactly the
+    // bound reach the canonical `(dis, id)` tie-break, and an abandoned one
+    // could never enter a full pool whose k-th distance *is* the bound.
+    let (w, s, abandoned) = verify_block(ctx, threads, query, bound, stage, sink);
+    let verified = stage.ids.len() as u64;
+    acct.total += w + VERIFY_EXTRA_WORK * verified;
+    acct.span = acct.span.max(s + VERIFY_EXTRA_WORK);
+    acct.verified += verified;
+    acct.abandoned += abandoned;
+}
+
+/// Verify one MRQ segment's leaves — one batched kernel for the whole
+/// segment, executed as query-segment runs across the host pool: per query,
+/// the fused filter + kernel with the radius as the bound and a push into
+/// the query's own result list as the sink.
 fn verify_range<O, M>(
     ctx: &SearchCtx<'_, O, M>,
     queries: &[O],
@@ -678,95 +852,46 @@ fn verify_range<O, M>(
     O: Send + Sync,
     M: BatchMetric<O>,
 {
-    let SearchScratch {
-        tasks,
-        kernel_ids,
-        kernel_out,
-        kernel_bounds,
-        kernel_opt,
-        ..
-    } = scratch;
-    ctx.fill_leaf_tasks(entries, tasks);
-    if tasks.is_empty() {
-        return;
-    }
-    let n = tasks.len();
-    let mut verified = 0u64;
-    let mut abandoned = 0u64;
-    ctx.dev.launch_batch(n, || {
-        let mut total = 0u64;
-        let mut span = 0u64;
-        let mut t = 0usize;
-        while t < n {
-            let q = entries[tasks[t].0 as usize].query;
-            let mut u = t;
-            while u < n && entries[tasks[u].0 as usize].query == q {
-                u += 1;
-            }
-            let r = radii[q as usize];
-            kernel_ids.clear();
-            for &(ei, pos) in &tasks[t..u] {
-                let e = entries[ei as usize];
-                let te = ctx.table.get(pos as usize);
-                if te.deleted {
-                    total += 1;
-                    span = span.max(1);
-                    continue;
-                }
-                // Lemma 5.1 filter against the parent pivot: zero distance
-                // calls.
-                if !e.dqp.is_nan() && (te.dis - e.dqp).abs() > r {
-                    total += 3;
-                    span = span.max(3);
-                    continue;
-                }
-                kernel_ids.push(te.obj);
-            }
-            if !kernel_ids.is_empty() {
-                // With bounding on, the query's radius *is* the bound: a
-                // returned distance is exactly a range hit and an abandoned
-                // evaluation a certified miss charged only its banded work.
-                let (w, s, ab) = verify_block(
-                    ctx,
-                    &queries[q as usize],
-                    r,
-                    kernel_ids,
-                    kernel_out,
-                    kernel_bounds,
-                    kernel_opt,
-                    |obj, d| {
-                        if d <= r {
-                            results[q as usize].push(Neighbor::new(obj, d));
-                        }
-                    },
-                );
-                abandoned += ab;
-                total += w + VERIFY_EXTRA_WORK * kernel_ids.len() as u64;
-                span = span.max(s + VERIFY_EXTRA_WORK);
-                verified += kernel_ids.len() as u64;
-            }
-            t = u;
+    let mut accts: Vec<WaveAcct> = Vec::new();
+    let runs = leaf_runs(entries, results, &mut accts, &mut scratch.leaf);
+    run_query_chunks(ctx.dev, ctx.threads, runs, |run, threads| {
+        let lo = run.entries[0].query as usize;
+        for seg in run.entries.chunk_by(|a, b| a.query == b.query) {
+            let q = seg[0].query as usize;
+            let hits = &mut run.state[q - lo];
+            verify_leaves(
+                ctx,
+                threads,
+                &queries[q],
+                radii[q],
+                seg.iter().map(|e| (e.node, e.dqp)),
+                run.scratch,
+                run.acct,
+                |obj, d| {
+                    if d <= radii[q] {
+                        hits.push(Neighbor::new(obj, d));
+                    }
+                },
+            );
         }
-        ((), total, span)
+        (0, 0)
     });
-    ctx.stats.add(&ctx.stats.leaf_verified, verified);
-    ctx.stats.add(&ctx.stats.leaf_abandoned, abandoned);
-    ctx.stats.add(&ctx.stats.distance_computations, verified);
-    ctx.stats.add(&ctx.stats.leaf_filtered, n as u64 - verified);
+    accts
+        .iter()
+        .fold(WaveAcct::default(), WaveAcct::merge)
+        .launch(ctx);
 }
-
-/// Leaf verification runs in `KNN_WAVES` sequential kernel waves, each
-/// query's leaves ordered by ring proximity to its mapped coordinate.
-/// Within a wave the bound is snapshotted (parallel threads cannot observe
-/// each other); between waves the pools — and hence the Lemma 5.2 bound —
-/// tighten, implementing the paper's "progressively narrowed distance
-/// boundary". Any snapshot bound is an upper bound on the true k-th
-/// distance, so every wave's filter is exact.
-const KNN_WAVES: usize = 4;
 
 /// Verify one MkNNQ segment's leaves in waves against the **effective**
 /// bound `min(pools[q].bound(), external[q])` — injected cross-shard bounds
 /// filter leaf work exactly like locally tightened ones.
+///
+/// Execution is per query, not per wave: a query's pool and bound are
+/// touched by that query's own leaves only, so running all `KNN_WAVES`
+/// waves of one query back to back — snapshotting its bound before each —
+/// computes exactly what four whole-batch waves would, and lets whole query
+/// segments run concurrently. The device is still charged four kernels in
+/// wave order, from per-wave accounts summed over the runs.
 fn verify_knn<O, M>(
     ctx: &SearchCtx<'_, O, M>,
     queries: &[O],
@@ -778,129 +903,57 @@ fn verify_knn<O, M>(
     O: Send + Sync,
     M: BatchMetric<O>,
 {
-    if entries.is_empty() {
-        return;
-    }
-    // Order each query's leaves closest-ring-first so the first wave almost
-    // certainly contains the true neighbours.
-    let order = &mut scratch.order;
-    order.clear();
-    order.extend(0..entries.len() as u32);
-    let gap = |e: &Frontier| {
+    // The ordering pass: each query's leaves closest-ring-first, so the
+    // first wave almost certainly contains the true neighbours.
+    ctx.dev.launch_charged(entries.len() as u64 * 4, 32);
+    let ring_gap = |e: &Frontier| {
         let node = ctx.nodes.get(e.node as usize);
-        if e.dqp.is_nan() {
-            0.0
-        } else if e.dqp < node.min_dis {
+        if e.dqp < node.min_dis {
             node.min_dis - e.dqp
         } else if e.dqp > node.max_dis {
             e.dqp - node.max_dis
         } else {
-            0.0
+            0.0 // inside the ring, or a root leaf (`dqp = NaN`)
         }
     };
-    order.sort_by(|&a, &b| {
-        let (ea, eb) = (&entries[a as usize], &entries[b as usize]);
-        ea.query
-            .cmp(&eb.query)
-            .then(gap(ea).partial_cmp(&gap(eb)).expect("finite gap"))
-            .then(ea.node.cmp(&eb.node))
-    });
-    ctx.dev.launch_charged(entries.len() as u64 * 4, 32);
-
-    // Round-robin the ordered entries into waves: wave 0 gets each query's
-    // closest leaves.
-    for wave_no in 0..KNN_WAVES {
-        let SearchScratch {
-            order,
-            wave,
-            tasks,
-            bounds,
-            kernel_ids,
-            kernel_out,
-            kernel_bounds,
-            kernel_opt,
-            ..
-        } = scratch;
-        wave.clear();
-        wave.extend(
-            order
-                .iter()
-                .enumerate()
-                .filter(|(i, _)| i % KNN_WAVES == wave_no)
-                .map(|(_, &idx)| entries[idx as usize]),
-        );
-        ctx.fill_leaf_tasks(wave, tasks);
-        if tasks.is_empty() {
-            continue;
-        }
-        bounds.clear();
-        bounds.extend(pools.iter().zip(external).map(|(p, &e)| p.bound().min(e)));
-        let n = tasks.len();
-        let mut verified = 0u64;
-        let mut abandoned = 0u64;
-        // One batched kernel per wave: stored-distance filter inline,
-        // survivor distances arena-resolved per query block, candidates
-        // inserted after the kernel (threads cannot observe each other's
-        // pool updates within a wave).
-        ctx.dev.launch_batch(n, || {
-            let mut total = 0u64;
-            let mut span = 0u64;
-            let mut t = 0usize;
-            while t < n {
-                let q = wave[tasks[t].0 as usize].query;
-                let mut u = t;
-                while u < n && wave[tasks[u].0 as usize].query == q {
-                    u += 1;
-                }
-                kernel_ids.clear();
-                for &(ei, pos) in &tasks[t..u] {
-                    let e = wave[ei as usize];
-                    let te = ctx.table.get(pos as usize);
-                    if te.deleted {
-                        total += 1;
-                        span = span.max(1);
-                        continue;
-                    }
-                    // Lemma 5.2 filter against the parent pivot, tie-safe
-                    // (strict `>`): entries at exactly the bound distance
-                    // are verified so the canonical tie-break decides.
-                    if !e.dqp.is_nan() && (te.dis - e.dqp).abs() > bounds[q as usize] {
-                        total += 3;
-                        span = span.max(3);
-                        continue;
-                    }
-                    kernel_ids.push(te.obj);
-                }
-                if !kernel_ids.is_empty() {
-                    // With bounding on, the wave's bound snapshot is the
-                    // kernel bound — tie-safe: `Some(d)` iff `d ≤ bound`,
-                    // so candidates at exactly the bound are returned and
-                    // the canonical `(dis, id)` tie-break decides; an
-                    // abandoned candidate has `d > bound` and could never
-                    // enter a full pool whose k-th distance *is* the bound.
-                    let (w, s, ab) = verify_block(
-                        ctx,
-                        &queries[q as usize],
-                        bounds[q as usize],
-                        kernel_ids,
-                        kernel_out,
-                        kernel_bounds,
-                        kernel_opt,
-                        |obj, d| pools[q as usize].insert(Neighbor::new(obj, d)),
-                    );
-                    abandoned += ab;
-                    total += w + VERIFY_EXTRA_WORK * kernel_ids.len() as u64;
-                    span = span.max(s + VERIFY_EXTRA_WORK);
-                    verified += kernel_ids.len() as u64;
-                }
-                t = u;
+    let mut accts: Vec<[WaveAcct; KNN_WAVES]> = Vec::new();
+    let runs = leaf_runs(entries, pools, &mut accts, &mut scratch.leaf);
+    run_query_chunks(ctx.dev, ctx.threads, runs, |run, threads| {
+        let mut keys = std::mem::take(&mut run.scratch.keys);
+        let mut first = run.first;
+        for seg in run.entries.chunk_by(|a, b| a.query == b.query) {
+            let q = seg[0].query;
+            keys.clear();
+            keys.extend(seg.iter().map(|e| (ring_gap(e), e.node, e.dqp)));
+            keys.sort_unstable_by(|a, b| {
+                let by_gap = a.0.partial_cmp(&b.0).expect("finite gap");
+                by_gap.then(a.1.cmp(&b.1))
+            });
+            let pool = &mut run.state[(q - run.entries[0].query) as usize];
+            // Round-robin the ordered leaves into waves by their index in
+            // the whole segment's ordering: wave 0 gets the closest.
+            for (wave, acct) in run.acct.iter_mut().enumerate() {
+                let skip = (wave + KNN_WAVES - first % KNN_WAVES) % KNN_WAVES;
+                let leaves = keys.iter().skip(skip).step_by(KNN_WAVES);
+                verify_leaves(
+                    ctx,
+                    threads,
+                    &queries[q as usize],
+                    pool.bound().min(external[q as usize]),
+                    leaves.map(|&(_, node, dqp)| (node, dqp)),
+                    run.scratch,
+                    acct,
+                    |obj, d| pool.insert(Neighbor::new(obj, d)),
+                );
             }
-            ((), total, span)
-        });
-        ctx.stats.add(&ctx.stats.leaf_verified, verified);
-        ctx.stats.add(&ctx.stats.leaf_abandoned, abandoned);
-        ctx.stats.add(&ctx.stats.distance_computations, verified);
-        ctx.stats.add(&ctx.stats.leaf_filtered, n as u64 - verified);
+            first += seg.len();
+        }
+        run.scratch.keys = keys;
+        (0, 0)
+    });
+    for wave in 0..KNN_WAVES {
+        let sum = |acc: WaveAcct, run: &[WaveAcct; KNN_WAVES]| acc.merge(&run[wave]);
+        accts.iter().fold(WaveAcct::default(), sum).launch(ctx);
     }
 }
 

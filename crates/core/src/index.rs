@@ -14,7 +14,6 @@ use crate::update::CacheTable;
 use gpu_sim::{Device, GpuError, Reservation};
 use metric_space::index::{sort_neighbors, DynamicIndex, IndexError, Neighbor, SimilarityIndex};
 use metric_space::{BatchMetric, Footprint, ObjectArena};
-use std::cell::RefCell;
 use std::sync::{Arc, Mutex};
 
 /// GTS: the GPU-based tree index for similarity search in general metric
@@ -268,7 +267,7 @@ where
             stats: &self.stats,
             threads: self.params.effective_host_threads(self.dev.host_threads()),
             audit: &self.audit,
-            memo: RefCell::new(memo),
+            memo: Mutex::new(memo),
         }
     }
 
@@ -276,7 +275,11 @@ where
     /// for one batch only — the object store may change between batches)
     /// but with its grown allocation preserved for the next batch.
     pub(crate) fn reclaim_memo(&self, ctx: SearchCtx<'_, O, M>) {
-        let mut memo = ctx.memo.into_inner();
+        // Cleared right below, so a poisoned lock still yields a usable memo.
+        let mut memo = ctx
+            .memo
+            .into_inner()
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
         memo.clear();
         *self.memo.lock().expect("memo lock") = memo;
     }

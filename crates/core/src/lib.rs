@@ -75,6 +75,7 @@ pub mod update;
 
 pub use audit::{AuditPlan, CostAudit, CostAuditSnapshot};
 pub use cost::CostModel;
+pub use dispatch::QUERY_CHUNK;
 pub use index::Gts;
 pub use memo::PairMemo;
 pub use multi::MultiGts;

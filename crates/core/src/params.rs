@@ -59,14 +59,18 @@ pub struct GtsParams {
     /// kernel-strategy knob like `host_threads`, so not persisted by
     /// snapshots.
     pub bounded_verification: bool,
-    /// Host threads executing the batched distance kernels; `0` (default)
-    /// means "auto" — use the device's configured
-    /// [`host_threads`](gpu_sim::DeviceConfig::host_threads). Purely a
-    /// wall-clock knob: id blocks are cut into fixed-size chunks before
-    /// the thread count is consulted, so answers, tie-breaks, and
-    /// simulated cycle counts are bit-identical for any value (the
-    /// thread-invariance tests prove it). Not persisted by snapshots —
-    /// restored indexes come back with `0 = auto`.
+    /// Host threads executing the batched kernels; `0` (default) means
+    /// "auto" — use the device's configured
+    /// [`host_threads`](gpu_sim::DeviceConfig::host_threads). The unit of
+    /// parallelism in a search is a chunk of
+    /// [`QUERY_CHUNK`](crate::QUERY_CHUNK) whole query segments (a batch
+    /// forming a single chunk, construction and the cache scan chunk their
+    /// id blocks instead). Purely a wall-clock knob: the work is cut before
+    /// the thread count is consulted and per-chunk accounts combine by
+    /// sum/max, so answers, tie-breaks, and simulated cycle counts are
+    /// bit-identical for any value (the thread-invariance tests prove it).
+    /// Not persisted by snapshots — restored indexes come back with
+    /// `0 = auto`.
     pub host_threads: usize,
     /// Cross-shard kNN **bound broadcast** for
     /// [`ShardedGts::batch_knn`](crate::ShardedGts): drive every shard's

@@ -25,11 +25,12 @@
 //! (contiguous payloads, no per-object pointer chasing) and each level
 //! launches **one** batched kernel via [`Device::launch_batch`], charged
 //! once per batch with the same work–span accounting as the per-pair path.
-//! Inside a launch, large id blocks are fanned out over real host threads
-//! by the dispatch layer (`crate::dispatch`): fixed-size chunks, per-chunk
-//! work-span combined by sum/max, so the thread count
-//! ([`GtsParams::host_threads`]) changes wall-clock only — never answers,
-//! tie-breaks, or simulated cycles. A per-batch `(query, pivot)`
+//! Inside a launch the host runs **chunks of whole query segments**
+//! concurrently (the dispatch layer, `crate::dispatch`; a batch that forms
+//! a single chunk falls back to chunking its id blocks): the cut depends on
+//! the frontier alone and per-chunk work–span combines by sum/max, so the
+//! thread count ([`GtsParams::host_threads`]) changes wall-clock only —
+//! never answers, tie-breaks, or simulated cycles. A per-batch `(query, pivot)`
 //! **distance memo** (a flat open-addressing [`PairMemo`]) short-circuits
 //! repeated evaluations of the same pair (e.g. a singleton child
 //! re-selecting its parent's pivot), and all level-loop buffers live in a
@@ -57,9 +58,11 @@
 //! first applies the stored-distance filter (the table's `dis` column *is*
 //! `d(o, parent pivot)`, so the filter costs zero distance evaluations),
 //! then computes real distances for survivors only — one batched kernel per
-//! wave.
+//! wave, the filter streaming straight into the kernel's id block.
 
-use crate::dispatch::distance_block;
+use crate::dispatch::{
+    distance_block, distance_block_bounded, query_chunk_bounds, run_query_chunks,
+};
 use crate::engine::DescentEngine;
 use crate::memo::PairMemo;
 use crate::node::TreeShape;
@@ -69,8 +72,7 @@ use crate::table::TableList;
 use gpu_sim::{Device, GpuError};
 use metric_space::index::Neighbor;
 use metric_space::{BatchMetric, ObjectArena};
-use std::cell::RefCell;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 /// One intermediate-result element `E = {N, q, ...}` of the paper's `Q_Res`.
 #[derive(Clone, Copy, Debug)]
@@ -84,8 +86,8 @@ pub(crate) struct Frontier {
     pub dqp: f64,
 }
 
-/// Device-resident layout of a frontier element (memory accounting only).
-#[derive(Clone, Copy, Default)]
+/// Device-resident layout of a frontier element — never instantiated, only
+/// the size constant behind [`FRONTIER_ENTRY_BYTES`].
 pub(crate) struct RawEntry {
     _node: u32,
     _query: u32,
@@ -107,13 +109,30 @@ pub(crate) fn layer_size_limit(free_bytes: u64, h: u32, level: u32, nc: u32) -> 
     (free_bytes as usize / denom.max(1)).max(1)
 }
 
+/// Per-work-item staging of the leaf-verification kernels: one per
+/// query-segment run, so concurrent runs never share a buffer.
+#[derive(Default)]
+pub(crate) struct LeafScratch {
+    /// `(ring gap, node, dqp)` sort keys of one query's leaf entries.
+    pub(crate) keys: Vec<(f64, u32, f64)>,
+    /// Object ids surviving the stored-distance filter: one kernel block.
+    pub(crate) ids: Vec<u32>,
+    /// Distance output of the exact kernel.
+    out: Vec<f64>,
+    /// Per-pair bounds of the bounded kernel.
+    bounds: Vec<f64>,
+    /// `Option<f64>` output of the bounded kernel.
+    opt: Vec<Option<f64>>,
+}
+
 /// Reusable host-side buffers for the level-synchronous loops.
 ///
 /// One instance serves a whole batched query: frontier buffers ping-pong
 /// between levels through a small pool (also feeding query-group descent),
-/// and every kernel-staging vector (`dq`, survivor ids, kernel outputs,
-/// encode pairs, verification waves) is cleared and refilled instead of
-/// reallocated. The level loop itself allocates nothing after warm-up.
+/// and every kernel-staging vector (`dq`, pivot ids, kernel outputs, encode
+/// pairs, per-run leaf staging) is cleared and refilled instead of
+/// reallocated. The level loop itself allocates nothing after warm-up
+/// beyond the per-level work-item lists.
 #[derive(Default)]
 pub(crate) struct SearchScratch {
     /// Pool of frontier buffers (current/next/per-group), recycled.
@@ -122,28 +141,18 @@ pub(crate) struct SearchScratch {
     pub(crate) dq: Vec<f64>,
     /// Frontier indices whose pivot distance missed the memo.
     pub(crate) pending: Vec<u32>,
-    /// Object-id staging for the batched kernels.
+    /// Pivot ids of the `pending` entries (the pivot-distance kernel's ids).
     pub(crate) kernel_ids: Vec<u32>,
-    /// Distance output staging for the batched kernels.
+    /// Pivot-distance kernel output, parallel to `kernel_ids`.
     pub(crate) kernel_out: Vec<f64>,
-    /// Per-pair bound staging for the bounded verification kernels.
-    pub(crate) kernel_bounds: Vec<f64>,
-    /// `Option<f64>` output staging for the bounded verification kernels.
-    pub(crate) kernel_opt: Vec<Option<f64>>,
     /// Ring gap per next-level entry (MkNNQ beam ranking).
     pub(crate) gaps: Vec<f64>,
     /// Encoded `(key, entry)` pairs for the MkNNQ bound update.
     pub(crate) pairs: Vec<(f64, u32)>,
     /// Per-block ranking indices for beam truncation.
     pub(crate) ranked: Vec<u32>,
-    /// Entry ordering for leaf verification waves.
-    pub(crate) order: Vec<u32>,
-    /// Entries of the current verification wave.
-    pub(crate) wave: Vec<Frontier>,
-    /// `(entry index, table position)` verification tasks.
-    pub(crate) tasks: Vec<(u32, u32)>,
-    /// Per-query kNN bound snapshot for one wave.
-    pub(crate) bounds: Vec<f64>,
+    /// Leaf-verification staging, one per query-segment run.
+    pub(crate) leaf: Vec<LeafScratch>,
 }
 
 impl SearchScratch {
@@ -180,16 +189,18 @@ pub(crate) struct SearchCtx<'a, O, M> {
     pub audit: &'a crate::audit::CostAudit,
     /// Host threads for the batched kernels (resolved from
     /// [`GtsParams::effective_host_threads`]); wall-clock only — the
-    /// dispatch layer cuts fixed-size chunks so results and cycle counts
-    /// never depend on it.
+    /// dispatch layer cuts its work items before consulting it, so results
+    /// and cycle counts never depend on it.
     pub threads: usize,
     /// Per-batch `(query, pivot)` distance memo: ring-prune tests on
     /// siblings share the parent-pivot distance via [`Frontier::dqp`], and
     /// this memo extends the same guarantee to pivots re-encountered across
     /// levels (a singleton node re-selects its parent's pivot) — those
     /// pairs are never recomputed within a batch. A flat open-addressing
-    /// table ([`PairMemo`]), probed once per frontier entry per level.
-    pub memo: RefCell<PairMemo>,
+    /// table ([`PairMemo`]), probed once per frontier entry per level — on
+    /// the submitting thread only; a `Mutex` rather than a `RefCell` so the
+    /// context can be shared with the host workers.
+    pub memo: Mutex<PairMemo>,
 }
 
 impl<'a, O, M> SearchCtx<'a, O, M>
@@ -244,9 +255,10 @@ where
     }
 
     /// Compute `d(query, node.pivot)` for every frontier entry into
-    /// `scratch.dq`: memo lookups first, then **one batched kernel** over
-    /// the missing pairs (entries are query-contiguous, so the kernel runs
-    /// arena-resolved id blocks per query).
+    /// `scratch.dq`: memo lookups first (serial), then **one batched
+    /// kernel** over the missing pairs — query-segment runs fanned out over
+    /// the host pool, arena-resolved id blocks per query — then the memo
+    /// inserts (serial again, in frontier order).
     pub(crate) fn pivot_distances(
         &self,
         queries: &[O],
@@ -263,7 +275,8 @@ where
         dq.clear();
         dq.resize(entries.len(), 0.0);
         pending.clear();
-        let mut memo = self.memo.borrow_mut();
+        kernel_ids.clear();
+        let mut memo = self.memo.lock().expect("memo lock");
         for (i, e) in entries.iter().enumerate() {
             let pivot = self
                 .nodes
@@ -272,63 +285,58 @@ where
                 .expect("expanded node is internal");
             match memo.get(e.query, pivot) {
                 Some(d) => dq[i] = d,
-                None => pending.push(i as u32),
+                None => {
+                    pending.push(i as u32);
+                    kernel_ids.push(pivot);
+                }
             }
         }
         let n = pending.len();
+        kernel_out.clear();
+        kernel_out.resize(n, 0.0);
+        let query_of = |k: usize| entries[pending[k] as usize].query;
         self.dev.launch_batch(n, || {
-            let mut total = 0u64;
-            let mut span = 0u64;
-            let mut i = 0usize;
-            while i < n {
-                let q = entries[pending[i] as usize].query;
-                let mut j = i;
-                while j < n && entries[pending[j] as usize].query == q {
-                    j += 1;
-                }
-                kernel_ids.clear();
-                kernel_ids.extend(pending[i..j].iter().map(|&pi| {
-                    self.nodes
-                        .get(entries[pi as usize].node as usize)
-                        .pivot
-                        .expect("expanded node is internal")
-                }));
-                kernel_out.clear();
-                kernel_out.resize(j - i, 0.0);
-                let (w, s) = distance_block(
-                    self.dev.as_ref(),
-                    self.threads,
-                    self.metric,
-                    self.objects,
-                    self.arena,
-                    &queries[q as usize],
-                    kernel_ids,
-                    kernel_out,
-                );
-                total += w;
-                span = span.max(s);
-                for (k, &pi) in pending[i..j].iter().enumerate() {
-                    dq[pi as usize] = kernel_out[k];
-                    memo.insert(q, kernel_ids[k], kernel_out[k]);
-                }
-                i = j;
-            }
+            let mut out_rest = kernel_out.as_mut_slice();
+            let runs: Vec<_> = query_chunk_bounds(n, query_of)
+                .windows(2)
+                .map(|w| {
+                    let (out, rest) = std::mem::take(&mut out_rest).split_at_mut(w[1] - w[0]);
+                    out_rest = rest;
+                    (w[0], out)
+                })
+                .collect();
+            let (total, span) =
+                run_query_chunks(self.dev, self.threads, runs, |(first, out), threads| {
+                    let (mut total, mut span) = (0u64, 0u64);
+                    let mut i = 0usize;
+                    while i < out.len() {
+                        let q = query_of(first + i);
+                        let j = (i..out.len())
+                            .find(|&j| query_of(first + j) != q)
+                            .unwrap_or(out.len());
+                        let (w, s) = distance_block(
+                            self.dev,
+                            threads,
+                            self.metric,
+                            self.objects,
+                            self.arena,
+                            &queries[q as usize],
+                            &kernel_ids[first + i..first + j],
+                            &mut out[i..j],
+                        );
+                        total += w;
+                        span = span.max(s);
+                        i = j;
+                    }
+                    (total, span)
+                });
             ((), total, span)
         });
-        self.stats.add(&self.stats.distance_computations, n as u64);
-    }
-
-    /// Flatten leaf entries into per-object verification tasks
-    /// (`(entry index, table position)`, the thread granularity of the
-    /// verification kernel) into `scratch.tasks`.
-    pub(crate) fn fill_leaf_tasks(&self, entries: &[Frontier], tasks: &mut Vec<(u32, u32)>) {
-        tasks.clear();
-        for (i, e) in entries.iter().enumerate() {
-            let node = self.nodes.get(e.node as usize);
-            for pos in node.pos..node.pos + node.size {
-                tasks.push((i as u32, pos));
-            }
+        for (k, &pi) in pending.iter().enumerate() {
+            dq[pi as usize] = kernel_out[k];
+            memo.insert(query_of(k), kernel_ids[k], kernel_out[k]);
         }
+        self.stats.add(&self.stats.distance_computations, n as u64);
     }
 }
 
@@ -336,10 +344,11 @@ where
 /// compare + result write), matching the historical per-pair accounting.
 pub(crate) const VERIFY_EXTRA_WORK: u64 = 3;
 
-/// Run one query block's leaf-verification kernel — exact or
-/// early-abandoning, per [`GtsParams::bounded_verification`] — feeding
+/// Run one query block's leaf-verification kernel over `stage.ids` — exact
+/// or early-abandoning, per [`GtsParams::bounded_verification`] — feeding
 /// every computed `(object, distance)` pair to `sink` and returning the
-/// block's `(work, span, abandoned)`.
+/// block's `(work, span, abandoned)`. `threads` is the host-thread budget
+/// for intra-block chunking (1 inside a multi-run batch).
 ///
 /// Under the bounded kernel only pairs with `d ≤ bound` reach the sink
 /// (abandoned evaluations are counted, not sunk); under the exact kernel
@@ -348,39 +357,43 @@ pub(crate) const VERIFY_EXTRA_WORK: u64 = 3;
 /// equivalent *accepted* sets whenever `bound` upper-bounds acceptance —
 /// the shared body is what keeps the MRQ and MkNNQ paths provably
 /// identical in staging and accounting.
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn verify_block<O, M>(
     ctx: &SearchCtx<'_, O, M>,
+    threads: usize,
     query: &O,
     bound: f64,
-    kernel_ids: &[u32],
-    kernel_out: &mut Vec<f64>,
-    kernel_bounds: &mut Vec<f64>,
-    kernel_opt: &mut Vec<Option<f64>>,
+    stage: &mut LeafScratch,
     mut sink: impl FnMut(u32, f64),
 ) -> (u64, u64, u64)
 where
     O: Send + Sync,
     M: BatchMetric<O>,
 {
+    let LeafScratch {
+        ids,
+        out,
+        bounds,
+        opt,
+        ..
+    } = stage;
     if ctx.params.bounded_verification {
-        kernel_bounds.clear();
-        kernel_bounds.resize(kernel_ids.len(), bound);
-        kernel_opt.clear();
-        kernel_opt.resize(kernel_ids.len(), None);
-        let (w, s) = crate::dispatch::distance_block_bounded(
-            ctx.dev.as_ref(),
-            ctx.threads,
+        bounds.clear();
+        bounds.resize(ids.len(), bound);
+        opt.clear();
+        opt.resize(ids.len(), None);
+        let (w, s) = distance_block_bounded(
+            ctx.dev,
+            threads,
             ctx.metric,
             ctx.objects,
             ctx.arena,
             query,
-            kernel_ids,
-            kernel_bounds,
-            kernel_opt,
+            ids,
+            bounds,
+            opt,
         );
         let mut abandoned = 0u64;
-        for (&obj, d) in kernel_ids.iter().zip(kernel_opt.iter()) {
+        for (&obj, d) in ids.iter().zip(opt.iter()) {
             match d {
                 Some(d) => sink(obj, *d),
                 None => abandoned += 1,
@@ -388,19 +401,19 @@ where
         }
         (w, s, abandoned)
     } else {
-        kernel_out.clear();
-        kernel_out.resize(kernel_ids.len(), 0.0);
+        out.clear();
+        out.resize(ids.len(), 0.0);
         let (w, s) = distance_block(
-            ctx.dev.as_ref(),
-            ctx.threads,
+            ctx.dev,
+            threads,
             ctx.metric,
             ctx.objects,
             ctx.arena,
             query,
-            kernel_ids,
-            kernel_out,
+            ids,
+            out,
         );
-        for (&obj, &d) in kernel_ids.iter().zip(kernel_out.iter()) {
+        for (&obj, &d) in ids.iter().zip(out.iter()) {
             sink(obj, d);
         }
         (w, s, 0)
@@ -416,6 +429,10 @@ where
 pub(crate) struct TopK {
     k: usize,
     items: Vec<Neighbor>, // ascending (dist, id), length ≤ k, unique ids
+    /// A NaN distance entered the pool (a broken metric): `items` is then
+    /// no longer ordered, so the fast reject — which reads the last item as
+    /// the maximum — is off.
+    unordered: bool,
 }
 
 impl TopK {
@@ -423,12 +440,25 @@ impl TopK {
         TopK {
             k,
             items: Vec::with_capacity(k.min(1024)),
+            unordered: false,
         }
     }
 
     /// Insert a candidate, keeping the k best distinct object ids.
     pub(crate) fn insert(&mut self, n: Neighbor) {
-        if self.k == 0 || self.items.iter().any(|x| x.id == n.id) {
+        // Fast reject: a full, ordered pool's last item is its maximum, so a
+        // candidate at or past it is either that very id or sorts after all
+        // k items — the common case once the bound has settled.
+        if self.items.len() == self.k
+            && !self.unordered
+            && self
+                .items
+                .last()
+                .is_none_or(|last| (last.dist, last.id) <= (n.dist, n.id))
+        {
+            return;
+        }
+        if self.items.iter().any(|x| x.id == n.id) {
             return;
         }
         let pos = self
@@ -437,6 +467,7 @@ impl TopK {
         if pos >= self.k {
             return;
         }
+        self.unordered |= n.dist.is_nan();
         self.items.insert(pos, n);
         self.items.truncate(self.k);
     }
@@ -537,6 +568,49 @@ mod tests {
         let mut t = TopK::new(0);
         t.insert(Neighbor::new(1, 1.0));
         assert!(t.into_sorted().is_empty());
+    }
+
+    /// `TopK::insert` as it was before the fast reject, kept as the
+    /// reference the property below compares against.
+    fn reference_insert(items: &mut Vec<Neighbor>, k: usize, n: Neighbor) {
+        if k == 0 || items.iter().any(|x| x.id == n.id) {
+            return;
+        }
+        let pos = items.partition_point(|x| (x.dist, x.id) < (n.dist, n.id));
+        if pos >= k {
+            return;
+        }
+        items.insert(pos, n);
+        items.truncate(k);
+    }
+
+    proptest::proptest! {
+        /// The fast reject changes no pool: over duplicate ids, exact
+        /// `(dist, id)` ties, k ∈ {0, 1, 8}, and ∞ / NaN distances (a NaN in
+        /// the pool unorders it, which must switch the fast reject off).
+        #[test]
+        fn fast_reject_insert_equals_reference(
+            k_sel in 0usize..3,
+            ids in proptest::collection::vec(0u32..24, 96),
+            codes in proptest::collection::vec(0u32..16, 96),
+        ) {
+            let k = [0usize, 1, 8][k_sel];
+            let mut pool = TopK::new(k);
+            let mut reference: Vec<Neighbor> = Vec::new();
+            let bits = |v: &[Neighbor]| -> Vec<(u32, u64)> {
+                v.iter().map(|n| (n.id, n.dist.to_bits())).collect()
+            };
+            for (&id, &code) in ids.iter().zip(&codes) {
+                let dist = match code {
+                    14 => f64::INFINITY,
+                    15 => f64::NAN,
+                    c => f64::from(c % 7) * 0.5, // few values: many exact ties
+                };
+                pool.insert(Neighbor::new(id, dist));
+                reference_insert(&mut reference, k, Neighbor::new(id, dist));
+                proptest::prop_assert_eq!(bits(&pool.items), bits(&reference));
+            }
+        }
     }
 
     #[test]

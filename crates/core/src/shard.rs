@@ -1279,6 +1279,60 @@ mod tests {
         assert!(caught.is_err(), "the metric panic must surface");
     }
 
+    /// Like [`PanicOnBoom`], but the panic message names the thread that
+    /// raised it.
+    #[derive(Clone, Copy)]
+    struct BoomNamesItsThread;
+
+    impl metric_space::Metric<Item> for BoomNamesItsThread {
+        fn distance(&self, a: &Item, b: &Item) -> f64 {
+            let (a, b) = (a.as_text().expect("text"), b.as_text().expect("text"));
+            if a == "boom" || b == "boom" {
+                let thread = std::thread::current();
+                panic!("boom on {}", thread.name().unwrap_or("unnamed"));
+            }
+            (a.len() as f64 - b.len() as f64).abs()
+        }
+        fn work(&self, _: &Item, _: &Item) -> u64 {
+            1
+        }
+        fn name(&self) -> &'static str {
+            "boom-names-its-thread"
+        }
+    }
+    impl metric_space::BatchMetric<Item> for BoomNamesItsThread {}
+
+    /// A metric panic raised inside a query-chunk run on a *pool worker*
+    /// (not the thread that called `batch_knn`) must cross the host pool and
+    /// the shard scatter with its payload intact, and leave pool and index
+    /// serving.
+    #[test]
+    fn panic_on_a_pool_worker_surfaces_through_batch_knn() {
+        let items: Vec<Item> = (0..120).map(|i| Item::text("x".repeat(i % 30))).collect();
+        let pool = DevicePool::rtx_2080_ti(2);
+        let idx = ShardedGts::build(
+            &pool,
+            items.clone(),
+            BoomNamesItsThread,
+            GtsParams::default().with_shards(2).with_host_threads(2),
+        )
+        .expect("build never sees the poisoned query");
+        // Two query-chunk runs over two host threads: run 0 executes on the
+        // calling (shard scatter) thread, run 1 — holding the poison — on a
+        // pool worker.
+        let mut queries: Vec<Item> = items[..2 * crate::QUERY_CHUNK].to_vec();
+        queries[crate::QUERY_CHUNK] = Item::text("boom");
+        let payload =
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| idx.batch_knn(&queries, 3)))
+                .expect_err("the metric panic must surface");
+        let msg = payload.downcast_ref::<String>().expect("formatted panic");
+        assert_eq!(msg, "boom on gts-host-kernel");
+
+        let clean = idx.batch_knn(&items[..2 * crate::QUERY_CHUNK], 3);
+        let clean = clean.expect("pool and index still serve");
+        assert!(clean.iter().all(|a| a.len() == 3));
+    }
+
     #[test]
     fn aggregate_stats_sum_across_shards() {
         let (items, _, idx) = sharded(300, 2);

@@ -103,6 +103,13 @@ impl TableList {
         &self.obj
     }
 
+    /// The tombstone column (parallel to the id column). Only worth reading
+    /// when [`TableList::has_tombstones`] — on a tombstone-free table every
+    /// flag is `false`.
+    pub fn deleted_column(&self) -> &[bool] {
+        &self.deleted
+    }
+
     /// Mutable distance column — the construction mapping pass overwrites
     /// it wholesale every level without touching ids or tombstones.
     pub fn dis_column_mut(&mut self) -> &mut [f64] {
@@ -226,6 +233,7 @@ mod tests {
     fn column_round_trip() {
         let t = TableList::from_columns(vec![4, 5], vec![1.5, 2.5], vec![false, true]);
         assert_eq!(t.live_len(), 1);
+        assert_eq!(t.deleted_column(), &[false, true]);
         assert_eq!(
             t.get(1),
             TableEntry {
