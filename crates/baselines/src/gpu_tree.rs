@@ -17,7 +17,7 @@ use crate::clock::impl_gpu_clocked;
 use gpu_sim::{Device, GpuError, Reservation};
 use metric_space::index::{sort_neighbors, DynamicIndex, IndexError, Neighbor, SimilarityIndex};
 use metric_space::lemmas::{prune_node_knn, prune_node_range};
-use metric_space::{ArenaLayout, BatchMetric, Footprint, Item, ItemMetric, Metric, ObjectArena};
+use metric_space::{BatchMetric, Footprint, Item, ItemMetric, Metric, ObjectArena};
 use std::sync::Arc;
 
 /// Tuning knobs of the multi-tree baseline.
@@ -37,10 +37,6 @@ pub struct GpuTreeParams {
     pub fanout: usize,
     /// Leaf capacity of each sub-tree.
     pub leaf_cap: usize,
-    /// Payload arena layout for the batched pivot/leaf distance kernels.
-    /// A pure wall-clock lever: answers and simulated cycles are identical
-    /// across layouts (the work model reads lengths only).
-    pub arena_layout: ArenaLayout,
 }
 
 impl Default for GpuTreeParams {
@@ -51,7 +47,6 @@ impl Default for GpuTreeParams {
             buffer_divisor: 64,
             fanout: 4,
             leaf_cap: 32,
-            arena_layout: ArenaLayout::Legacy,
         }
     }
 }
@@ -169,9 +164,7 @@ impl GpuTree {
     fn rebuild_trees(&mut self) -> Result<(), IndexError> {
         // The arena tracks the object store; rebuilding it costs no
         // simulated cycles (it is a host-side layout decision).
-        self.arena = self
-            .metric
-            .build_arena_with(&self.items, self.params.arena_layout);
+        self.arena = self.metric.build_arena(&self.items);
         let p = self.params.num_trees.max(1);
         let mut partitions: Vec<Vec<u32>> = vec![Vec::new(); p];
         for (i, &l) in self.live.iter().enumerate() {
@@ -588,40 +581,6 @@ mod tests {
             s.cycles,
             s.work
         );
-    }
-
-    #[test]
-    fn aligned_layout_is_cycle_identical() {
-        let d = DatasetKind::TLoc.generate(600, 23);
-        let build_on = |layout| {
-            let dev = Device::rtx_2080_ti();
-            let t = GpuTree::build_with_params(
-                &dev,
-                d.items.clone(),
-                d.metric,
-                GpuTreeParams {
-                    arena_layout: layout,
-                    ..GpuTreeParams::default()
-                },
-            )
-            .expect("build");
-            (dev, t)
-        };
-        let (dev_l, legacy) = build_on(ArenaLayout::Legacy);
-        let (dev_a, aligned) = build_on(ArenaLayout::Aligned);
-        let queries: Vec<Item> = d.items[..12].to_vec();
-        assert_eq!(
-            legacy.batch_range(&queries, &[1.0; 12]).expect("l"),
-            aligned.batch_range(&queries, &[1.0; 12]).expect("a"),
-        );
-        assert_eq!(
-            legacy.batch_knn(&queries, 5).expect("l"),
-            aligned.batch_knn(&queries, 5).expect("a"),
-        );
-        let (sl, sa) = (dev_l.stats(), dev_a.stats());
-        assert_eq!(sl.cycles, sa.cycles, "layout is a pure wall-clock lever");
-        assert_eq!(sl.work, sa.work);
-        assert_eq!(sl.kernels, sa.kernels);
     }
 
     #[test]

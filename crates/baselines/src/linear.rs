@@ -2,16 +2,15 @@
 //! as the conceptual floor for every comparison.
 //!
 //! The scan is **batched**: every query resolves all object payloads through
-//! the flat [`ObjectArena`] in one [`BatchMetric::distance_batch`] call
-//! (optionally with the SIMD-aligned block layout), instead of touching the
-//! boxed objects pair by pair. Work charged to the CPU clock is the batch's
+//! the flat [`ObjectArena`] in one [`BatchMetric::distance_batch`] call,
+//! instead of touching the boxed objects pair by pair. Work charged to the CPU clock is the batch's
 //! reported total — bit-identical to the per-pair sum, since the batch
 //! kernels account per pair with the same work model.
 
 use crate::clock::impl_cpu_clocked;
 use gpu_sim::CpuClock;
 use metric_space::index::{sort_neighbors, IndexError, Neighbor, SimilarityIndex};
-use metric_space::{ArenaLayout, BatchMetric, Item, ItemMetric, ObjectArena};
+use metric_space::{BatchMetric, Item, ItemMetric, ObjectArena};
 
 /// Exact CPU linear scan over the whole dataset.
 pub struct LinearScan {
@@ -23,16 +22,10 @@ pub struct LinearScan {
 }
 
 impl LinearScan {
-    /// Wrap a dataset (no construction work); packed legacy arena layout.
+    /// Wrap a dataset (no construction work). Heterogeneous datasets get no
+    /// arena and scan through the per-pair fallback.
     pub fn new(items: Vec<Item>, metric: ItemMetric) -> Self {
-        Self::with_layout(items, metric, ArenaLayout::Legacy)
-    }
-
-    /// Wrap a dataset with an explicit arena layout. Metrics without a
-    /// block kernel degrade `Aligned` to `Legacy`; heterogeneous datasets
-    /// get no arena and scan through the per-pair fallback.
-    pub fn with_layout(items: Vec<Item>, metric: ItemMetric, layout: ArenaLayout) -> Self {
-        let arena = metric.build_arena_with(&items, layout);
+        let arena = metric.build_arena(&items);
         let ids = (0..items.len() as u32).collect();
         LinearScan {
             items,
@@ -120,29 +113,5 @@ mod tests {
         let m = scan.mark();
         scan.knn_query(&d.items[0], 3).expect("knn");
         assert!(scan.elapsed_since(m) > 0.0);
-    }
-
-    #[test]
-    fn aligned_layout_matches_legacy_bitwise() {
-        use crate::clock::Clocked;
-        // T-Loc is 2-d L2: the aligned layout has a block kernel, so both
-        // layouts must return identical bits and charge identical work.
-        let d = DatasetKind::TLoc.generate(120, 9);
-        let legacy = LinearScan::new(d.items.clone(), d.metric);
-        let aligned = LinearScan::with_layout(d.items.clone(), d.metric, ArenaLayout::Aligned);
-        let (m_l, m_a) = (legacy.mark(), aligned.mark());
-        for q in d.items.iter().take(8) {
-            let a = legacy.range_query(q, 900.0).expect("legacy");
-            let b = aligned.range_query(q, 900.0).expect("aligned");
-            assert_eq!(a, b);
-            let ka = legacy.knn_query(q, 7).expect("legacy");
-            let kb = aligned.knn_query(q, 7).expect("aligned");
-            assert_eq!(ka, kb);
-        }
-        assert_eq!(
-            legacy.clock.work() - m_l,
-            aligned.clock.work() - m_a,
-            "layouts charge identical work"
-        );
     }
 }

@@ -9,40 +9,27 @@
 //! * **batch**: one `BatchMetric::distance_batch` call resolving ids
 //!   against the flat [`ObjectArena`] (contiguous payloads, shared DP
 //!   scratch);
-//! * **batch-bounded**: the early-abandoning variant (Ukkonen banding for
-//!   edit distance), reported for context;
-//! * **aligned**: the same `distance_batch` call against the
-//!   [`ArenaLayout::Aligned`] arena — zero-padded 8-lane blocks driving the
-//!   block-wise kernels (vector metrics only; edit distance has no block
-//!   kernel and reports no aligned row).
-//!
-//! Vector metrics additionally time a **scalar-fold** reference — the
-//! textbook one-accumulator loop — and the bench *asserts* the aligned
-//! block-wise L2 kernel beats it by ≥ 1.3× on the 20k-pair block: a
-//! regression here fails the run, not just the report.
+//! * **batch-bounded**: the early-abandoning variant leaf verification
+//!   runs (Ukkonen banding for edit distance).
 //!
 //! All variants of a metric are timed **round-robin** (one rep of each in
 //! rotation, min per variant): slow drift on the shared core — frequency
 //! scaling, cache pressure from a neighbouring phase — lands on every
-//! variant equally, so the reported *ratios* (the asserted speedup, the
-//! drift-gated `batch_speedup`) are stable run to run, where back-to-back
-//! phase timing is not.
+//! variant equally, so the reported *ratio* (the drift-gated
+//! `batch_speedup`) is stable run to run, where back-to-back phase timing
+//! is not.
 //!
 //! Results are printed and written to `BENCH_dist_kernels.json` at the
 //! workspace root (override with `GTS_BENCH_OUT`). Run with
 //! `cargo bench -p gts-bench --bench dist_kernels`.
 
 use metric_space::gen;
-use metric_space::{ArenaLayout, BatchMetric, Item, ItemMetric, Metric};
+use metric_space::{BatchMetric, Item, ItemMetric, Metric};
 use std::fmt::Write as _;
 use std::time::Instant;
 
 const PAIRS: usize = 20_000;
 const REPS: usize = 30;
-
-/// Aligned block-wise L2 must beat the sequential-fold scalar reference by
-/// at least this factor on the 20k-pair block (the PR's acceptance bar).
-const ALIGNED_L2_MIN_SPEEDUP: f64 = 1.3;
 
 struct KernelTimes {
     metric: &'static str,
@@ -50,35 +37,6 @@ struct KernelTimes {
     per_pair_ns: f64,
     batch_ns: f64,
     bounded_ns: f64,
-    /// Textbook one-accumulator fold (vector metrics only): the scalar
-    /// reference the block-wise speedup is measured against.
-    scalar_ns: Option<f64>,
-    /// `None` for metrics without a block kernel (edit distance).
-    aligned_ns: Option<f64>,
-}
-
-/// A lane-free scalar distance kernel over raw vector payloads.
-type ScalarKernel = fn(&[f32], &[f32]) -> f64;
-
-/// Sequential-fold scalar references: one dependent accumulator, the
-/// textbook loop every lane-free implementation compiles to. The canonical
-/// kernels deliberately abandoned this summation order for the 8-lane one,
-/// so these are *timing* references, not bitwise ones.
-fn scalar_l2(a: &[f32], b: &[f32]) -> f64 {
-    let mut acc = 0f64;
-    for (x, y) in a.iter().zip(b) {
-        let d = f64::from(x - y);
-        acc += d * d;
-    }
-    acc.sqrt()
-}
-
-fn scalar_l1(a: &[f32], b: &[f32]) -> f64 {
-    let mut acc = 0f64;
-    for (x, y) in a.iter().zip(b) {
-        acc += f64::from((x - y).abs());
-    }
-    acc
 }
 
 /// Minimum nanoseconds per distance for each variant, timed round-robin:
@@ -115,35 +73,12 @@ fn bench_metric(metric: ItemMetric, items: Vec<Item>, bound: f64) -> KernelTimes
     let mut out = vec![0.0f64; ids.len()];
     let mut out_scalar = vec![0.0f64; ids.len()];
     let mut out_bounded = vec![None; ids.len()];
-    let bounds = vec![bound; ids.len()];
-
-    // The sequential-fold scalar reference (vector metrics): same payload
-    // resolution as the batch path, lane-free inner loop.
-    let scalar_kernel: Option<ScalarKernel> = match metric {
-        ItemMetric::Vector(metric_space::VectorMetric::L2) => Some(scalar_l2),
-        ItemMetric::Vector(metric_space::VectorMetric::L1) => Some(scalar_l1),
-        _ => None,
-    };
-    // The aligned layout: same batch entry point, block-wise kernels. Only
-    // metrics with a block kernel get a row (build_arena_with degrades the
-    // request to Legacy otherwise, which would silently re-time the batch
-    // path and report a meaningless "aligned" number).
-    let aligned_arena =
-        matches!(metric, ItemMetric::Vector(m) if m.block_kernel().is_some()).then(|| {
-            let aligned = metric
-                .build_arena_with(&items, ArenaLayout::Aligned)
-                .expect("homogeneous dataset");
-            assert_eq!(aligned.layout(), ArenaLayout::Aligned, "layout honoured");
-            aligned
-        });
-    let mut out_fold = vec![0.0f64; ids.len()];
-    let mut out_aligned = vec![0.0f64; ids.len()];
 
     // One closure per variant, timed in rotation. The per-pair closure
     // mirrors the replaced hot-path kernel closure, which produced
     // `(distance, work)` per thread.
     let mut work_acc = 0u64;
-    let mut variants: Vec<Box<dyn FnMut() + '_>> = vec![
+    let variants: Vec<Box<dyn FnMut() + '_>> = vec![
         Box::new(|| {
             for (slot, &id) in out_scalar.iter_mut().zip(&ids) {
                 let o = &items[id as usize];
@@ -156,48 +91,21 @@ fn bench_metric(metric: ItemMetric, items: Vec<Item>, bound: f64) -> KernelTimes
             metric.distance_batch(&items, Some(&arena), &query, &ids, &mut out);
         }),
         Box::new(|| {
-            metric
-                .distance_batch_bounded(
-                    &items,
-                    Some(&arena),
-                    &query,
-                    &ids,
-                    &bounds,
-                    &mut out_bounded,
-                )
-                .expect("legacy arena");
+            metric.distance_batch_bounded(
+                &items,
+                Some(&arena),
+                &query,
+                &ids,
+                bound,
+                &mut out_bounded,
+            );
         }),
     ];
-    if let Some(kernel) = scalar_kernel {
-        let q = query.as_vector().expect("vector dataset");
-        let (ids, items, out_fold) = (&ids, &items, &mut out_fold);
-        variants.push(Box::new(move || {
-            for (slot, &id) in out_fold.iter_mut().zip(ids) {
-                let o = items[id as usize].as_vector().expect("vector dataset");
-                *slot = kernel(q, o);
-            }
-            std::hint::black_box(&out_fold);
-        }));
-    }
-    if let Some(aligned) = &aligned_arena {
-        let (ids, items, query, metric) = (&ids, &items, &query, &metric);
-        let out_aligned = &mut out_aligned;
-        variants.push(Box::new(move || {
-            metric.distance_batch(items, Some(aligned), query, ids, out_aligned);
-        }));
-    }
     let times = time_round_robin(PAIRS, variants);
     let (per_pair_ns, batch_ns, bounded_ns) = (times[0], times[1], times[2]);
-    let scalar_ns = scalar_kernel.is_some().then(|| times[3]);
-    let aligned_ns = aligned_arena.is_some().then(|| times[times.len() - 1]);
 
-    // The comparisons are only meaningful if the paths agree exactly —
-    // for the aligned row, the canonical lane order makes the block-wise
-    // kernel bit-identical to the scalar path, padding included.
+    // The comparison is only meaningful if the paths agree exactly.
     assert_eq!(out, out_scalar, "batch and per-pair disagree");
-    if aligned_arena.is_some() {
-        assert_eq!(out_aligned, out_scalar, "aligned and per-pair disagree");
-    }
 
     KernelTimes {
         metric: metric.name(),
@@ -205,8 +113,6 @@ fn bench_metric(metric: ItemMetric, items: Vec<Item>, bound: f64) -> KernelTimes
         per_pair_ns,
         batch_ns,
         bounded_ns,
-        scalar_ns,
-        aligned_ns,
     }
 }
 
@@ -225,58 +131,25 @@ fn main() {
     let _ = writeln!(json, "  \"pairs\": {PAIRS},");
     let _ = writeln!(json, "  \"reps\": {REPS},");
     let _ = writeln!(json, "  \"results\": [");
-    let fmt_ns =
-        |ns: Option<f64>| ns.map_or_else(|| "     n/a".to_string(), |ns| format!("{ns:>8.1}"));
-    let fmt_num = |v: Option<f64>| v.map_or_else(|| "null".to_string(), |v| format!("{v:.2}"));
     for (i, r) in runs.iter().enumerate() {
         let speedup = r.per_pair_ns / r.batch_ns;
-        // Aligned speedup vs the sequential-fold scalar reference.
-        let aligned_speedup = match (r.scalar_ns, r.aligned_ns) {
-            (Some(s), Some(a)) => Some(s / a),
-            _ => None,
-        };
         println!(
-            "dist_kernels/{:<7} ({} pairs, arity {:>3}): per-pair {:>8.1} ns/dist | scalar-fold {} | batch {:>8.1} | aligned {} | bounded {:>8.1} | batch speedup {:.2}x | aligned-vs-scalar {}x",
-            r.metric,
-            PAIRS,
-            r.arity,
-            r.per_pair_ns,
-            fmt_ns(r.scalar_ns),
-            r.batch_ns,
-            fmt_ns(r.aligned_ns),
-            r.bounded_ns,
-            speedup,
-            aligned_speedup.map_or_else(|| "n/a".to_string(), |s| format!("{s:.2}")),
+            "dist_kernels/{:<7} ({} pairs, arity {:>3}): per-pair {:>8.1} ns/dist | batch {:>8.1} | bounded {:>8.1} | batch speedup {:.2}x",
+            r.metric, PAIRS, r.arity, r.per_pair_ns, r.batch_ns, r.bounded_ns, speedup,
         );
         let _ = writeln!(
             json,
-            "    {{\"metric\": \"{}\", \"arity\": {}, \"per_pair_ns_per_dist\": {:.2}, \"scalar_fold_ns_per_dist\": {}, \"batch_ns_per_dist\": {:.2}, \"aligned_ns_per_dist\": {}, \"bounded_ns_per_dist\": {:.2}, \"batch_speedup\": {:.3}, \"aligned_speedup\": {}}}{}",
+            "    {{\"metric\": \"{}\", \"arity\": {}, \"per_pair_ns_per_dist\": {:.2}, \"batch_ns_per_dist\": {:.2}, \"bounded_ns_per_dist\": {:.2}, \"batch_speedup\": {:.3}}}{}",
             r.metric,
             r.arity,
             r.per_pair_ns,
-            fmt_num(r.scalar_ns),
             r.batch_ns,
-            fmt_num(r.aligned_ns),
             r.bounded_ns,
             speedup,
-            aligned_speedup.map_or_else(|| "null".to_string(), |s| format!("{s:.3}")),
             if i + 1 < runs.len() { "," } else { "" }
         );
     }
     json.push_str("  ]\n}\n");
-
-    // Acceptance bar: aligned block-wise L2 beats the sequential-fold
-    // scalar reference by ≥ 1.3× on the 20k-pair block.
-    let l2 = &runs[0];
-    let l2_scalar = l2.scalar_ns.expect("L2 has a scalar reference");
-    let l2_aligned = l2.aligned_ns.expect("L2 has a block kernel");
-    let l2_speedup = l2_scalar / l2_aligned;
-    assert!(
-        l2_speedup >= ALIGNED_L2_MIN_SPEEDUP,
-        "aligned block-wise L2 must be ≥ {ALIGNED_L2_MIN_SPEEDUP}× the \
-         sequential-fold scalar reference, measured {l2_speedup:.2}× \
-         ({l2_scalar:.1} ns scalar vs {l2_aligned:.1} ns aligned per distance)",
-    );
 
     let out_path = std::env::var("GTS_BENCH_OUT").unwrap_or_else(|_| {
         format!(

@@ -11,13 +11,11 @@
 //! suite completes on a laptop while preserving the paper's comparative
 //! shapes — who wins, by what factor, and where the OOM crossovers fall.
 //!
-//! Beyond the paper's figures, three microbenches track the repo's own
+//! Beyond the paper's figures, two microbenches track the repo's own
 //! hot-path performance story (tables and methodology in the workspace
 //! `REPORT.md`): `dist_kernels` (flat-arena batched kernels vs the
-//! per-pair path, → `BENCH_dist_kernels.json`), `host_parallel` (the
-//! fixed-chunk host-thread sweep over 20k-pair blocks, →
-//! `BENCH_host_parallel.json`), and `memo_table` (flat open-addressing
-//! `(query, pivot)` memo vs the `HashMap` it replaced, →
+//! per-pair path, → `BENCH_dist_kernels.json`) and `memo_table` (flat
+//! open-addressing `(query, pivot)` memo vs the `HashMap` it replaced, →
 //! `BENCH_memo.json`).
 
 #![warn(missing_docs)]

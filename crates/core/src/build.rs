@@ -60,6 +60,8 @@ struct BuildScratch {
 /// Runs entirely "on device": every distance evaluation and data movement is
 /// charged to `dev`'s clock; the returned host structures mirror what would
 /// live in global memory (their residency is reserved by the caller).
+/// `threads` is the host-thread budget of the mapping kernels (wall-clock
+/// only).
 pub(crate) fn construct<O, M>(
     dev: &Arc<Device>,
     objects: &[O],
@@ -67,6 +69,7 @@ pub(crate) fn construct<O, M>(
     ids: &[u32],
     metric: &M,
     params: &GtsParams,
+    threads: usize,
 ) -> Result<Structure, GpuError>
 where
     O: Send + Sync,
@@ -104,6 +107,7 @@ where
             arena,
             metric,
             params,
+            threads,
             &mut nodes,
             &mut table,
             start,
@@ -131,6 +135,7 @@ fn mapping<O, M>(
     arena: Option<&ObjectArena>,
     metric: &M,
     params: &GtsParams,
+    threads: usize,
     nodes: &mut NodeList,
     table: &mut TableList,
     level_start: usize,
@@ -157,7 +162,6 @@ fn mapping<O, M>(
             table.fill_ids(0, n as u32, ids);
             out.clear();
             out.resize(n, 0.0);
-            let threads = params.effective_host_threads(dev.host_threads());
             dev.launch_batch(n, || {
                 let (w, s) = distance_block(
                     dev,
@@ -224,7 +228,6 @@ fn mapping<O, M>(
         let BuildScratch { ids, out } = scratch;
         out.clear();
         out.resize(n, 0.0);
-        let threads = params.effective_host_threads(dev.host_threads());
         dev.launch_batch(n, || {
             let mut total = 0u64;
             let mut span = 0u64;
@@ -384,6 +387,7 @@ mod tests {
             &ids,
             &data.metric,
             &params,
+            dev.host_threads(),
         )
         .expect("build");
         (s, data.items, data.metric)
@@ -510,6 +514,7 @@ mod tests {
             &[0, 1, 2],
             &data.metric,
             &GtsParams::default(),
+            dev.host_threads(),
         )
         .expect("tiny build");
         assert_eq!(s.nodes.shape().h, 1);
@@ -541,6 +546,7 @@ mod tests {
             &ids,
             &data.metric,
             &GtsParams::default(),
+            dev.host_threads(),
         )
         .expect("build");
         let s = dev.stats();
@@ -555,8 +561,8 @@ mod tests {
         let ids: Vec<u32> = (0..200).collect();
         let p = GtsParams::default().with_seed(77);
         let arena = data.metric.build_arena(&data.items);
-        let a = construct(&dev, &data.items, arena.as_ref(), &ids, &data.metric, &p).expect("a");
-        let b = construct(&dev, &data.items, None, &ids, &data.metric, &p).expect("b");
+        let a = construct(&dev, &data.items, arena.as_ref(), &ids, &data.metric, &p, 2).expect("a");
+        let b = construct(&dev, &data.items, None, &ids, &data.metric, &p, 2).expect("b");
         assert_eq!(
             a.table.iter().collect::<Vec<TableEntry>>(),
             b.table.iter().collect::<Vec<TableEntry>>(),
@@ -577,6 +583,7 @@ mod tests {
             &ids,
             &data.metric,
             &GtsParams::default(),
+            dev.host_threads(),
         )
         .expect("subset build");
         assert_eq!(s.table.len(), 50);

@@ -112,41 +112,12 @@ where
     })
 }
 
-/// One chunk of a bounded distance block: disjoint `(ids, bounds, out)`
-/// slices cut at the same fixed [`BATCH_CHUNK`] boundaries as
-/// [`chunk_pairs`], so the bounded kernels inherit the identical
-/// determinism argument (chunk boundaries depend only on block length;
-/// per-chunk `(work, span)` combine by sum/max).
-struct BoundedChunk<'a> {
-    ids: &'a [u32],
-    bounds: &'a [f64],
-    out: &'a mut [Option<f64>],
-}
-
-fn chunk_bounded<'a>(
-    chunk: usize,
-    ids: &'a [u32],
-    bounds: &'a [f64],
-    out: &'a mut [Option<f64>],
-) -> Vec<BoundedChunk<'a>> {
-    assert!(chunk > 0, "chunk size must be positive");
-    assert_eq!(ids.len(), bounds.len());
-    assert_eq!(ids.len(), out.len());
-    // Same `slice::chunks` boundary policy as `chunk_pairs` — one source
-    // of truth, so the two chunkers can never drift.
-    ids.chunks(chunk)
-        .zip(bounds.chunks(chunk))
-        .zip(out.chunks_mut(chunk))
-        .map(|((ids, bounds), out)| BoundedChunk { ids, bounds, out })
-        .collect()
-}
-
-/// Evaluate `out[i] = Some(d)` iff `d = d(query, objects[ids[i]]) ≤
-/// bounds[i]` over one id block via the early-abandoning kernel
+/// Evaluate `out[i] = Some(d)` iff `d = d(query, objects[ids[i]]) ≤ bound`
+/// over one id block via the early-abandoning kernel
 /// ([`BatchMetric::distance_batch_bounded`]), returning `(total_work,
 /// span)` — the bounded sibling of [`distance_block`], with the same
-/// serial-below-threshold / chunked-above dispatch and the same
-/// thread-invariance guarantee.
+/// serial-below-threshold / chunked-above dispatch over the same
+/// [`chunk_pairs`] boundaries, and so the same thread-invariance guarantee.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn distance_block_bounded<O, M>(
     dev: &Device,
@@ -156,29 +127,19 @@ pub(crate) fn distance_block_bounded<O, M>(
     arena: Option<&ObjectArena>,
     query: &O,
     ids: &[u32],
-    bounds: &[f64],
+    bound: f64,
     out: &mut [Option<f64>],
 ) -> (u64, u64)
 where
     O: Send + Sync,
     M: BatchMetric<O>,
 {
-    // The bounded kernels return `Err(LayoutUnsupported)` when handed an
-    // arena whose layout they cannot resolve (e.g. the banded edit kernel
-    // on an aligned arena). `Gts` only ever pairs a metric with an arena it
-    // built itself via `build_arena_with` — which degrades the layout to
-    // `Legacy` for exactly those metrics — so a mismatch here is an index
-    // invariant violation, not a runtime condition.
     if threads <= 1 || ids.len() < PAR_MIN_PAIRS {
-        return metric
-            .distance_batch_bounded(objects, arena, query, ids, bounds, out)
-            .expect("index paired a bounded kernel with an unsupported arena layout");
+        return metric.distance_batch_bounded(objects, arena, query, ids, bound, out);
     }
-    let chunks = chunk_bounded(BATCH_CHUNK, ids, bounds, out);
+    let chunks = chunk_pairs(BATCH_CHUNK, ids, out);
     dev.run_batch_chunks(threads, chunks, |c| {
-        metric
-            .distance_batch_bounded(objects, arena, query, c.ids, c.bounds, c.out)
-            .expect("index paired a bounded kernel with an unsupported arena layout")
+        metric.distance_batch_bounded(objects, arena, query, c.ids, bound, c.out)
     })
 }
 
@@ -262,12 +223,9 @@ mod tests {
         let dev = gpu_sim::Device::new(DeviceConfig::rtx_2080_ti());
         let n = PAR_MIN_PAIRS + 311; // forces the chunked path
         let ids: Vec<u32> = (0..n as u32).map(|i| i % items.len() as u32).collect();
-        let bounds: Vec<f64> = (0..n).map(|i| (i % 4) as f64).collect();
         let q = &items[0];
         let mut serial = vec![None; n];
-        let expect = metric
-            .distance_batch_bounded(&items, Some(&arena), q, &ids, &bounds, &mut serial)
-            .expect("legacy arena");
+        let expect = metric.distance_batch_bounded(&items, Some(&arena), q, &ids, 2.0, &mut serial);
         for threads in [1usize, 2, 8] {
             let mut out = vec![None; n];
             let got = distance_block_bounded(
@@ -278,7 +236,7 @@ mod tests {
                 Some(&arena),
                 q,
                 &ids,
-                &bounds,
+                2.0,
                 &mut out,
             );
             assert_eq!(out, serial, "threads = {threads}");

@@ -4,16 +4,14 @@
 //! Before this module existed, `range_descend`/`knn_descend` were monolithic
 //! recursive loops: one call descended a frontier from the root to the
 //! leaves, recursing on two-stage query-group splits, and only returned when
-//! every leaf was verified. That shape is perfect for a single device but
-//! leaves nothing for a *multi-device* search to grab onto: the paper's
-//! Alg. 5 bound-update runs between levels, which is exactly where a
-//! lockstep cross-shard search wants to exchange bounds — so the loop is now
-//! an explicit state machine.
+//! every leaf was verified. That shape leaves nothing for a caller to grab
+//! onto between levels — where the paper's Alg. 5 bound update runs — so the
+//! loop is now an explicit state machine.
 //!
 //! [`DescentEngine`] holds everything one batched descent owns — the frame
 //! stack (frontier + per-level intermediate-result buffers + pending query
-//! groups), the per-query kNN pools, the externally injected bounds, and the
-//! reused [`SearchScratch`] — and advances in three phases:
+//! groups), the per-query kNN pools, and the reused [`SearchScratch`] — and
+//! advances in three phases:
 //!
 //! * **start** ([`DescentEngine::start_range`] /
 //!   [`DescentEngine::start_knn`]): seed the root frontier (or come up
@@ -25,33 +23,18 @@
 //!   retiring empty frontiers) is folded into the next step, charging
 //!   nothing;
 //! * **finish_leaves** ([`DescentEngine::finish_leaves`]): drain the
-//!   remaining steps to completion — the whole descent for the single-device
-//!   drivers, the tail for a lockstep driver that stops exchanging bounds.
-//!
-//! Between steps a kNN engine exposes its per-query bound snapshot
-//! ([`DescentEngine::write_bounds`]) and accepts an externally tightened one
-//! ([`DescentEngine::inject_bounds`]) — the seam the sharded
-//! [bound broadcast](crate::GtsParams::bound_broadcast) drives through a
-//! [`BoundExchange`]. An injected bound participates in every prune and
-//! leaf-wave filter as `min(local k-th bound, injected)`.
-//!
-//! **Exactness under injection.** Every published bound is some shard's
-//! current k-th-best distance over a *subset* of the data, so it upper-bounds
-//! the true global k-th distance; the element-wise min across shards still
-//! does. All pruning and bounded verification is tie-safe (strict `>` against
-//! the bound), so no object at or below the true k-th distance — in
-//! particular no member of the canonical global top-k — is ever discarded,
-//! and the per-shard answer lists keep containing every global answer they
-//! own. The k-way merge therefore returns bit-identical answers with the
-//! broadcast on or off; only the pruning work differs.
+//!   remaining steps to completion — the whole descent for the batch
+//!   drivers of `crate::search`.
 //!
 //! **Step-order fidelity.** The engine replays the recursive loops' exact
 //! order of device-visible actions — allocations (one intermediate-result
 //! buffer per level, held until the segment and its groups finish, mirroring
 //! the recursion's buffer lifetimes), kernel launches, and stat updates —
-//! so driving an engine to completion is bit- **and cycle-identical** to the
-//! pre-refactor monolithic descent (`tests/shard_invariance.rs` pins this
-//! against a checked-in fingerprint).
+//! so driving an engine to completion returns the pre-refactor monolithic
+//! descent's answers and counters bit for bit (`tests/shard_invariance.rs`
+//! pins this against a checked-in fingerprint; the cycle pins of vector
+//! metrics are the pre-refactor ones too, those of edit distance were
+//! re-recorded when leaf verification started charging the banded DP).
 //!
 //! **Host parallelism.** Leaf verification executes per *query*, not per
 //! wave: chunks of whole query segments run concurrently on the host pool
@@ -71,8 +54,7 @@ use gpu_sim::{GpuError, Reservation};
 use metric_space::index::{sort_neighbors, Neighbor};
 use metric_space::lemmas::prune_node_range;
 use metric_space::BatchMetric;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Barrier;
+use std::sync::atomic::Ordering;
 
 /// One suspended descent segment: a frontier at a level, the
 /// intermediate-result buffers its levels allocated, and any query groups
@@ -118,15 +100,11 @@ enum Mode<'a> {
         results: Vec<Vec<Neighbor>>,
     },
     /// MkNNQ (Alg. 5): per-query best-k pools whose k-th distance is the
-    /// pruning bound, optionally tightened by externally injected bounds
-    /// and truncated to a per-level beam (approximate search).
+    /// pruning bound, optionally truncated to a per-level beam (approximate
+    /// search).
     Knn {
         beam: Option<usize>,
         pools: Vec<TopK>,
-        /// Externally injected per-query bounds (∞ until a broadcast
-        /// tightens them); the effective pruning bound is
-        /// `min(pools[q].bound(), external[q])`.
-        external: Vec<f64>,
     },
 }
 
@@ -141,10 +119,6 @@ pub(crate) struct DescentEngine<'a, O, M> {
     /// group descent's call stack.
     stack: Vec<Frame>,
     scratch: SearchScratch,
-    /// Cross-shard bound tightenings received since the last traced level
-    /// span (tracing only — injections land between steps, so they are
-    /// attributed to the level processed right after).
-    pending_tightened: u64,
 }
 
 impl<'a, O, M> DescentEngine<'a, O, M>
@@ -178,7 +152,6 @@ where
         let mode = Mode::Knn {
             beam,
             pools: (0..queries.len()).map(|_| TopK::new(k)).collect(),
-            external: vec![f64::INFINITY; queries.len()],
         };
         let seed = !ctx.table.is_empty() && !queries.is_empty() && k > 0;
         Self::start(ctx, queries, mode, seed)
@@ -191,7 +164,6 @@ where
             mode,
             stack: Vec::new(),
             scratch: SearchScratch::default(),
-            pending_tightened: 0,
         };
         if seed {
             let mut entries = engine.scratch.take_frontier();
@@ -203,12 +175,6 @@ where
             engine.stack.push(Frame::running(entries, 1));
         }
         engine
-    }
-
-    /// True once every segment has verified its leaves (or the engine
-    /// started empty): no further step will do device work.
-    pub(crate) fn is_done(&self) -> bool {
-        self.stack.is_empty()
     }
 
     /// Advance by one device-level action — one level expansion or one
@@ -307,16 +273,9 @@ where
                         results,
                         &mut self.scratch,
                     ),
-                    Mode::Knn {
-                        pools, external, ..
-                    } => verify_knn(
-                        self.ctx,
-                        self.queries,
-                        &entries,
-                        pools,
-                        external,
-                        &mut self.scratch,
-                    ),
+                    Mode::Knn { pools, .. } => {
+                        verify_knn(self.ctx, self.queries, &entries, pools, &mut self.scratch)
+                    }
                 }
                 self.scratch.put_frontier(entries);
                 self.stack.pop();
@@ -326,7 +285,6 @@ where
                         gts_trace::EventKind::Level {
                             level,
                             frontier: frontier_len,
-                            tightened: std::mem::take(&mut self.pending_tightened),
                             verified: self.ctx.stats.leaf_verified.load(Ordering::Relaxed) - v0,
                         },
                         gts_trace::current_ctx(),
@@ -352,16 +310,11 @@ where
                 Mode::Range { radii, .. } => {
                     expand_range(self.ctx, self.queries, radii, &entries, &mut self.scratch)
                 }
-                Mode::Knn {
-                    beam,
-                    pools,
-                    external,
-                } => expand_knn(
+                Mode::Knn { beam, pools } => expand_knn(
                     self.ctx,
                     self.queries,
                     &entries,
                     pools,
-                    external,
                     *beam,
                     &mut self.scratch,
                 ),
@@ -375,7 +328,6 @@ where
                     gts_trace::EventKind::Level {
                         level,
                         frontier: frontier_len,
-                        tightened: std::mem::take(&mut self.pending_tightened),
                         verified: self.ctx.stats.leaf_verified.load(Ordering::Relaxed) - v0,
                     },
                     gts_trace::current_ctx(),
@@ -388,59 +340,15 @@ where
         }
     }
 
-    /// Drain the remaining steps to completion — the whole descent when
-    /// called right after `start`, the tail when a lockstep driver stops
-    /// exchanging bounds.
+    /// Drain the remaining steps to completion.
     pub(crate) fn finish_leaves(&mut self) -> Result<(), GpuError> {
         while self.step_level()? {}
         Ok(())
     }
 
-    /// Snapshot the per-query effective kNN bounds
-    /// (`min(local k-th bound, injected)`) into `out` (length = batch
-    /// size). Each value upper-bounds that query's true global k-th
-    /// distance, so element-wise minima across shards stay valid bounds.
-    pub(crate) fn write_bounds(&self, out: &mut [f64]) {
-        let Mode::Knn {
-            pools, external, ..
-        } = &self.mode
-        else {
-            unreachable!("kNN bounds are only defined for a kNN descent");
-        };
-        for ((o, p), e) in out.iter_mut().zip(pools).zip(external) {
-            *o = p.bound().min(*e);
-        }
-    }
-
-    /// Accept externally tightened per-query bounds (the cross-shard
-    /// broadcast): each query's injected bound is kept as the running min,
-    /// and strictly-tightening injections are counted in
-    /// [`StatsSnapshot::broadcast_tightened`](crate::stats::StatsSnapshot).
-    pub(crate) fn inject_bounds(&mut self, global: &[f64]) {
-        let Mode::Knn {
-            pools, external, ..
-        } = &mut self.mode
-        else {
-            unreachable!("kNN bounds are only defined for a kNN descent");
-        };
-        let mut tightened = 0u64;
-        for ((&g, p), e) in global.iter().zip(pools.iter()).zip(external.iter_mut()) {
-            if g < p.bound().min(*e) {
-                tightened += 1;
-                *e = g;
-            }
-        }
-        if tightened > 0 {
-            self.ctx
-                .stats
-                .add(&self.ctx.stats.broadcast_tightened, tightened);
-            self.pending_tightened += tightened;
-        }
-    }
-
     /// Consume the finished engine into per-query answer lists in canonical
-    /// `(distance, id)` order. Must only be called once the engine
-    /// [is done](DescentEngine::is_done).
+    /// `(distance, id)` order. Must only be called once
+    /// [`finish_leaves`](DescentEngine::finish_leaves) has returned `Ok`.
     pub(crate) fn into_results(self) -> Vec<Vec<Neighbor>> {
         debug_assert!(self.stack.is_empty(), "descent not finished");
         match self.mode {
@@ -513,15 +421,13 @@ where
 /// Expand one MkNNQ level (Alg. 5 lines 7–17): pivot distances (the pivots
 /// are real objects, so each distance is also a candidate), the
 /// encode-and-global-sort bound update, then tie-safe pruning against the
-/// **effective** bound `min(pools[q].bound(), external[q])` — the injected
-/// cross-shard bound participates exactly like the local one. Returns the
-/// (optionally beam-truncated) next-level frontier.
+/// query's k-th bound `pools[q].bound()`. Returns the (optionally
+/// beam-truncated) next-level frontier.
 fn expand_knn<O, M>(
     ctx: &SearchCtx<'_, O, M>,
     queries: &[O],
     entries: &[Frontier],
     pools: &mut [TopK],
-    external: &[f64],
     beam: Option<usize>,
     scratch: &mut SearchScratch,
 ) -> Vec<Frontier>
@@ -566,16 +472,13 @@ where
     // Both tests are tie-safe (strict `>`): a node that could still contain
     // an object at exactly the bound distance survives, because such an
     // object can enter the canonical answer through the `(dis, id)`
-    // tie-break — which also makes an injected cross-shard bound safe, as
-    // it never drops below the true global k-th distance.
+    // tie-break.
     let mut next = scratch.take_frontier();
     scratch.gaps.clear();
     let (mut pruned, mut expanded) = (0u64, 0u64);
     for (i, e) in entries.iter().enumerate() {
         let node = ctx.nodes.get(e.node as usize);
-        let bound = pools[e.query as usize]
-            .bound()
-            .min(external[e.query as usize]);
+        let bound = pools[e.query as usize].bound();
         let dqi = scratch.dq[i];
         if dqi - node.own_max_dis > bound {
             pruned += u64::from(shape.nc);
@@ -774,8 +677,8 @@ fn leaf_runs<'a, S, A: Default>(
 /// The fused leaf kernel of one query: stream each leaf's `dis`/`obj`
 /// column slices through the stored-distance filter (Lemma 5.1/5.2 against
 /// the parent pivot — zero distance calls, tie-safe strict `>`) straight
-/// into the id block, then resolve the survivors in one batched kernel
-/// (exact or early-abandoning) whose results go to `sink`. `leaves` yields
+/// into the id block, then resolve the survivors in one batched
+/// early-abandoning kernel whose results go to `sink`. `leaves` yields
 /// `(node, dqp)`; everything charged lands in `acct`.
 #[allow(clippy::too_many_arguments)]
 fn verify_leaves<O, M>(
@@ -824,8 +727,8 @@ fn verify_leaves<O, M>(
     if stage.ids.is_empty() {
         return;
     }
-    // With bounding on, `bound` is also the kernel bound. MRQ: the radius,
-    // so a returned distance is exactly a hit. MkNNQ: the wave's snapshot —
+    // `bound` is also the kernel bound. MRQ: the radius, so a returned
+    // distance is exactly a hit. MkNNQ: the wave's snapshot —
     // tie-safe, `Some(d)` iff `d ≤ bound`, so candidates at exactly the
     // bound reach the canonical `(dis, id)` tie-break, and an abandoned one
     // could never enter a full pool whose k-th distance *is* the bound.
@@ -867,11 +770,7 @@ fn verify_range<O, M>(
                 seg.iter().map(|e| (e.node, e.dqp)),
                 run.scratch,
                 run.acct,
-                |obj, d| {
-                    if d <= radii[q] {
-                        hits.push(Neighbor::new(obj, d));
-                    }
-                },
+                |obj, d| hits.push(Neighbor::new(obj, d)),
             );
         }
         (0, 0)
@@ -882,9 +781,8 @@ fn verify_range<O, M>(
         .launch(ctx);
 }
 
-/// Verify one MkNNQ segment's leaves in waves against the **effective**
-/// bound `min(pools[q].bound(), external[q])` — injected cross-shard bounds
-/// filter leaf work exactly like locally tightened ones.
+/// Verify one MkNNQ segment's leaves in waves against each query's k-th
+/// bound `pools[q].bound()`.
 ///
 /// Execution is per query, not per wave: a query's pool and bound are
 /// touched by that query's own leaves only, so running all `KNN_WAVES`
@@ -897,7 +795,6 @@ fn verify_knn<O, M>(
     queries: &[O],
     entries: &[Frontier],
     pools: &mut [TopK],
-    external: &[f64],
     scratch: &mut SearchScratch,
 ) where
     O: Send + Sync,
@@ -939,7 +836,7 @@ fn verify_knn<O, M>(
                     ctx,
                     threads,
                     &queries[q as usize],
-                    pool.bound().min(external[q as usize]),
+                    pool.bound(),
                     leaves.map(|&(_, node, dqp)| (node, dqp)),
                     run.scratch,
                     acct,
@@ -954,129 +851,5 @@ fn verify_knn<O, M>(
     for wave in 0..KNN_WAVES {
         let sum = |acc: WaveAcct, run: &[WaveAcct; KNN_WAVES]| acc.merge(&run[wave]);
         accts.iter().fold(WaveAcct::default(), sum).launch(ctx);
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Cross-shard bound exchange
-// ---------------------------------------------------------------------------
-
-/// Shared lockstep state for one broadcast-enabled sharded kNN batch: a
-/// per-level barrier plus the element-wise running minimum of every shard's
-/// published per-query bounds.
-///
-/// The protocol (driven by
-/// [`Gts::batch_knn_lockstep`](crate::Gts), one thread per shard) is
-/// two-phase per level: every shard steps its engine, publishes its bound
-/// snapshot and elapsed device time, and waits; then every shard reads the
-/// combined minima, injects them, aligns its device clock to the slowest
-/// shard (the barrier's span cost), and waits again before the next level's
-/// publishes — so no publish ever races a read and the whole exchange is
-/// deterministic.
-///
-/// Bounds are stored as `f64` **bit patterns** in atomics: metric distances
-/// are non-negative (and `+∞` before a pool fills), and for non-negative
-/// IEEE-754 values the unsigned bit-pattern order equals the numeric order,
-/// so `fetch_min` on the bits is exactly `f64::min` — lock-free and
-/// commutative, hence deterministic regardless of publish interleaving.
-pub(crate) struct BoundExchange {
-    barrier: Barrier,
-    /// Per-query running min of published bounds, as `f64` bit patterns.
-    bounds: Vec<AtomicU64>,
-    /// Max of per-shard elapsed device cycles since the batch started — the
-    /// lockstep critical path all clocks align to at each barrier.
-    elapsed: AtomicU64,
-    /// Shards whose engines are still descending; the batch ends when this
-    /// reaches zero.
-    active: AtomicUsize,
-}
-
-impl BoundExchange {
-    /// An exchange for `shards` lockstep participants over `queries`
-    /// per-query bounds.
-    pub(crate) fn new(shards: usize, queries: usize) -> BoundExchange {
-        BoundExchange {
-            barrier: Barrier::new(shards),
-            bounds: (0..queries)
-                .map(|_| AtomicU64::new(f64::INFINITY.to_bits()))
-                .collect(),
-            elapsed: AtomicU64::new(0),
-            active: AtomicUsize::new(shards),
-        }
-    }
-
-    /// Fold one shard's per-query bound snapshot into the running minima.
-    pub(crate) fn publish_bounds(&self, local: &[f64]) {
-        debug_assert_eq!(local.len(), self.bounds.len());
-        for (slot, &b) in self.bounds.iter().zip(local) {
-            slot.fetch_min(b.to_bits(), Ordering::Relaxed);
-        }
-    }
-
-    /// Read the current per-query global minima into `out`.
-    pub(crate) fn read_bounds(&self, out: &mut [f64]) {
-        debug_assert_eq!(out.len(), self.bounds.len());
-        for (o, slot) in out.iter_mut().zip(&self.bounds) {
-            *o = f64::from_bits(slot.load(Ordering::Relaxed));
-        }
-    }
-
-    /// Fold one shard's elapsed device cycles into the lockstep maximum.
-    pub(crate) fn publish_elapsed(&self, cycles: u64) {
-        self.elapsed.fetch_max(cycles, Ordering::Relaxed);
-    }
-
-    /// The lockstep critical path so far: the slowest shard's elapsed
-    /// device cycles.
-    pub(crate) fn elapsed(&self) -> u64 {
-        self.elapsed.load(Ordering::Relaxed)
-    }
-
-    /// Mark this shard's engine finished (call exactly once per shard).
-    pub(crate) fn retire(&self) {
-        self.active.fetch_sub(1, Ordering::Relaxed);
-    }
-
-    /// True once every shard's engine has finished.
-    pub(crate) fn all_done(&self) -> bool {
-        self.active.load(Ordering::Relaxed) == 0
-    }
-
-    /// Block until every shard reaches the barrier.
-    pub(crate) fn wait(&self) {
-        self.barrier.wait();
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn bound_exchange_mins_bounds_and_maxes_elapsed() {
-        let ex = BoundExchange::new(1, 3);
-        let mut out = vec![0.0; 3];
-        ex.read_bounds(&mut out);
-        assert!(out.iter().all(|b| b.is_infinite()), "starts at +inf");
-        ex.publish_bounds(&[2.0, f64::INFINITY, 0.5]);
-        ex.publish_bounds(&[3.0, 1.25, f64::INFINITY]);
-        ex.read_bounds(&mut out);
-        assert_eq!(out, vec![2.0, 1.25, 0.5], "element-wise running min");
-        ex.publish_elapsed(10);
-        ex.publish_elapsed(7);
-        assert_eq!(ex.elapsed(), 10, "critical path is the max");
-        assert!(!ex.all_done());
-        ex.retire();
-        assert!(ex.all_done());
-    }
-
-    #[test]
-    fn bound_bit_order_matches_numeric_order() {
-        // The fetch_min-on-bits trick requires bit order == numeric order
-        // for every value a bound can take (non-negative or +inf).
-        let vals = [0.0f64, 1e-300, 0.5, 1.0, 1e300, f64::INFINITY];
-        for w in vals.windows(2) {
-            assert!(w[0].to_bits() < w[1].to_bits(), "{} vs {}", w[0], w[1]);
-        }
     }
 }

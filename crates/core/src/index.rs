@@ -41,10 +41,17 @@ pub struct Gts<O, M> {
     /// Every object ever inserted; ids are indices here and never recycled.
     objects: Vec<O>,
     /// Flat payload arena mirroring `objects` (same ids), fed to the
-    /// batched distance kernels. `None` when `params.use_arena` is off or
-    /// the metric has no flat layout — kernels then fall back to per-pair
-    /// object access with identical results and identical simulated cost.
+    /// batched distance kernels. `None` when the metric has no flat layout
+    /// for these objects (a custom [`BatchMetric`], heterogeneous data) —
+    /// kernels then fall back to per-pair object access with identical
+    /// results.
     arena: Option<ObjectArena>,
+    /// Host threads this index's batched kernels run on: the device's
+    /// [`host_threads`](gpu_sim::DeviceConfig::host_threads), divided by the
+    /// number of shards a [`ShardedGts`](crate::ShardedGts) searches
+    /// concurrently (S shards × T workers would oversubscribe the host
+    /// S-fold). Wall-clock only.
+    threads: usize,
     /// Liveness per id (deletions flip this off).
     live: Vec<bool>,
     nodes: NodeList,
@@ -65,6 +72,11 @@ pub struct Gts<O, M> {
     build_distances: u64,
     /// Device residency of (node list, table list, object payloads).
     residency: Option<[Reservation; 3]>,
+}
+
+/// One shard's share of the device's host threads (at least one).
+fn shard_threads(dev: &Device, shards: usize) -> usize {
+    (dev.host_threads() / shards).max(1)
 }
 
 fn gpu_err(e: GpuError) -> IndexError {
@@ -120,6 +132,18 @@ where
         metric: M,
         params: GtsParams,
     ) -> Result<Self, IndexError> {
+        Self::build_shard(dev, objects, metric, params, 1)
+    }
+
+    /// [`Gts::build`] for one of `shards` sub-indexes that search
+    /// concurrently, each on its share of the device's host threads.
+    pub(crate) fn build_shard(
+        dev: &Arc<Device>,
+        objects: Vec<O>,
+        metric: M,
+        params: GtsParams,
+        shards: usize,
+    ) -> Result<Self, IndexError> {
         if objects.is_empty() {
             return Err(IndexError::EmptyIndex);
         }
@@ -130,6 +154,7 @@ where
             params,
             objects,
             arena: None,
+            threads: shard_threads(dev, shards),
             live,
             nodes: NodeList::new(crate::node::TreeShape {
                 nc: params.node_capacity,
@@ -185,18 +210,6 @@ where
         self.live.get(id as usize).copied().unwrap_or(false)
     }
 
-    /// (Re)build the flat arena over the current object store. The arena is
-    /// the device *layout* of the already-resident object payloads, not an
-    /// extra copy, so it carries no separate reservation.
-    fn refresh_arena(&mut self) {
-        self.arena = if self.params.use_arena {
-            self.metric
-                .build_arena_with(&self.objects, self.params.arena_layout)
-        } else {
-            None
-        };
-    }
-
     fn reconstruct(&mut self) -> Result<(), IndexError> {
         let ids: Vec<u32> = (0..self.objects.len() as u32)
             .filter(|&i| self.live[i as usize])
@@ -206,12 +219,15 @@ where
         }
         // Free the previous structure before reserving the new one.
         self.residency = None;
+        // (Re)build the flat arena over the current object store. It is the
+        // device *layout* of the already-resident object payloads, not an
+        // extra copy, so it carries no separate reservation.
         if self
             .arena
             .as_ref()
             .is_none_or(|a| a.len() != self.objects.len())
         {
-            self.refresh_arena();
+            self.arena = self.metric.build_arena(&self.objects);
         }
         let Structure {
             nodes,
@@ -224,6 +240,7 @@ where
             &ids,
             &self.metric,
             &self.params,
+            self.threads,
         )
         .map_err(gpu_err)?;
         let data_bytes: u64 = ids
@@ -265,7 +282,7 @@ where
             arena: self.arena.as_ref(),
             live: &self.live,
             stats: &self.stats,
-            threads: self.params.effective_host_threads(self.dev.host_threads()),
+            threads: self.threads,
             audit: &self.audit,
             memo: Mutex::new(memo),
         }
@@ -366,123 +383,6 @@ where
         Ok(results)
     }
 
-    /// One shard's half of the **lockstep broadcast MkNNQ**
-    /// ([`GtsParams::bound_broadcast`]): the sharded scatter calls this on
-    /// every shard's thread concurrently, sharing one
-    /// [`BoundExchange`](crate::engine::BoundExchange).
-    ///
-    /// Each round: step this shard's descent engine one level, publish the
-    /// per-query bound snapshot (a D2H transfer of one `f64` per query) and
-    /// this shard's elapsed device time, wait at the barrier, align the
-    /// device clock to the slowest shard (the barrier's span cost), then
-    /// read back the cross-shard minima (an H2D transfer) and inject them
-    /// before the next level. A shard whose engine finishes early or dies
-    /// on a device error keeps participating in the barriers (publishing
-    /// its final bounds once, idling its clock) until every shard is done,
-    /// so the rounds stay aligned. A shard that **panics** (a user metric
-    /// misbehaving inside a kernel) also keeps honoring the barriers, but
-    /// publishes nothing further — the engine's state is unknown after the
-    /// unwind — and the caught panic is re-raised only after the lockstep
-    /// rounds end, where it propagates through the scatter join exactly
-    /// like on the independent-descent path instead of deadlocking the
-    /// sibling shards at the barrier. The caller sees exactly the
-    /// [`Gts::batch_knn`] pipeline: query transfer in, descent, memo
-    /// reclaim, cache merge, result transfer out.
-    pub(crate) fn batch_knn_lockstep(
-        &self,
-        queries: &[O],
-        k: usize,
-        exchange: &crate::engine::BoundExchange,
-    ) -> Result<Vec<Vec<Neighbor>>, IndexError> {
-        self.transfer_queries_in(queries);
-        let start = self.dev.cycles();
-        let nq = queries.len();
-        let ctx = self.ctx();
-        let mut engine = crate::engine::DescentEngine::start_knn(&ctx, queries, k, None);
-        let mut local = vec![f64::INFINITY; nq];
-        let mut running = !engine.is_done();
-        if !running {
-            exchange.retire();
-        }
-        let mut failure: Option<GpuError> = None;
-        let mut panicked: Option<Box<dyn std::any::Any + Send>> = None;
-        loop {
-            if running {
-                // The step runs user metric code; a panic here must not
-                // abandon the barrier (the sibling shards would block in
-                // `wait` forever with no one left to complete the round).
-                let step =
-                    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| engine.step_level()));
-                match step {
-                    Ok(Ok(true)) => {}
-                    Ok(Ok(false)) => {
-                        running = false;
-                        exchange.retire();
-                    }
-                    Ok(Err(e)) => {
-                        failure = Some(e);
-                        running = false;
-                        exchange.retire();
-                    }
-                    Err(payload) => {
-                        panicked = Some(payload);
-                        running = false;
-                        exchange.retire();
-                    }
-                }
-                if panicked.is_none() {
-                    // Publish this level's bound snapshot — including the
-                    // final one of an engine that just finished, whose
-                    // bounds are its tightest and still help the shards
-                    // that keep descending. (A panicked engine's state is
-                    // unknown, so nothing more is read from it.)
-                    engine.write_bounds(&mut local);
-                    exchange.publish_bounds(&local);
-                    self.dev
-                        .d2h_transfer((nq * std::mem::size_of::<f64>()) as u64);
-                }
-            }
-            exchange.publish_elapsed(self.dev.cycles() - start);
-            exchange.wait();
-            let done = exchange.all_done();
-            // Barrier: every device waits for the slowest shard's level.
-            self.dev.advance_clock_to(start + exchange.elapsed());
-            if done {
-                break;
-            }
-            if running {
-                exchange.read_bounds(&mut local);
-                self.dev
-                    .h2d_transfer((nq * std::mem::size_of::<f64>()) as u64);
-                engine.inject_bounds(&local);
-            }
-            // Second barrier phase: no publish of the next round may race a
-            // read of this one.
-            exchange.wait();
-        }
-        let searched = if failure.is_none() && panicked.is_none() {
-            Some(engine.into_results())
-        } else {
-            drop(engine);
-            None
-        };
-        self.reclaim_memo(ctx);
-        if let Some(payload) = panicked {
-            // Every shard has left the barrier loop; unwinding is now safe
-            // and surfaces through the scatter join like any other panic.
-            std::panic::resume_unwind(payload);
-        }
-        match failure {
-            Some(e) => Err(gpu_err(e)),
-            None => {
-                let mut results = searched.expect("no failure implies results");
-                self.merge_cache_knn(queries, k, &mut results);
-                self.transfer_results_out(&results);
-                Ok(results)
-            }
-        }
-    }
-
     /// **Approximate** batched MkNNQ — the paper's §7 future-work direction.
     ///
     /// Each query expands at most `beam` frontier nodes per level (those
@@ -525,7 +425,6 @@ where
             return Vec::new();
         }
         let n = queries.len() * ids.len();
-        let threads = self.params.effective_host_threads(self.dev.host_threads());
         let mut out = vec![0.0f64; ids.len()];
         let mut dists: Vec<(u32, u32, f64)> = Vec::with_capacity(n);
         self.dev.launch_batch(n, || {
@@ -534,7 +433,7 @@ where
             for (q, query) in queries.iter().enumerate() {
                 let (w, s) = distance_block(
                     &self.dev,
-                    threads,
+                    self.threads,
                     &self.metric,
                     &self.objects,
                     self.arena.as_ref(),
@@ -588,22 +487,6 @@ where
     /// Construction/search parameters.
     pub fn params(&self) -> &GtsParams {
         &self.params
-    }
-
-    /// Override the host-thread knob (wall-clock only; never affects
-    /// answers or simulated cycles). Used by the sharded restore path to
-    /// divide the auto thread budget among shards.
-    pub(crate) fn set_host_threads(&mut self, host_threads: usize) {
-        self.params.host_threads = host_threads;
-    }
-
-    /// Toggle the cross-shard bound-broadcast knob (consulted by
-    /// [`ShardedGts`](crate::ShardedGts), never by a plain `Gts`); affects
-    /// subsequent searches only. Like `host_threads`, the knob is not
-    /// persisted, so [`ShardedGts::set_bound_broadcast`](crate::ShardedGts)
-    /// re-arms restored indexes.
-    pub(crate) fn set_bound_broadcast(&mut self, broadcast: bool) {
-        self.params.bound_broadcast = broadcast;
     }
 
     /// Tree height `h`.
@@ -673,6 +556,18 @@ where
         metric: M,
         bytes: &[u8],
     ) -> Result<Self, IndexError> {
+        Self::restore_shard(dev, objects, metric, bytes, 1)
+    }
+
+    /// [`Gts::restore`] for one of `shards` concurrently searching
+    /// sub-indexes (see [`Gts::build_shard`]).
+    pub(crate) fn restore_shard(
+        dev: &Arc<Device>,
+        objects: Vec<O>,
+        metric: M,
+        bytes: &[u8],
+        shards: usize,
+    ) -> Result<Self, IndexError> {
         let decoded = crate::snapshot::decode(bytes, objects.len())?;
         let data_bytes: u64 = decoded
             .live
@@ -695,19 +590,14 @@ where
         for &id in &decoded.cache_ids {
             cache.insert(id, objects[id as usize].size_bytes() as usize);
         }
-        // `arena_layout` is an un-persisted kernel knob: restored params
-        // carry the default `Legacy`, so this rebuild is layout-neutral.
-        let arena = if decoded.params.use_arena {
-            metric.build_arena_with(&objects, decoded.params.arena_layout)
-        } else {
-            None
-        };
+        let arena = metric.build_arena(&objects);
         Ok(Gts {
             dev: Arc::clone(dev),
             metric,
             params: decoded.params,
             objects,
             arena,
+            threads: shard_threads(dev, shards),
             live: decoded.live,
             nodes: decoded.nodes,
             table: decoded.table,

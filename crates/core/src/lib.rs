@@ -45,14 +45,8 @@
 //! one shard while the other devices' clocks never move.
 //!
 //! Search itself is expressed as a resumable **descent engine** (`engine`,
-//! crate-internal): an explicit per-batch state machine that pauses between
-//! levels. With [`GtsParams::bound_broadcast`] on, a multi-shard MkNNQ
-//! drives every shard's engine in lockstep with a per-level barrier,
-//! broadcasting the element-wise minimum of the per-query kNN bounds across
-//! shards after each level — each shard then prunes against the *global*
-//! k-th-NN bound instead of only its local one, with answers provably
-//! unchanged (tie-safe closed-ball pruning) and the barrier modeled in span
-//! accounting.
+//! crate-internal): an explicit per-batch state machine that can pause
+//! between levels; each shard drives its own engine to completion.
 
 #![warn(missing_docs)]
 pub mod audit;

@@ -55,15 +55,17 @@ impl TreeShape {
         TreeShape { nc, h: h.max(1) }
     }
 
-    /// Total number of nodes over all levels: `(Nc^h − 1)/(Nc − 1)`.
-    pub fn total_nodes(&self) -> usize {
+    /// Total number of nodes over all levels: `(Nc^h − 1)/(Nc − 1)`, or
+    /// `None` when that overflows `usize` (a shape read from a corrupt
+    /// snapshot; with `Nc ≥ 2` the loop ends within 64 levels either way).
+    pub fn total_nodes(&self) -> Option<usize> {
         let mut total = 0usize;
         let mut width = 1usize;
         for _ in 0..self.h {
-            total += width;
-            width *= self.nc as usize;
+            total = total.checked_add(width)?;
+            width = width.checked_mul(self.nc as usize)?;
         }
-        total
+        Some(total)
     }
 
     /// First node id (1-based) of `level` (1-based).
@@ -126,7 +128,7 @@ impl NodeList {
     /// Allocate a node list for the given shape, zero-initialised.
     pub fn new(shape: TreeShape) -> NodeList {
         NodeList {
-            nodes: vec![Node::default(); shape.total_nodes()],
+            nodes: vec![Node::default(); shape.total_nodes().expect("tree shape fits in memory")],
             shape,
         }
     }
@@ -171,7 +173,7 @@ mod tests {
         // Fig. 3: 10 objects, Nc = 2 -> h = ⌈log2 11⌉ − 1 = 3, 7 nodes.
         let s = TreeShape::for_dataset(10, 2);
         assert_eq!(s.h, 3);
-        assert_eq!(s.total_nodes(), 7);
+        assert_eq!(s.total_nodes(), Some(7));
         assert_eq!(s.level_start(1), 1);
         assert_eq!(s.level_start(2), 2);
         assert_eq!(s.level_start(3), 4);
@@ -230,7 +232,22 @@ mod tests {
     fn tiny_datasets_clamp_height() {
         let s = TreeShape::for_dataset(1, 2);
         assert_eq!(s.h, 1);
-        assert_eq!(s.total_nodes(), 1);
+        assert_eq!(s.total_nodes(), Some(1));
+    }
+
+    #[test]
+    fn absurd_heights_overflow_to_none() {
+        let s = TreeShape { nc: 20, h: 10 };
+        assert_eq!(s.total_nodes(), Some((20usize.pow(10) - 1) / 19));
+        let s = TreeShape {
+            nc: 20,
+            h: u32::MAX,
+        };
+        assert_eq!(
+            s.total_nodes(),
+            None,
+            "ends at the overflow, not after 2³² levels"
+        );
     }
 
     #[test]

@@ -498,10 +498,10 @@ where
     }
 
     /// Batched kNN over any healthy replica. Fast path: the whole batch on
-    /// the least-loaded fully-healthy replica (keeps the cross-shard bound
-    /// broadcast intact). Failures retry per the module rules; with no
-    /// fully-healthy replica left, the degraded per-shard path composes the
-    /// answer from surviving shard copies and k-way-merges exactly.
+    /// the least-loaded fully-healthy replica. Failures retry per the module
+    /// rules; with no fully-healthy replica left, the degraded per-shard
+    /// path composes the answer from surviving shard copies and
+    /// k-way-merges exactly.
     pub fn batch_knn(&self, queries: &[O], k: usize) -> Result<Vec<Vec<Neighbor>>, ReplicaError> {
         self.batch_knn_preferring(&[], queries, k)
     }

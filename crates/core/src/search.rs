@@ -12,30 +12,31 @@
 //! `SearchScratch`, the borrowed `SearchCtx`, the per-layer memory bound,
 //! the batched `verify_block` kernel wrapper, and the `TopK` pool — plus
 //! the thin batch drivers (`batch_range`, `batch_knn`,
-//! `batch_knn_impl`) that start an engine and drain it. The drivers are
-//! **bit- and cycle-identical** to the pre-engine monolithic loops (asserted
+//! `batch_knn_impl`) that start an engine and drain it. The drivers return
+//! the answers of the pre-engine monolithic loops bit for bit (asserted
 //! against a checked-in pre-refactor fingerprint in
 //! `tests/shard_invariance.rs`); what the engine adds is the ability to
-//! *pause between levels* — the seam the sharded lockstep bound broadcast
-//! drives.
+//! *pause between levels*.
 //!
 //! **Batched distance kernels.** Every distance evaluation in the hot path
-//! goes through [`BatchMetric::distance_batch`]: frontier entries are
-//! resolved against the flat [`ObjectArena`]
-//! (contiguous payloads, no per-object pointer chasing) and each level
-//! launches **one** batched kernel via [`Device::launch_batch`], charged
-//! once per batch with the same work–span accounting as the per-pair path.
-//! Inside a launch the host runs **chunks of whole query segments**
-//! concurrently (the dispatch layer, `crate::dispatch`; a batch that forms
-//! a single chunk falls back to chunking its id blocks): the cut depends on
-//! the frontier alone and per-chunk work–span combines by sum/max, so the
-//! thread count ([`GtsParams::host_threads`]) changes wall-clock only —
-//! never answers, tie-breaks, or simulated cycles. A per-batch `(query, pivot)`
-//! **distance memo** (a flat open-addressing [`PairMemo`]) short-circuits
-//! repeated evaluations of the same pair (e.g. a singleton child
-//! re-selecting its parent's pivot), and all level-loop buffers live in a
-//! `SearchScratch` reused across levels — the steady-state loop performs
-//! no `Vec` allocation.
+//! goes through [`BatchMetric::distance_batch`] (pivot distances) or its
+//! early-abandoning sibling [`BatchMetric::distance_batch_bounded`] (leaf
+//! verification): frontier entries are resolved against the flat
+//! [`ObjectArena`] (contiguous payloads, no per-object pointer chasing) and
+//! each level launches **one** batched kernel via [`Device::launch_batch`],
+//! charged once per batch with the same work–span accounting as the
+//! per-pair path. Inside a launch the host runs **chunks of whole query
+//! segments** concurrently (the dispatch layer, `crate::dispatch`; a batch
+//! that forms a single chunk falls back to chunking its id blocks): the cut
+//! depends on the frontier alone and per-chunk work–span combines by
+//! sum/max, so the thread count
+//! ([`DeviceConfig::host_threads`](gpu_sim::DeviceConfig::host_threads))
+//! changes wall-clock only — never answers, tie-breaks, or simulated
+//! cycles. A per-batch `(query, pivot)` **distance memo** (a flat
+//! open-addressing [`PairMemo`]) short-circuits repeated evaluations of the
+//! same pair (e.g. a singleton child re-selecting its parent's pivot), and
+//! all level-loop buffers live in a `SearchScratch` reused across levels —
+//! the steady-state loop performs no `Vec` allocation.
 //!
 //! The **two-stage memory strategy** bounds the frontier at layer `i` to
 //! `size_GPU / ((h − i + 1)·Nc)` entries; a batch exceeding the bound is
@@ -53,12 +54,12 @@
 //! bound as the radius), so every object tied with the k-th distance is
 //! verified and the final pool is the **canonical** k smallest `(dis, id)`
 //! pairs — the property that lets the sharded index merge per-shard top-k
-//! lists bit-identically, and that keeps the cross-shard broadcast bound
-//! exact (see `crate::engine`). Leaf verification
-//! first applies the stored-distance filter (the table's `dis` column *is*
-//! `d(o, parent pivot)`, so the filter costs zero distance evaluations),
-//! then computes real distances for survivors only — one batched kernel per
-//! wave, the filter streaming straight into the kernel's id block.
+//! lists bit-identically. Leaf verification first applies the
+//! stored-distance filter (the table's `dis` column *is* `d(o, parent
+//! pivot)`, so the filter costs zero distance evaluations), then evaluates
+//! the survivors against the query's radius (MRQ) or current k-th bound
+//! (MkNNQ) — one batched early-abandoning kernel per wave, the filter
+//! streaming straight into the kernel's id block.
 
 use crate::dispatch::{
     distance_block, distance_block_bounded, query_chunk_bounds, run_query_chunks,
@@ -69,6 +70,7 @@ use crate::node::TreeShape;
 use crate::params::GtsParams;
 use crate::stats::SearchStats;
 use crate::table::TableList;
+use gpu_sim::exec::BATCH_CHUNK;
 use gpu_sim::{Device, GpuError};
 use metric_space::index::Neighbor;
 use metric_space::{BatchMetric, ObjectArena};
@@ -117,12 +119,8 @@ pub(crate) struct LeafScratch {
     pub(crate) keys: Vec<(f64, u32, f64)>,
     /// Object ids surviving the stored-distance filter: one kernel block.
     pub(crate) ids: Vec<u32>,
-    /// Distance output of the exact kernel.
-    out: Vec<f64>,
-    /// Per-pair bounds of the bounded kernel.
-    bounds: Vec<f64>,
-    /// `Option<f64>` output of the bounded kernel.
-    opt: Vec<Option<f64>>,
+    /// Output of the bounded kernel, parallel to `ids`.
+    out: Vec<Option<f64>>,
 }
 
 /// Reusable host-side buffers for the level-synchronous loops.
@@ -187,8 +185,9 @@ pub(crate) struct SearchCtx<'a, O, M> {
     /// prediction can be held against reality. Purely observational; the
     /// disabled path is one relaxed load per level.
     pub audit: &'a crate::audit::CostAudit,
-    /// Host threads for the batched kernels (resolved from
-    /// [`GtsParams::effective_host_threads`]); wall-clock only — the
+    /// Host threads for the batched kernels (the device's
+    /// [`host_threads`](gpu_sim::DeviceConfig::host_threads), divided among
+    /// the shards that search beside this one); wall-clock only — the
     /// dispatch layer cuts its work items before consulting it, so results
     /// and cycle counts never depend on it.
     pub threads: usize,
@@ -344,19 +343,24 @@ where
 /// compare + result write), matching the historical per-pair accounting.
 pub(crate) const VERIFY_EXTRA_WORK: u64 = 3;
 
-/// Run one query block's leaf-verification kernel over `stage.ids` — exact
-/// or early-abandoning, per [`GtsParams::bounded_verification`] — feeding
-/// every computed `(object, distance)` pair to `sink` and returning the
-/// block's `(work, span, abandoned)`. `threads` is the host-thread budget
-/// for intra-block chunking (1 inside a multi-run batch).
+/// Pairs per pass of [`verify_block`]: a query that verifies a large share
+/// of the table (a wide range query) runs the kernel and drains its output
+/// block by block, so the output stays cache-resident instead of growing
+/// with the table. A constant (the cut must not depend on the thread
+/// count); four [`BATCH_CHUNK`]s leave intra-block chunking its fan-out.
+const VERIFY_BLOCK: usize = 4 * BATCH_CHUNK;
+
+/// Run one query block's leaf-verification kernel over `stage.ids` — the
+/// early-abandoning [`BatchMetric::distance_batch_bounded`] against `bound`
+/// — feeding every `(object, distance)` pair with `d ≤ bound` to `sink` and
+/// returning the block's `(work, span, abandoned)`. `threads` is the
+/// host-thread budget for intra-block chunking (1 inside a multi-run batch).
 ///
-/// Under the bounded kernel only pairs with `d ≤ bound` reach the sink
-/// (abandoned evaluations are counted, not sunk); under the exact kernel
-/// every pair does. The caller's sink applies its own acceptance rule
-/// (range: `d ≤ r`; kNN: [`TopK::insert`]), so the two kernels feed it
-/// equivalent *accepted* sets whenever `bound` upper-bounds acceptance —
-/// the shared body is what keeps the MRQ and MkNNQ paths provably
-/// identical in staging and accounting.
+/// `bound` must upper-bound the caller's acceptance rule (range: `d ≤ r`
+/// with `bound = r`; kNN: [`TopK::insert`] with `bound` the pool's k-th
+/// distance), so an abandoned pair is one the sink would have rejected —
+/// the shared body is what keeps the MRQ and MkNNQ paths provably identical
+/// in staging and accounting.
 pub(crate) fn verify_block<O, M>(
     ctx: &SearchCtx<'_, O, M>,
     threads: usize,
@@ -369,18 +373,11 @@ where
     O: Send + Sync,
     M: BatchMetric<O>,
 {
-    let LeafScratch {
-        ids,
-        out,
-        bounds,
-        opt,
-        ..
-    } = stage;
-    if ctx.params.bounded_verification {
-        bounds.clear();
-        bounds.resize(ids.len(), bound);
-        opt.clear();
-        opt.resize(ids.len(), None);
+    let LeafScratch { ids, out, .. } = stage;
+    let (mut work, mut span, mut abandoned) = (0u64, 0u64, 0u64);
+    for ids in ids.chunks(VERIFY_BLOCK) {
+        out.clear();
+        out.resize(ids.len(), None);
         let (w, s) = distance_block_bounded(
             ctx.dev,
             threads,
@@ -389,35 +386,19 @@ where
             ctx.arena,
             query,
             ids,
-            bounds,
-            opt,
+            bound,
+            out,
         );
-        let mut abandoned = 0u64;
-        for (&obj, d) in ids.iter().zip(opt.iter()) {
+        work += w;
+        span = span.max(s);
+        for (&obj, d) in ids.iter().zip(out.iter()) {
             match d {
                 Some(d) => sink(obj, *d),
                 None => abandoned += 1,
             }
         }
-        (w, s, abandoned)
-    } else {
-        out.clear();
-        out.resize(ids.len(), 0.0);
-        let (w, s) = distance_block(
-            ctx.dev,
-            threads,
-            ctx.metric,
-            ctx.objects,
-            ctx.arena,
-            query,
-            ids,
-            out,
-        );
-        for (&obj, &d) in ids.iter().zip(out.iter()) {
-            sink(obj, d);
-        }
-        (w, s, 0)
     }
+    (work, span, abandoned)
 }
 
 // ---------------------------------------------------------------------------

@@ -42,7 +42,6 @@
 //! itself is a pure function of these and is recomputed on
 //! [`ShardedGts::restore`]).
 
-use crate::engine::BoundExchange;
 use crate::index::Gts;
 use crate::params::GtsParams;
 use crate::snapshot::{R, W};
@@ -266,16 +265,6 @@ where
     out
 }
 
-/// Auto host-thread budget for one shard: shards scatter onto their own
-/// host threads, so the device's auto thread count is divided by the shard
-/// count — otherwise S shards × T chunk workers oversubscribe the host
-/// S-fold. Wall-clock only (answers and simulated cycles are
-/// thread-invariant); shared by build and restore so a snapshot round-trip
-/// keeps per-shard budgets identical, including on heterogeneous pools.
-fn divided_auto_threads(dev: &gpu_sim::Device, shards: usize) -> usize {
-    (dev.host_threads().max(1) / shards).max(1)
-}
-
 /// Merge per-shard top-`k` lists (each in canonical ascending `(dis, id)`
 /// order) into the global top-`k`, preserving the single-device tie-break.
 /// Crate-visible so [`ReplicatedShards`](crate::replica::ReplicatedShards)
@@ -357,11 +346,7 @@ where
         drop(objects);
         // Build every shard concurrently, one host thread per device.
         let built: Vec<Result<Gts<O, M>, IndexError>> = scoped_map(stores, |s, store| {
-            let mut shard_params = params;
-            if params.host_threads == 0 {
-                shard_params.host_threads = divided_auto_threads(pool.get(s), shards);
-            }
-            Gts::build(pool.get(s), store, metric.clone(), shard_params)
+            Gts::build_shard(pool.get(s), store, metric.clone(), params, shards)
         });
         let mut shard_vec = Vec::with_capacity(shards);
         for (gts, global_ids) in built.into_iter().zip(assignment) {
@@ -438,36 +423,7 @@ where
     /// Batched metric kNN query: every shard returns its local top-`k`;
     /// the global top-`k` is a k-way merge under the `(distance, id)`
     /// tie-break — bit-identical to the single-device answer.
-    ///
-    /// With [`GtsParams::bound_broadcast`] on (and more than one shard),
-    /// the shards descend in **lockstep** instead of independently: after
-    /// every tree level a barrier takes the element-wise minimum of the
-    /// per-query kNN bounds across shards and injects it into every shard's
-    /// next level, so each shard prunes against the *global* k-th-NN bound.
-    /// Answers are bit-identical either way — the broadcast bound only
-    /// moves toward the true global k-th distance, and the tie-safe
-    /// closed-ball pruning keeps every canonical answer alive — but the
-    /// broadcast path verifies strictly fewer leaves on workloads where
-    /// shards see different data densities, at the cost of per-level
-    /// barriers (each device's clock aligns to the slowest shard per level;
-    /// see [`Device::advance_clock_to`](gpu_sim::Device::advance_clock_to))
-    /// and the bound-exchange transfers.
     pub fn batch_knn(&self, queries: &[O], k: usize) -> Result<Vec<Vec<Neighbor>>, IndexError> {
-        if self.broadcast_active(queries.len(), k) {
-            let exchange = BoundExchange::new(self.shards.len(), queries.len());
-            let per_shard = scoped_map(self.shards.iter().collect(), |s, sh| {
-                traced_shard(s, sh, || {
-                    sh.gts
-                        .batch_knn_lockstep(queries, k, &exchange)
-                        .map(|r| sh.remap(r))
-                })
-            });
-            let merged = Self::merge_knn(per_shard, queries.len(), k);
-            if merged.is_ok() {
-                self.trace_merge(queries.len() as u64);
-            }
-            return merged;
-        }
         let per_shard = self.scatter(|sh| sh.gts.batch_knn(queries, k).map(|r| sh.remap(r)));
         let merged = Self::merge_knn(per_shard, queries.len(), k);
         if merged.is_ok() {
@@ -499,16 +455,9 @@ where
         Self::merge_knn(per_shard, queries.len(), k)
     }
 
-    /// Whether this batch takes the lockstep broadcast path: opted in via
-    /// [`GtsParams::bound_broadcast`], more than one shard (a single shard
-    /// has nobody to exchange bounds with), and a non-trivial batch.
-    fn broadcast_active(&self, queries: usize, k: usize) -> bool {
-        self.shards.len() > 1 && queries > 0 && k > 0 && self.shards[0].gts.params().bound_broadcast
-    }
-
     /// Merge per-shard top-`k` lists (already remapped to global ids) into
     /// per-query global top-`k` answers — the shared merge half of the
-    /// exact, approximate, and broadcast kNN paths.
+    /// exact and approximate kNN paths.
     fn merge_knn(
         per_shard: Vec<Result<Vec<Vec<Neighbor>>, IndexError>>,
         queries: usize,
@@ -557,17 +506,6 @@ where
     ) -> Result<Vec<Vec<Neighbor>>, IndexError> {
         let sh = &self.shards[s];
         traced_shard(s, sh, || sh.gts.batch_knn(queries, k).map(|r| sh.remap(r)))
-    }
-
-    /// Toggle the cross-shard kNN bound broadcast on every shard (see
-    /// [`GtsParams::bound_broadcast`]); affects subsequent searches only.
-    /// Broadcast is an execution-topology knob and is therefore not
-    /// persisted by snapshots — restored indexes come back with it off and
-    /// can be re-armed here.
-    pub fn set_bound_broadcast(&mut self, broadcast: bool) {
-        for s in &mut self.shards {
-            s.gts.set_bound_broadcast(broadcast);
-        }
     }
 
     // -- accessors ------------------------------------------------------------
@@ -724,12 +662,14 @@ where
                 "sharded snapshot object count does not match the provided store",
             ));
         }
-        assert!(
-            pool.len() >= shards as usize,
-            "pool must supply one device per shard ({} < {shards})",
-            pool.len()
-        );
         let shards = shards as usize;
+        // A typed error, not the build path's assertion: here the shard
+        // count comes from the byte stream.
+        if pool.len() < shards {
+            return Err(IndexError::Unsupported(
+                "sharded snapshot has more shards than the pool has devices",
+            ));
+        }
         let partitioner = Partitioner::new(shards as u32, strategy);
         // Slice every shard's inner snapshot out of the envelope first,
         // then restore all shards concurrently (same `scoped_map` shape as
@@ -751,9 +691,7 @@ where
                     .iter()
                     .map(|&g| objects[g as usize].clone())
                     .collect();
-                let mut gts = Gts::restore(pool.get(s), store, metric.clone(), inner)?;
-                // Same auto thread-budget division as the build path.
-                gts.set_host_threads(divided_auto_threads(pool.get(s), shards));
+                let gts = Gts::restore_shard(pool.get(s), store, metric.clone(), inner, shards)?;
                 Ok(Shard { gts, global_ids })
             });
         let mut shard_vec = Vec::with_capacity(shards);
@@ -1235,52 +1173,8 @@ mod tests {
     }
 
     /// A metric that panics when it touches the poisoned query string —
-    /// standing in for any misbehaving user metric (NaNs, assertions).
-    #[derive(Clone, Copy)]
-    struct PanicOnBoom;
-
-    impl metric_space::Metric<Item> for PanicOnBoom {
-        fn distance(&self, a: &Item, b: &Item) -> f64 {
-            let (Some(a), Some(b)) = (a.as_text(), b.as_text()) else {
-                panic!("text metric")
-            };
-            assert!(a != "boom" && b != "boom", "boom");
-            (a.len() as f64 - b.len() as f64).abs()
-        }
-        fn work(&self, _: &Item, _: &Item) -> u64 {
-            1
-        }
-        fn name(&self) -> &'static str {
-            "panic-on-boom"
-        }
-    }
-    impl metric_space::BatchMetric<Item> for PanicOnBoom {}
-
-    /// A panic inside one shard's lockstep descent (user metric blowing up
-    /// mid-kernel) must propagate out of `batch_knn` like it does on the
-    /// independent-descent path — not strand the sibling shards at the
-    /// bound-exchange barrier forever.
-    #[test]
-    fn broadcast_panic_in_one_shard_propagates_instead_of_deadlocking() {
-        let items: Vec<Item> = (0..120).map(|i| Item::text("x".repeat(i % 30))).collect();
-        let pool = DevicePool::rtx_2080_ti(2);
-        let idx = ShardedGts::build(
-            &pool,
-            items,
-            PanicOnBoom,
-            GtsParams::default()
-                .with_shards(2)
-                .with_bound_broadcast(true),
-        )
-        .expect("build never sees the poisoned query");
-        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            idx.batch_knn(&[Item::text("boom")], 3)
-        }));
-        assert!(caught.is_err(), "the metric panic must surface");
-    }
-
-    /// Like [`PanicOnBoom`], but the panic message names the thread that
-    /// raised it.
+    /// standing in for any misbehaving user metric (NaNs, assertions) — with
+    /// a panic message that names the thread that raised it.
     #[derive(Clone, Copy)]
     struct BoomNamesItsThread;
 
@@ -1309,12 +1203,19 @@ mod tests {
     #[test]
     fn panic_on_a_pool_worker_surfaces_through_batch_knn() {
         let items: Vec<Item> = (0..120).map(|i| Item::text("x".repeat(i % 30))).collect();
-        let pool = DevicePool::rtx_2080_ti(2);
+        // Four host threads per device: two per shard once divided.
+        let pool = DevicePool::homogeneous(
+            2,
+            gpu_sim::DeviceConfig {
+                host_threads: 4,
+                ..gpu_sim::DeviceConfig::rtx_2080_ti()
+            },
+        );
         let idx = ShardedGts::build(
             &pool,
             items.clone(),
             BoomNamesItsThread,
-            GtsParams::default().with_shards(2).with_host_threads(2),
+            GtsParams::default().with_shards(2),
         )
         .expect("build never sees the poisoned query");
         // Two query-chunk runs over two host threads: run 0 executes on the

@@ -13,9 +13,12 @@ use crate::params::GtsParams;
 use crate::table::{TableEntry, TableList};
 use metric_space::index::IndexError;
 
-/// Magic + version tag (bumped whenever the layout changes; `GTS2` added
-/// the `use_arena` parameter byte).
-const MAGIC: &[u8; 4] = b"GTS2";
+/// Magic + version tag (bumped whenever the layout changes; `GTS3` has one
+/// parameter byte fewer than `GTS2`, whose snapshots are rejected).
+const MAGIC: &[u8; 4] = b"GTS3";
+
+/// Encoded size of one node: pivot, three `f64` bounds, `pos`, `size`.
+const NODE_BYTES: usize = 4 + 3 * 8 + 4 + 4;
 
 /// Little-endian writer (shared with the sharded-index snapshot, which
 /// embeds per-shard `encode` payloads in its own envelope).
@@ -97,7 +100,6 @@ pub(crate) fn encode(parts: SnapshotParts<'_>) -> Vec<u8> {
     w.u8(u8::from(parts.params.two_sided_pruning));
     w.u8(u8::from(parts.params.fft_pivots));
     w.u8(u8::from(parts.params.query_grouping));
-    w.u8(u8::from(parts.params.use_arena));
     // Tree shape + nodes.
     let shape = parts.nodes.shape();
     w.u32(shape.nc);
@@ -163,15 +165,8 @@ pub(crate) fn decode(bytes: &[u8], object_count: usize) -> Result<Decoded, Index
         two_sided_pruning: r.u8()? != 0,
         fft_pivots: r.u8()? != 0,
         query_grouping: r.u8()? != 0,
-        use_arena: r.u8()? != 0,
-        // Execution-topology and kernel-strategy knobs are not single-index
-        // state: a restored index uses the restoring machine's parallelism
-        // and default kernel strategy, and the sharded envelope records its
-        // own shard count.
-        arena_layout: metric_space::ArenaLayout::Legacy,
-        bounded_verification: false,
-        host_threads: 0,
-        bound_broadcast: false,
+        // Execution topology is not single-index state: the sharded
+        // envelope records its own shard count.
         shards: 1,
         replicas: 1,
     };
@@ -183,7 +178,13 @@ pub(crate) fn decode(bytes: &[u8], object_count: usize) -> Result<Decoded, Index
         h: r.u32()?,
     };
     let node_count = r.u64()? as usize;
-    if shape.nc != params.node_capacity || node_count != shape.total_nodes() || shape.h == 0 {
+    if shape.nc != params.node_capacity
+        || shape.h == 0
+        || shape.total_nodes() != Some(node_count)
+        // The shape is outside input: it may claim no more nodes than the
+        // stream has bytes for, or `NodeList::new` would allocate for it.
+        || node_count > (bytes.len() - r.pos) / NODE_BYTES
+    {
         return Err(IndexError::Unsupported("corrupt snapshot: tree shape"));
     }
     let mut nodes = NodeList::new(shape);
@@ -207,6 +208,18 @@ pub(crate) fn decode(bytes: &[u8], object_count: usize) -> Result<Decoded, Index
     let table_len = r.u64()? as usize;
     if table_len > object_count {
         return Err(IndexError::Unsupported("corrupt snapshot: table length"));
+    }
+    // What a search indexes without further checks: every node's table rows
+    // exist, and every non-empty node above the leaf level has a pivot.
+    let leaves_start = shape.level_start(shape.h);
+    for id in 1..=node_count {
+        let n = nodes.get(id);
+        let rows_exist = (n.pos as usize)
+            .checked_add(n.size as usize)
+            .is_some_and(|end| end <= table_len);
+        if !rows_exist || (id < leaves_start && n.size > 0 && n.pivot.is_none()) {
+            return Err(IndexError::Unsupported("corrupt snapshot: node"));
+        }
     }
     let mut ids = Vec::with_capacity(table_len);
     let mut dis = Vec::with_capacity(table_len);

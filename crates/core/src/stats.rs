@@ -15,22 +15,16 @@ pub struct SearchStats {
     pub leaf_filtered: AtomicU64,
     /// Leaf table entries verified with a real distance computation.
     pub leaf_verified: AtomicU64,
-    /// Leaf verifications abandoned early by the bounded (banded) kernel:
-    /// the evaluation proved `d > bound` without finishing the full DP
-    /// ([`GtsParams::bounded_verification`](crate::GtsParams)). A subset of
-    /// `leaf_verified` — abandoned entries still paid (banded) distance
-    /// work.
+    /// Leaf verifications the bounded kernel answered `None` (`d > bound`).
+    /// A subset of `leaf_verified`. Under edit distance each one ran only
+    /// the Ukkonen band and paid banded work; a vector metric has no early
+    /// exit, so there this is simply the verified objects that lay beyond
+    /// the bound.
     pub leaf_abandoned: AtomicU64,
     /// Query groups formed by the two-stage memory strategy.
     pub groups_formed: AtomicU64,
     /// Largest intermediate frontier (entries) seen.
     pub max_frontier: AtomicU64,
-    /// Per-query bound tightenings received from the cross-shard kNN bound
-    /// broadcast ([`GtsParams::bound_broadcast`](crate::GtsParams)): counted
-    /// once per `(query, level)` where the injected global bound was
-    /// strictly tighter than this shard's own effective bound. Always zero
-    /// on a single-device index and with broadcast off.
-    pub broadcast_tightened: AtomicU64,
 }
 
 impl SearchStats {
@@ -45,7 +39,6 @@ impl SearchStats {
             &self.leaf_abandoned,
             &self.groups_formed,
             &self.max_frontier,
-            &self.broadcast_tightened,
         ] {
             c.store(0, Ordering::Relaxed);
         }
@@ -62,7 +55,6 @@ impl SearchStats {
             leaf_abandoned: self.leaf_abandoned.load(Ordering::Relaxed),
             groups_formed: self.groups_formed.load(Ordering::Relaxed),
             max_frontier: self.max_frontier.load(Ordering::Relaxed),
-            broadcast_tightened: self.broadcast_tightened.load(Ordering::Relaxed),
         }
     }
 
@@ -115,14 +107,12 @@ pub struct StatsSnapshot {
     pub leaf_filtered: u64,
     /// Leaf entries verified with a distance computation.
     pub leaf_verified: u64,
-    /// Leaf verifications abandoned early by the bounded kernel.
+    /// Leaf verifications the bounded kernel answered `None` (`d > bound`).
     pub leaf_abandoned: u64,
     /// Query groups formed by the two-stage strategy.
     pub groups_formed: u64,
     /// Largest frontier seen.
     pub max_frontier: u64,
-    /// Bound tightenings received from the cross-shard kNN broadcast.
-    pub broadcast_tightened: u64,
 }
 
 impl StatsSnapshot {
@@ -140,7 +130,6 @@ impl StatsSnapshot {
             leaf_abandoned: self.leaf_abandoned + other.leaf_abandoned,
             groups_formed: self.groups_formed + other.groups_formed,
             max_frontier: self.max_frontier.max(other.max_frontier),
-            broadcast_tightened: self.broadcast_tightened + other.broadcast_tightened,
         }
     }
 }
@@ -178,7 +167,6 @@ mod tests {
             leaf_abandoned: 0,
             groups_formed: 1,
             max_frontier: 10,
-            broadcast_tightened: 2,
         };
         let b = StatsSnapshot {
             distance_computations: 7,
@@ -189,7 +177,6 @@ mod tests {
         assert_eq!(c.distance_computations, 12);
         assert_eq!(c.nodes_pruned, 1);
         assert_eq!(c.max_frontier, 10, "frontiers never coexist — max");
-        assert_eq!(c.broadcast_tightened, 2, "tightenings sum across shards");
     }
 
     #[test]

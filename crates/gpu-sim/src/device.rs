@@ -34,7 +34,7 @@ pub struct Device {
     /// Cycles spent in H2D/D2H transfers.
     transfer: AtomicU64,
     /// Cycles spent stalled at lockstep barriers (`advance_clock_to`
-    /// deltas: waiting for the slowest device of a broadcast level).
+    /// deltas: waiting for the slowest device of a lockstep level).
     stall: AtomicU64,
     /// Total work units ever charged (diagnostics).
     work: AtomicU64,
@@ -156,9 +156,9 @@ impl Device {
 
     /// Advance the clock to at least `target` cycles (no-op when the clock
     /// is already past it). Models **barrier idle time**: when devices
-    /// execute in lockstep with a per-level barrier (the sharded bound
-    /// broadcast), every device waits for the slowest, so after each level
-    /// all clocks align to the per-level maximum. Charged as pure elapsed
+    /// execute in lockstep with a per-level barrier, every device waits for
+    /// the slowest, so after each level all clocks align to the per-level
+    /// maximum. Charged as pure elapsed
     /// time — no work, kernels, or transfers. The skipped-over interval
     /// is accrued as barrier-stall cycles (`fetch_max` returns the
     /// pre-advance clock, so the delta is exact even under racing

@@ -16,19 +16,9 @@
 //!   `(total, span)` equals the sum/max of per-pair [`Metric::work`] — so
 //!   an arena-backed search produces the same answers *and the same
 //!   simulated cycle counts* as the per-pair path it replaced.
-//! * `distance_batch` is **layout-invariant**: resolving the same ids from
-//!   a legacy or an [`ArenaLayout::Aligned`] arena produces bit-identical
-//!   distances and identical `(total, span)` — both layouts run the one
-//!   canonical lane-summation order of [`crate::dist::l2`], and the work
-//!   model reads logical lengths only. The aligned path merely iterates
-//!   whole 8-lane blocks (query padded once per batch), the shape rustc
-//!   autovectorizes.
 //! * `distance_batch_bounded` may abandon early (Ukkonen banding for edit
 //!   distance) but is exact whenever it reports `Some(d)`, and `Some(d)` is
-//!   reported iff `d ≤ bound`. It returns a typed [`LayoutUnsupported`]
-//!   error — never a silent per-pair fallback — when a kernel cannot
-//!   resolve the arena's layout (the banded edit kernel is exempt from the
-//!   aligned layout; its rows are variable-width).
+//!   reported iff `d ≤ bound`.
 //! * The kernels are **chunk-safe**: evaluating disjoint sub-slices of one
 //!   id block concurrently from several host threads (see [`chunk_pairs`])
 //!   produces the same outputs and the same summed `(total, span)` as one
@@ -38,10 +28,10 @@
 //!   callers may slice the arena-resolved block at any fixed chunk
 //!   boundary and fan the chunks out.
 
-use crate::arena::{AlignedBlock, ArenaKind, ArenaLayout, LayoutUnsupported, ObjectArena};
+use crate::arena::{ArenaKind, ObjectArena};
 use crate::dist::{
-    self, edit_distance_bounded_bytes_with, edit_distance_bytes_with, with_edit_scratch,
-    EditDistance, ItemMetric, Metric, VectorMetric,
+    edit_distance_bounded_bytes_with, edit_distance_bytes_with, with_edit_scratch, EditDistance,
+    ItemMetric, Metric,
 };
 use crate::object::Item;
 
@@ -71,12 +61,12 @@ fn scalar_batch_bounded<O, M: Metric<O> + ?Sized>(
     objects: &[O],
     query: &O,
     ids: &[u32],
-    bounds: &[f64],
+    bound: f64,
     out: &mut [Option<f64>],
 ) -> (u64, u64) {
     let mut total = 0u64;
     let mut span = 0u64;
-    for ((slot, &id), &bound) in out.iter_mut().zip(ids).zip(bounds) {
+    for (slot, &id) in out.iter_mut().zip(ids) {
         let obj = &objects[id as usize];
         let d = metric.distance(query, obj);
         *slot = (d <= bound).then_some(d);
@@ -115,18 +105,6 @@ pub trait BatchMetric<O>: Metric<O> {
         None
     }
 
-    /// [`build_arena`] with an explicit payload layout request. The default
-    /// ignores the request (custom metrics have no block-wise kernels);
-    /// [`ItemMetric`] honours [`ArenaLayout::Aligned`] for the Lp vector
-    /// metrics and degrades it to legacy for text and angular payloads,
-    /// whose kernels have no block form.
-    ///
-    /// [`build_arena`]: BatchMetric::build_arena
-    fn build_arena_with(&self, objects: &[O], layout: ArenaLayout) -> Option<ObjectArena> {
-        let _ = layout;
-        self.build_arena(objects)
-    }
-
     /// Append one object to an arena previously produced by
     /// [`build_arena`]; `false` if the object cannot be stored flat (the
     /// caller should drop the arena and fall back).
@@ -157,50 +135,39 @@ pub trait BatchMetric<O>: Metric<O> {
     }
 
     /// Early-abandoning batched kernel: `out[i] = Some(d)` iff
-    /// `d = d(query, objects[ids[i]]) ≤ bounds[i]`, else `None`.
+    /// `d = d(query, objects[ids[i]]) ≤ bound`, else `None`.
     ///
     /// `Some` answers are always exact. Implementations may abandon an
-    /// evaluation once it provably exceeds its bound (and charge only the
+    /// evaluation once it provably exceeds the bound (and charge only the
     /// abandoned prefix's work); the default computes full distances and
     /// charges full work.
-    ///
-    /// # Errors
-    /// A kernel that cannot resolve payloads from the arena's layout must
-    /// return [`LayoutUnsupported`] rather than silently fall back to
-    /// per-pair access (silent fallback would hide a mis-threaded layout
-    /// behind a wall-clock regression). The shipped case is the
-    /// Ukkonen-banded **edit** kernel, which is exempt from the aligned
-    /// layout — its byte rows are variable-width, so no aligned text arena
-    /// even exists; only a kind-mismatched (vector) aligned arena can
-    /// trigger the error. The default implementation never errors (it
-    /// ignores the arena entirely, which is its documented contract, not a
-    /// fallback).
     fn distance_batch_bounded(
         &self,
         objects: &[O],
         arena: Option<&ObjectArena>,
         query: &O,
         ids: &[u32],
-        bounds: &[f64],
+        bound: f64,
         out: &mut [Option<f64>],
-    ) -> Result<(u64, u64), LayoutUnsupported> {
+    ) -> (u64, u64) {
         let _ = arena;
-        Ok(scalar_batch_bounded(self, objects, query, ids, bounds, out))
+        scalar_batch_bounded(self, objects, query, ids, bound, out)
     }
 }
 
 /// One chunk of a batched distance kernel: a disjoint slice of the id
-/// block and the output slice it fills.
+/// block and the output slice it fills (`f64` slots for
+/// [`BatchMetric::distance_batch`], `Option<f64>` for the bounded kernel).
 ///
 /// Produced by [`chunk_pairs`]; consumed by a host-thread worker calling
-/// [`BatchMetric::distance_batch`] on exactly this slice pair. Chunks of
-/// one block never overlap, so they can execute concurrently.
+/// the kernel on exactly this slice pair. Chunks of one block never
+/// overlap, so they can execute concurrently.
 #[derive(Debug)]
-pub struct BatchChunk<'a> {
+pub struct BatchChunk<'a, T = f64> {
     /// Object ids this chunk resolves (against the arena or object store).
     pub ids: &'a [u32],
     /// Output slots, parallel to `ids`.
-    pub out: &'a mut [f64],
+    pub out: &'a mut [T],
 }
 
 /// Split one `(ids, out)` block into fixed-size chunks of at most `chunk`
@@ -214,13 +181,16 @@ pub struct BatchChunk<'a> {
 ///
 /// # Panics
 /// Panics if `chunk == 0` or `ids.len() != out.len()`.
-pub fn chunk_pairs<'a>(chunk: usize, ids: &'a [u32], out: &'a mut [f64]) -> Vec<BatchChunk<'a>> {
+pub fn chunk_pairs<'a, T>(
+    chunk: usize,
+    ids: &'a [u32],
+    out: &'a mut [T],
+) -> Vec<BatchChunk<'a, T>> {
     assert!(chunk > 0, "chunk size must be positive");
     assert_eq!(ids.len(), out.len());
     // `slice::chunks` *is* the boundary policy: every chunk exactly
     // `chunk` items except a shorter tail. Parallel slices cut with the
-    // same call share boundaries by construction — the property the
-    // bounded-kernel chunker in gts-core relies on too.
+    // same call share boundaries by construction.
     ids.chunks(chunk)
         .zip(out.chunks_mut(chunk))
         .map(|(ids, out)| BatchChunk { ids, out })
@@ -239,18 +209,7 @@ fn edit_bound(bound: f64) -> Option<u32> {
 
 impl BatchMetric<Item> for ItemMetric {
     fn build_arena(&self, objects: &[Item]) -> Option<ObjectArena> {
-        self.build_arena_with(objects, ArenaLayout::Legacy)
-    }
-
-    fn build_arena_with(&self, objects: &[Item], layout: ArenaLayout) -> Option<ObjectArena> {
-        // Only the Lp metrics have block-wise kernels; an aligned request
-        // for edit (variable-width byte rows) or angular (scalar kernel)
-        // degrades to the legacy layout.
-        let layout = match self {
-            ItemMetric::Vector(m) if m.block_kernel().is_some() => layout,
-            _ => ArenaLayout::Legacy,
-        };
-        let arena = ObjectArena::from_items_with(objects, layout)?;
+        let arena = ObjectArena::from_items(objects)?;
         // The arena family must match the metric, or the kernels below
         // would be handed payloads of the wrong type.
         match (self, arena.kind()) {
@@ -288,48 +247,12 @@ impl BatchMetric<Item> for ItemMetric {
                 });
             }
             (ItemMetric::Vector(m), Some(arena), Item::Vector(q)) => {
-                match (arena.layout(), m.block_kernel()) {
-                    (ArenaLayout::Aligned, Some(_)) => {
-                        // Pad the query once for the whole batch; every
-                        // pair is then a pure full-block loop. Work depends
-                        // only on the query's dimensionality, so the charge
-                        // is identical to the legacy layout's. Dispatch is
-                        // a direct match (not the `block_kernel` fn pointer)
-                        // so the block kernel inlines into the id loop.
-                        let qb = AlignedBlock::pack(q);
-                        let w = m.work_len(q.len());
-                        match m {
-                            VectorMetric::L1 => {
-                                for (slot, &id) in out.iter_mut().zip(ids) {
-                                    debug_assert_eq!(arena.arity(id), q.len());
-                                    *slot = dist::l1_blocks(&qb, arena.blocks(id));
-                                }
-                            }
-                            _ => {
-                                for (slot, &id) in out.iter_mut().zip(ids) {
-                                    debug_assert_eq!(arena.arity(id), q.len());
-                                    *slot = dist::l2_blocks(&qb, arena.blocks(id));
-                                }
-                            }
-                        }
-                        total = w * ids.len() as u64;
-                        span = if ids.is_empty() { 0 } else { w };
-                    }
-                    // Aligned arenas are never built for angular
-                    // (`build_arena_with` degrades the request), but a
-                    // hand-built one still resolves correctly per pair.
-                    (ArenaLayout::Aligned, None) => {
-                        return scalar_batch(self, objects, query, ids, out)
-                    }
-                    (ArenaLayout::Legacy, _) => {
-                        for (slot, &id) in out.iter_mut().zip(ids) {
-                            let o = arena.vector(id);
-                            *slot = m.distance(q, o);
-                            let w = m.work(q, o);
-                            total += w;
-                            span = span.max(w);
-                        }
-                    }
+                for (slot, &id) in out.iter_mut().zip(ids) {
+                    let o = arena.vector(id);
+                    *slot = m.distance(q, o);
+                    let w = m.work(q, o);
+                    total += w;
+                    span = span.max(w);
                 }
             }
             _ => return scalar_batch(self, objects, query, ids, out),
@@ -343,31 +266,24 @@ impl BatchMetric<Item> for ItemMetric {
         arena: Option<&ObjectArena>,
         query: &Item,
         ids: &[u32],
-        bounds: &[f64],
+        bound: f64,
         out: &mut [Option<f64>],
-    ) -> Result<(u64, u64), LayoutUnsupported> {
+    ) -> (u64, u64) {
         assert_eq!(ids.len(), out.len());
-        assert_eq!(ids.len(), bounds.len());
         let (mut total, mut span) = (0u64, 0u64);
         // Both resolution paths (arena bytes vs boxed `Item` payloads) run
-        // the same banded DP and charge the same banded work, so enabling
-        // or disabling the arena never changes simulated cycle counts.
+        // the same banded DP and charge the same banded work, so an index
+        // that lost its arena charges the same simulated cycles.
         match (self, query) {
             (ItemMetric::Edit, Item::Text(q)) => {
-                // The banded edit kernel is exempt from the aligned layout:
-                // its byte rows are variable-width and `build_arena_with`
-                // never builds an aligned text arena, so an aligned arena
-                // here is a mis-threaded (vector) arena — reject it with a
-                // typed error instead of resolving garbage payloads.
-                if arena.is_some_and(|a| a.layout() == ArenaLayout::Aligned) {
-                    return Err(LayoutUnsupported {
-                        kernel: "edit_bounded",
-                        layout: ArenaLayout::Aligned,
-                    });
-                }
+                // A negative or NaN bound admits nothing and costs nothing.
+                let Some(b) = edit_bound(bound) else {
+                    out.fill(None);
+                    return (0, 0);
+                };
                 let qb = q.as_bytes();
                 with_edit_scratch(|scratch| {
-                    for ((slot, &id), &bound) in out.iter_mut().zip(ids).zip(bounds) {
+                    for (slot, &id) in out.iter_mut().zip(ids) {
                         let o = match arena {
                             Some(arena) => arena.text_bytes(id),
                             None => objects[id as usize]
@@ -375,59 +291,33 @@ impl BatchMetric<Item> for ItemMetric {
                                 .expect("edit metric over text items")
                                 .as_bytes(),
                         };
-                        match edit_bound(bound) {
-                            None => *slot = None,
-                            Some(b) => {
-                                *slot = edit_distance_bounded_bytes_with(qb, o, b, scratch)
-                                    .map(f64::from);
-                                // Charge the banded DP, not the full table.
-                                let w = EditDistance::work_bounded_lens(qb.len(), o.len(), b);
-                                total += w;
-                                span = span.max(w);
-                            }
-                        }
+                        *slot = edit_distance_bounded_bytes_with(qb, o, b, scratch).map(f64::from);
+                        // Charge the banded DP, not the full table.
+                        let w = EditDistance::work_bounded_lens(qb.len(), o.len(), b);
+                        total += w;
+                        span = span.max(w);
                     }
                 });
             }
             (ItemMetric::Vector(m), Item::Vector(q)) => {
-                let aligned = arena
-                    .filter(|a| a.layout() == ArenaLayout::Aligned)
-                    .and_then(|a| m.block_kernel().map(|k| (a, k)));
-                if let Some((arena, kernel)) = aligned {
-                    // Same block-wise canonical order as `distance_batch`,
-                    // with the bound check applied to the exact result —
-                    // bit-identical accept/reject to the legacy layout.
-                    let qb = AlignedBlock::pack(q);
-                    let w = m.work_len(q.len());
-                    for ((slot, &id), &bound) in out.iter_mut().zip(ids).zip(bounds) {
-                        debug_assert_eq!(arena.arity(id), q.len());
-                        let d = kernel(&qb, arena.blocks(id));
-                        *slot = (d <= bound).then_some(d);
-                    }
-                    total = w * ids.len() as u64;
-                    span = if ids.is_empty() { 0 } else { w };
-                } else {
-                    // A block-less metric (angular) handed an aligned arena
-                    // resolves from the object store instead.
-                    let legacy = arena.filter(|a| a.layout() == ArenaLayout::Legacy);
-                    for ((slot, &id), &bound) in out.iter_mut().zip(ids).zip(bounds) {
-                        let o = match legacy {
-                            Some(arena) => arena.vector(id),
-                            None => objects[id as usize]
-                                .as_vector()
-                                .expect("vector metric over vector items"),
-                        };
-                        let d = m.distance(q, o);
-                        *slot = (d <= bound).then_some(d);
-                        let w = m.work(q, o);
-                        total += w;
-                        span = span.max(w);
-                    }
+                for (slot, &id) in out.iter_mut().zip(ids) {
+                    let o = match arena {
+                        Some(arena) => arena.vector(id),
+                        None => objects[id as usize]
+                            .as_vector()
+                            .expect("vector metric over vector items"),
+                    };
+                    let d = m.distance(q, o);
+                    *slot = (d <= bound).then_some(d);
                 }
+                // A vector metric's work depends on the dimensionality alone.
+                let w = m.work_len(q.len());
+                total = w * ids.len() as u64;
+                span = if ids.is_empty() { 0 } else { w };
             }
-            _ => return Ok(scalar_batch_bounded(self, objects, query, ids, bounds, out)),
+            _ => return scalar_batch_bounded(self, objects, query, ids, bound, out),
         }
-        Ok((total, span))
+        (total, span)
     }
 }
 
@@ -504,11 +394,15 @@ mod tests {
         let ids: Vec<u32> = (0..items.len() as u32).collect();
         for q in &items {
             for bound in [0.0, 1.0, 2.5, 10.0, -1.0, f64::INFINITY, f64::NAN, 1e300] {
-                let bounds = vec![bound; ids.len()];
                 let mut out = vec![None; ids.len()];
-                ItemMetric::Edit
-                    .distance_batch_bounded(&items, Some(&arena), q, &ids, &bounds, &mut out)
-                    .expect("legacy text arena");
+                ItemMetric::Edit.distance_batch_bounded(
+                    &items,
+                    Some(&arena),
+                    q,
+                    &ids,
+                    bound,
+                    &mut out,
+                );
                 for (&id, slot) in ids.iter().zip(&out) {
                     let real = ItemMetric::Edit.distance(q, &items[id as usize]);
                     match slot {
@@ -532,16 +426,13 @@ mod tests {
         for (metric, items) in [(ItemMetric::Edit, words()), (ItemMetric::L2, vectors())] {
             let arena = metric.build_arena(&items).expect("arena");
             let ids: Vec<u32> = (0..items.len() as u32).collect();
-            let bounds = vec![2.0; ids.len()];
             let mut with = vec![None; ids.len()];
             let mut without = vec![None; ids.len()];
             let q = &items[2];
-            let charged_with = metric
-                .distance_batch_bounded(&items, Some(&arena), q, &ids, &bounds, &mut with)
-                .expect("legacy arena");
-            let charged_without = metric
-                .distance_batch_bounded(&items, None, q, &ids, &bounds, &mut without)
-                .expect("no arena");
+            let charged_with =
+                metric.distance_batch_bounded(&items, Some(&arena), q, &ids, 2.0, &mut with);
+            let charged_without =
+                metric.distance_batch_bounded(&items, None, q, &ids, 2.0, &mut without);
             assert_eq!(with, without, "{}", metric.name());
             assert_eq!(charged_with, charged_without, "{}", metric.name());
         }
@@ -600,104 +491,6 @@ mod tests {
     fn kind_mismatch_yields_no_arena() {
         assert!(ItemMetric::Edit.build_arena(&vectors()).is_none());
         assert!(ItemMetric::L2.build_arena(&words()).is_none());
-    }
-
-    #[test]
-    fn aligned_layout_honoured_only_for_lp_metrics() {
-        let v = vectors();
-        for metric in [ItemMetric::L1, ItemMetric::L2] {
-            let a = metric
-                .build_arena_with(&v, ArenaLayout::Aligned)
-                .expect("arena");
-            assert_eq!(a.layout(), ArenaLayout::Aligned, "{}", metric.name());
-        }
-        let a = ItemMetric::ANGULAR
-            .build_arena_with(&v, ArenaLayout::Aligned)
-            .expect("arena");
-        assert_eq!(
-            a.layout(),
-            ArenaLayout::Legacy,
-            "angular has no block kernel"
-        );
-        let a = ItemMetric::Edit
-            .build_arena_with(&words(), ArenaLayout::Aligned)
-            .expect("arena");
-        assert_eq!(
-            a.layout(),
-            ArenaLayout::Legacy,
-            "text rows have no block form"
-        );
-    }
-
-    #[test]
-    fn aligned_batch_matches_legacy_bitwise() {
-        // Ragged-free but tail-exercising dims: 3 lanes of padding.
-        let items: Vec<Item> = (0..9)
-            .map(|i| {
-                Item::vector(
-                    (0..13)
-                        .map(|d| (i * 13 + d) as f32 * 0.37 - 2.0)
-                        .collect::<Vec<f32>>(),
-                )
-            })
-            .collect();
-        let ids: Vec<u32> = (0..items.len() as u32).cycle().take(200).collect();
-        for metric in [ItemMetric::L1, ItemMetric::L2] {
-            let legacy = metric.build_arena(&items).expect("arena");
-            let aligned = metric
-                .build_arena_with(&items, ArenaLayout::Aligned)
-                .expect("arena");
-            let q = &items[4];
-            let mut out_l = vec![0.0; ids.len()];
-            let mut out_a = vec![0.0; ids.len()];
-            let charge_l = metric.distance_batch(&items, Some(&legacy), q, &ids, &mut out_l);
-            let charge_a = metric.distance_batch(&items, Some(&aligned), q, &ids, &mut out_a);
-            let bits = |v: &[f64]| v.iter().map(|d| d.to_bits()).collect::<Vec<_>>();
-            assert_eq!(bits(&out_l), bits(&out_a), "{}: answers", metric.name());
-            assert_eq!(charge_l, charge_a, "{}: (total, span)", metric.name());
-        }
-    }
-
-    #[test]
-    fn aligned_bounded_matches_legacy() {
-        let items = vectors();
-        let ids: Vec<u32> = (0..items.len() as u32).collect();
-        let bounds: Vec<f64> = ids.iter().map(|&i| f64::from(i % 3) * 1.5).collect();
-        for metric in [ItemMetric::L1, ItemMetric::L2] {
-            let legacy = metric.build_arena(&items).expect("arena");
-            let aligned = metric
-                .build_arena_with(&items, ArenaLayout::Aligned)
-                .expect("arena");
-            let q = &items[2];
-            let mut out_l = vec![None; ids.len()];
-            let mut out_a = vec![None; ids.len()];
-            let charge_l = metric
-                .distance_batch_bounded(&items, Some(&legacy), q, &ids, &bounds, &mut out_l)
-                .expect("legacy");
-            let charge_a = metric
-                .distance_batch_bounded(&items, Some(&aligned), q, &ids, &bounds, &mut out_a)
-                .expect("aligned Lp is supported");
-            assert_eq!(out_l, out_a, "{}", metric.name());
-            assert_eq!(charge_l, charge_a, "{}: (total, span)", metric.name());
-        }
-    }
-
-    #[test]
-    fn bounded_edit_rejects_aligned_arena_with_typed_error() {
-        let texts = words();
-        // A mis-threaded aligned (vector) arena handed to the edit kernel.
-        let aligned = ItemMetric::L2
-            .build_arena_with(&vectors(), ArenaLayout::Aligned)
-            .expect("arena");
-        let ids = [0u32, 1];
-        let bounds = [2.0, 2.0];
-        let mut out = [None, None];
-        let err = ItemMetric::Edit
-            .distance_batch_bounded(&texts, Some(&aligned), &texts[0], &ids, &bounds, &mut out)
-            .expect_err("aligned arenas must be rejected, not silently degraded");
-        assert_eq!(err.kernel, "edit_bounded");
-        assert_eq!(err.layout, ArenaLayout::Aligned);
-        assert!(err.to_string().contains("edit_bounded"));
     }
 
     #[test]

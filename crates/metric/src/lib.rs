@@ -41,7 +41,7 @@ pub mod partition;
 pub mod pivot;
 pub mod stats;
 
-pub use arena::{AlignedBlock, ArenaKind, ArenaLayout, LayoutUnsupported, ObjectArena};
+pub use arena::{ArenaKind, ObjectArena};
 pub use batch::{chunk_pairs, BatchChunk, BatchMetric};
 pub use dataset::{Dataset, DatasetKind};
 pub use dist::{EditDistance, EditScratch, ItemMetric, Metric, VectorMetric};

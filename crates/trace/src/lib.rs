@@ -206,8 +206,6 @@ pub enum EventKind {
         level: u32,
         /// Frontier entries alive at this level.
         frontier: u64,
-        /// Cross-shard bound tightenings received during the level.
-        tightened: u64,
         /// Leaf table entries verified with a real distance computation
         /// (non-zero only at the leaf level).
         verified: u64,
@@ -640,12 +638,10 @@ fn push_event(out: &mut String, ev: &TraceEvent) {
         EventKind::Level {
             level,
             frontier,
-            tightened,
             verified,
         } => {
             args.push(("level", u64::from(*level)));
             args.push(("frontier", *frontier));
-            args.push(("tightened", *tightened));
             args.push(("verified", *verified));
         }
         EventKind::Kernel { work, span } => {
@@ -922,7 +918,6 @@ mod tests {
             EventKind::Level {
                 level: 0,
                 frontier: 0,
-                tightened: 0,
                 verified: 0,
             },
             EventKind::Kernel { work: 0, span: 0 },

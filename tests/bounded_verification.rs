@@ -1,30 +1,40 @@
-//! Bounded (early-abandoning) leaf verification: with
-//! `GtsParams::bounded_verification` on, every survivor of the
-//! stored-distance filter is evaluated by the banded
-//! `distance_batch_bounded` kernel against its query's radius / current kNN
-//! bound. The toggle must never change an answer — the bounded kernels are
-//! exact whenever they report a distance, and the kNN bound semantics are
-//! tie-safe — while simulated search cycles may only *shrink* (the Ukkonen
-//! band never exceeds the full DP, and every other kernel is untouched).
+//! Leaf verification: every survivor of the stored-distance filter is
+//! evaluated by the early-abandoning `distance_batch_bounded` kernel against
+//! its query's radius (MRQ) or current kNN bound (MkNNQ). The kernel is
+//! exact whenever it reports a distance and the kNN bound semantics are
+//! tie-safe, so answers must equal an exhaustive scan on every metric —
+//! through tombstones, shards and two-stage query groups — while the Ukkonen
+//! band makes edit-distance verification cheaper than the full DP that the
+//! scalar fallback ([`NoArena`]) and the baselines run.
 
+mod common;
+
+use common::{Answers, NoArena};
+use gts::gpu::DeviceConfig;
+use gts::metric::BatchMetric;
 use gts::prelude::*;
 
 struct Run {
-    mrq: Vec<Vec<Neighbor>>,
-    knn: Vec<Vec<Neighbor>>,
+    mrq: Answers,
+    knn: Answers,
     search_cycles: u64,
     stats: gts::core::stats::StatsSnapshot,
 }
 
-fn run_with(kind: DatasetKind, n: usize, params: GtsParams, radius: f64) -> Run {
-    let data = kind.generate(n, 909);
+const K: usize = 7;
+
+fn queries(data: &Dataset, n: u32, stride: u32) -> Vec<Item> {
+    (0..n).map(|i| data.item(i * stride).clone()).collect()
+}
+
+fn run_with<M: BatchMetric<Item>>(data: &Dataset, metric: M, radius: f64) -> Run {
     let dev = Device::rtx_2080_ti();
-    let gts = Gts::build(&dev, data.items.clone(), data.metric, params).expect("build");
-    let queries: Vec<Item> = (0..40u32).map(|i| data.item(i * 11).clone()).collect();
+    let gts = Gts::build(&dev, data.items.clone(), metric, GtsParams::default()).expect("build");
+    let queries = queries(data, 40, 11);
     let radii = vec![radius; queries.len()];
     let mark = dev.cycles();
     let mrq = gts.batch_range(&queries, &radii).expect("mrq");
-    let knn = gts.batch_knn(&queries, 7).expect("knn");
+    let knn = gts.batch_knn(&queries, K).expect("knn");
     Run {
         mrq,
         knn,
@@ -33,92 +43,157 @@ fn run_with(kind: DatasetKind, n: usize, params: GtsParams, radius: f64) -> Run 
     }
 }
 
+/// Ground truth by exhaustive scan over the objects not in `removed`.
+fn scan(data: &Dataset, queries: &[Item], radius: f64, removed: &[u32]) -> (Answers, Answers) {
+    let scan = LinearScan::new(data.items.clone(), data.metric);
+    let live = |list: Vec<Neighbor>| -> Vec<Neighbor> {
+        list.into_iter()
+            .filter(|n| !removed.contains(&n.id))
+            .collect()
+    };
+    let mrq = queries
+        .iter()
+        .map(|q| live(scan.range_query(q, radius).expect("scan mrq")))
+        .collect();
+    let knn = queries
+        .iter()
+        .map(|q| {
+            let mut list = live(scan.knn_query(q, K + removed.len()).expect("scan knn"));
+            list.truncate(K);
+            list
+        })
+        .collect();
+    (mrq, knn)
+}
+
 #[test]
-fn bounded_verification_preserves_answers_and_saves_edit_cycles() {
-    let exact = run_with(DatasetKind::Words, 1500, GtsParams::default(), 2.0);
-    let bounded = run_with(
-        DatasetKind::Words,
-        1500,
-        GtsParams::default().with_bounded_verification(true),
-        2.0,
-    );
-    assert_eq!(bounded.mrq, exact.mrq, "MRQ answers are toggle-invariant");
-    assert_eq!(bounded.knn, exact.knn, "MkNNQ answers are toggle-invariant");
-    assert_eq!(
-        exact.stats.leaf_abandoned, 0,
-        "the default path never abandons"
-    );
+fn leaf_verification_matches_scan_and_saves_edit_cycles() {
+    let data = DatasetKind::Words.generate(1500, 909);
+    let banded = run_with(&data, data.metric, 2.0);
+    let full_dp = run_with(&data, NoArena(data.metric), 2.0);
+    let (mrq, knn) = scan(&data, &queries(&data, 40, 11), 2.0, &[]);
+    assert_eq!(banded.mrq, mrq, "MRQ answers equal the scan");
+    assert_eq!(banded.knn, knn, "MkNNQ answers equal the scan");
+    assert_eq!(full_dp.mrq, mrq, "the scalar fallback answers the same");
+    assert_eq!(full_dp.knn, knn, "the scalar fallback answers the same");
     assert!(
-        bounded.stats.leaf_abandoned > 0,
+        banded.stats.leaf_abandoned > 0,
         "a selective radius must abandon some verifications"
     );
     assert_eq!(
-        bounded.stats.leaf_verified, exact.stats.leaf_verified,
-        "the same survivors reach the verification kernel"
+        banded.stats, full_dp.stats,
+        "the same survivors reach the verification kernel and the same ones are rejected"
     );
     assert!(
-        bounded.search_cycles < exact.search_cycles,
+        banded.search_cycles < full_dp.search_cycles,
         "banded edit DP must shave simulated cycles: {} vs {}",
-        bounded.search_cycles,
-        exact.search_cycles
+        banded.search_cycles,
+        full_dp.search_cycles
     );
 }
 
 #[test]
-fn bounded_verification_is_a_noop_for_vector_metrics() {
-    // L2 has no early-abandoning kernel: the bounded path computes full
-    // distances and charges full work, so answers *and cycles* must match.
-    let exact = run_with(DatasetKind::Vector, 1200, GtsParams::default(), 0.4);
-    let bounded = run_with(
-        DatasetKind::Vector,
-        1200,
-        GtsParams::default().with_bounded_verification(true),
-        0.4,
-    );
-    assert_eq!(bounded.mrq, exact.mrq);
-    assert_eq!(bounded.knn, exact.knn);
-    assert_eq!(
-        bounded.search_cycles, exact.search_cycles,
-        "no banding for L2 — identical simulated time"
-    );
-}
-
-#[test]
-fn bounded_verification_composes_with_shards_and_fallback_paths() {
-    // The toggle must stay answer-invariant through the sharded scatter and
-    // with the arena disabled (per-pair payload resolution).
-    let data = DatasetKind::Words.generate(900, 31);
-    let queries: Vec<Item> = (0..24u32).map(|i| data.item(i * 13).clone()).collect();
-    let radii = vec![2.0; queries.len()];
-
-    let reference = {
-        let dev = Device::rtx_2080_ti();
-        let gts =
-            Gts::build(&dev, data.items.clone(), data.metric, GtsParams::default()).expect("build");
-        (
-            gts.batch_range(&queries, &radii).expect("mrq"),
-            gts.batch_knn(&queries, 5).expect("knn"),
-        )
-    };
-
-    for use_arena in [true, false] {
-        let params = GtsParams::default()
-            .with_bounded_verification(true)
-            .with_use_arena(use_arena)
-            .with_shards(3);
-        let pool = DevicePool::rtx_2080_ti(3);
-        let sharded =
-            ShardedGts::build(&pool, data.items.clone(), data.metric, params).expect("build");
+fn leaf_verification_charges_vector_metrics_full_work() {
+    // L2 and angular have no early-abandoning kernel: the bounded path
+    // computes full distances and charges full work, so the arena index and
+    // the scalar fallback must agree in answers, counters *and cycles*.
+    for (kind, radius) in [(DatasetKind::TLoc, 900.0), (DatasetKind::Vector, 0.4)] {
+        let data = kind.generate(1200, 909);
+        let arena = run_with(&data, data.metric, radius);
+        let fallback = run_with(&data, NoArena(data.metric), radius);
+        let (mrq, knn) = scan(&data, &queries(&data, 40, 11), radius, &[]);
+        assert_eq!(arena.mrq, mrq, "{kind:?}: MRQ answers equal the scan");
+        assert_eq!(arena.knn, knn, "{kind:?}: MkNNQ answers equal the scan");
+        assert_eq!(fallback.mrq, mrq, "{kind:?}");
+        assert_eq!(fallback.knn, knn, "{kind:?}");
+        assert_eq!(arena.stats, fallback.stats, "{kind:?}");
         assert_eq!(
-            sharded.batch_range(&queries, &radii).expect("mrq"),
-            reference.0,
-            "use_arena = {use_arena}"
+            arena.search_cycles, fallback.search_cycles,
+            "{kind:?}: no banding — identical simulated time"
         );
-        assert_eq!(
-            sharded.batch_knn(&queries, 5).expect("knn"),
-            reference.1,
-            "use_arena = {use_arena}"
-        );
-        assert!(sharded.stats().leaf_abandoned > 0);
     }
+}
+
+#[test]
+fn leaf_verification_composes_with_tombstones_shards_and_groups() {
+    // Answers must stay equal to the scan with tombstones in the table,
+    // through the 2-shard scatter, under two-stage query groups, and on the
+    // scalar fallback (per-pair payload resolution) of each.
+    let data = DatasetKind::Words.generate(900, 31);
+    let queries = queries(&data, 24, 13);
+    let radii = vec![2.0; queries.len()];
+    let removed: Vec<u32> = (0..900).step_by(9).collect();
+    let want = scan(&data, &queries, 2.0, &removed);
+
+    fn check<M: BatchMetric<Item> + Clone>(
+        data: &Dataset,
+        metric: M,
+        queries: &[Item],
+        radii: &[f64],
+        removed: &[u32],
+        want: &(Answers, Answers),
+        label: &str,
+    ) {
+        let footprint = {
+            let probe = Gts::build(
+                &Device::rtx_2080_ti(),
+                data.items.clone(),
+                metric.clone(),
+                GtsParams::default(),
+            )
+            .expect("probe");
+            probe.memory_bytes() + data.data_bytes()
+        };
+        let tight =
+            Device::new(DeviceConfig::rtx_2080_ti().with_memory_bytes(footprint + 8 * 1024));
+        let mut single = Gts::build(
+            &tight,
+            data.items.clone(),
+            metric.clone(),
+            GtsParams::default(),
+        )
+        .expect("build");
+        let mut sharded = ShardedGts::build(
+            &DevicePool::rtx_2080_ti(2),
+            data.items.clone(),
+            metric,
+            GtsParams::default().with_shards(2),
+        )
+        .expect("build");
+        for &id in removed {
+            assert!(single.remove(id).expect("rm"));
+            assert!(sharded.remove(id).expect("rm"));
+        }
+        let got = (
+            single.batch_range(queries, radii).expect("mrq"),
+            single.batch_knn(queries, K).expect("knn"),
+        );
+        assert_eq!(&got, want, "{label}: tombstoned, grouped single index");
+        assert!(single.stats().groups_formed > 0, "{label}: groups formed");
+        assert!(single.stats().leaf_abandoned > 0, "{label}");
+        let got = (
+            sharded.batch_range(queries, radii).expect("mrq"),
+            sharded.batch_knn(queries, K).expect("knn"),
+        );
+        assert_eq!(&got, want, "{label}: tombstoned 2-shard index");
+        assert!(sharded.stats().leaf_abandoned > 0, "{label}");
+    }
+    check(
+        &data,
+        data.metric,
+        &queries,
+        &radii,
+        &removed,
+        &want,
+        "arena",
+    );
+    check(
+        &data,
+        NoArena(data.metric),
+        &queries,
+        &radii,
+        &removed,
+        &want,
+        "fallback",
+    );
 }

@@ -162,7 +162,7 @@ proptest! {
     }
 
     /// The early-abandoning batched kernel is exact whenever it answers
-    /// `Some`, and only abandons pairs that genuinely exceed their bound.
+    /// `Some`, and only abandons pairs that genuinely exceed the bound.
     #[test]
     fn batch_bounded_exact_when_some(
         words in proptest::collection::vec(arb_word(), 2..30),
@@ -177,11 +177,8 @@ proptest! {
             let arena = metric.build_arena(&items).expect("homogeneous");
             let q = &items[0];
             let ids: Vec<u32> = (0..items.len() as u32).collect();
-            let bounds = vec![bound; ids.len()];
             let mut out = vec![None; ids.len()];
-            metric
-                .distance_batch_bounded(&items, Some(&arena), q, &ids, &bounds, &mut out)
-                .expect("legacy arena");
+            metric.distance_batch_bounded(&items, Some(&arena), q, &ids, bound, &mut out);
             for (&id, slot) in ids.iter().zip(&out) {
                 let real = metric.distance(q, &items[id as usize]);
                 match slot {

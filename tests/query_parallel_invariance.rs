@@ -22,7 +22,6 @@ struct Scenario {
     node_capacity: u32,
     radius: f64,
     tombstones: bool,
-    bounded: bool,
     /// Squeeze device memory to the index footprint plus this many bytes,
     /// so the two-stage strategy forms query groups.
     squeeze: Option<u64>,
@@ -64,11 +63,11 @@ fn build(
     data: &Dataset,
     threads: usize,
 ) -> (std::sync::Arc<Device>, Gts<Item, ItemMetric>) {
-    let params = GtsParams::default()
-        .with_node_capacity(sc.node_capacity)
-        .with_bounded_verification(sc.bounded)
-        .with_host_threads(threads);
-    let mut cfg = DeviceConfig::rtx_2080_ti();
+    let params = GtsParams::default().with_node_capacity(sc.node_capacity);
+    let mut cfg = DeviceConfig {
+        host_threads: threads,
+        ..DeviceConfig::rtx_2080_ti()
+    };
     if let Some(slack) = sc.squeeze {
         let probe = Device::rtx_2080_ti();
         let idx = Gts::build(&probe, data.items.clone(), data.metric, params).expect("probe");
@@ -114,7 +113,7 @@ fn assert_thread_invariant(sc: Scenario) {
             "{sc:?}: query groups formed"
         );
     }
-    if sc.bounded && sc.kind == DatasetKind::Words {
+    if sc.kind == DatasetKind::Words {
         assert!(single.stats.leaf_abandoned > 0, "{sc:?}: kernel abandoned");
     }
     for &threads in &THREADS[1..] {
@@ -143,21 +142,17 @@ fn assert_thread_invariant(sc: Scenario) {
 }
 
 fn scenarios(kind: DatasetKind, n: usize, node_capacity: u32, radius: f64) -> Vec<Scenario> {
-    let mut out = Vec::new();
-    for tombstones in [false, true] {
-        for bounded in [false, true] {
-            out.push(Scenario {
-                kind,
-                n,
-                node_capacity,
-                radius,
-                tombstones,
-                bounded,
-                squeeze: None,
-            });
-        }
-    }
-    out
+    [false, true]
+        .into_iter()
+        .map(|tombstones| Scenario {
+            kind,
+            n,
+            node_capacity,
+            radius,
+            tombstones,
+            squeeze: None,
+        })
+        .collect()
 }
 
 #[test]
@@ -186,7 +181,6 @@ fn two_stage_groups_are_thread_count_invariant() {
             node_capacity: 20,
             radius: 1.0,
             tombstones,
-            bounded: false,
             squeeze: Some(96 * 1024),
         });
     }

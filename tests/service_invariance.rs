@@ -138,9 +138,15 @@ fn size_triggered_service_matches_direct_batches() {
         let cfg = ServiceConfig::default()
             .with_sizing(BatchSizing::Fixed(7))
             .with_flush_deadline(Duration::from_secs(3600));
-        let (got, stats) = serve(replicated(index), cfg, &reqs);
+        let index = replicated(index);
+        let (got, stats) = serve(Arc::clone(&index), cfg, &reqs);
         assert_eq!(got, want, "shards = {shards}");
         assert_eq!(stats.completed, 90);
+        assert_eq!(
+            stats.index,
+            index.stats(),
+            "ServiceStats surfaces the index's own search counters"
+        );
         assert!(
             stats.size_flushes >= 12,
             "90 requests at target 7 flush ≥ 12 size batches, got {}",
@@ -148,65 +154,6 @@ fn size_triggered_service_matches_direct_batches() {
         );
         assert_eq!(stats.deadline_flushes, 0, "the hour deadline never fires");
     }
-}
-
-/// The cross-shard bound broadcast plumbs through the service untouched:
-/// a broadcast-enabled index behind the service answers bit-identically to
-/// direct calls on a broadcast-free index, and the tightenings the lockstep
-/// descent performed surface in [`ServiceStats::index`] — the service-side
-/// view of `broadcast_tightened` is the index's own counter, so per-shard
-/// and aggregate views stay consistent.
-#[test]
-fn broadcast_enabled_index_matches_direct_through_the_service() {
-    let data = DatasetKind::TLoc.generate(2_000, 31);
-    let params = GtsParams::default().with_node_capacity(5).with_shards(2);
-    let build = |broadcast: bool| {
-        let pool = DevicePool::rtx_2080_ti(2);
-        ShardedGts::build(
-            &pool,
-            data.items.clone(),
-            data.metric,
-            params.with_bound_broadcast(broadcast),
-        )
-        .expect("build")
-    };
-    let reqs: Vec<Request<Item>> = (0..40)
-        .map(|i| Request::Knn {
-            query: data.items[(i * 37) % 2_000].clone(),
-            k: 5,
-        })
-        .collect();
-    let want = direct_answers(&build(false), &reqs);
-
-    let index = replicated(build(true));
-    let cfg = ServiceConfig::default()
-        .with_sizing(BatchSizing::Fixed(8))
-        .with_flush_deadline(Duration::from_secs(3600));
-    let (got, stats) = serve(Arc::clone(&index), cfg, &reqs);
-    assert_eq!(got, want, "broadcast behind the service changes no answer");
-    assert!(
-        stats.index.broadcast_tightened > 0,
-        "the lockstep descent must have tightened bounds on this workload"
-    );
-    assert_eq!(
-        stats.index.broadcast_tightened,
-        index.stats().broadcast_tightened,
-        "ServiceStats surfaces the index's own broadcast counter"
-    );
-    assert_eq!(
-        index.stats().broadcast_tightened,
-        (0..2)
-            .map(|s| {
-                index
-                    .replica(0)
-                    .read()
-                    .expect("replica lock")
-                    .shard_stats(s)
-                    .broadcast_tightened
-            })
-            .sum(),
-        "aggregate view sums the per-shard counters"
-    );
 }
 
 #[test]
