@@ -11,12 +11,12 @@
 //! suite completes on a laptop while preserving the paper's comparative
 //! shapes — who wins, by what factor, and where the OOM crossovers fall.
 //!
-//! Beyond the paper's figures, two microbenches track the repo's own
-//! hot-path performance story (tables and methodology in the workspace
-//! `REPORT.md`): `dist_kernels` (flat-arena batched kernels vs the
-//! per-pair path, → `BENCH_dist_kernels.json`) and `memo_table` (flat
-//! open-addressing `(query, pivot)` memo vs the `HashMap` it replaced, →
-//! `BENCH_memo.json`).
+//! Beyond the paper's figures, three benches record what has no wall-clock
+//! successor in the workspace's `benchmark/` package (tables and
+//! methodology in `REPORT.md`): `dist_kernels` (flat-arena batched kernels
+//! vs the per-pair path, → `BENCH_dist_kernels.json`), `shard_scaling`
+//! (simulated span vs shard count, → `BENCH_shard.json`) and
+//! `approx_sweep` (beam width vs recall, → `BENCH_approx.json`).
 
 #![warn(missing_docs)]
 pub mod config;

@@ -1,36 +1,27 @@
-//! The level-synchronized **descent engine**: the resumable core of the
-//! batched search loops (paper §5, Alg. 4–5).
-//!
-//! Before this module existed, `range_descend`/`knn_descend` were monolithic
-//! recursive loops: one call descended a frontier from the root to the
-//! leaves, recursing on two-stage query-group splits, and only returned when
-//! every leaf was verified. That shape leaves nothing for a caller to grab
-//! onto between levels — where the paper's Alg. 5 bound update runs — so the
-//! loop is now an explicit state machine.
+//! The level-synchronized **descent engine**: the core of the batched
+//! search loops (paper §5, Alg. 4–5).
 //!
 //! [`DescentEngine`] holds everything one batched descent owns — the frame
 //! stack (frontier + per-level intermediate-result buffers + pending query
-//! groups), the per-query kNN pools, and the reused [`SearchScratch`] — and
-//! advances in three phases:
+//! groups), the per-query kNN pools, and the reused [`SearchScratch`]:
 //!
 //! * **start** ([`DescentEngine::start_range`] /
-//!   [`DescentEngine::start_knn`]): seed the root frontier (or come up
+//!   [`DescentEngine::start_knn`]) seeds the root frontier (or comes up
 //!   already finished for an empty batch);
-//! * **step_level** ([`DescentEngine::step_level`]): run *one* device-level
-//!   action — one level expansion (pivot-distance kernel, Alg. 5 bound
-//!   update, ring pruning) or one segment's leaf verification — then
-//!   suspend. Administrative work (group splits, starting the next group,
-//!   retiring empty frontiers) is folded into the next step, charging
-//!   nothing;
-//! * **finish_leaves** ([`DescentEngine::finish_leaves`]): drain the
-//!   remaining steps to completion — the whole descent for the batch
-//!   drivers of `crate::search`.
+//! * **run** ([`DescentEngine::run`]) descends to completion: one
+//!   device-level action at a time — a level expansion (pivot-distance
+//!   kernel, Alg. 5 bound update, ring pruning) or a segment's leaf
+//!   verification — with the administrative work between them (group
+//!   splits, starting the next group, retiring empty frontiers) charging
+//!   nothing. The frame stack is what runs two-stage query groups: a
+//!   segment that overruns the per-layer bound splits, and its groups
+//!   descend one after another while it keeps its buffers alive.
 //!
 //! **Step-order fidelity.** The engine replays the recursive loops' exact
 //! order of device-visible actions — allocations (one intermediate-result
 //! buffer per level, held until the segment and its groups finish, mirroring
 //! the recursion's buffer lifetimes), kernel launches, and stat updates —
-//! so driving an engine to completion returns the pre-refactor monolithic
+//! so running an engine returns the pre-refactor monolithic
 //! descent's answers and counters bit for bit (`tests/shard_invariance.rs`
 //! pins this against a checked-in fingerprint; the cycle pins of vector
 //! metrics are the pre-refactor ones too, those of edit distance were
@@ -108,9 +99,9 @@ enum Mode<'a> {
     },
 }
 
-/// The resumable per-batch descent state machine. See the module docs for
-/// the phase protocol; constructed by [`DescentEngine::start_range`] or
-/// [`DescentEngine::start_knn`], borrowing the batch's [`SearchCtx`].
+/// The per-batch descent state. Constructed by
+/// [`DescentEngine::start_range`] or [`DescentEngine::start_knn`], borrowing
+/// the batch's [`SearchCtx`], then [`run`](DescentEngine::run) once.
 pub(crate) struct DescentEngine<'a, O, M> {
     ctx: &'a SearchCtx<'a, O, M>,
     queries: &'a [O],
@@ -177,17 +168,13 @@ where
         engine
     }
 
-    /// Advance by one device-level action — one level expansion or one
-    /// segment's leaf verification — returning `Ok(true)` while the descent
-    /// is still running. Administrative transitions (group splits, starting
-    /// the next group, retiring empty frontiers) are folded in and charge
-    /// nothing. On error (device OOM on an intermediate buffer) the engine
-    /// is dead; the caller must not step it again.
-    pub(crate) fn step_level(&mut self) -> Result<bool, GpuError> {
-        loop {
-            let Some(top) = self.stack.last_mut() else {
-                return Ok(false);
-            };
+    /// Run the descent to completion: every level expansion and every
+    /// segment's leaf verification, in the recursive descent's order.
+    /// Administrative transitions (group splits, starting the next group,
+    /// retiring empty frontiers) charge nothing. On error (device OOM on an
+    /// intermediate buffer) the engine is dead.
+    pub(crate) fn run(&mut self) -> Result<(), GpuError> {
+        while let Some(top) = self.stack.last_mut() {
             // Group-manager frame: start the next group or retire.
             let Some(entries) = top.entries.take() else {
                 match top.groups.pop() {
@@ -234,12 +221,9 @@ where
             // Per-level trace span: snapshot the clock and the verified-leaf
             // counter before the device action, record the delta after.
             // Purely observational — the action's charges are untouched.
-            let trace = self.ctx.dev.tracer();
-            let pre = trace.as_ref().map(|_| {
-                (
-                    self.ctx.dev.cycles(),
-                    self.ctx.stats.leaf_verified.load(Ordering::Relaxed),
-                )
+            let trace = self.ctx.dev.tracer().map(|(rec, dev_id)| {
+                let verified = self.ctx.stats.leaf_verified.load(Ordering::Relaxed);
+                (rec, dev_id, self.ctx.dev.cycles(), verified)
             });
             let frontier_len = entries.len() as u64;
 
@@ -263,7 +247,7 @@ where
             }
 
             if level == shape.h {
-                // The segment's finish-leaves phase: verify, then retire.
+                // The segment's leaves: verify, then retire.
                 match &mut self.mode {
                     Mode::Range { radii, results } => verify_range(
                         self.ctx,
@@ -277,53 +261,36 @@ where
                         verify_knn(self.ctx, self.queries, &entries, pools, &mut self.scratch)
                     }
                 }
-                self.scratch.put_frontier(entries);
                 self.stack.pop();
-                if let Some((rec, dev_id)) = trace {
-                    let (c0, v0) = pre.expect("snapshotted alongside the tracer");
-                    rec.record(gts_trace::TraceEvent::span(
-                        gts_trace::EventKind::Level {
-                            level,
-                            frontier: frontier_len,
-                            verified: self.ctx.stats.leaf_verified.load(Ordering::Relaxed) - v0,
-                        },
-                        gts_trace::current_ctx(),
-                        Some(dev_id),
-                        c0,
-                        self.ctx.dev.cycles(),
-                    ));
-                }
-                return Ok(!self.stack.is_empty());
+            } else {
+                // Expand one level. The intermediate buffer is sized |E|·Nc
+                // like the paper's Q'_Res; with grouping on, the size-limit
+                // check above guarantees it fits — with it off this is
+                // exactly where the naive strategy deadlocks.
+                let context = match self.mode {
+                    Mode::Range { .. } => "MRQ intermediate results",
+                    Mode::Knn { .. } => "MkNNQ intermediate results",
+                };
+                let bytes = (entries.len() * shape.nc as usize * FRONTIER_ENTRY_BYTES) as u64;
+                top.held.push(self.ctx.dev.reserve(bytes, context)?);
+                let next = match &mut self.mode {
+                    Mode::Range { radii, .. } => {
+                        expand_range(self.ctx, self.queries, radii, &entries, &mut self.scratch)
+                    }
+                    Mode::Knn { beam, pools } => expand_knn(
+                        self.ctx,
+                        self.queries,
+                        &entries,
+                        pools,
+                        *beam,
+                        &mut self.scratch,
+                    ),
+                };
+                top.entries = Some(next);
+                top.level = level + 1;
             }
-
-            // Expand one level. The intermediate buffer is sized |E|·Nc like
-            // the paper's Q'_Res; with grouping on, the size-limit check
-            // above guarantees it fits — with it off this is exactly where
-            // the naive strategy deadlocks.
-            let context = match self.mode {
-                Mode::Range { .. } => "MRQ intermediate results",
-                Mode::Knn { .. } => "MkNNQ intermediate results",
-            };
-            let bytes = (entries.len() * shape.nc as usize * FRONTIER_ENTRY_BYTES) as u64;
-            top.held.push(self.ctx.dev.reserve(bytes, context)?);
-            let next = match &mut self.mode {
-                Mode::Range { radii, .. } => {
-                    expand_range(self.ctx, self.queries, radii, &entries, &mut self.scratch)
-                }
-                Mode::Knn { beam, pools } => expand_knn(
-                    self.ctx,
-                    self.queries,
-                    &entries,
-                    pools,
-                    *beam,
-                    &mut self.scratch,
-                ),
-            };
-            top.entries = Some(next);
-            top.level = level + 1;
             self.scratch.put_frontier(entries);
-            if let Some((rec, dev_id)) = trace {
-                let (c0, v0) = pre.expect("snapshotted alongside the tracer");
+            if let Some((rec, dev_id, c0, v0)) = trace {
                 rec.record(gts_trace::TraceEvent::span(
                     gts_trace::EventKind::Level {
                         level,
@@ -336,19 +303,13 @@ where
                     self.ctx.dev.cycles(),
                 ));
             }
-            return Ok(true);
         }
-    }
-
-    /// Drain the remaining steps to completion.
-    pub(crate) fn finish_leaves(&mut self) -> Result<(), GpuError> {
-        while self.step_level()? {}
         Ok(())
     }
 
     /// Consume the finished engine into per-query answer lists in canonical
     /// `(distance, id)` order. Must only be called once
-    /// [`finish_leaves`](DescentEngine::finish_leaves) has returned `Ok`.
+    /// [`run`](DescentEngine::run) has returned `Ok`.
     pub(crate) fn into_results(self) -> Vec<Vec<Neighbor>> {
         debug_assert!(self.stack.is_empty(), "descent not finished");
         match self.mode {

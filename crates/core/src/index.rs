@@ -4,7 +4,6 @@ use crate::audit::{AuditPlan, CostAudit};
 use crate::build::{self, Structure};
 use crate::cost::CostModel;
 use crate::dispatch::distance_block;
-use crate::memo::PairMemo;
 use crate::node::NodeList;
 use crate::params::GtsParams;
 use crate::search::{self, SearchCtx};
@@ -14,7 +13,7 @@ use crate::update::CacheTable;
 use gpu_sim::{Device, GpuError, Reservation};
 use metric_space::index::{sort_neighbors, DynamicIndex, IndexError, Neighbor, SimilarityIndex};
 use metric_space::{BatchMetric, Footprint, ObjectArena};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 /// GTS: the GPU-based tree index for similarity search in general metric
 /// spaces (the paper's contribution).
@@ -58,13 +57,6 @@ pub struct Gts<O, M> {
     table: TableList,
     cache: CacheTable,
     stats: SearchStats,
-    /// Cross-batch `(query, pivot)` memo allocation: each batched search
-    /// takes it (emptied), probes/fills it level by level, and returns it
-    /// cleared-but-capacity-preserved, so steady-state batches never
-    /// reallocate the table. A `Mutex` (not `RefCell`) so the index stays
-    /// `Sync` — the sharded scatter runs whole searches from scoped
-    /// threads. Uncontended in practice: one batch per index at a time.
-    memo: Mutex<PairMemo>,
     /// Cost-model audit: prediction vs. observed survivors per level
     /// (disabled by default; see [`crate::audit`]).
     audit: CostAudit,
@@ -163,7 +155,6 @@ where
             table: TableList::default(),
             cache: CacheTable::new(params.cache_capacity_bytes),
             stats: SearchStats::default(),
-            memo: Mutex::new(PairMemo::default()),
             audit: CostAudit::default(),
             rebuilds: 0,
             build_distances: 0,
@@ -269,9 +260,6 @@ where
     }
 
     pub(crate) fn ctx(&self) -> SearchCtx<'_, O, M> {
-        // Take the shared memo allocation (leaving an empty default); it is
-        // returned — cleared, capacity intact — by `reclaim_memo`.
-        let memo = std::mem::take(&mut *self.memo.lock().expect("memo lock"));
         SearchCtx {
             dev: &self.dev,
             objects: &self.objects,
@@ -284,21 +272,7 @@ where
             stats: &self.stats,
             threads: self.threads,
             audit: &self.audit,
-            memo: Mutex::new(memo),
         }
-    }
-
-    /// Return the batch memo to the index: cleared (memo entries are valid
-    /// for one batch only — the object store may change between batches)
-    /// but with its grown allocation preserved for the next batch.
-    pub(crate) fn reclaim_memo(&self, ctx: SearchCtx<'_, O, M>) {
-        // Cleared right below, so a poisoned lock still yields a usable memo.
-        let mut memo = ctx
-            .memo
-            .into_inner()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        memo.clear();
-        *self.memo.lock().expect("memo lock") = memo;
     }
 
     /// Batched metric range query (Algorithm 4) plus the cache-list scan of
@@ -333,10 +307,7 @@ where
     ) -> Result<Vec<Vec<Neighbor>>, IndexError> {
         assert_eq!(queries.len(), radii.len());
         self.transfer_queries_in(queries);
-        let ctx = self.ctx();
-        let searched = search::batch_range(&ctx, queries, radii);
-        self.reclaim_memo(ctx);
-        let mut results = searched.map_err(gpu_err)?;
+        let mut results = search::batch_range(&self.ctx(), queries, radii).map_err(gpu_err)?;
         self.merge_cache_range(queries, radii, &mut results);
         self.transfer_results_out(&results);
         Ok(results)
@@ -374,10 +345,7 @@ where
     /// ```
     pub fn batch_knn(&self, queries: &[O], k: usize) -> Result<Vec<Vec<Neighbor>>, IndexError> {
         self.transfer_queries_in(queries);
-        let ctx = self.ctx();
-        let searched = search::batch_knn(&ctx, queries, k);
-        self.reclaim_memo(ctx);
-        let mut results = searched.map_err(gpu_err)?;
+        let mut results = search::batch_knn(&self.ctx(), queries, k).map_err(gpu_err)?;
         self.merge_cache_knn(queries, k, &mut results);
         self.transfer_results_out(&results);
         Ok(results)
@@ -396,10 +364,8 @@ where
         beam: usize,
     ) -> Result<Vec<Vec<Neighbor>>, IndexError> {
         self.transfer_queries_in(queries);
-        let ctx = self.ctx();
-        let searched = search::batch_knn_impl(&ctx, queries, k, Some(beam));
-        self.reclaim_memo(ctx);
-        let mut results = searched.map_err(gpu_err)?;
+        let mut results =
+            search::batch_knn_impl(&self.ctx(), queries, k, Some(beam)).map_err(gpu_err)?;
         self.merge_cache_knn(queries, k, &mut results);
         self.transfer_results_out(&results);
         Ok(results)
@@ -603,7 +569,6 @@ where
             table: decoded.table,
             cache,
             stats: SearchStats::default(),
-            memo: Mutex::new(PairMemo::default()),
             audit: CostAudit::default(),
             rebuilds: 0,
             build_distances: 0,
@@ -933,25 +898,89 @@ mod tests {
         assert_eq!(dev.allocated_bytes(), before, "drop releases residency");
     }
 
+    /// Answers as `(id, distance bits)`: equality is bit-for-bit.
+    fn bits(answers: &[Vec<Neighbor>]) -> Vec<Vec<(u32, u64)>> {
+        let row = |r: &Vec<Neighbor>| r.iter().map(|n| (n.id, n.dist.to_bits())).collect();
+        answers.iter().map(row).collect()
+    }
+
+    /// 600 objects drawn from 3 distinct values: with `Nc = 4` (h = 4) the
+    /// nearest-ring child of a pivot holds only zero-distance copies of it,
+    /// and the strict-`>` argmax over a stably sorted table re-selects the
+    /// pivot itself — the one way a pivot recurs below itself.
     #[test]
-    fn memo_allocation_is_shared_across_batches() {
-        let (dev, items, metric) = words(2000);
-        let gts = Gts::build(&dev, items.clone(), metric, GtsParams::default()).expect("build");
-        let queries: Vec<Item> = items[..64].to_vec();
-        gts.batch_knn(&queries, 5).expect("knn");
-        let cap_after_first = gts.memo.lock().expect("lock").capacity();
-        assert!(
-            cap_after_first > PairMemo::default().capacity(),
-            "a 64-query batch must grow the memo past its default capacity"
-        );
-        gts.batch_knn(&queries, 5).expect("knn");
-        let memo = gts.memo.lock().expect("lock");
-        assert_eq!(
-            memo.capacity(),
-            cap_after_first,
-            "the second batch reuses the grown allocation"
-        );
-        assert!(memo.is_empty(), "the memo comes back cleared");
+    fn recurring_pivot_on_duplicate_heavy_data_stays_exact() {
+        use baselines::LinearScan;
+        let cases = [
+            (
+                ItemMetric::Edit,
+                ["kitten", "sitting", "zzzzzzzzzz"].map(Item::text),
+                Item::text("mitten"),
+            ),
+            (
+                ItemMetric::L2,
+                [[0.0f32, 0.0], [3.0, 4.0], [-6.0, 1.5]].map(Item::vector),
+                Item::vector([1.0f32, 1.0]),
+            ),
+        ];
+        for (metric, values, outside) in cases {
+            let items: Vec<Item> = (0..600).map(|i| values[i % 3].clone()).collect();
+            let params = GtsParams::default().with_node_capacity(4);
+            let mut gts =
+                Gts::build(&Device::rtx_2080_ti(), items.clone(), metric, params).expect("build");
+            let shape = gts.nodes.shape();
+            assert_eq!(shape.h, 4);
+            // The case under test, read off the node list so the test cannot
+            // silently stop covering it: an internal child whose pivot *is*
+            // its parent's pivot.
+            let recurring = (2..shape.level_start(shape.h))
+                .find_map(|id| {
+                    let node = gts.nodes.get(id);
+                    let parent = gts.nodes.get(shape.parent(id));
+                    (!node.is_empty() && node.pivot == parent.pivot).then_some(node.pivot)
+                })
+                .flatten()
+                .expect("a pivot recurs below itself");
+
+            let scan = LinearScan::new(items, metric);
+            let mut queries = values.to_vec();
+            queries.push(outside);
+            // Ground truth with `dead` tombstoned: drop it from the scan's
+            // answer (kNN scans one deeper first).
+            let alive = |mut row: Vec<Neighbor>, dead: Option<u32>| {
+                row.retain(|n| Some(n.id) != dead);
+                row
+            };
+            let want_knn = |k: usize, dead: Option<u32>| -> Vec<Vec<Neighbor>> {
+                let row = |q| {
+                    let mut row = alive(scan.knn_query(q, k + 1).expect("scan knn"), dead);
+                    row.truncate(k);
+                    row
+                };
+                queries.iter().map(row).collect()
+            };
+            let want_range = |dead: Option<u32>| -> Vec<Vec<Neighbor>> {
+                let row = |q| alive(scan.range_query(q, 0.0).expect("scan mrq"), dead);
+                queries.iter().map(row).collect()
+            };
+            for dead in [None, Some(recurring)] {
+                if let Some(id) = dead {
+                    assert!(gts.remove(id).expect("tombstone the recurring pivot"));
+                }
+                for k in [1usize, 8, 250] {
+                    assert_eq!(
+                        bits(&gts.batch_knn(&queries, k).expect("knn")),
+                        bits(&want_knn(k, dead)),
+                        "{metric:?} k={k} dead={dead:?}"
+                    );
+                }
+                assert_eq!(
+                    bits(&gts.batch_range(&queries, &[0.0; 4]).expect("mrq")),
+                    bits(&want_range(dead)),
+                    "{metric:?} r=0 dead={dead:?}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -44,9 +44,9 @@
 //! included. Updates route to the owning shard, so an overflow rebuilds
 //! one shard while the other devices' clocks never move.
 //!
-//! Search itself is expressed as a resumable **descent engine** (`engine`,
-//! crate-internal): an explicit per-batch state machine that can pause
-//! between levels; each shard drives its own engine to completion.
+//! Search itself is expressed as a **descent engine** (`engine`,
+//! crate-internal): an explicit per-batch frame stack, run from the root
+//! frontier to the last verified leaf in one call; each shard runs its own.
 
 #![warn(missing_docs)]
 pub mod audit;
@@ -55,7 +55,6 @@ pub mod cost;
 mod dispatch;
 pub(crate) mod engine;
 pub mod index;
-pub mod memo;
 pub mod multi;
 pub mod node;
 pub mod params;
@@ -71,7 +70,6 @@ pub use audit::{AuditPlan, CostAudit, CostAuditSnapshot};
 pub use cost::CostModel;
 pub use dispatch::QUERY_CHUNK;
 pub use index::Gts;
-pub use memo::PairMemo;
 pub use multi::MultiGts;
 pub use params::GtsParams;
 pub use replica::{ReplicaError, ReplicatedShards};

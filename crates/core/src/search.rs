@@ -5,18 +5,16 @@
 //! one uniform kernel over the whole frontier — never a per-query traversal,
 //! which is what starves GPU-Tree-style designs.
 //!
-//! Since the descent-engine refactor, the level loop itself lives in
-//! `crate::engine` as an explicit, resumable state machine
-//! (`DescentEngine`): this module keeps the
+//! The level loop itself lives in `crate::engine` as an explicit frame
+//! stack (`DescentEngine`): this module keeps the
 //! shared substrate — the frontier representation, the reusable
 //! `SearchScratch`, the borrowed `SearchCtx`, the per-layer memory bound,
 //! the batched `verify_block` kernel wrapper, and the `TopK` pool — plus
 //! the thin batch drivers (`batch_range`, `batch_knn`,
-//! `batch_knn_impl`) that start an engine and drain it. The drivers return
+//! `batch_knn_impl`) that start an engine and run it. The drivers return
 //! the answers of the pre-engine monolithic loops bit for bit (asserted
 //! against a checked-in pre-refactor fingerprint in
-//! `tests/shard_invariance.rs`); what the engine adds is the ability to
-//! *pause between levels*.
+//! `tests/shard_invariance.rs`).
 //!
 //! **Batched distance kernels.** Every distance evaluation in the hot path
 //! goes through [`BatchMetric::distance_batch`] (pivot distances) or its
@@ -32,11 +30,8 @@
 //! sum/max, so the thread count
 //! ([`DeviceConfig::host_threads`](gpu_sim::DeviceConfig::host_threads))
 //! changes wall-clock only — never answers, tie-breaks, or simulated
-//! cycles. A per-batch `(query, pivot)` **distance memo** (a flat
-//! open-addressing [`PairMemo`]) short-circuits repeated evaluations of the
-//! same pair (e.g. a singleton child re-selecting its parent's pivot), and
-//! all level-loop buffers live in a `SearchScratch` reused across levels —
-//! the steady-state loop performs no `Vec` allocation.
+//! cycles. All level-loop buffers live in a `SearchScratch` reused across
+//! levels — the steady-state loop performs no `Vec` allocation.
 //!
 //! The **two-stage memory strategy** bounds the frontier at layer `i` to
 //! `size_GPU / ((h − i + 1)·Nc)` entries; a batch exceeding the bound is
@@ -65,7 +60,6 @@ use crate::dispatch::{
     distance_block, distance_block_bounded, query_chunk_bounds, run_query_chunks,
 };
 use crate::engine::DescentEngine;
-use crate::memo::PairMemo;
 use crate::node::TreeShape;
 use crate::params::GtsParams;
 use crate::stats::SearchStats;
@@ -74,7 +68,7 @@ use gpu_sim::exec::BATCH_CHUNK;
 use gpu_sim::{Device, GpuError};
 use metric_space::index::Neighbor;
 use metric_space::{BatchMetric, ObjectArena};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 /// One intermediate-result element `E = {N, q, ...}` of the paper's `Q_Res`.
 #[derive(Clone, Copy, Debug)]
@@ -127,22 +121,19 @@ pub(crate) struct LeafScratch {
 ///
 /// One instance serves a whole batched query: frontier buffers ping-pong
 /// between levels through a small pool (also feeding query-group descent),
-/// and every kernel-staging vector (`dq`, pivot ids, kernel outputs, encode
-/// pairs, per-run leaf staging) is cleared and refilled instead of
+/// and every kernel-staging vector (`dq`, pivot ids, encode pairs, per-run
+/// leaf staging) is cleared and refilled instead of
 /// reallocated. The level loop itself allocates nothing after warm-up
 /// beyond the per-level work-item lists.
 #[derive(Default)]
 pub(crate) struct SearchScratch {
     /// Pool of frontier buffers (current/next/per-group), recycled.
     frontier_pool: Vec<Vec<Frontier>>,
-    /// `d(query, node pivot)` per frontier entry of the current level.
+    /// `d(query, node pivot)` per frontier entry of the current level: the
+    /// pivot-distance kernel's output.
     pub(crate) dq: Vec<f64>,
-    /// Frontier indices whose pivot distance missed the memo.
-    pub(crate) pending: Vec<u32>,
-    /// Pivot ids of the `pending` entries (the pivot-distance kernel's ids).
+    /// Pivot id per frontier entry (the pivot-distance kernel's ids).
     pub(crate) kernel_ids: Vec<u32>,
-    /// Pivot-distance kernel output, parallel to `kernel_ids`.
-    pub(crate) kernel_out: Vec<f64>,
     /// Ring gap per next-level entry (MkNNQ beam ranking).
     pub(crate) gaps: Vec<f64>,
     /// Encoded `(key, entry)` pairs for the MkNNQ bound update.
@@ -191,15 +182,6 @@ pub(crate) struct SearchCtx<'a, O, M> {
     /// dispatch layer cuts its work items before consulting it, so results
     /// and cycle counts never depend on it.
     pub threads: usize,
-    /// Per-batch `(query, pivot)` distance memo: ring-prune tests on
-    /// siblings share the parent-pivot distance via [`Frontier::dqp`], and
-    /// this memo extends the same guarantee to pivots re-encountered across
-    /// levels (a singleton node re-selects its parent's pivot) — those
-    /// pairs are never recomputed within a batch. A flat open-addressing
-    /// table ([`PairMemo`]), probed once per frontier entry per level — on
-    /// the submitting thread only; a `Mutex` rather than a `RefCell` so the
-    /// context can be shared with the host workers.
-    pub memo: Mutex<PairMemo>,
 }
 
 impl<'a, O, M> SearchCtx<'a, O, M>
@@ -254,48 +236,31 @@ where
     }
 
     /// Compute `d(query, node.pivot)` for every frontier entry into
-    /// `scratch.dq`: memo lookups first (serial), then **one batched
-    /// kernel** over the missing pairs — query-segment runs fanned out over
-    /// the host pool, arena-resolved id blocks per query — then the memo
-    /// inserts (serial again, in frontier order).
+    /// `scratch.dq` with **one batched kernel** — query-segment runs fanned
+    /// out over the host pool, arena-resolved id blocks per query. Siblings
+    /// share their parent-pivot distance through [`Frontier::dqp`]; a pivot
+    /// that recurs below itself (a child of zero-distance duplicates) is
+    /// simply evaluated again.
     pub(crate) fn pivot_distances(
         &self,
         queries: &[O],
         entries: &[Frontier],
         scratch: &mut SearchScratch,
     ) {
-        let SearchScratch {
-            dq,
-            pending,
-            kernel_ids,
-            kernel_out,
-            ..
-        } = scratch;
+        let SearchScratch { dq, kernel_ids, .. } = scratch;
+        let n = entries.len();
         dq.clear();
-        dq.resize(entries.len(), 0.0);
-        pending.clear();
+        dq.resize(n, 0.0);
         kernel_ids.clear();
-        let mut memo = self.memo.lock().expect("memo lock");
-        for (i, e) in entries.iter().enumerate() {
-            let pivot = self
-                .nodes
+        kernel_ids.extend(entries.iter().map(|e| {
+            self.nodes
                 .get(e.node as usize)
                 .pivot
-                .expect("expanded node is internal");
-            match memo.get(e.query, pivot) {
-                Some(d) => dq[i] = d,
-                None => {
-                    pending.push(i as u32);
-                    kernel_ids.push(pivot);
-                }
-            }
-        }
-        let n = pending.len();
-        kernel_out.clear();
-        kernel_out.resize(n, 0.0);
-        let query_of = |k: usize| entries[pending[k] as usize].query;
+                .expect("expanded node is internal")
+        }));
+        let query_of = |k: usize| entries[k].query;
         self.dev.launch_batch(n, || {
-            let mut out_rest = kernel_out.as_mut_slice();
+            let mut out_rest = dq.as_mut_slice();
             let runs: Vec<_> = query_chunk_bounds(n, query_of)
                 .windows(2)
                 .map(|w| {
@@ -331,10 +296,6 @@ where
                 });
             ((), total, span)
         });
-        for (k, &pi) in pending.iter().enumerate() {
-            dq[pi as usize] = kernel_out[k];
-            memo.insert(query_of(k), kernel_ids[k], kernel_out[k]);
-        }
         self.stats.add(&self.stats.distance_computations, n as u64);
     }
 }
@@ -473,7 +434,7 @@ impl TopK {
 // ---------------------------------------------------------------------------
 
 /// Batched MRQ (Algorithm 4): `answers[i] = MRQ(queries[i], radii[i])` in
-/// canonical order — start a range engine, drain it, collect.
+/// canonical order — start a range engine, run it, collect.
 pub(crate) fn batch_range<O, M>(
     ctx: &SearchCtx<'_, O, M>,
     queries: &[O],
@@ -485,7 +446,7 @@ where
 {
     assert_eq!(queries.len(), radii.len());
     let mut engine = DescentEngine::start_range(ctx, queries, radii);
-    engine.finish_leaves()?;
+    engine.run()?;
     Ok(engine.into_results())
 }
 
@@ -518,7 +479,7 @@ where
     M: BatchMetric<O>,
 {
     let mut engine = DescentEngine::start_knn(ctx, queries, k, beam);
-    engine.finish_leaves()?;
+    engine.run()?;
     Ok(engine.into_results())
 }
 

@@ -80,8 +80,8 @@ impl Partitioner {
         match self.strategy {
             PartitionStrategy::RoundRobin => id % self.shards,
             PartitionStrategy::Hash => {
-                // Fibonacci multiplicative hash; keep the well-mixed top
-                // bits before the mod (same constant as gts-core's memo).
+                // Fibonacci multiplicative hash (2^64 / φ); keep the
+                // well-mixed top bits before the mod.
                 let h = u64::from(id).wrapping_mul(0x9E37_79B9_7F4A_7C15);
                 ((h >> 32) as u32) % self.shards
             }

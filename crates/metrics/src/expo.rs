@@ -1,9 +1,8 @@
-//! Export paths for a [`MetricsSnapshot`]: the Prometheus text
-//! exposition format (version 0.0.4) and a JSON rendering, plus a small
-//! exposition parser used by the conformance tests to prove the text
-//! round-trips.
+//! The export path for a [`MetricsSnapshot`]: the Prometheus text
+//! exposition format (version 0.0.4), plus a small exposition parser used
+//! by the conformance tests to prove the text round-trips.
 //!
-//! Both renderers consume the snapshot's canonical order unchanged, so
+//! The renderer consumes the snapshot's canonical order unchanged, so
 //! output is byte-deterministic: two scrapes of the same state are
 //! identical strings.
 
@@ -238,89 +237,13 @@ fn parse_sample(line: &str) -> Result<PromSample, String> {
     })
 }
 
-/// Render a snapshot as a single JSON document:
-/// `{"families":[{"name":…,"kind":…,"help":…,"series":[{"labels":{…},
-/// "value":…}|{"labels":{…},"count":…,"sum":…,"min":…,"max":…,"p50":…,
-/// "p95":…,"p99":…}]}]}`. Same canonical ordering as the text
-/// exposition; parseable with `gts_trace::json`.
-pub fn render_json(snap: &MetricsSnapshot) -> String {
-    let mut out = String::from("{\"families\":[");
-    for (fi, family) in snap.families.iter().enumerate() {
-        if fi > 0 {
-            out.push(',');
-        }
-        let _ = write!(
-            out,
-            "{{\"name\":{},\"kind\":{},\"help\":{},\"series\":[",
-            json_str(&family.name),
-            json_str(family.kind.as_str()),
-            json_str(&family.help)
-        );
-        for (si, series) in family.series.iter().enumerate() {
-            if si > 0 {
-                out.push(',');
-            }
-            out.push_str("{\"labels\":{");
-            for (li, (k, v)) in series.labels.iter().enumerate() {
-                if li > 0 {
-                    out.push(',');
-                }
-                let _ = write!(out, "{}:{}", json_str(k), json_str(v));
-            }
-            out.push('}');
-            match &series.value {
-                SeriesValue::Counter(v) | SeriesValue::Gauge(v) => {
-                    let _ = write!(out, ",\"value\":{v}");
-                }
-                SeriesValue::Histogram(h) => {
-                    let _ = write!(
-                        out,
-                        ",\"count\":{},\"sum\":{},\"min\":{},\"max\":{},\"p50\":{},\"p95\":{},\"p99\":{}",
-                        h.count(),
-                        h.sum(),
-                        h.min(),
-                        h.max(),
-                        h.quantile(0.50),
-                        h.quantile(0.95),
-                        h.quantile(0.99)
-                    );
-                }
-            }
-            out.push('}');
-        }
-        out.push_str("]}");
-    }
-    out.push_str("]}");
-    out
-}
-
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::registry::MetricsRegistry;
 
     fn sample_registry() -> MetricsRegistry {
-        let reg = MetricsRegistry::new(true);
+        let reg = MetricsRegistry::new();
         let c = reg.counter(
             "gts_requests_total",
             "Requests by client",
@@ -383,7 +306,7 @@ mod tests {
 
     #[test]
     fn label_escaping_round_trips() {
-        let reg = MetricsRegistry::new(true);
+        let reg = MetricsRegistry::new();
         let tricky = "a\\b\"c\nd";
         reg.counter("gts_esc_total", "escapes", &[("client", tricky)])
             .inc();
@@ -397,32 +320,6 @@ mod tests {
     fn two_renders_of_the_same_state_are_byte_identical() {
         let reg = sample_registry();
         assert_eq!(reg.render_prometheus(), reg.render_prometheus());
-        assert_eq!(reg.render_json(), reg.render_json());
-    }
-
-    #[test]
-    fn json_rendering_parses_with_the_trace_json_parser() {
-        let reg = sample_registry();
-        let doc = gts_trace::json::parse(&reg.render_json()).expect("valid JSON");
-        let families = doc
-            .get("families")
-            .and_then(gts_trace::json::Value::as_arr)
-            .expect("families array");
-        assert_eq!(families.len(), 3);
-        let wait = families
-            .iter()
-            .find(|f| f.get("name").and_then(gts_trace::json::Value::as_str) == Some("gts_wait_us"))
-            .expect("gts_wait_us family");
-        let series = wait
-            .get("series")
-            .and_then(gts_trace::json::Value::as_arr)
-            .expect("series");
-        assert_eq!(
-            series[0]
-                .get("count")
-                .and_then(gts_trace::json::Value::as_num),
-            Some(5.0)
-        );
     }
 
     #[test]

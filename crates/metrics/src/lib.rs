@@ -9,18 +9,17 @@
 //! * **Observation is free of semantic cost** — metrics read clocks and
 //!   counters, never advance them, so metrics on/off changes no answer,
 //!   epoch, or simulated cycle count.
-//! * **Disabled means one relaxed atomic load** per call site
-//!   ([`Counter::add`], [`Histogram::record`], … all early-return), kept
-//!   within the 2% overhead budget by `cargo bench -p gts-bench --bench
-//!   metrics_overhead`.
+//! * **Off means absent** — a registry that exists records; the service
+//!   switches metrics off by not creating one, so the disabled path is the
+//!   path every unmetered run already takes.
 //! * **Exposition is deterministic** — families sort by name, series by
 //!   label set with `stage` labels in the trace pipeline's canonical
 //!   [`gts_trace::STAGE_ORDER`], and values in the cycle domain reproduce
 //!   exactly for a fixed seed.
 //!
-//! Two export paths: [`MetricsRegistry::render_prometheus`] (text
-//! exposition 0.0.4, parse-back checked by [`expo::parse_prometheus`])
-//! and [`MetricsRegistry::render_json`]. Histograms reuse
+//! One export path: [`MetricsRegistry::render_prometheus`] (text
+//! exposition 0.0.4, parse-back checked by [`expo::parse_prometheus`]).
+//! Histograms reuse
 //! [`gts_trace::LatencyHistogram`], so scraped quantiles agree with the
 //! trace summary and service stats views of the same samples.
 #![warn(missing_docs)]
@@ -28,7 +27,7 @@
 pub mod expo;
 pub mod registry;
 
-pub use expo::{parse_prometheus, render_json, render_prometheus, PromSample};
+pub use expo::{parse_prometheus, render_prometheus, PromSample};
 pub use registry::{
     Counter, FamilySnapshot, Gauge, Histogram, MetricKind, MetricsRegistry, MetricsSnapshot,
     SeriesSnapshot, SeriesValue,

@@ -3,13 +3,11 @@
 //!
 //! Design points:
 //!
-//! * **Lock-cheap when on, near-free when off.** Every handle holds a
-//!   clone of the registry's `enabled` flag; a disabled registry costs
-//!   one relaxed atomic load per call site. Counters stride over sharded
-//!   cache-padded atomics, histograms over sharded mutexes (one
-//!   uncontended lock per record), both summed exactly at snapshot time
-//!   — [`LatencyHistogram::merge`] is bucket-wise, so the sharding never
-//!   changes a quantile.
+//! * **Lock-cheap.** Counters stride over sharded cache-padded atomics,
+//!   histograms over sharded mutexes (one uncontended lock per record),
+//!   both summed exactly at snapshot time — [`LatencyHistogram::merge`] is
+//!   bucket-wise, so the sharding never changes a quantile. A registry
+//!   that exists records; metrics are switched off by not creating one.
 //! * **Deterministic exposition.** [`MetricsRegistry::snapshot`] sorts
 //!   families by name and series by label set, with the `stage` label
 //!   ordered by [`gts_trace::stage_rank`] — the same canonical pipeline
@@ -20,7 +18,7 @@
 //!   the existing series).
 
 use gts_trace::{stage_rank, LatencyHistogram};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
 /// Shard count for counters and histograms: enough to keep a handful of
@@ -98,7 +96,6 @@ impl HistogramCore {
 /// A monotonically increasing counter handle.
 #[derive(Clone)]
 pub struct Counter {
-    enabled: Arc<AtomicBool>,
     core: Arc<CounterCore>,
 }
 
@@ -108,11 +105,8 @@ impl Counter {
         self.add(1);
     }
 
-    /// Add `n`. No-op while the registry is disabled.
+    /// Add `n`.
     pub fn add(&self, n: u64) {
-        if !self.enabled.load(Ordering::Relaxed) {
-            return;
-        }
         self.core.shards[my_shard()]
             .0
             .fetch_add(n, Ordering::Relaxed);
@@ -127,25 +121,18 @@ impl Counter {
 /// A settable gauge handle.
 #[derive(Clone)]
 pub struct Gauge {
-    enabled: Arc<AtomicBool>,
     core: Arc<AtomicU64>,
 }
 
 impl Gauge {
-    /// Set the gauge to `v`. No-op while the registry is disabled.
+    /// Set the gauge to `v`.
     pub fn set(&self, v: u64) {
-        if !self.enabled.load(Ordering::Relaxed) {
-            return;
-        }
         self.core.store(v, Ordering::Relaxed);
     }
 
     /// Raise the gauge to `v` if it is below (high-water-mark
-    /// semantics). No-op while the registry is disabled.
+    /// semantics).
     pub fn set_max(&self, v: u64) {
-        if !self.enabled.load(Ordering::Relaxed) {
-            return;
-        }
         self.core.fetch_max(v, Ordering::Relaxed);
     }
 
@@ -159,16 +146,12 @@ impl Gauge {
 /// [`LatencyHistogram`]s.
 #[derive(Clone)]
 pub struct Histogram {
-    enabled: Arc<AtomicBool>,
     core: Arc<HistogramCore>,
 }
 
 impl Histogram {
-    /// Record one sample. No-op while the registry is disabled.
+    /// Record one sample.
     pub fn record(&self, v: u64) {
-        if !self.enabled.load(Ordering::Relaxed) {
-            return;
-        }
         let mut shard = self.core.shards[my_shard()]
             .lock()
             .expect("histogram shard poisoned");
@@ -176,12 +159,8 @@ impl Histogram {
     }
 
     /// Merge an already-aggregated histogram in (e.g. a per-lane
-    /// histogram folded at shutdown). No-op while the registry is
-    /// disabled.
+    /// histogram folded at shutdown).
     pub fn merge(&self, other: &LatencyHistogram) {
-        if !self.enabled.load(Ordering::Relaxed) {
-            return;
-        }
         let mut shard = self.core.shards[my_shard()]
             .lock()
             .expect("histogram shard poisoned");
@@ -192,11 +171,8 @@ impl Histogram {
     /// histogram. Unlike [`Histogram::merge`] this is **idempotent** —
     /// the refresh path for cumulative sources re-read at scrape time
     /// (trace summaries, cost-audit calibration), where merging on every
-    /// scrape would double-count. No-op while the registry is disabled.
+    /// scrape would double-count.
     pub fn replace(&self, other: &LatencyHistogram) {
-        if !self.enabled.load(Ordering::Relaxed) {
-            return;
-        }
         for (i, shard) in self.core.shards.iter().enumerate() {
             let mut s = shard.lock().expect("histogram shard poisoned");
             *s = if i == 0 {
@@ -275,32 +251,17 @@ pub struct MetricsSnapshot {
 }
 
 /// The registry: a named, labelled set of counters, gauges and
-/// histograms behind one `enabled` switch.
+/// histograms. A registry that exists records — the service switches
+/// metrics off by not creating one.
+#[derive(Default)]
 pub struct MetricsRegistry {
-    enabled: Arc<AtomicBool>,
     families: Mutex<Vec<Family>>,
 }
 
 impl MetricsRegistry {
-    /// Create a registry, on or off. Handles minted from a disabled
-    /// registry early-return on every mutation until
-    /// [`MetricsRegistry::set_enabled`] flips it.
-    pub fn new(enabled: bool) -> Self {
-        MetricsRegistry {
-            enabled: Arc::new(AtomicBool::new(enabled)),
-            families: Mutex::new(Vec::new()),
-        }
-    }
-
-    /// Is recording on?
-    pub fn enabled(&self) -> bool {
-        self.enabled.load(Ordering::Relaxed)
-    }
-
-    /// Flip recording on or off. Existing handles observe the change on
-    /// their next call.
-    pub fn set_enabled(&self, on: bool) {
-        self.enabled.store(on, Ordering::Relaxed);
+    /// Create an empty registry.
+    pub fn new() -> Self {
+        MetricsRegistry::default()
     }
 
     /// Register (or fetch) the counter `name{labels}`.
@@ -311,7 +272,6 @@ impl MetricsRegistry {
     pub fn counter(&self, name: &str, help: &str, labels: &[(&str, &str)]) -> Counter {
         match self.register(name, help, MetricKind::Counter, labels, || {
             Handle::Counter(Counter {
-                enabled: Arc::clone(&self.enabled),
                 core: Arc::new(CounterCore::default()),
             })
         }) {
@@ -328,7 +288,6 @@ impl MetricsRegistry {
     pub fn gauge(&self, name: &str, help: &str, labels: &[(&str, &str)]) -> Gauge {
         match self.register(name, help, MetricKind::Gauge, labels, || {
             Handle::Gauge(Gauge {
-                enabled: Arc::clone(&self.enabled),
                 core: Arc::new(AtomicU64::new(0)),
             })
         }) {
@@ -345,7 +304,6 @@ impl MetricsRegistry {
     pub fn histogram(&self, name: &str, help: &str, labels: &[(&str, &str)]) -> Histogram {
         match self.register(name, help, MetricKind::Histogram, labels, || {
             Handle::Histogram(Histogram {
-                enabled: Arc::clone(&self.enabled),
                 core: Arc::new(HistogramCore::default()),
             })
         }) {
@@ -409,7 +367,7 @@ impl MetricsRegistry {
     /// A consistent point-in-time view of every family, in canonical
     /// exposition order (families by name; series by label set, with the
     /// `stage` label ordered by the trace pipeline's
-    /// [`gts_trace::STAGE_ORDER`]). Both export formats render from this.
+    /// [`gts_trace::STAGE_ORDER`]). The exposition renders from this.
     pub fn snapshot(&self) -> MetricsSnapshot {
         let families = self.families.lock().expect("registry poisoned");
         let mut out: Vec<FamilySnapshot> = families
@@ -444,12 +402,6 @@ impl MetricsRegistry {
     /// format (see [`crate::expo::render_prometheus`]).
     pub fn render_prometheus(&self) -> String {
         crate::expo::render_prometheus(&self.snapshot())
-    }
-
-    /// Render the whole registry as JSON (see
-    /// [`crate::expo::render_json`]).
-    pub fn render_json(&self) -> String {
-        crate::expo::render_json(&self.snapshot())
     }
 }
 
@@ -488,30 +440,8 @@ mod tests {
     use super::*;
 
     #[test]
-    fn disabled_registry_records_nothing_and_enables_live() {
-        let reg = MetricsRegistry::new(false);
-        let c = reg.counter("gts_test_total", "test", &[]);
-        let g = reg.gauge("gts_test_gauge", "test", &[]);
-        let h = reg.histogram("gts_test_hist", "test", &[]);
-        c.add(5);
-        g.set(9);
-        g.set_max(11);
-        h.record(100);
-        assert_eq!(c.value(), 0);
-        assert_eq!(g.value(), 0);
-        assert_eq!(h.snapshot().count(), 0);
-        reg.set_enabled(true);
-        c.add(5);
-        g.set_max(11);
-        h.record(100);
-        assert_eq!(c.value(), 5);
-        assert_eq!(g.value(), 11);
-        assert_eq!(h.snapshot().count(), 1);
-    }
-
-    #[test]
     fn registration_is_idempotent_per_label_set() {
-        let reg = MetricsRegistry::new(true);
+        let reg = MetricsRegistry::new();
         let a = reg.counter("gts_req_total", "requests", &[("client", "a")]);
         let a2 = reg.counter("gts_req_total", "requests", &[("client", "a")]);
         let b = reg.counter("gts_req_total", "requests", &[("client", "b")]);
@@ -528,14 +458,14 @@ mod tests {
     #[test]
     #[should_panic(expected = "already registered")]
     fn kind_mismatch_panics() {
-        let reg = MetricsRegistry::new(true);
+        let reg = MetricsRegistry::new();
         let _ = reg.counter("gts_x", "x", &[]);
         let _ = reg.gauge("gts_x", "x", &[]);
     }
 
     #[test]
     fn sharded_counters_sum_exactly_across_threads() {
-        let reg = Arc::new(MetricsRegistry::new(true));
+        let reg = Arc::new(MetricsRegistry::new());
         let c = reg.counter("gts_thread_total", "per-thread", &[]);
         let h = reg.histogram("gts_thread_hist", "per-thread", &[]);
         let handles: Vec<_> = (0..4)
@@ -561,7 +491,7 @@ mod tests {
 
     #[test]
     fn snapshot_orders_families_by_name_and_stage_series_by_pipeline() {
-        let reg = MetricsRegistry::new(true);
+        let reg = MetricsRegistry::new();
         let _ = reg.counter("gts_z_total", "z", &[]);
         let _ = reg.counter("gts_a_total", "a", &[]);
         for stage in ["kernel", "lane_batch", "shard_scatter"] {

@@ -189,16 +189,16 @@ pub(crate) enum BatchKind {
     Update,
 }
 
-/// One flushed-batch entry as the executor sees it: the request, its
-/// response channel, its stamped queue wait (µs), its service-assigned
-/// id, and the client id it was submitted under.
-pub(crate) type Entry<O> = (
-    Request<O>,
-    mpsc::SyncSender<Response>,
-    u64,
-    RequestId,
-    Arc<str>,
-);
+/// One flushed-batch entry as the executor sees it: a [`Pending`] whose
+/// admission timestamp was replaced, at drain, by the queue wait it implies.
+pub(crate) struct Entry<O> {
+    pub(crate) req: Request<O>,
+    pub(crate) tx: mpsc::SyncSender<Response>,
+    /// Host microseconds between admission and the flush that took it.
+    pub(crate) wait_us: u64,
+    pub(crate) id: RequestId,
+    pub(crate) client: Arc<str>,
+}
 
 /// One flushed batch: FIFO-ordered entries with their queue waits stamped
 /// at flush time, plus the trigger that shipped it.
@@ -236,6 +236,9 @@ pub(crate) struct Shared<O> {
     /// The service's metrics hub, when [`ServiceConfig::metrics`] enabled
     /// one — the submit path records per-client admission counters here.
     pub(crate) metrics: Option<Arc<MetricsHub>>,
+    /// [`DEFAULT_CLIENT`], interned once: [`SubmitHandle::submit`] tags its
+    /// requests with a clone instead of allocating the name per request.
+    default_client: Arc<str>,
 }
 
 impl<O> Shared<O> {
@@ -258,6 +261,7 @@ impl<O> Shared<O> {
             rejected: AtomicU64::new(0),
             next_request: AtomicU64::new(0),
             metrics,
+            default_client: Arc::from(DEFAULT_CLIENT),
         })
     }
 
@@ -289,7 +293,7 @@ impl<O> SubmitHandle<O> {
     /// the backpressure contract: submission never blocks) or the service
     /// is stopping.
     pub fn submit(&self, req: Request<O>) -> Result<Ticket, ServiceError> {
-        self.submit_as(DEFAULT_CLIENT, req)
+        self.admit(Arc::clone(&self.shared.default_client), req)
     }
 
     /// [`SubmitHandle::submit`] under an explicit client id: with metrics
@@ -297,6 +301,12 @@ impl<O> SubmitHandle<O> {
     /// response are accounted to `client`'s labelled series. The client id
     /// changes accounting only — never batching, ordering, or answers.
     pub fn submit_as(&self, client: &str, req: Request<O>) -> Result<Ticket, ServiceError> {
+        self.admit(Arc::from(client), req)
+    }
+
+    /// Admission proper. `client` arrives already built, so the admission
+    /// lock never covers its allocation.
+    fn admit(&self, client: Arc<str>, req: Request<O>) -> Result<Ticket, ServiceError> {
         let (tx, rx) = mpsc::sync_channel(1);
         let mut st = self.shared.state.lock().expect("admission lock");
         if st.stopped {
@@ -306,7 +316,7 @@ impl<O> SubmitHandle<O> {
             self.shared.rejected.fetch_add(1, Ordering::Relaxed);
             drop(st);
             if let Some(hub) = &self.shared.metrics {
-                hub.client_rejected(client);
+                hub.client_rejected(&client);
             }
             return Err(ServiceError::QueueFull {
                 depth: self.shared.depth,
@@ -316,17 +326,17 @@ impl<O> SubmitHandle<O> {
         // deterministic arrival sequence gets deterministic ids (rejected
         // submissions consume none).
         let id = RequestId(self.shared.next_request.fetch_add(1, Ordering::Relaxed));
+        if let Some(hub) = &self.shared.metrics {
+            hub.client_admitted(&client);
+        }
         st.queue.push_back(Pending {
             req,
             tx,
             enqueued: Instant::now(),
             id,
-            client: Arc::from(client),
+            client,
         });
         self.shared.admitted.fetch_add(1, Ordering::Relaxed);
-        if let Some(hub) = &self.shared.metrics {
-            hub.client_admitted(client);
-        }
         let len = st.queue.len();
         drop(st);
         // Wake the batcher only when this admission changes what it would
@@ -380,8 +390,13 @@ fn drain<O>(queue: &mut VecDeque<Pending<O>>, limit: usize, trigger: FlushTrigge
         .drain(..take)
         .map(|p| {
             let wait = now.saturating_duration_since(p.enqueued);
-            let wait_us = wait.as_micros().min(u128::from(u64::MAX)) as u64;
-            (p.req, p.tx, wait_us, p.id, p.client)
+            Entry {
+                req: p.req,
+                tx: p.tx,
+                wait_us: wait.as_micros().min(u128::from(u64::MAX)) as u64,
+                id: p.id,
+                client: p.client,
+            }
         })
         .collect();
     Batch {
@@ -450,8 +465,12 @@ pub(crate) fn run<O: Clone>(shared: &Shared<O>, lane_txs: &[mpsc::SyncSender<Bat
                         entries: batch
                             .entries
                             .iter()
-                            .map(|(req, tx, wait, id, client)| {
-                                (req.clone(), tx.clone(), *wait, *id, Arc::clone(client))
+                            .map(|e| Entry {
+                                req: e.req.clone(),
+                                tx: e.tx.clone(),
+                                wait_us: e.wait_us,
+                                id: e.id,
+                                client: Arc::clone(&e.client),
                             })
                             .collect(),
                         trigger: batch.trigger,
@@ -567,16 +586,16 @@ mod tests {
         let batch = drain(&mut q, 3, FlushTrigger::Size);
         assert_eq!(batch.entries.len(), 3);
         assert_eq!(q.len(), 2);
-        for (i, (req, _, _, id, client)) in batch.entries.iter().enumerate() {
+        for (i, e) in batch.entries.iter().enumerate() {
             assert_eq!(
-                &**client, DEFAULT_CLIENT,
+                &*e.client, DEFAULT_CLIENT,
                 "submit() tags the default client"
             );
-            let Request::Knn { query, .. } = req else {
+            let Request::Knn { query, .. } = e.req else {
                 panic!("knn expected")
             };
-            assert_eq!(*query as usize, i, "FIFO order preserved");
-            assert_eq!(id.0 as usize, i, "admission ids ride the batch");
+            assert_eq!(query as usize, i, "FIFO order preserved");
+            assert_eq!(e.id.0 as usize, i, "admission ids ride the batch");
         }
     }
 
@@ -663,7 +682,7 @@ mod tests {
             for round in 0..2u32 {
                 let b = rx.recv_timeout(Duration::from_secs(5)).expect("batch");
                 assert_eq!(b.entries.len(), 2);
-                let Request::Knn { query, .. } = b.entries[0].0 else {
+                let Request::Knn { query, .. } = b.entries[0].req else {
                     panic!("knn expected")
                 };
                 assert_eq!(query, (round * 2 + lane) * 2, "deterministic deal");
@@ -724,7 +743,7 @@ mod tests {
         for b in [&b0, &b1] {
             assert_eq!(b.kind, BatchKind::Update);
             assert_eq!(b.entries.len(), 1);
-            assert!(matches!(b.entries[0].0, Request::Insert { object: 42 }));
+            assert!(matches!(b.entries[0].req, Request::Insert { object: 42 }));
         }
         assert!(b0.respond, "lane 0 answers the ticket");
         assert!(!b1.respond, "lane 1 applies silently");

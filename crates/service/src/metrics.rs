@@ -8,8 +8,8 @@
 //! * **Incremental** — bumped on the hot path as requests flow
 //!   (per-client admitted/rejected/served/failed counters, per-client
 //!   queue-wait histograms, flush-trigger counters, batch-span
-//!   histograms). Disabled-path cost is one relaxed atomic load per call
-//!   site, same contract as tracing.
+//!   histograms). Off means absent, same contract as tracing: the
+//!   service holds no hub and every call site sees `None`.
 //! * **Refreshed** — re-read from cumulative sources at scrape time and
 //!   written idempotently (`Gauge::set`, `Histogram::replace`): device
 //!   utilization, the cost-model audit, the epoch, and the per-stage
@@ -29,6 +29,7 @@ use gts_trace::TraceSummary;
 /// unlabelled hot-path families. Per-client series are minted on demand
 /// (registration is idempotent), so the client cardinality is whatever
 /// the callers present.
+#[derive(Default)]
 pub struct MetricsHub {
     registry: MetricsRegistry,
 }
@@ -39,14 +40,12 @@ pub struct MetricsHub {
 pub const DEFAULT_CLIENT: &str = "default";
 
 impl MetricsHub {
-    /// Create a hub with recording on or off.
-    pub fn new(enabled: bool) -> Self {
-        MetricsHub {
-            registry: MetricsRegistry::new(enabled),
-        }
+    /// Create a hub over an empty registry.
+    pub fn new() -> Self {
+        MetricsHub::default()
     }
 
-    /// The underlying registry (for JSON export or direct snapshots).
+    /// The underlying registry (for direct snapshots).
     pub fn registry(&self) -> &MetricsRegistry {
         &self.registry
     }
@@ -267,7 +266,7 @@ mod tests {
 
     #[test]
     fn per_client_series_accumulate_independently() {
-        let hub = MetricsHub::new(true);
+        let hub = MetricsHub::new();
         hub.client_admitted("alice");
         hub.client_admitted("alice");
         hub.client_admitted("bob");
@@ -281,18 +280,8 @@ mod tests {
     }
 
     #[test]
-    fn disabled_hub_renders_empty_families() {
-        let hub = MetricsHub::new(false);
-        hub.client_admitted("alice");
-        hub.batch_span(1000);
-        assert!(hub
-            .render_prometheus()
-            .contains("gts_requests_admitted_total{client=\"alice\"} 0"));
-    }
-
-    #[test]
     fn refreshed_families_are_idempotent() {
-        let hub = MetricsHub::new(true);
+        let hub = MetricsHub::new();
         let snap = CostAuditSnapshot {
             predicted_batch: 64,
             levels_observed: 3,

@@ -28,7 +28,7 @@ use gts_trace::{DumpReason, EventKind, TraceEvent, TraceRecorder};
 use metric_space::index::Neighbor;
 use metric_space::{BatchMetric, Footprint};
 use std::sync::atomic::Ordering;
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{mpsc, Arc, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 
 /// The online query service: accepts individual [`Request`]s through
@@ -148,7 +148,7 @@ where
         // sizing prediction is held against observed survivors. Both are
         // observational — answers, epochs, and cycles are bit-identical
         // with metrics on or off.
-        let metrics = cfg.metrics.then(|| Arc::new(MetricsHub::new(true)));
+        let metrics = cfg.metrics.then(|| Arc::new(MetricsHub::new()));
         if metrics.is_some() {
             index.set_cost_audit_enabled(true);
         }
@@ -322,7 +322,7 @@ where
     }
 
     fn collect_stats(&self) -> ServiceStats {
-        let e = self.exec_stats.lock().unwrap_or_else(|p| p.into_inner());
+        let e = lock_stats(&self.exec_stats);
         let replica = self.index.replica_stats();
         // Snapshot-time reconciliation of the lane/batch ledger. Every
         // flushed batch is executed once per responsible lane — query
@@ -422,8 +422,8 @@ impl SubBatch {
 fn split_batch<O>(entries: &[Entry<O>]) -> Vec<SubBatch> {
     let mut ranges = Vec::new();
     let mut knn: Vec<(usize, Vec<usize>)> = Vec::new(); // (k, FIFO indices)
-    for (i, (req, _, _, _, _)) in entries.iter().enumerate() {
-        match req {
+    for (i, e) in entries.iter().enumerate() {
+        match &e.req {
             Request::Range { .. } => ranges.push(i),
             Request::Knn { k, .. } => match knn.binary_search_by_key(k, |g| g.0) {
                 Ok(g) => knn[g].1.push(i),
@@ -443,6 +443,15 @@ fn split_batch<O>(entries: &[Entry<O>]) -> Vec<SubBatch> {
     }
     out.extend(knn.into_iter().map(|(k, idx)| SubBatch::Knn(idx, k)));
     out
+}
+
+/// Take the executor-stats lock, ignoring poisoning: every update under it
+/// is a counter bump or a histogram record that leaves the ledger valid at
+/// each step, so a panic that unwound through a guard cost at most its own
+/// increment — while refusing the lock would fail every later batch on
+/// every lane.
+fn lock_stats(stats: &Mutex<ExecutorStats>) -> MutexGuard<'_, ExecutorStats> {
+    stats.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// One executor lane: receives its batches in deal order and runs each to
@@ -473,7 +482,7 @@ fn run_lane<O, M>(
 {
     for batch in batch_rx.iter() {
         {
-            let mut s = stats.lock().unwrap_or_else(|p| p.into_inner());
+            let mut s = lock_stats(stats);
             s.lane_batches[lane] += 1;
             if batch.respond {
                 s.batches += 1;
@@ -482,8 +491,8 @@ fn run_lane<O, M>(
                     FlushTrigger::Deadline => s.deadline_flushes += 1,
                     FlushTrigger::Shutdown => s.shutdown_flushes += 1,
                 }
-                for (_, _, wait_us, _, _) in &batch.entries {
-                    s.queue_wait_us.record(*wait_us);
+                for e in &batch.entries {
+                    s.queue_wait_us.record(e.wait_us);
                 }
             }
         }
@@ -494,8 +503,8 @@ fn run_lane<O, M>(
         if batch.respond {
             if let Some(hub) = metrics {
                 hub.batch_flushed(batch.trigger);
-                for (_, _, wait_us, _, client) in &batch.entries {
-                    hub.queue_wait(client, *wait_us);
+                for e in &batch.entries {
+                    hub.queue_wait(&e.client, e.wait_us);
                 }
             }
         }
@@ -518,11 +527,11 @@ fn run_lane<O, M>(
                 None,
                 span_begin,
             ));
-            for (_, _, _, id, _) in &batch.entries {
+            for e in &batch.entries {
                 let mut mctx = ctx;
-                mctx.request = Some(*id);
+                mctx.request = Some(e.id);
                 rec.record(TraceEvent::instant(
-                    EventKind::BatchMember { request: *id },
+                    EventKind::BatchMember { request: e.id },
                     mctx,
                     None,
                     span_begin,
@@ -539,7 +548,7 @@ fn run_lane<O, M>(
             BatchKind::Update => update_batch(index, prefer, &batch, stats, trace, metrics),
         }));
         if outcome.is_err() {
-            stats.lock().unwrap_or_else(|p| p.into_inner()).lane_panics += 1;
+            lock_stats(stats).lane_panics += 1;
             if let Some(rec) = trace {
                 rec.record(TraceEvent::instant(
                     EventKind::LanePanic,
@@ -588,7 +597,7 @@ fn query_batch<O, M>(
         })) {
             Ok(res) => res,
             Err(_) => {
-                stats.lock().expect("executor stats lock").lane_panics += 1;
+                lock_stats(stats).lane_panics += 1;
                 if let Some(rec) = trace {
                     rec.record(TraceEvent::instant(
                         EventKind::LanePanic,
@@ -602,11 +611,7 @@ fn query_batch<O, M>(
             }
         };
         let span = index.span_of(prefer).saturating_sub(before);
-        stats
-            .lock()
-            .expect("executor stats lock")
-            .batch_span_cycles
-            .record(span);
+        lock_stats(stats).batch_span_cycles.record(span);
         if let Some(hub) = metrics {
             hub.batch_span(span);
         }
@@ -651,7 +656,7 @@ fn query_batch<O, M>(
                 }
             }
         }
-        let mut s = stats.lock().expect("executor stats lock");
+        let mut s = lock_stats(stats);
         s.completed += answered;
         s.failed += failed;
         s.shard_unavailable += unavailable;
@@ -676,10 +681,10 @@ fn update_batch<O, M>(
 {
     let size = batch.entries.len();
     if batch.respond {
-        stats.lock().expect("executor stats lock").update_batches += 1;
+        lock_stats(stats).update_batches += 1;
     }
     for entry in &batch.entries {
-        let op = match &entry.0 {
+        let op = match &entry.req {
             Request::Insert { object } => UpdateOp::Insert(object.clone()),
             Request::Remove { id } => UpdateOp::Remove(*id),
             Request::BatchUpdate {
@@ -692,18 +697,18 @@ fn update_batch<O, M>(
             Request::Range { .. } | Request::Knn { .. } => {
                 debug_assert!(false, "update batch must hold update requests");
                 if batch.respond {
-                    let epoch = index.epoch_of(prefer);
-                    let mut s = stats.lock().expect("executor stats lock");
-                    s.failed += 1;
-                    s.completed += respond(
+                    let answered = respond(
                         entry,
                         Err(ServiceError::MalformedBatch),
-                        epoch,
+                        index.epoch_of(prefer),
                         0,
                         size,
                         batch.trigger,
                         metrics,
                     );
+                    let mut s = lock_stats(stats);
+                    s.failed += 1;
+                    s.completed += answered;
                 }
                 continue;
             }
@@ -718,7 +723,7 @@ fn update_batch<O, M>(
             })),
             Ok(Err(e)) => Err(ServiceError::from(e)),
             Err(_) => {
-                stats.lock().expect("executor stats lock").lane_panics += 1;
+                lock_stats(stats).lane_panics += 1;
                 if let Some(rec) = trace {
                     rec.record(TraceEvent::instant(
                         EventKind::LanePanic,
@@ -735,21 +740,20 @@ fn update_batch<O, M>(
         // The update's own application is included in its stamp.
         let epoch = index.epoch_of(prefer);
         if batch.respond {
-            let mut s = stats.lock().expect("executor stats lock");
-            s.batch_span_cycles.record(span);
-            match &result {
-                Ok(_) => s.updates_applied += 1,
-                Err(e) => {
-                    s.failed += 1;
-                    if matches!(e, ServiceError::ShardUnavailable { .. }) {
-                        s.shard_unavailable += 1;
-                    }
-                }
-            }
+            let failed = result.is_err();
+            let unavailable = matches!(result, Err(ServiceError::ShardUnavailable { .. }));
             if let Some(hub) = metrics {
                 hub.batch_span(span);
             }
-            s.completed += respond(entry, result, epoch, span, size, batch.trigger, metrics);
+            // Answer first, then take the lock: the guard never covers the
+            // registry lookup or the channel send.
+            let answered = respond(entry, result, epoch, span, size, batch.trigger, metrics);
+            let mut s = lock_stats(stats);
+            s.batch_span_cycles.record(span);
+            s.updates_applied += u64::from(!failed);
+            s.failed += u64::from(failed);
+            s.shard_unavailable += u64::from(unavailable);
+            s.completed += answered;
         }
     }
 }
@@ -774,7 +778,7 @@ where
             let mut queries = Vec::with_capacity(indices.len());
             let mut radii = Vec::with_capacity(indices.len());
             for &i in indices {
-                let Request::Range { query, radius } = &entries[i].0 else {
+                let Request::Range { query, radius } = &entries[i].req else {
                     debug_assert!(false, "range sub-batch must hold range requests");
                     return Err(ServiceError::MalformedBatch);
                 };
@@ -788,7 +792,7 @@ where
         SubBatch::Knn(indices, k) => {
             let mut queries = Vec::with_capacity(indices.len());
             for &i in indices {
-                let Request::Knn { query, .. } = &entries[i].0 else {
+                let Request::Knn { query, .. } = &entries[i].req else {
                     debug_assert!(false, "knn sub-batch must hold knn requests");
                     return Err(ServiceError::MalformedBatch);
                 };
@@ -813,28 +817,27 @@ fn respond<O>(
     trigger: FlushTrigger,
     metrics: Option<&MetricsHub>,
 ) -> u64 {
-    let (_, tx, wait_us, id, client) = entry;
     // Metrics land *before* the send: a client scraping the moment its
     // `Ticket::wait` returns must already see its own request counted
     // (the send is the happens-before edge).
     if let Some(hub) = metrics {
         if result.is_err() {
-            hub.client_failed(client);
+            hub.client_failed(&entry.client);
         }
-        hub.client_served(client);
+        hub.client_served(&entry.client);
     }
     let response = Response {
         result,
         epoch,
         latency: LatencyBreakdown {
-            request: *id,
-            queue_wait_us: *wait_us,
+            request: entry.id,
+            queue_wait_us: entry.wait_us,
             batch_span_cycles: span,
             batch_size,
             trigger,
         },
     };
-    u64::from(tx.send(response).is_ok())
+    u64::from(entry.tx.send(response).is_ok())
 }
 
 #[cfg(test)]
@@ -955,17 +958,57 @@ mod tests {
         assert_eq!(stats.lane_batches_deficit, 1, "shutdown keeps the ledger");
     }
 
+    /// A panic under the executor-stats guard poisons the mutex. The lanes
+    /// must shrug that off: were the poison honoured, every later batch
+    /// would panic at its first stats update, be swallowed by the lane's
+    /// outer containment, and disconnect its tickets.
+    #[test]
+    fn poisoned_stats_lock_fails_no_request() {
+        let (items, _, svc) = service(
+            200,
+            1,
+            ServiceConfig::default()
+                .with_sizing(BatchSizing::Fixed(1))
+                .with_flush_deadline(Duration::from_millis(1)),
+        );
+        let stats = Arc::clone(&svc.exec_stats);
+        let poisoner = std::thread::spawn(move || {
+            let _guard = stats.lock().expect("first holder");
+            panic!("poison the executor stats lock");
+        });
+        assert!(poisoner.join().is_err(), "the holder panicked");
+        assert!(svc.exec_stats.is_poisoned());
+        let h = svc.handle();
+        let knn = h
+            .submit(Request::Knn {
+                query: items[3].clone(),
+                k: 2,
+            })
+            .expect("admitted");
+        let insert = h
+            .submit(Request::Insert {
+                object: items[0].clone(),
+            })
+            .expect("admitted");
+        let knn = knn.wait().expect("the query ticket is answered");
+        assert_eq!(knn.result.expect("ok").neighbors().len(), 2);
+        let insert = insert.wait().expect("the update ticket is answered");
+        assert_eq!(insert.result.expect("ok").update().assigned, vec![200]);
+        let stats = svc.shutdown();
+        assert_eq!(stats.lane_panics, 0);
+        assert_eq!((stats.completed, stats.failed), (2, 0));
+        assert_eq!(stats.updates_applied, 1);
+    }
+
     #[test]
     fn split_batch_groups_deterministically() {
         let (tx, _rx) = mpsc::sync_channel(1);
-        let mk = |req| {
-            (
-                req,
-                tx.clone(),
-                0u64,
-                RequestId(0),
-                Arc::from(crate::metrics::DEFAULT_CLIENT),
-            )
+        let mk = |req| Entry {
+            req,
+            tx: tx.clone(),
+            wait_us: 0,
+            id: RequestId(0),
+            client: Arc::from(crate::metrics::DEFAULT_CLIENT),
         };
         let entries = vec![
             mk(Request::Knn { query: 0u32, k: 5 }),
@@ -1120,16 +1163,16 @@ mod tests {
         )
         .expect("build")]));
         let (tx, _rx) = mpsc::sync_channel(1);
-        let entries = vec![(
-            Request::Knn {
+        let entries = vec![Entry {
+            req: Request::Knn {
                 query: Item::text("q"),
                 k: 1,
             },
             tx,
-            0u64,
-            RequestId(0),
-            Arc::from(crate::metrics::DEFAULT_CLIENT),
-        )];
+            wait_us: 0,
+            id: RequestId(0),
+            client: Arc::from(crate::metrics::DEFAULT_CLIENT),
+        }];
         let sub = SubBatch::Range(vec![0]);
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             execute_sub(index.as_ref(), &[], &entries, &sub)

@@ -1,7 +1,9 @@
-//! A minimal JSON reader used to validate exported Chrome traces inside
-//! the test suite — no external viewer (or serde) needed. It parses the
-//! full JSON grammar the exporter emits (objects, arrays, strings with
-//! escapes, numbers, booleans, null) and nothing exotic beyond it.
+//! A minimal JSON reader — the workspace's one JSON module. It validates
+//! exported Chrome traces inside the test suite (no external viewer or
+//! serde needed) and reads the checked-in `BENCH_*.json` files for
+//! `tools/bench_drift.rs`. It parses the full JSON grammar those writers
+//! emit (objects, arrays, strings with escapes, numbers, booleans, null)
+//! and nothing exotic beyond it.
 
 use std::collections::BTreeMap;
 

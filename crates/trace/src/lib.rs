@@ -41,7 +41,7 @@ pub use hist::LatencyHistogram;
 use std::cell::Cell;
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
@@ -267,7 +267,7 @@ impl EventKind {
 /// lane → replica → shard → descent level → kernel), with the
 /// failure-path instants trailing their layer. This single constant
 /// orders both [`TraceSummary::to_table`] and the stage-labelled series
-/// of the `gts-metrics` Prometheus/JSON exposition, so the two views of
+/// of the `gts-metrics` Prometheus exposition, so the two views of
 /// the same pipeline always line up row for row.
 pub const STAGE_ORDER: [&str; 12] = [
     "batch_start",
@@ -365,8 +365,10 @@ impl TraceEvent {
 /// service config.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct TraceConfig {
-    /// Master switch. Disabled tracing is a single relaxed atomic load on
-    /// every would-be record site.
+    /// Whether the service creates a recorder at all. Off means absent: no
+    /// recorder exists and no device has a tracer attached, so a would-be
+    /// record site sees `None`. A recorder that exists always records —
+    /// [`TraceRecorder::new`] does not read this field.
     pub enabled: bool,
     /// Events retained per ring shard (the recorder keeps
     /// [`NUM_RINGS`] rings, so total capacity is `NUM_RINGS *
@@ -419,11 +421,11 @@ const MAX_DUMPS: usize = 32;
 
 /// The sharded ring-buffer trace collector. One recorder serves one
 /// service instance (never process-global: concurrent services in one
-/// process each get their own). All methods take `&self`; recording is a
-/// relaxed-load no-op when disabled.
+/// process each get their own). All methods take `&self`. A recorder that
+/// exists records: tracing is switched off by not creating one (see
+/// [`TraceConfig::enabled`]).
 #[derive(Debug)]
 pub struct TraceRecorder {
-    enabled: AtomicBool,
     rings: Vec<Mutex<VecDeque<TraceEvent>>>,
     ring_capacity: usize,
     flight_events: usize,
@@ -433,10 +435,9 @@ pub struct TraceRecorder {
 }
 
 impl TraceRecorder {
-    /// A recorder with the given configuration (enabled per the config).
+    /// A recorder with the given ring and flight-dump sizes.
     pub fn new(cfg: TraceConfig) -> Arc<TraceRecorder> {
         Arc::new(TraceRecorder {
-            enabled: AtomicBool::new(cfg.enabled),
             rings: (0..NUM_RINGS)
                 .map(|_| Mutex::new(VecDeque::new()))
                 .collect(),
@@ -446,16 +447,6 @@ impl TraceRecorder {
             dumps: Mutex::new(Vec::new()),
             epoch: Instant::now(),
         })
-    }
-
-    /// Whether recording is currently on.
-    pub fn enabled(&self) -> bool {
-        self.enabled.load(Ordering::Relaxed)
-    }
-
-    /// Flip recording on or off.
-    pub fn set_enabled(&self, on: bool) {
-        self.enabled.store(on, Ordering::Relaxed);
     }
 
     /// Events dropped from full rings so far.
@@ -476,11 +467,8 @@ impl TraceRecorder {
         key % NUM_RINGS
     }
 
-    /// Record one event, stamping its wall clock. No-op when disabled.
+    /// Record one event, stamping its wall clock.
     pub fn record(&self, mut ev: TraceEvent) {
-        if !self.enabled() {
-            return;
-        }
         ev.wall_us = self.epoch.elapsed().as_micros() as u64;
         let mut ring = self.rings[self.ring_of(&ev)]
             .lock()
@@ -519,20 +507,10 @@ impl TraceRecorder {
         evs
     }
 
-    /// Discard all retained events (dumps and drop counts are kept).
-    pub fn clear(&self) {
-        for ring in &self.rings {
-            ring.lock().unwrap_or_else(|e| e.into_inner()).clear();
-        }
-    }
-
     /// Snapshot the last N events into a [`FlightDump`]. Called by the
     /// fault paths (device fault, lane panic, dead shard); callable
-    /// manually too. No-op when disabled.
+    /// manually too.
     pub fn flight_dump(&self, reason: DumpReason) {
-        if !self.enabled() {
-            return;
-        }
         let evs = self.events();
         let tail = evs.len().saturating_sub(self.flight_events);
         let dump = FlightDump {
@@ -765,16 +743,6 @@ mod tests {
 
     fn ev(kind: EventKind, begin: u64, end: u64, device: Option<u32>) -> TraceEvent {
         TraceEvent::span(kind, current_ctx(), device, begin, end)
-    }
-
-    #[test]
-    fn disabled_recorder_records_nothing() {
-        let rec = TraceRecorder::new(TraceConfig::default());
-        assert!(!rec.enabled());
-        rec.record(ev(EventKind::Kernel { work: 1, span: 1 }, 0, 5, Some(0)));
-        rec.flight_dump(DumpReason::DeviceFault);
-        assert!(rec.events().is_empty());
-        assert!(rec.flight_dumps().is_empty());
     }
 
     #[test]

@@ -20,7 +20,7 @@
 //! * [`metrics`] — the typed metrics registry behind the service's
 //!   [`MetricsHub`](gts_service::MetricsHub): per-client request
 //!   accounting, device-utilization gauges, the cost-model audit, and
-//!   Prometheus/JSON exposition;
+//!   Prometheus exposition;
 //! * [`baselines`] — every comparator of the paper's evaluation.
 //!
 //! ## Quickstart

@@ -133,3 +133,52 @@ fn empty_batch_is_fine() {
     assert!(gts.batch_range(&[], &[]).expect("empty").is_empty());
     assert!(gts.batch_knn(&[], 5).expect("empty").is_empty());
 }
+
+/// Duplicate-only data (600 objects, 3 distinct values, `Nc = 4`): pivots
+/// recur below themselves and every answer is one big tie, so equality with
+/// the scan is exact — ids included — on one shard and on two.
+#[test]
+fn duplicate_heavy_data_is_exact_on_one_and_two_shards() {
+    let cases = [
+        Dataset::new(
+            "dup-words",
+            (0..N)
+                .map(|i| Item::text(["kitten", "sitting", "zzzzzzzzzz"][i % 3]))
+                .collect(),
+            ItemMetric::Edit,
+        ),
+        Dataset::new(
+            "dup-points",
+            (0..N)
+                .map(|i| Item::vector([[0.0f32, 0.0], [3.0, 4.0], [-6.0, 1.5]][i % 3]))
+                .collect(),
+            ItemMetric::L2,
+        ),
+    ];
+    for data in cases {
+        let scan = scan(&data);
+        let queries: Vec<Item> = (0..3).map(|i| data.item(i).clone()).collect();
+        for shards in [1u32, 2] {
+            let index = ShardedGts::build(
+                &DevicePool::rtx_2080_ti(shards as usize),
+                data.items.clone(),
+                data.metric,
+                GtsParams::default()
+                    .with_node_capacity(4)
+                    .with_shards(shards),
+            )
+            .expect("build");
+            let ctx = format!("{} on {shards} shard(s)", data.name);
+            for k in [1usize, 8, 250] {
+                let got = index.batch_knn(&queries, k).expect("knn");
+                for (q, got) in queries.iter().zip(&got) {
+                    assert_eq!(got, &scan.knn_query(q, k).expect("scan"), "{ctx} k={k}");
+                }
+            }
+            let got = index.batch_range(&queries, &[0.0; 3]).expect("mrq");
+            for (q, got) in queries.iter().zip(&got) {
+                assert_eq!(got, &scan.range_query(q, 0.0).expect("scan"), "{ctx} r=0");
+            }
+        }
+    }
+}

@@ -147,6 +147,11 @@ fn size_triggered_service_matches_direct_batches() {
             index.stats(),
             "ServiceStats surfaces the index's own search counters"
         );
+        assert_eq!(
+            direct_answers(&index.replica(0).read().expect("replica lock"), &reqs),
+            want,
+            "shards = {shards}: serving leaves the index answering as before"
+        );
         assert!(
             stats.size_flushes >= 12,
             "90 requests at target 7 flush ≥ 12 size batches, got {}",

@@ -1,194 +1,79 @@
 //! Bench drift check: compare freshly generated `BENCH_*.json` files
-//! against the checked-in baselines and flag >20% regressions.
+//! against the checked-in baselines.
 //!
 //! ```sh
 //! # regenerate one or more benches somewhere fresh …
-//! GTS_BENCH_OUT=/tmp/fresh/BENCH_metrics.json \
-//!     cargo bench -p gts-bench --bench metrics_overhead
+//! GTS_BENCH_OUT=/tmp/fresh/BENCH_shard.json \
+//!     cargo bench -p gts-bench --bench shard_scaling
 //! # … then hold them against the checked-in numbers
 //! cargo run --release --bin bench_drift -- /tmp/fresh [baseline-dir]
 //! ```
 //!
 //! `baseline-dir` defaults to the current directory (the workspace root,
 //! where the `BENCH_*.json` files are checked in). Every numeric leaf
-//! present in both files is compared under a direction inferred from its
-//! key: wall/latency/overhead-style keys regress upward,
-//! throughput/speedup-style keys regress downward, and neutral keys
-//! (dataset sizes, counts, simulated cycles — deterministic by contract)
-//! must not drift at all are reported only when they change. Exits
-//! non-zero when any key regresses past the 20% gate.
+//! present in both files is compared under a class inferred from its key:
+//!
+//! * every key that names no measurement of the host (dataset sizes, counts,
+//!   recall, simulated cycles) is deterministic by contract and **fails if
+//!   it moved at all** — that is what makes a checked-in cycle file an
+//!   oracle; `host_cores` alone describes the machine and is only noted;
+//! * a ratio of two timings of one run (`*speedup*`, throughput-style keys)
+//!   **fails** when it drops more than 20%;
+//! * an absolute host time (`*_ms`, `*_ns`, `wall`, latency-style keys) is
+//!   **noted** when it grows more than 20% and never fails: the checked-in
+//!   number was taken on another machine (and `wall_ms` of `BENCH_shard.json`
+//!   reads ±30% on one machine minutes apart) — the wall clock is judged by
+//!   the `benchmark/` package, with paired runs.
+//!
+//! Exits non-zero on any failure.
 
+use gts::trace::json::{self, Value};
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 const GATE: f64 = 0.20;
 
-// ---- minimal JSON numeric-leaf extraction ------------------------------
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Parser<'a> {
-    fn new(text: &'a str) -> Self {
-        Parser {
-            bytes: text.as_bytes(),
-            pos: 0,
+/// Record every numeric leaf of `value` under its dotted path.
+fn collect_leaves(value: &Value, path: &str, out: &mut BTreeMap<String, f64>) {
+    match value {
+        Value::Num(n) => {
+            out.insert(path.to_string(), *n);
         }
-    }
-
-    fn skip_ws(&mut self) {
-        while self.pos < self.bytes.len() && self.bytes[self.pos].is_ascii_whitespace() {
-            self.pos += 1;
-        }
-    }
-
-    fn peek(&mut self) -> Option<u8> {
-        self.skip_ws();
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), String> {
-        match self.peek() {
-            Some(c) if c == b => {
-                self.pos += 1;
-                Ok(())
-            }
-            other => Err(format!(
-                "byte {}: expected {:?}, found {:?}",
-                self.pos,
-                b as char,
-                other.map(|c| c as char)
-            )),
-        }
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        while let Some(&c) = self.bytes.get(self.pos) {
-            self.pos += 1;
-            match c {
-                b'"' => return Ok(out),
-                b'\\' => {
-                    let esc = *self
-                        .bytes
-                        .get(self.pos)
-                        .ok_or_else(|| "truncated escape".to_string())?;
-                    self.pos += 1;
-                    out.push(match esc {
-                        b'n' => '\n',
-                        b't' => '\t',
-                        other => other as char,
-                    });
-                }
-                other => out.push(other as char),
+        Value::Arr(items) => {
+            for (i, item) in items.iter().enumerate() {
+                collect_leaves(item, &format!("{path}[{i}]"), out);
             }
         }
-        Err("unterminated string".into())
-    }
-
-    /// Walk one JSON value, recording every numeric leaf under its dotted
-    /// path into `out`.
-    fn value(&mut self, path: &str, out: &mut BTreeMap<String, f64>) -> Result<(), String> {
-        match self.peek().ok_or_else(|| "truncated value".to_string())? {
-            b'{' => {
-                self.pos += 1;
-                if self.peek() == Some(b'}') {
-                    self.pos += 1;
-                    return Ok(());
-                }
-                loop {
-                    let key = self.string()?;
-                    self.expect(b':')?;
-                    let sub = if path.is_empty() {
-                        key
-                    } else {
-                        format!("{path}.{key}")
-                    };
-                    self.value(&sub, out)?;
-                    match self.peek() {
-                        Some(b',') => self.pos += 1,
-                        Some(b'}') => {
-                            self.pos += 1;
-                            return Ok(());
-                        }
-                        other => return Err(format!("object: unexpected {other:?}")),
-                    }
-                }
-            }
-            b'[' => {
-                self.pos += 1;
-                if self.peek() == Some(b']') {
-                    self.pos += 1;
-                    return Ok(());
-                }
-                let mut i = 0usize;
-                loop {
-                    self.value(&format!("{path}[{i}]"), out)?;
-                    i += 1;
-                    match self.peek() {
-                        Some(b',') => self.pos += 1,
-                        Some(b']') => {
-                            self.pos += 1;
-                            return Ok(());
-                        }
-                        other => return Err(format!("array: unexpected {other:?}")),
-                    }
-                }
-            }
-            b'"' => {
-                self.string()?;
-                Ok(())
-            }
-            b't' | b'f' | b'n' => {
-                while self
-                    .bytes
-                    .get(self.pos)
-                    .is_some_and(|c| c.is_ascii_alphabetic())
-                {
-                    self.pos += 1;
-                }
-                Ok(())
-            }
-            _ => {
-                let start = self.pos;
-                while self
-                    .bytes
-                    .get(self.pos)
-                    .is_some_and(|c| matches!(c, b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E'))
-                {
-                    self.pos += 1;
-                }
-                let text =
-                    std::str::from_utf8(&self.bytes[start..self.pos]).map_err(|e| e.to_string())?;
-                let num: f64 = text
-                    .parse()
-                    .map_err(|e| format!("bad number {text:?}: {e}"))?;
-                out.insert(path.to_string(), num);
-                Ok(())
+        Value::Obj(fields) => {
+            for (key, field) in fields {
+                let sub = if path.is_empty() {
+                    key.clone()
+                } else {
+                    format!("{path}.{key}")
+                };
+                collect_leaves(field, &sub, out);
             }
         }
+        Value::Null | Value::Bool(_) | Value::Str(_) => {}
     }
 }
 
 fn numeric_leaves(path: &Path) -> Result<BTreeMap<String, f64>, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("{}: {e}", path.display()))?;
+    let doc = json::parse(&text).map_err(|e| format!("{}: {e}", path.display()))?;
     let mut out = BTreeMap::new();
-    let mut p = Parser::new(&text);
-    p.value("", &mut out)
-        .map_err(|e| format!("{}: {e}", path.display()))?;
+    collect_leaves(&doc, "", &mut out);
     Ok(out)
 }
 
 // ---- comparison --------------------------------------------------------
 
-/// Which way a key regresses. Wall/latency-style keys regress when they
-/// grow; throughput-style keys regress when they shrink; everything else
-/// (configuration, counts, simulated cycles) is deterministic by contract
-/// and only reported when it changes at all.
+/// Which way a key regresses. Wall/latency-style keys (absolute host
+/// times: noted, never failed) regress when they grow; throughput-style
+/// keys (ratios: gated) regress when they shrink; everything else
+/// (configuration, counts, recall, simulated cycles) is deterministic by
+/// contract and fails when it changes at all.
 enum Direction {
     LowerIsBetter,
     HigherIsBetter,
@@ -197,7 +82,9 @@ enum Direction {
 
 fn direction(key: &str) -> Direction {
     let key = key.to_ascii_lowercase();
-    let lower = ["_ms", "_us", "wall", "overhead", "latency", "p50", "p99"];
+    let lower = [
+        "_ms", "_us", "_ns", "wall", "overhead", "latency", "p50", "p99",
+    ];
     let higher = ["throughput", "speedup", "rps", "qps", "per_sec"];
     if higher.iter().any(|m| key.contains(m)) {
         Direction::HigherIsBetter
@@ -213,7 +100,9 @@ struct Finding {
     key: String,
     baseline: f64,
     fresh: f64,
-    regression: bool,
+    /// Fails the run: a ratio past the gate, or a deterministic key that
+    /// moved. `false` is a note.
+    failure: bool,
 }
 
 fn compare(
@@ -224,21 +113,21 @@ fn compare(
     let mut out = Vec::new();
     for (key, &b) in base {
         let Some(&f) = fresh.get(key) else { continue };
-        let finding = |regression| Finding {
+        let finding = |failure| Finding {
             file: file.to_string(),
             key: key.clone(),
             baseline: b,
             fresh: f,
-            regression,
+            failure,
         };
         match direction(key) {
             Direction::LowerIsBetter if b > 0.0 && f > b * (1.0 + GATE) => {
-                out.push(finding(true));
+                out.push(finding(false));
             }
             Direction::HigherIsBetter if b > 0.0 && f < b * (1.0 - GATE) => {
                 out.push(finding(true));
             }
-            Direction::Neutral if f != b => out.push(finding(false)),
+            Direction::Neutral if f != b => out.push(finding(!key.ends_with("host_cores"))),
             _ => {}
         }
     }
@@ -278,7 +167,7 @@ fn main() -> ExitCode {
         return ExitCode::from(2);
     }
 
-    let mut regressions = 0usize;
+    let mut failures = 0usize;
     let mut compared = 0usize;
     for fresh_path in &fresh_files {
         let name = fresh_path
@@ -299,11 +188,10 @@ fn main() -> ExitCode {
         };
         compared += 1;
         let findings = compare(name, &base, &fresh);
-        let regressed = findings.iter().filter(|f| f.regression).count();
-        regressions += regressed;
+        failures += findings.iter().filter(|f| f.failure).count();
         if findings.is_empty() {
             println!(
-                "{name}: ok ({} keys within the {:.0}% gate)",
+                "{name}: ok ({} keys: deterministic ones equal, measured ones within {:.0}%)",
                 base.len(),
                 GATE * 100.0
             );
@@ -317,11 +205,7 @@ fn main() -> ExitCode {
             println!(
                 "{}: {} {} {} -> {} ({:+.1}%)",
                 f.file,
-                if f.regression {
-                    "REGRESSION"
-                } else {
-                    "drift (info)"
-                },
+                if f.failure { "FAIL" } else { "note" },
                 f.key,
                 f.baseline,
                 f.fresh,
@@ -330,12 +214,53 @@ fn main() -> ExitCode {
         }
     }
     println!(
-        "bench_drift: {compared} file(s) compared, {regressions} regression(s) past the {:.0}% gate",
+        "bench_drift: {compared} file(s) compared, {failures} failure(s) \
+         (a deterministic key moved, or a ratio dropped more than {:.0}%)",
         GATE * 100.0
     );
-    if regressions > 0 {
+    if failures > 0 {
         ExitCode::FAILURE
     } else {
         ExitCode::SUCCESS
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn leaves(src: &str) -> BTreeMap<String, f64> {
+        let mut out = BTreeMap::new();
+        collect_leaves(&json::parse(src).expect("json"), "", &mut out);
+        out
+    }
+
+    #[test]
+    fn deterministic_keys_fail_on_any_move_ratios_past_the_gate_host_times_never() {
+        let base = leaves(
+            r#"{"host_cores": 1, "results": [
+                {"dataset": "a", "span_cycles": 100, "recall": 0.5, "wall_ms": 10.0, "batch_speedup": 2.0}]}"#,
+        );
+        assert_eq!(base.len(), 5, "strings are not leaves");
+        assert!(compare("f", &base, &base).is_empty());
+        let fresh = leaves(
+            r#"{"host_cores": 2, "results": [
+                {"dataset": "a", "span_cycles": 101, "recall": 0.5, "wall_ms": 13.0, "batch_speedup": 1.5}]}"#,
+        );
+        let mut got: Vec<(String, bool)> = compare("f", &base, &fresh)
+            .into_iter()
+            .map(|f| (f.key, f.failure))
+            .collect();
+        got.sort();
+        assert_eq!(
+            got,
+            [
+                ("host_cores".to_string(), false),
+                ("results[0].batch_speedup".to_string(), true),
+                ("results[0].span_cycles".to_string(), true),
+                ("results[0].wall_ms".to_string(), false),
+            ],
+            "wall_ms +30% is a note; recall did not move"
+        );
     }
 }
