@@ -12,7 +12,9 @@
 use crate::clock::impl_gpu_clocked;
 use gpu_sim::primitives::top_k_min;
 use gpu_sim::{Device, GpuError, Reservation};
-use metric_space::index::{sort_neighbors, DynamicIndex, IndexError, Neighbor, SimilarityIndex};
+use metric_space::index::{
+    check_radii, sort_neighbors, DynamicIndex, IndexError, Neighbor, SimilarityIndex,
+};
 use metric_space::{BatchMetric, Footprint, Item, ItemMetric, ObjectArena};
 use std::sync::Arc;
 
@@ -142,7 +144,7 @@ impl SimilarityIndex<Item> for GpuTable {
         queries: &[Item],
         radii: &[f64],
     ) -> Result<Vec<Vec<Neighbor>>, IndexError> {
-        assert_eq!(queries.len(), radii.len());
+        check_radii(queries, radii)?;
         let n = self.items.len();
         let qbytes: u64 = queries.iter().map(Footprint::size_bytes).sum();
         self.dev.h2d_transfer(qbytes);

@@ -15,7 +15,9 @@
 
 use crate::clock::impl_gpu_clocked;
 use gpu_sim::{Device, GpuError, Reservation};
-use metric_space::index::{sort_neighbors, DynamicIndex, IndexError, Neighbor, SimilarityIndex};
+use metric_space::index::{
+    check_radii, sort_neighbors, DynamicIndex, IndexError, Neighbor, SimilarityIndex,
+};
 use metric_space::lemmas::{prune_node_knn, prune_node_range};
 use metric_space::{BatchMetric, Footprint, Item, ItemMetric, Metric, ObjectArena};
 use std::sync::Arc;
@@ -409,7 +411,7 @@ impl SimilarityIndex<Item> for GpuTree {
         queries: &[Item],
         radii: &[f64],
     ) -> Result<Vec<Vec<Neighbor>>, IndexError> {
-        assert_eq!(queries.len(), radii.len());
+        check_radii(queries, radii)?;
         let qbytes: u64 = queries.iter().map(Footprint::size_bytes).sum();
         self.dev.h2d_transfer(qbytes);
         let _buffers = self.reserve_buffers(queries.len())?;

@@ -11,7 +11,9 @@
 
 use crate::clock::impl_gpu_clocked;
 use gpu_sim::{Device, GpuError, Reservation};
-use metric_space::index::{sort_neighbors, DynamicIndex, IndexError, Neighbor, SimilarityIndex};
+use metric_space::index::{
+    check_radii, sort_neighbors, DynamicIndex, IndexError, Neighbor, SimilarityIndex,
+};
 use metric_space::{Footprint, Item, ItemMetric, Metric, VectorMetric};
 use std::sync::Arc;
 
@@ -323,7 +325,7 @@ impl SimilarityIndex<Item> for LbpgTree {
         queries: &[Item],
         radii: &[f64],
     ) -> Result<Vec<Vec<Neighbor>>, IndexError> {
-        assert_eq!(queries.len(), radii.len());
+        check_radii(queries, radii)?;
         let qbytes: u64 = queries.iter().map(Footprint::size_bytes).sum();
         self.dev.h2d_transfer(qbytes);
         let candidates = self.collect_candidates(queries, radii)?;

@@ -160,16 +160,9 @@ where
             build_distances: 0,
             residency: None,
         };
-        gts.reconstruct()?;
+        gts.rebuild()?;
         gts.rebuilds = 0; // the initial build is not an update-triggered rebuild
         Ok(gts)
-    }
-
-    /// Rebuild the structure over all live objects (absorbing the cache);
-    /// the §4.4 batch-update and cache-overflow path.
-    pub fn rebuild(&mut self) -> Result<(), IndexError> {
-        self.reconstruct()?;
-        Ok(())
     }
 
     /// Host-only half of a batch update: tombstone `deletions` and append
@@ -196,12 +189,35 @@ where
         removed
     }
 
+    /// Host-only half of a streaming insert (§4.4): ship `obj` to the
+    /// device-resident cache and append it to the object store. Returns the
+    /// new id and whether the cache overflowed, i.e. owes a [`Gts::rebuild`].
+    /// The arena is extended in place — the cache-scan kernel resolves
+    /// fresh ids flat, too.
+    pub(crate) fn stage_insert(&mut self, obj: O) -> (u32, bool) {
+        let id = self.objects.len() as u32;
+        let bytes = obj.size_bytes() as usize;
+        self.dev.h2d_transfer(bytes as u64);
+        if let Some(arena) = self.arena.as_mut() {
+            if !self.metric.arena_push(arena, &obj) {
+                // The object has no flat representation under this arena;
+                // degrade to per-pair kernels rather than desync ids.
+                self.arena = None;
+            }
+        }
+        self.objects.push(obj);
+        self.live.push(true);
+        (id, self.cache.insert(id, bytes))
+    }
+
     /// Whether object `id` exists and is live (not tombstoned).
     pub(crate) fn is_live(&self, id: u32) -> bool {
         self.live.get(id as usize).copied().unwrap_or(false)
     }
 
-    fn reconstruct(&mut self) -> Result<(), IndexError> {
+    /// Rebuild the structure over all live objects (absorbing the cache);
+    /// the §4.4 batch-update and cache-overflow path.
+    pub fn rebuild(&mut self) -> Result<(), IndexError> {
         let ids: Vec<u32> = (0..self.objects.len() as u32)
             .filter(|&i| self.live[i as usize])
             .collect();
@@ -305,7 +321,7 @@ where
         queries: &[O],
         radii: &[f64],
     ) -> Result<Vec<Vec<Neighbor>>, IndexError> {
-        assert_eq!(queries.len(), radii.len());
+        metric_space::index::check_radii(queries, radii)?;
         self.transfer_queries_in(queries);
         let mut results = search::batch_range(&self.ctx(), queries, radii).map_err(gpu_err)?;
         self.merge_cache_range(queries, radii, &mut results);
@@ -716,22 +732,9 @@ where
 {
     /// Streaming insert (§4.4): `O(1)` into the cache table (the object is
     /// shipped to the device-resident cache); rebuilds when the cache
-    /// exceeds its byte budget. The arena is extended in place — the
-    /// cache-scan kernel resolves fresh ids flat, too.
+    /// exceeds its byte budget.
     fn insert(&mut self, obj: O) -> Result<u32, IndexError> {
-        let id = self.objects.len() as u32;
-        let bytes = obj.size_bytes() as usize;
-        self.dev.h2d_transfer(bytes as u64);
-        if let Some(arena) = self.arena.as_mut() {
-            if !self.metric.arena_push(arena, &obj) {
-                // The object has no flat representation under this arena;
-                // degrade to per-pair kernels rather than desync ids.
-                self.arena = None;
-            }
-        }
-        self.objects.push(obj);
-        self.live.push(true);
-        let overflow = self.cache.insert(id, bytes);
+        let (id, overflow) = self.stage_insert(obj);
         if overflow {
             self.rebuild()?;
         }

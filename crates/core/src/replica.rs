@@ -12,44 +12,45 @@
 //!   builds over the same pool land identically.
 //! * **Exactness** — replicas are built from the same objects with the
 //!   same params and seed, so they are *identical* (asserted against the
-//!   canonical snapshot in debug builds); any healthy replica answers any
-//!   batch bit-identically to the single-replica path.
-//! * **Routing** — a batch goes to the least-loaded fully-healthy replica
-//!   (by per-device simulated clock, ties broken by replica index), with a
-//!   caller-supplied *preferred set* so disjoint executor lanes can pin
-//!   themselves to disjoint replicas and keep per-device clocks
-//!   reproducible.
-//! * **Retry with bounded budget** — a replica failing mid-batch (an
-//!   injected [`DeviceFault`], a panicking user metric) is caught, counted,
-//!   and the batch retries on a surviving replica; the attempt budget is
-//!   `R + 2`, so a transient fault can retry its own replica once but a
-//!   permanently dying fleet cannot loop forever.
-//! * **Graceful degradation** — when no *fully* healthy replica remains,
-//!   the batch drops to the per-shard degraded path: each shard is answered
-//!   by any surviving copy of that shard across replicas, and the host
-//!   merges exactly (same concat-sort / k-way merge as the sharded scatter,
-//!   so answers stay bit-identical). Only when a shard's **last** copy is
-//!   gone does the batch fail, fast, with
-//!   [`ReplicaError::ShardUnavailable`].
+//!   canonical snapshot in debug builds); any healthy copy of a shard
+//!   answers its slice bit-identically, and the host merges the slices
+//!   with the sharded scatter's own merge.
+//! * **One route: plan, scatter, re-plan** — a batch is planned per shard:
+//!   one replica holding a healthy copy of every shard when any does
+//!   (least loaded by per-device simulated clock, ties broken by replica
+//!   index), else the best surviving copy of each shard. A caller-supplied
+//!   *preferred set* lets disjoint executor lanes pin themselves to
+//!   disjoint replicas and keep per-device clocks reproducible. The planned
+//!   slices scatter once; only the slices that failed (an injected
+//!   [`DeviceFault`], a panicking user metric) are re-planned, within a
+//!   per-shard budget of `R + 2` attempts, so a transient fault can retry
+//!   its own replica but a permanently dying fleet cannot loop forever.
+//!   Only when a shard's **last** copy is gone does the batch fail, fast,
+//!   with [`ReplicaError::ShardUnavailable`].
 //!
 //! Health is two-tier. **Hard** health is device quarantine (a permanent
 //! fault): quarantined devices are never selected again. **Soft** health is
 //! a per-replica strike counter incremented by non-device panics: strikes
-//! only *deprioritize* a replica in selection (and ban it for the rest of
-//! the failing batch) — they never exclude it permanently, so a
-//! deterministically poisoned query cannot brick a shard at R = 1.
+//! only *deprioritize* a replica in selection (and ban its copy of the
+//! failing shard for the rest of the batch) — they never exclude it
+//! permanently, so a deterministically poisoned query cannot brick a shard
+//! at R = 1.
 
+use crate::index::Gts;
 use crate::params::GtsParams;
-use crate::shard::{kway_merge, scoped_map, Applied, ShardedGts, UpdateOp};
+use crate::shard::{
+    merge_knn, merge_range, scoped_map, trace_merge, Applied, ShardedGts, UpdateOp,
+};
 use crate::stats::{ReplicaStats, StatsSnapshot};
-use gpu_sim::fault::{DeviceFault, FaultKind};
+use gpu_sim::fault::DeviceFault;
 use gpu_sim::DevicePool;
-use metric_space::index::{sort_neighbors, IndexError, Neighbor};
+use gts_trace::{EventKind, RetryCause, TraceRecorder};
+use metric_space::index::{IndexError, Neighbor};
 use metric_space::{BatchMetric, Footprint};
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
+use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 /// Extra attempts beyond one-per-replica: lets a transient fault retry its
 /// own (still healthy) replica without an unbounded loop.
@@ -69,8 +70,8 @@ pub enum ReplicaError {
     /// The retry budget ran out while copies were still nominally healthy
     /// (e.g. every replica panicked on this batch's queries).
     AllReplicasFailed {
-        /// The shard (or `u32::MAX` for a whole-batch failure) that
-        /// exhausted its attempts.
+        /// The shard that exhausted its attempts; `u32::MAX` when an
+        /// update exhausted its repair budget on a replica.
         shard: u32,
     },
 }
@@ -101,30 +102,20 @@ impl From<IndexError> for ReplicaError {
     }
 }
 
-/// Outcome of running one replica call under `catch_unwind`.
-enum Caught<T> {
-    /// The call returned (successfully or with a typed index error).
-    Done(T),
-    /// An injected device fault fired.
-    Fault(FaultKind),
-    /// A non-device panic (user metric, logic bug) unwound out.
-    Panic,
-}
-
 /// Run `f`, classifying a panic by its payload: [`DeviceFault`] payloads
 /// are injected hardware faults, anything else is an ordinary panic.
-fn classify<T>(f: impl FnOnce() -> T) -> Caught<T> {
-    match catch_unwind(AssertUnwindSafe(f)) {
-        Ok(v) => Caught::Done(v),
-        Err(payload) => match payload.downcast_ref::<DeviceFault>() {
-            Some(df) => Caught::Fault(df.kind),
-            None => Caught::Panic,
-        },
-    }
+fn classify<T>(f: impl FnOnce() -> T) -> Result<T, RetryCause> {
+    catch_unwind(AssertUnwindSafe(f)).map_err(|payload| {
+        if payload.is::<DeviceFault>() {
+            RetryCause::DeviceFault
+        } else {
+            RetryCause::Panic
+        }
+    })
 }
 
 /// R identical [`ShardedGts`] replicas on disjoint device sets, with
-/// health-aware selection, bounded retry, and per-shard degradation.
+/// health-aware per-shard routing and bounded retry.
 pub struct ReplicatedShards<O, M> {
     /// Each replica behind its own lock: queries take shared read guards,
     /// serialized updates ([`ReplicatedShards::apply_preferring`]) take the
@@ -185,17 +176,20 @@ impl<O, M> ReplicatedShards<O, M> {
     /// loss does not hide progress — reads route around it, and healthy
     /// preferred replicas all agree by deterministic apply order.
     pub fn epoch_of(&self, prefer: &[usize]) -> u64 {
-        let all: Vec<usize>;
-        let set: &[usize] = if prefer.is_empty() {
-            all = (0..self.replicas.len()).collect();
-            &all
-        } else {
-            prefer
-        };
-        set.iter()
-            .map(|&r| self.rlock(r).epoch())
+        self.or_all(prefer)
+            .into_iter()
+            .map(|r| self.rlock(r).epoch())
             .max()
             .unwrap_or(0)
+    }
+
+    /// The given replicas, or every replica when `prefer` is empty.
+    fn or_all(&self, prefer: &[usize]) -> Vec<usize> {
+        if prefer.is_empty() {
+            (0..self.replicas.len()).collect()
+        } else {
+            prefer.to_vec()
+        }
     }
 }
 
@@ -327,8 +321,8 @@ where
         &self.pool.devices()[r * self.shards..(r + 1) * self.shards]
     }
 
-    /// True when every device of replica `r` is healthy (the whole-replica
-    /// fast path requires all shards of one replica).
+    /// True when every device of replica `r` is healthy, so it can serve a
+    /// whole batch alone.
     pub fn replica_fully_healthy(&self, r: usize) -> bool {
         self.replica_devices(r).iter().all(|d| d.is_healthy())
     }
@@ -406,12 +400,9 @@ where
     /// executor lane pinned to a disjoint replica set measure its own
     /// batches without racing sibling lanes. An empty set means all.
     pub fn span_of(&self, replicas: &[usize]) -> u64 {
-        if replicas.is_empty() {
-            return self.span_cycles();
-        }
-        replicas
-            .iter()
-            .flat_map(|&r| self.replica_devices(r))
+        self.or_all(replicas)
+            .into_iter()
+            .flat_map(|r| self.replica_devices(r))
             .map(|d| d.cycles())
             .max()
             .unwrap_or(0)
@@ -426,19 +417,12 @@ where
 
     // -- selection ----------------------------------------------------------
 
-    /// Current load of replica `r`: the max simulated clock across its
-    /// devices (a batch occupies the whole replica).
-    fn replica_load(&self, r: usize) -> u64 {
-        self.replica_devices(r)
-            .iter()
-            .map(|d| d.cycles())
-            .max()
-            .unwrap_or(0)
-    }
-
     /// Pick the best replica among `candidates`: restrict to the preferred
     /// set when it still holds a candidate, then order by (soft-health
-    /// strikes, load, replica index). Deterministic given device clocks.
+    /// strikes, load — the replica's critical path [`span_of`], replica
+    /// index). Deterministic given device clocks.
+    ///
+    /// [`span_of`]: ReplicatedShards::span_of
     fn pick(&self, candidates: &[usize], prefer: &[usize]) -> Option<usize> {
         let preferred: Vec<usize> = candidates
             .iter()
@@ -453,15 +437,62 @@ where
         pool.iter().copied().min_by_key(|&r| {
             (
                 self.strikes[r].load(Ordering::Relaxed),
-                self.replica_load(r),
+                self.span_of(&[r]),
                 r,
             )
         })
     }
 
+    /// Plan a copy for every shard in `todo`, in `todo` order: one replica
+    /// holding a healthy, unbanned copy of all of them when any does, else
+    /// the best such copy of each shard — every choice by
+    /// [`ReplicatedShards::pick`].
+    fn plan(
+        &self,
+        todo: &[usize],
+        banned: &[Vec<bool>],
+        prefer: &[usize],
+    ) -> Result<Vec<usize>, ReplicaError> {
+        let usable = |r: usize, s: usize| !banned[s][r] && self.shard_copy_healthy(r, s);
+        let whole: Vec<usize> = (0..self.replicas.len())
+            .filter(|&r| todo.iter().all(|&s| usable(r, s)))
+            .collect();
+        if let Some(r) = self.pick(&whole, prefer) {
+            return Ok(vec![r; todo.len()]);
+        }
+        todo.iter()
+            .map(|&s| {
+                let copies: Vec<usize> =
+                    (0..self.replicas.len()).filter(|&r| usable(r, s)).collect();
+                self.pick(&copies, prefer).ok_or_else(|| self.lost(s))
+            })
+            .collect()
+    }
+
+    /// The error for shard `s` with no copy left to plan: its survivors
+    /// were all banned for this batch, or every copy sits on a quarantined
+    /// device (traced, with a flight dump).
+    fn lost(&self, s: usize) -> ReplicaError {
+        let shard = s as u32;
+        if self.shard_alive(s) {
+            return ReplicaError::AllReplicasFailed { shard };
+        }
+        if let Some(rec) = self.tracer() {
+            let kind = EventKind::ShardUnavailable { shard };
+            rec.record(gts_trace::TraceEvent::instant(
+                kind,
+                gts_trace::current_ctx(),
+                None,
+                0,
+            ));
+            rec.flight_dump(gts_trace::DumpReason::ShardUnavailable);
+        }
+        ReplicaError::ShardUnavailable { shard }
+    }
+
     // -- query path ---------------------------------------------------------
 
-    /// Batched range query over any healthy replica (bit-identical to the
+    /// Batched range query over the healthy copies (bit-identical to the
     /// single-replica answer); see [`ReplicatedShards::batch_knn`] for the
     /// routing rules.
     pub fn batch_range(
@@ -480,28 +511,17 @@ where
         queries: &[O],
         radii: &[f64],
     ) -> Result<Vec<Vec<Neighbor>>, ReplicaError> {
-        assert_eq!(queries.len(), radii.len());
-        if let Some(res) = self.try_whole(prefer, |rep| rep.batch_range(queries, radii)) {
-            return res;
-        }
-        let per_shard = self.try_per_shard(prefer, |rep, s| rep.shard_range(s, queries, radii))?;
-        let mut merged: Vec<Vec<Neighbor>> = vec![Vec::new(); queries.len()];
-        for lists in per_shard {
-            for (m, mut list) in merged.iter_mut().zip(lists) {
-                m.append(&mut list);
-            }
-        }
-        for m in &mut merged {
-            sort_neighbors(m);
-        }
-        Ok(merged)
+        self.route(
+            prefer,
+            |gts| gts.batch_range(queries, radii),
+            |lists| merge_range(lists, queries.len()),
+        )
     }
 
-    /// Batched kNN over any healthy replica. Fast path: the whole batch on
-    /// the least-loaded fully-healthy replica. Failures retry per the module
-    /// rules; with no fully-healthy replica left, the degraded per-shard
-    /// path composes the answer from surviving shard copies and
-    /// k-way-merges exactly.
+    /// Batched kNN over the healthy copies: the whole batch on the
+    /// least-loaded fully-healthy replica, or each shard on its best
+    /// surviving copy when no replica is fully healthy. Failed shard slices
+    /// re-run per the module rules; the slices k-way-merge exactly.
     pub fn batch_knn(&self, queries: &[O], k: usize) -> Result<Vec<Vec<Neighbor>>, ReplicaError> {
         self.batch_knn_preferring(&[], queries, k)
     }
@@ -513,17 +533,89 @@ where
         queries: &[O],
         k: usize,
     ) -> Result<Vec<Vec<Neighbor>>, ReplicaError> {
-        if let Some(res) = self.try_whole(prefer, |rep| rep.batch_knn(queries, k)) {
-            return res;
+        self.route(
+            prefer,
+            |gts| gts.batch_knn(queries, k),
+            |lists| merge_knn(lists, queries.len(), k),
+        )
+    }
+
+    /// The one routing path: plan a copy for every unanswered shard, run
+    /// the planned slices concurrently, each under its own [`classify`],
+    /// and re-plan only the slices that faulted or panicked — at most
+    /// `R + 2` attempts per shard. One read guard per planned replica is
+    /// taken in ascending order and held across the whole scatter, so a
+    /// batch never straddles an update even when its shards come from two
+    /// replicas. The first typed error, in shard order, fails the batch.
+    fn route(
+        &self,
+        prefer: &[usize],
+        call: impl Fn(&Gts<O, M>) -> Result<Vec<Vec<Neighbor>>, IndexError> + Sync,
+        merge: impl FnOnce(Vec<Vec<Vec<Neighbor>>>) -> Vec<Vec<Neighbor>>,
+    ) -> Result<Vec<Vec<Neighbor>>, ReplicaError> {
+        let (replicas, shards) = (self.replicas.len(), self.shards);
+        // `answers[s]` = (the replica that answered shard `s`, its lists).
+        let mut answers: Vec<Option<(usize, Vec<Vec<Neighbor>>)>> = vec![None; shards];
+        let mut banned = vec![vec![false; replicas]; shards];
+        // Each round attempts every unanswered shard once.
+        for round in 0..replicas + EXTRA_ATTEMPTS {
+            let todo: Vec<usize> = (0..shards).filter(|&s| answers[s].is_none()).collect();
+            if todo.is_empty() {
+                break;
+            }
+            let plan = self.plan(&todo, &banned, prefer)?;
+            if round > 0 {
+                self.retries.fetch_add(todo.len() as u64, Ordering::Relaxed);
+            } else if plan.iter().any(|&r| r != plan[0]) {
+                self.degraded_calls.fetch_add(1, Ordering::Relaxed);
+                self.trace_instant(0, EventKind::Degraded);
+            }
+            let guards: Vec<_> = (0..replicas)
+                .map(|r| plan.contains(&r).then(|| self.rlock(r)))
+                .collect();
+            let slices: Vec<(usize, usize)> = todo.into_iter().zip(plan).collect();
+            let outcomes = scoped_map(slices.clone(), |_, (s, r)| {
+                let mut ctx = gts_trace::current_ctx();
+                ctx.replica = Some(r as u32);
+                let _scope = gts_trace::scoped_ctx(ctx);
+                let rep = guards[r].as_deref().expect("planned replicas are locked");
+                classify(|| rep.on_shard(s, &call))
+            });
+            for ((s, r), outcome) in slices.into_iter().zip(outcomes) {
+                match outcome {
+                    Ok(lists) => answers[s] = Some((r, lists?)),
+                    Err(cause) => {
+                        self.count_failure(r, cause);
+                        banned[s][r] |= cause == RetryCause::Panic;
+                        self.trace_instant(r, EventKind::ReplicaRetry { cause });
+                    }
+                }
+            }
         }
-        let per_shard = self.try_per_shard(prefer, |rep, s| rep.shard_knn(s, queries, k))?;
-        Ok((0..queries.len())
-            .map(|q| {
-                let lists: Vec<Vec<Neighbor>> =
-                    per_shard.iter().map(|lists| lists[q].clone()).collect();
-                kway_merge(&lists, k)
-            })
-            .collect())
+        if let Some(s) = answers.iter().position(Option::is_none) {
+            return Err(ReplicaError::AllReplicasFailed { shard: s as u32 });
+        }
+        let (served, lists): (Vec<usize>, Vec<_>) = answers.into_iter().flatten().unzip();
+        let merged = merge(lists);
+        let mut ctx = gts_trace::current_ctx();
+        ctx.replica = served
+            .iter()
+            .all(|&r| r == served[0])
+            .then_some(served[0] as u32);
+        let devices = (0..shards).map(|s| self.pool.get(served[s] * shards + s));
+        trace_merge(devices, ctx, merged.len() as u64);
+        Ok(merged)
+    }
+
+    /// Count one failed attempt on replica `r`; a panic also strikes `r`.
+    fn count_failure(&self, r: usize, cause: RetryCause) {
+        match cause {
+            RetryCause::DeviceFault => self.device_faults.fetch_add(1, Ordering::Relaxed),
+            RetryCause::Panic => {
+                self.strikes[r].fetch_add(1, Ordering::Relaxed);
+                self.metric_panics.fetch_add(1, Ordering::Relaxed)
+            }
+        };
     }
 
     // -- update path --------------------------------------------------------
@@ -537,14 +629,13 @@ where
     /// Fault handling per replica: an injected [`DeviceFault`] (or a
     /// panicking user metric) unwinding out of
     /// [`apply`](ShardedGts::apply) leaves the host state fully mutated
-    /// and a receipt staged; the deterministic
-    /// [`repair`](ShardedGts::repair) is then driven to completion within
-    /// the `1 + EXTRA_ATTEMPTS` budget (each attempt counted as a retry).
-    /// A replica whose budget is exhausted — only possible under a
-    /// *permanent* device loss — is left at its previous epoch; reads
-    /// already route around it via the health filters, and
-    /// [`ReplicatedShards::epoch_of`] takes the max so the lag is not
-    /// observable through the service.
+    /// and the owed rebuilds staged; [`repair`](ShardedGts::repair) then
+    /// re-runs that staged device phase within the `1 + EXTRA_ATTEMPTS`
+    /// budget (each attempt counted as a retry). A replica whose budget is
+    /// exhausted — only possible under a *permanent* device loss — is left
+    /// at its previous epoch; reads already route around it via the health
+    /// filters, and [`ReplicatedShards::epoch_of`] takes the max so the
+    /// lag is not observable through the service.
     ///
     /// Returns the receipt of the last replica that completed (replicas
     /// apply deterministically, so all completed receipts are identical),
@@ -554,48 +645,26 @@ where
         prefer: &[usize],
         op: &UpdateOp<O>,
     ) -> Result<Applied, ReplicaError> {
-        let all: Vec<usize>;
-        let targets: &[usize] = if prefer.is_empty() {
-            all = (0..self.replicas.len()).collect();
-            &all
-        } else {
-            prefer
-        };
         let mut last_ok: Option<Applied> = None;
         let mut first_err: Option<ReplicaError> = None;
-        for &r in targets {
+        for r in self.or_all(prefer) {
             let mut rep = self.wlock(r);
-            let mut outcome: Option<Result<Applied, IndexError>> = None;
-            match classify(|| rep.apply(op)) {
-                Caught::Done(res) => outcome = Some(res),
-                Caught::Fault(_) => {
-                    self.device_faults.fetch_add(1, Ordering::Relaxed);
-                }
-                Caught::Panic => {
-                    self.metric_panics.fetch_add(1, Ordering::Relaxed);
-                    self.strikes[r].fetch_add(1, Ordering::Relaxed);
-                }
-            }
-            // A fault mid-apply: drive the staged repair to completion,
-            // retrying when the repair itself is struck again.
-            if outcome.is_none() {
-                for _ in 0..=EXTRA_ATTEMPTS {
+            // Attempt 0 applies; the later attempts repair what a fault
+            // left staged.
+            let outcome = (0..=1 + EXTRA_ATTEMPTS).find_map(|attempt| {
+                if attempt > 0 {
                     self.retries.fetch_add(1, Ordering::Relaxed);
-                    match classify(|| rep.repair(op)) {
-                        Caught::Done(res) => {
-                            outcome = Some(res);
-                            break;
-                        }
-                        Caught::Fault(_) => {
-                            self.device_faults.fetch_add(1, Ordering::Relaxed);
-                        }
-                        Caught::Panic => {
-                            self.metric_panics.fetch_add(1, Ordering::Relaxed);
-                            self.strikes[r].fetch_add(1, Ordering::Relaxed);
-                        }
-                    }
                 }
-            }
+                classify(|| {
+                    if attempt == 0 {
+                        rep.apply(op)
+                    } else {
+                        rep.repair()
+                    }
+                })
+                .map_err(|cause| self.count_failure(r, cause))
+                .ok()
+            });
             match outcome {
                 Some(Ok(applied)) => last_ok = Some(applied),
                 Some(Err(e)) => {
@@ -608,7 +677,7 @@ where
         }
         match first_err {
             Some(e) => Err(e),
-            None => Ok(last_ok.expect("targets is never empty")),
+            None => Ok(last_ok.expect("or_all is never empty")),
         }
     }
 
@@ -616,175 +685,30 @@ where
 
     /// The trace recorder attached to any of this index's devices (tracing
     /// is attached pool-wide, so the first hit is authoritative).
-    fn tracer(&self) -> Option<(std::sync::Arc<gts_trace::TraceRecorder>, u32)> {
-        (0..self.replicas.len()).find_map(|r| {
-            self.rlock(r)
-                .pool()
-                .devices()
-                .iter()
-                .find_map(|d| d.tracer())
-        })
-    }
-
-    /// Record one replica-layer instant (retry, degradation, dead shard),
-    /// stamped at replica `r`'s current critical path. Observational only;
-    /// called exclusively on failure paths, so the healthy fast path never
-    /// pays the device scan.
-    fn trace_instant(&self, r: usize, kind: gts_trace::EventKind) {
-        let Some((rec, _)) = self.tracer() else {
-            return;
-        };
-        let at = self
-            .rlock(r)
-            .pool()
+    fn tracer(&self) -> Option<Arc<TraceRecorder>> {
+        self.pool
             .devices()
             .iter()
-            .map(|d| d.cycles())
-            .max()
-            .unwrap_or(0);
+            .find_map(|d| d.tracer())
+            .map(|(rec, _)| rec)
+    }
+
+    /// Record one replica-layer instant (retry, degradation), stamped at
+    /// replica `r`'s current critical path. Observational only; called
+    /// exclusively on failure paths, so a healthy batch never pays the
+    /// device scan.
+    fn trace_instant(&self, r: usize, kind: EventKind) {
+        let Some(rec) = self.tracer() else {
+            return;
+        };
         let mut ctx = gts_trace::current_ctx();
         ctx.replica = Some(r as u32);
-        rec.record(gts_trace::TraceEvent::instant(kind, ctx, None, at));
-    }
-
-    // -- retry machinery ----------------------------------------------------
-
-    /// The whole-replica fast path: route the batch to one fully-healthy
-    /// replica, retrying on fault/panic within the attempt budget. Returns
-    /// `None` when no fully-healthy candidate remains (degrade), `Some`
-    /// with the outcome otherwise.
-    fn try_whole(
-        &self,
-        prefer: &[usize],
-        call: impl Fn(&ShardedGts<O, M>) -> Result<Vec<Vec<Neighbor>>, IndexError>,
-    ) -> Option<Result<Vec<Vec<Neighbor>>, ReplicaError>> {
-        let mut banned = vec![false; self.replicas.len()];
-        let budget = self.replicas.len() + EXTRA_ATTEMPTS;
-        let mut first_attempt = true;
-        for _ in 0..budget {
-            let candidates: Vec<usize> = (0..self.replicas.len())
-                .filter(|&r| !banned[r] && self.replica_fully_healthy(r))
-                .collect();
-            let Some(r) = self.pick(&candidates, prefer) else {
-                // No fully-healthy replica (left): degrade. Retries already
-                // burned are counted; the degraded path has its own budget.
-                return None;
-            };
-            if !first_attempt {
-                self.retries.fetch_add(1, Ordering::Relaxed);
-            }
-            first_attempt = false;
-            match classify(|| {
-                let mut ctx = gts_trace::current_ctx();
-                ctx.replica = Some(r as u32);
-                let _scope = gts_trace::scoped_ctx(ctx);
-                call(&self.rlock(r))
-            }) {
-                Caught::Done(res) => return Some(res.map_err(ReplicaError::Index)),
-                Caught::Fault(kind) => {
-                    self.device_faults.fetch_add(1, Ordering::Relaxed);
-                    // Transient: the fault disarmed itself, the replica
-                    // stays a candidate and the retry will succeed.
-                    // Permanent: the device is quarantined, so the
-                    // fully-healthy filter drops the replica next round.
-                    let _ = kind;
-                    self.trace_instant(
-                        r,
-                        gts_trace::EventKind::ReplicaRetry {
-                            cause: gts_trace::RetryCause::DeviceFault,
-                        },
-                    );
-                }
-                Caught::Panic => {
-                    self.metric_panics.fetch_add(1, Ordering::Relaxed);
-                    self.strikes[r].fetch_add(1, Ordering::Relaxed);
-                    banned[r] = true;
-                    self.trace_instant(
-                        r,
-                        gts_trace::EventKind::ReplicaRetry {
-                            cause: gts_trace::RetryCause::Panic,
-                        },
-                    );
-                }
-            }
-        }
-        Some(Err(ReplicaError::AllReplicasFailed { shard: u32::MAX }))
-    }
-
-    /// The degraded path: answer each shard from any surviving copy across
-    /// replicas (concurrently, one host thread per shard), with the same
-    /// classify/retry/ban discipline per shard. Errors rank: a dead shard
-    /// reports [`ReplicaError::ShardUnavailable`]; the first failing shard
-    /// (in shard order) decides the batch's error.
-    fn try_per_shard(
-        &self,
-        prefer: &[usize],
-        call: impl Fn(&ShardedGts<O, M>, usize) -> Result<Vec<Vec<Neighbor>>, IndexError> + Sync,
-    ) -> Result<Vec<Vec<Vec<Neighbor>>>, ReplicaError> {
-        self.degraded_calls.fetch_add(1, Ordering::Relaxed);
-        self.trace_instant(0, gts_trace::EventKind::Degraded);
-        let call = &call;
-        let results: Vec<Result<Vec<Vec<Neighbor>>, ReplicaError>> =
-            scoped_map((0..self.shards).collect(), |_, s| {
-                let mut banned = vec![false; self.replicas.len()];
-                let budget = self.replicas.len() + EXTRA_ATTEMPTS;
-                let mut first_attempt = true;
-                for _ in 0..budget {
-                    let candidates: Vec<usize> = (0..self.replicas.len())
-                        .filter(|&r| !banned[r] && self.shard_copy_healthy(r, s))
-                        .collect();
-                    let Some(r) = self.pick(&candidates, prefer) else {
-                        return Err(if self.shard_alive(s) {
-                            ReplicaError::AllReplicasFailed { shard: s as u32 }
-                        } else {
-                            if let Some((rec, _)) = self.tracer() {
-                                rec.record(gts_trace::TraceEvent::instant(
-                                    gts_trace::EventKind::ShardUnavailable { shard: s as u32 },
-                                    gts_trace::current_ctx(),
-                                    None,
-                                    0,
-                                ));
-                                rec.flight_dump(gts_trace::DumpReason::ShardUnavailable);
-                            }
-                            ReplicaError::ShardUnavailable { shard: s as u32 }
-                        });
-                    };
-                    if !first_attempt {
-                        self.retries.fetch_add(1, Ordering::Relaxed);
-                    }
-                    first_attempt = false;
-                    match classify(|| {
-                        let mut ctx = gts_trace::current_ctx();
-                        ctx.replica = Some(r as u32);
-                        let _scope = gts_trace::scoped_ctx(ctx);
-                        call(&self.rlock(r), s)
-                    }) {
-                        Caught::Done(res) => return res.map_err(ReplicaError::Index),
-                        Caught::Fault(_) => {
-                            self.device_faults.fetch_add(1, Ordering::Relaxed);
-                            self.trace_instant(
-                                r,
-                                gts_trace::EventKind::ReplicaRetry {
-                                    cause: gts_trace::RetryCause::DeviceFault,
-                                },
-                            );
-                        }
-                        Caught::Panic => {
-                            self.metric_panics.fetch_add(1, Ordering::Relaxed);
-                            self.strikes[r].fetch_add(1, Ordering::Relaxed);
-                            banned[r] = true;
-                            self.trace_instant(
-                                r,
-                                gts_trace::EventKind::ReplicaRetry {
-                                    cause: gts_trace::RetryCause::Panic,
-                                },
-                            );
-                        }
-                    }
-                }
-                Err(ReplicaError::AllReplicasFailed { shard: s as u32 })
-            });
-        results.into_iter().collect()
+        rec.record(gts_trace::TraceEvent::instant(
+            kind,
+            ctx,
+            None,
+            self.span_of(&[r]),
+        ));
     }
 }
 
@@ -1057,28 +981,83 @@ mod tests {
 
     #[test]
     fn transient_fault_during_apply_repairs_and_stays_converged() {
-        let (_, pool, idx) = replicated(200, 2, 2);
-        // Strike replica 1's shard-0 device on its next kernel: the apply
-        // broadcast hits replica 0 first (clean), then replica 1 faults on
-        // the tombstone scan kernel mid-apply and must repair. (A remove, not
-        // an insert: a non-overflowing insert launches no kernel at all.)
+        // One case per op kind: (op, armed device, deletions that flip).
+        // The armed device's next kernel is replica 1's: the apply broadcast
+        // hits replica 0 first (clean), then replica 1 faults mid-apply and
+        // must repair — a remove on its tombstone scan, an overflowing insert
+        // on its rebuild, a batch on shard 1's rebuild after shard 0's
+        // already finished.
+        let batch = UpdateOp::Batch {
+            insertions: vec![Item::text("fresh-a"), Item::text("fresh-b")],
+            deletions: vec![2, 3],
+        };
+        let cases = [
+            (UpdateOp::Remove(0), 2, 1),
+            (UpdateOp::Insert(Item::text("fresh")), 2, 0),
+            (batch, 3, 2),
+        ];
+        for (op, device, removed) in cases {
+            let (items, metric) = data(200);
+            let pool = DevicePool::rtx_2080_ti(4);
+            // A one-byte cache: every insert overflows and owes a rebuild.
+            let params = GtsParams::default()
+                .with_shards(2)
+                .with_replicas(2)
+                .with_cache_capacity(1);
+            let idx = ReplicatedShards::build(&pool, items, metric, params).expect("build");
+            FaultPlan::new()
+                .fail_device(device, 1, gpu_sim::FaultKind::Transient)
+                .arm(&pool);
+            let ack = idx.apply_preferring(&[], &op).expect("repaired");
+            assert_eq!((ack.epoch, ack.removed), (1, removed), "{op:?}");
+            let rs = idx.replica_stats();
+            assert_eq!(rs.device_faults, 1, "{op:?}: the fault fired");
+            assert!(rs.retries >= 1, "{op:?}: repair counted as a retry");
+            let (r0, r1) = (
+                idx.replica(0).read().unwrap(),
+                idx.replica(1).read().unwrap(),
+            );
+            assert_eq!((r0.epoch(), r1.epoch()), (1, 1), "{op:?}");
+            assert_eq!(
+                r0.snapshot(),
+                r1.snapshot(),
+                "{op:?}: repaired replica is bit-identical to the clean one"
+            );
+            let rebuilds =
+                |rep: &ShardedGts<Item, ItemMetric>| [0, 1].map(|s| rep.shard(s).rebuild_count());
+            assert_eq!(
+                rebuilds(&r0),
+                rebuilds(&r1),
+                "{op:?}: a shard that rebuilt before the fault is not rebuilt again"
+            );
+        }
+    }
+
+    #[test]
+    fn only_the_faulted_shard_slice_reruns() {
+        let (items, pool, idx) = replicated(200, 2, 2);
+        let (_, twin_pool, twin) = replicated(200, 2, 2);
+        let queries: Vec<Item> = items[..6].to_vec();
+        // Pinned to replica 1, whose shard-0 device (2) faults at its first
+        // launch of the batch; shard 1 (device 3) answers on the first try.
         FaultPlan::new()
             .fail_device(2, 1, gpu_sim::FaultKind::Transient)
             .arm(&pool);
-        let ack = idx
-            .apply_preferring(&[], &UpdateOp::Remove(0))
-            .expect("remove repaired");
-        assert_eq!(ack.epoch, 1);
-        assert_eq!(ack.removed, 1);
-        let rs = idx.replica_stats();
-        assert!(rs.device_faults >= 1, "the fault fired");
-        assert!(rs.retries >= 1, "repair counted as a retry");
-        assert_eq!(idx.replica(0).read().unwrap().epoch(), 1);
-        assert_eq!(idx.replica(1).read().unwrap().epoch(), 1);
+        let (dev3, twin_dev3) = (pool.get(3).cycles(), twin_pool.get(3).cycles());
+        let answers = idx
+            .batch_knn_preferring(&[1], &queries, 5)
+            .expect("retried");
+        let clean = twin.batch_knn_preferring(&[1], &queries, 5).expect("clean");
         assert_eq!(
-            idx.replica(0).read().unwrap().snapshot(),
-            idx.replica(1).read().unwrap().snapshot(),
-            "repaired replica is bit-identical to the clean one"
+            answers, clean,
+            "the re-run slice reproduces the exact answer"
         );
+        assert_eq!(
+            pool.get(3).cycles() - dev3,
+            twin_pool.get(3).cycles() - twin_dev3,
+            "shard 1 ran once"
+        );
+        let rs = idx.replica_stats();
+        assert_eq!((rs.device_faults, rs.retries), (1, 1), "one slice re-ran");
     }
 }

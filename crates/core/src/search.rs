@@ -444,7 +444,7 @@ where
     O: Send + Sync,
     M: BatchMetric<O>,
 {
-    assert_eq!(queries.len(), radii.len());
+    debug_assert_eq!(queries.len(), radii.len(), "checked by Gts::batch_range");
     let mut engine = DescentEngine::start_range(ctx, queries, radii);
     engine.run()?;
     Ok(engine.into_results())

@@ -2,7 +2,7 @@
 //! scatter batched queries, merge exactly.
 //!
 //! The paper's evaluation is single-GPU, but the architecture was built to
-//! shard: the [`Device`](gpu_sim::Device) is `Arc`-shared with atomic
+//! shard: the [`Device`] is `Arc`-shared with atomic
 //! counters, and search is expressed as per-level batched kernels with no
 //! cross-query state. [`ShardedGts`] exploits that the classic way
 //! (data-parallel sharding with a host-side merge, as in billion-scale GPU
@@ -46,9 +46,10 @@ use crate::index::Gts;
 use crate::params::GtsParams;
 use crate::snapshot::{R, W};
 use crate::stats::StatsSnapshot;
-use gpu_sim::DevicePool;
+use gpu_sim::{Device, DevicePool};
 use metric_space::index::{sort_neighbors, DynamicIndex, IndexError, Neighbor, SimilarityIndex};
 use metric_space::{BatchMetric, Footprint, PartitionStrategy, Partitioner};
+use std::sync::Arc;
 
 /// Magic + version tag of the sharded snapshot envelope. `GTSI` added the
 /// update epoch to the envelope; `GTSH` snapshots (pre-epoch) are rejected.
@@ -86,6 +87,13 @@ pub struct Applied {
     pub assigned: Vec<u32>,
     /// How many deletions flipped a live object to dead.
     pub removed: usize,
+}
+
+/// An [`UpdateOp`] whose host mutations are staged: the receipt it will
+/// return, and the shards that still owe a rebuild.
+struct Pending {
+    applied: Applied,
+    owed: Vec<bool>,
 }
 
 /// One shard: a complete [`Gts`] over a partition of the dataset, plus the
@@ -145,9 +153,10 @@ pub struct ShardedGts<O, M> {
     /// Monotone update epoch: advanced by exactly one per applied
     /// [`UpdateOp`]; persisted by snapshots and resumed on restore.
     epoch: u64,
-    /// Receipt staged by [`ShardedGts::apply`] before its device phase;
-    /// consumed on success or by [`ShardedGts::repair`] after a fault.
-    pending: Option<Applied>,
+    /// Update staged by [`ShardedGts::apply`] before its device phase;
+    /// consumed by [`ShardedGts::repair`], which `apply` ends with and which
+    /// finishes the op after a fault.
+    pending: Option<Pending>,
     /// While fenced (a running service owns this index), the
     /// [`DynamicIndex`] mutation surface is rejected — out-of-band updates
     /// would race the service's serialized apply order.
@@ -194,7 +203,7 @@ impl<O, M> ShardedGts<O, M> {
 /// Map `f` over owned work items, one scoped host thread per item (inline
 /// when there is at most one), joining in item order — the spawn/join
 /// shape shared by the sharded build and the query scatter (and by the
-/// degraded path of [`ReplicatedShards`](crate::replica::ReplicatedShards)).
+/// route of [`ReplicatedShards`](crate::replica::ReplicatedShards)).
 /// Determinism: each item drives only its own device, and results are
 /// collected in item order.
 pub(crate) fn scoped_map<I: Send, T: Send>(
@@ -237,39 +246,69 @@ pub(crate) fn scoped_map<I: Send, T: Send>(
     })
 }
 
-/// Run one shard's slice of a scatter under a shard-tagged trace context,
-/// recording a [`ShardScatter`](gts_trace::EventKind::ShardScatter) span
-/// over the shard device's clock. Free when no tracer is attached; never
-/// advances the clock either way.
-fn traced_shard<O, M, T>(s: usize, shard: &Shard<O, M>, f: impl FnOnce() -> T) -> T
-where
-    O: Clone + Send + Sync + Footprint,
-    M: BatchMetric<O>,
-{
-    let mut ctx = gts_trace::current_ctx();
-    ctx.shard = Some(s as u32);
-    let _scope = gts_trace::scoped_ctx(ctx);
-    let dev = shard.gts.device();
-    let trace = dev.tracer();
-    let begin = trace.as_ref().map(|_| dev.cycles());
-    let out = f();
-    if let Some((rec, dev_id)) = trace {
-        rec.record(gts_trace::TraceEvent::span(
-            gts_trace::EventKind::ShardScatter,
-            gts_trace::current_ctx(),
-            Some(dev_id),
-            begin.expect("snapshotted alongside the tracer"),
-            dev.cycles(),
-        ));
+/// Merge per-shard range answers (each exact over its partition, remapped
+/// to global ids): concatenation plus the canonical `(distance, id)` sort
+/// — the exact union. Shared with
+/// [`ReplicatedShards`](crate::replica::ReplicatedShards), whose shard
+/// answers may come from different replicas.
+pub(crate) fn merge_range(
+    per_shard: Vec<Vec<Vec<Neighbor>>>,
+    queries: usize,
+) -> Vec<Vec<Neighbor>> {
+    let mut merged: Vec<Vec<Neighbor>> = vec![Vec::new(); queries];
+    for lists in per_shard {
+        for (m, mut list) in merged.iter_mut().zip(lists) {
+            m.append(&mut list);
+        }
     }
-    out
+    for m in &mut merged {
+        sort_neighbors(m);
+    }
+    merged
+}
+
+/// Merge per-shard top-`k` lists (remapped to global ids) into per-query
+/// global top-`k` answers by [`kway_merge`] — the merge of the exact and
+/// approximate kNN paths, shared like [`merge_range`].
+pub(crate) fn merge_knn(
+    mut per_shard: Vec<Vec<Vec<Neighbor>>>,
+    queries: usize,
+    k: usize,
+) -> Vec<Vec<Neighbor>> {
+    (0..queries)
+        .map(|q| {
+            let lists: Vec<Vec<Neighbor>> = per_shard
+                .iter_mut()
+                .map(|per_q| std::mem::take(&mut per_q[q]))
+                .collect();
+            kway_merge(&lists, k)
+        })
+        .collect()
+}
+
+/// Record a `Merge` instant (per-shard answers folded into global ones)
+/// against the first traced device among the shard copies that answered,
+/// stamped at their max clock — when the merge could begin.
+pub(crate) fn trace_merge<'a>(
+    devices: impl Iterator<Item = &'a Arc<Device>> + Clone,
+    ctx: gts_trace::TraceCtx,
+    results: u64,
+) {
+    let Some((rec, dev_id)) = devices.clone().find_map(|d| d.tracer()) else {
+        return;
+    };
+    let at = devices.map(|d| d.cycles()).max().unwrap_or(0);
+    rec.record(gts_trace::TraceEvent::instant(
+        gts_trace::EventKind::Merge { results },
+        ctx,
+        Some(dev_id),
+        at,
+    ));
 }
 
 /// Merge per-shard top-`k` lists (each in canonical ascending `(dis, id)`
 /// order) into the global top-`k`, preserving the single-device tie-break.
-/// Crate-visible so [`ReplicatedShards`](crate::replica::ReplicatedShards)
-/// can merge per-shard answers it gathered from *different* replicas.
-pub(crate) fn kway_merge(lists: &[Vec<Neighbor>], k: usize) -> Vec<Neighbor> {
+fn kway_merge(lists: &[Vec<Neighbor>], k: usize) -> Vec<Neighbor> {
     let mut heads = vec![0usize; lists.len()];
     let mut out = Vec::with_capacity(k);
     while out.len() < k {
@@ -366,35 +405,55 @@ where
         })
     }
 
-    /// Run `f` on every shard concurrently (one host thread per shard),
-    /// collecting results in shard order — the scatter half of
-    /// scatter/merge. Each shard drives only its own device, so per-device
-    /// counters stay deterministic regardless of interleaving.
-    fn scatter<T: Send>(&self, f: impl Fn(&Shard<O, M>) -> T + Sync) -> Vec<T> {
-        scoped_map(self.shards.iter().collect(), |s, shard| {
-            traced_shard(s, shard, || f(shard))
-        })
+    /// Run `f` on shard `s` alone, under a shard-tagged trace context and a
+    /// [`ShardScatter`](gts_trace::EventKind::ShardScatter) span over the
+    /// shard device's clock, with answers remapped to global ids. Runs on
+    /// the calling thread, so a panic (an injected device fault, a metric
+    /// bug) surfaces to the caller. The one per-shard entry point of both
+    /// this scatter and the route of
+    /// [`ReplicatedShards`](crate::replica::ReplicatedShards).
+    pub(crate) fn on_shard(
+        &self,
+        s: usize,
+        f: impl FnOnce(&Gts<O, M>) -> Result<Vec<Vec<Neighbor>>, IndexError>,
+    ) -> Result<Vec<Vec<Neighbor>>, IndexError> {
+        let sh = &self.shards[s];
+        let mut ctx = gts_trace::current_ctx();
+        ctx.shard = Some(s as u32);
+        let _scope = gts_trace::scoped_ctx(ctx);
+        let dev = sh.gts.device();
+        let trace = dev.tracer();
+        let begin = trace.as_ref().map(|_| dev.cycles());
+        let out = f(&sh.gts).map(|r| sh.remap(r));
+        if let Some((rec, dev_id)) = trace {
+            rec.record(gts_trace::TraceEvent::span(
+                gts_trace::EventKind::ShardScatter,
+                gts_trace::current_ctx(),
+                Some(dev_id),
+                begin.expect("snapshotted alongside the tracer"),
+                dev.cycles(),
+            ));
+        }
+        out
     }
 
-    /// Record a `Merge` instant (per-shard answers folded into global ones)
-    /// against the first traced device, stamped at the post-scatter critical
-    /// path — the max shard clock, i.e. when the merge could begin.
-    fn trace_merge(&self, results: u64) {
-        let Some((rec, dev_id)) = self.shards.iter().find_map(|sh| sh.gts.device().tracer()) else {
-            return;
-        };
-        let at = self
-            .shards
-            .iter()
-            .map(|sh| sh.gts.device().cycles())
-            .max()
-            .unwrap_or(0);
-        rec.record(gts_trace::TraceEvent::instant(
-            gts_trace::EventKind::Merge { results },
-            gts_trace::current_ctx(),
-            Some(dev_id),
-            at,
-        ));
+    /// Scatter `call` to every shard concurrently (one host thread per
+    /// shard; each drives only its own device, so per-device counters stay
+    /// deterministic regardless of interleaving), fold the per-shard
+    /// answers with `merge` and record the `Merge` instant. The first
+    /// failing shard, in shard order, decides the error.
+    fn scatter(
+        &self,
+        call: impl Fn(&Gts<O, M>) -> Result<Vec<Vec<Neighbor>>, IndexError> + Sync,
+        merge: impl FnOnce(Vec<Vec<Vec<Neighbor>>>) -> Vec<Vec<Neighbor>>,
+    ) -> Result<Vec<Vec<Neighbor>>, IndexError> {
+        let per_shard = scoped_map((0..self.shards.len()).collect(), |_, s| {
+            self.on_shard(s, &call)
+        });
+        let merged = merge(per_shard.into_iter().collect::<Result<_, _>>()?);
+        let devices = self.shards.iter().map(|sh| sh.gts.device());
+        trace_merge(devices, gts_trace::current_ctx(), merged.len() as u64);
+        Ok(merged)
     }
 
     /// Batched metric range query: every query runs on every shard;
@@ -405,31 +464,20 @@ where
         queries: &[O],
         radii: &[f64],
     ) -> Result<Vec<Vec<Neighbor>>, IndexError> {
-        assert_eq!(queries.len(), radii.len());
-        let per_shard = self.scatter(|sh| sh.gts.batch_range(queries, radii).map(|r| sh.remap(r)));
-        let mut merged: Vec<Vec<Neighbor>> = vec![Vec::new(); queries.len()];
-        for lists in per_shard {
-            for (m, mut list) in merged.iter_mut().zip(lists?) {
-                m.append(&mut list);
-            }
-        }
-        for m in &mut merged {
-            sort_neighbors(m);
-        }
-        self.trace_merge(merged.len() as u64);
-        Ok(merged)
+        self.scatter(
+            |gts| gts.batch_range(queries, radii),
+            |lists| merge_range(lists, queries.len()),
+        )
     }
 
     /// Batched metric kNN query: every shard returns its local top-`k`;
     /// the global top-`k` is a k-way merge under the `(distance, id)`
     /// tie-break — bit-identical to the single-device answer.
     pub fn batch_knn(&self, queries: &[O], k: usize) -> Result<Vec<Vec<Neighbor>>, IndexError> {
-        let per_shard = self.scatter(|sh| sh.gts.batch_knn(queries, k).map(|r| sh.remap(r)));
-        let merged = Self::merge_knn(per_shard, queries.len(), k);
-        if merged.is_ok() {
-            self.trace_merge(queries.len() as u64);
-        }
-        merged
+        self.scatter(
+            |gts| gts.batch_knn(queries, k),
+            |lists| merge_knn(lists, queries.len(), k),
+        )
     }
 
     /// Approximate batched MkNNQ ([`Gts::batch_knn_approx`]), scattered to
@@ -447,65 +495,10 @@ where
         k: usize,
         beam: usize,
     ) -> Result<Vec<Vec<Neighbor>>, IndexError> {
-        let per_shard = self.scatter(|sh| {
-            sh.gts
-                .batch_knn_approx(queries, k, beam)
-                .map(|r| sh.remap(r))
-        });
-        Self::merge_knn(per_shard, queries.len(), k)
-    }
-
-    /// Merge per-shard top-`k` lists (already remapped to global ids) into
-    /// per-query global top-`k` answers — the shared merge half of the
-    /// exact and approximate kNN paths.
-    fn merge_knn(
-        per_shard: Vec<Result<Vec<Vec<Neighbor>>, IndexError>>,
-        queries: usize,
-        k: usize,
-    ) -> Result<Vec<Vec<Neighbor>>, IndexError> {
-        let mut shard_lists: Vec<Vec<Vec<Neighbor>>> = Vec::with_capacity(per_shard.len());
-        for lists in per_shard {
-            shard_lists.push(lists?);
-        }
-        Ok((0..queries)
-            .map(|q| {
-                let lists: Vec<Vec<Neighbor>> = shard_lists
-                    .iter_mut()
-                    .map(|per_q| std::mem::take(&mut per_q[q]))
-                    .collect();
-                kway_merge(&lists, k)
-            })
-            .collect())
-    }
-
-    /// Range query against **one shard only**, answers remapped to global
-    /// ids (exact over that shard's partition). Building block for the
-    /// degraded path of [`ReplicatedShards`](crate::replica::ReplicatedShards),
-    /// which re-assembles a full answer from surviving shard copies spread
-    /// across replicas; runs on the calling thread so panics (injected
-    /// device faults, metric bugs) surface directly to the caller.
-    pub(crate) fn shard_range(
-        &self,
-        s: usize,
-        queries: &[O],
-        radii: &[f64],
-    ) -> Result<Vec<Vec<Neighbor>>, IndexError> {
-        let sh = &self.shards[s];
-        traced_shard(s, sh, || {
-            sh.gts.batch_range(queries, radii).map(|r| sh.remap(r))
-        })
-    }
-
-    /// kNN against **one shard only**, remapped to global ids; the shard's
-    /// local top-`k` (see [`ShardedGts::shard_range`] for the role).
-    pub(crate) fn shard_knn(
-        &self,
-        s: usize,
-        queries: &[O],
-        k: usize,
-    ) -> Result<Vec<Vec<Neighbor>>, IndexError> {
-        let sh = &self.shards[s];
-        traced_shard(s, sh, || sh.gts.batch_knn(queries, k).map(|r| sh.remap(r)))
+        self.scatter(
+            |gts| gts.batch_knn_approx(queries, k, beam),
+            |lists| merge_knn(lists, queries.len(), k),
+        )
     }
 
     // -- accessors ------------------------------------------------------------
@@ -719,187 +712,111 @@ where
     /// answers, same snapshot, same epoch), which is what lets replicas and
     /// a single-device oracle agree.
     ///
-    /// Crash consistency: all host mutations (object stores, id mappings,
-    /// tombstones, the staged [`Applied`] receipt) complete before any
-    /// device kernel can fire an injected fault. A fault therefore leaves
-    /// the host state complete but the epoch un-advanced and possibly a
-    /// shard structure stale — exactly what [`ShardedGts::repair`] finishes.
+    /// Crash consistency: every host mutation (object stores, id mappings,
+    /// tombstones) lands in a staged receipt, together with the shards that
+    /// owe a rebuild, before any device kernel can fire an injected fault;
+    /// then [`ShardedGts::repair`] runs the rebuilds. A fault therefore
+    /// leaves the host state complete, the epoch un-advanced and the owed
+    /// rebuilds recorded — calling `repair` again finishes the op.
     ///
     /// A typed `Err` (e.g. device OOM during a rebuild) still advances the
     /// epoch: such errors are deterministic given identical replicas, so
     /// counting the op keeps replica epochs converged.
     pub fn apply(&mut self, op: &UpdateOp<O>) -> Result<Applied, IndexError> {
-        let mut result: Result<(), IndexError> = Ok(());
+        let pending = self.pending.insert(Pending {
+            applied: Applied {
+                epoch: self.epoch + 1,
+                assigned: Vec::new(),
+                removed: 0,
+            },
+            owed: vec![false; self.shards.len()],
+        });
         match op {
             UpdateOp::Insert(obj) => {
                 let gid = self.global_len as u32;
                 let s = self.partitioner.shard_of(gid) as usize;
-                let shard = &mut self.shards[s];
-                // Record the mapping before the fallible insert (same
-                // reasoning as the DynamicIndex path): the inner store
-                // grows before its only fault point, the overflow rebuild.
-                shard.global_ids.push(gid);
+                self.shards[s].global_ids.push(gid);
                 self.global_len += 1;
-                self.pending = Some(Applied {
-                    epoch: self.epoch + 1,
-                    assigned: vec![gid],
-                    removed: 0,
-                });
-                result = shard.gts.insert(obj.clone()).map(|_| ());
+                pending.applied.assigned.push(gid);
+                // A cache overflow owes the shard its §4.4 rebuild.
+                pending.owed[s] = self.shards[s].gts.stage_insert(obj.clone()).1;
             }
             UpdateOp::Remove(id) => {
                 if (*id as usize) < self.global_len {
-                    let s = self.partitioner.shard_of(*id) as usize;
-                    let shard = &mut self.shards[s];
+                    let shard = &mut self.shards[self.partitioner.shard_of(*id) as usize];
                     let local = shard
                         .global_ids
                         .binary_search(id)
-                        .expect("every assigned id is present in its shard");
-                    // The receipt is staged from the pre-remove live state,
-                    // before the tombstone scan kernel can fault.
-                    self.pending = Some(Applied {
-                        epoch: self.epoch + 1,
-                        assigned: Vec::new(),
-                        removed: usize::from(shard.gts.is_live(local as u32)),
-                    });
-                    result = shard.gts.remove(local as u32).map(|_| ());
-                } else {
-                    self.pending = Some(Applied {
-                        epoch: self.epoch + 1,
-                        assigned: Vec::new(),
-                        removed: 0,
-                    });
+                        .expect("every assigned id is present in its shard")
+                        as u32;
+                    // The receipt is staged from the pre-remove live state;
+                    // the tombstone precedes the scan kernel, the only point
+                    // a remove can fault, so no rebuild is owed.
+                    pending.applied.removed = usize::from(shard.gts.is_live(local));
+                    shard.gts.remove(local)?;
                 }
             }
             UpdateOp::Batch {
                 insertions,
                 deletions,
             } => {
-                let s = self.shards.len();
-                let mut per_ins: Vec<Vec<O>> = (0..s).map(|_| Vec::new()).collect();
-                let mut per_del: Vec<Vec<u32>> = (0..s).map(|_| Vec::new()).collect();
-                let mut assigned = Vec::with_capacity(insertions.len());
-                for obj in insertions {
-                    let gid = self.global_len as u32;
-                    let shard = self.partitioner.shard_of(gid) as usize;
-                    per_ins[shard].push(obj.clone());
-                    self.shards[shard].global_ids.push(gid);
-                    self.global_len += 1;
-                    assigned.push(gid);
-                }
+                // Every shard a change reaches owes one rebuild (§4.4).
+                // Deletions go first: an id this batch assigns is unknown
+                // to them.
                 for &d in deletions {
                     if (d as usize) < self.global_len {
-                        let shard = self.partitioner.shard_of(d) as usize;
-                        let local = self.shards[shard]
+                        let s = self.partitioner.shard_of(d) as usize;
+                        let local = self.shards[s]
                             .global_ids
                             .binary_search(&d)
                             .expect("every assigned id is present in its shard");
-                        per_del[shard].push(local as u32);
+                        let gts = &mut self.shards[s].gts;
+                        pending.applied.removed += gts.stage_update(Vec::new(), &[local as u32]);
+                        pending.owed[s] = true;
                     }
                 }
-                // Stage every shard's host mutations first (infallible, no
-                // device work), then rebuild the affected shards. A panic
-                // mid-rebuild leaves all host stores complete; repair just
-                // re-runs the deterministic rebuilds.
-                let mut removed = 0usize;
-                let mut affected = vec![false; s];
-                for (i, (ins, del)) in per_ins.into_iter().zip(&per_del).enumerate() {
-                    if !ins.is_empty() || !del.is_empty() {
-                        removed += self.shards[i].gts.stage_update(ins, del);
-                        affected[i] = true;
-                    }
-                }
-                self.pending = Some(Applied {
-                    epoch: self.epoch + 1,
-                    assigned,
-                    removed,
-                });
-                let mut first_err = None;
-                for (i, shard) in self.shards.iter_mut().enumerate() {
-                    if affected[i] {
-                        if let Err(e) = shard.gts.rebuild() {
-                            first_err.get_or_insert(e);
-                        }
-                    }
-                }
-                if let Some(e) = first_err {
-                    result = Err(e);
+                for obj in insertions {
+                    let gid = self.global_len as u32;
+                    let s = self.partitioner.shard_of(gid) as usize;
+                    self.shards[s].global_ids.push(gid);
+                    self.global_len += 1;
+                    pending.applied.assigned.push(gid);
+                    self.shards[s].gts.stage_update(vec![obj.clone()], &[]);
+                    pending.owed[s] = true;
                 }
             }
         }
-        self.epoch += 1;
-        let applied = self.pending.take().expect("receipt staged above");
-        result.map(|_| applied)
+        self.repair()
     }
 
-    /// Finish an [`ShardedGts::apply`] that panicked mid-device-phase (an
-    /// injected [`DeviceFault`](gpu_sim::fault::DeviceFault) during a
-    /// rebuild or tombstone scan). The host state is already complete —
-    /// `apply` stages every host mutation before its first kernel — so
-    /// repair only re-runs the structural work the op still deterministically
-    /// requires, advances the epoch, and returns the staged receipt:
+    /// The device phase of a staged [`UpdateOp`]: rebuild every shard the
+    /// pending receipt still owes, clearing each flag once its rebuild
+    /// returned, then advance the epoch and return the receipt.
+    /// [`ShardedGts::apply`] ends here; after an injected
+    /// [`DeviceFault`](gpu_sim::fault::DeviceFault) unwound out of it,
+    /// calling `repair` again finishes the op. A shard that rebuilt before
+    /// the fault is not rebuilt again, so a repaired replica converges with
+    /// one that never faulted — same snapshot, same rebuild counts.
     ///
-    /// * `Insert` — rebuild the owning shard iff its cache still exceeds
-    ///   capacity (the §4.4 overflow condition persists across a faulted
-    ///   rebuild, and is the same condition an un-faulted replica evaluated,
-    ///   so both rebuild exactly once and converge bit-identically);
-    /// * `Remove` — nothing structural (the tombstone precedes the scan
-    ///   kernel);
-    /// * `Batch` — rebuild every affected shard (a shard that already
-    ///   rebuilt before the fault rebuilds again; reconstruction is a pure
-    ///   function of the object store, so the result is identical).
-    ///
-    /// Errors with [`IndexError::Unsupported`] when no failed apply is
-    /// pending.
-    pub fn repair(&mut self, op: &UpdateOp<O>) -> Result<Applied, IndexError> {
-        // Peek (don't consume) the receipt: a repair that faults again must
-        // leave it staged for the next repair attempt.
-        if self.pending.is_none() {
+    /// Errors with [`IndexError::Unsupported`] when no update is pending.
+    pub fn repair(&mut self) -> Result<Applied, IndexError> {
+        let Some(pending) = self.pending.as_mut() else {
             return Err(IndexError::Unsupported(
                 "no faulted update is pending repair",
             ));
-        }
-        let mut result: Result<(), IndexError> = Ok(());
-        match op {
-            UpdateOp::Insert(_) => {
-                let gid = (self.global_len - 1) as u32;
-                let s = self.partitioner.shard_of(gid) as usize;
-                let gts = &mut self.shards[s].gts;
-                if gts.cache_bytes() > gts.cache_capacity() {
-                    result = gts.rebuild();
+        };
+        let mut first_err = None;
+        for (shard, owed) in self.shards.iter_mut().zip(&mut pending.owed) {
+            if *owed {
+                if let Err(e) = shard.gts.rebuild() {
+                    first_err.get_or_insert(e);
                 }
-            }
-            UpdateOp::Remove(_) => {}
-            UpdateOp::Batch {
-                insertions,
-                deletions,
-            } => {
-                let mut affected = vec![false; self.shards.len()];
-                let first_gid = self.global_len - insertions.len();
-                for gid in first_gid..self.global_len {
-                    affected[self.partitioner.shard_of(gid as u32) as usize] = true;
-                }
-                for &d in deletions {
-                    if (d as usize) < self.global_len {
-                        affected[self.partitioner.shard_of(d) as usize] = true;
-                    }
-                }
-                let mut first_err = None;
-                for (i, shard) in self.shards.iter_mut().enumerate() {
-                    if affected[i] {
-                        if let Err(e) = shard.gts.rebuild() {
-                            first_err.get_or_insert(e);
-                        }
-                    }
-                }
-                if let Some(e) = first_err {
-                    result = Err(e);
-                }
+                *owed = false;
             }
         }
         self.epoch += 1;
-        let pending = self.pending.take().expect("checked above");
-        result.map(|_| pending)
+        let applied = self.pending.take().expect("checked above").applied;
+        first_err.map_or(Ok(applied), Err)
     }
 }
 

@@ -79,15 +79,17 @@ pub struct ReplicaStats {
     /// Shards with no healthy copy left on any replica — their requests
     /// fail fast with `ShardUnavailable`.
     pub dead_shards: usize,
-    /// Retry attempts after a replica failed mid-batch (any cause).
+    /// Re-run attempts after a failure (any cause): one per shard slice a
+    /// query batch re-plans, one per repair attempt of an update.
     pub retries: u64,
-    /// Retries caused by injected device faults specifically.
+    /// Failed attempts caused by injected device faults specifically.
     pub device_faults: u64,
-    /// Retries caused by non-device panics (e.g. a user metric blowing up);
-    /// these also add a soft-health strike against the replica.
+    /// Failed attempts caused by non-device panics (e.g. a user metric
+    /// blowing up); each also adds a soft-health strike against the replica.
     pub metric_panics: u64,
-    /// Batches that fell off the whole-replica fast path onto the per-shard
-    /// degraded path (composing answers from surviving shard copies).
+    /// Query batches whose first plan spans more than one replica — no
+    /// replica held a healthy copy of every shard, so the answer was
+    /// composed from surviving shard copies.
     pub degraded_calls: u64,
     /// Per-replica soft-health strikes (panic history used to deprioritize
     /// a replica in selection; never a permanent exclusion).

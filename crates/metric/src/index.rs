@@ -63,6 +63,20 @@ pub enum IndexError {
     Unsupported(&'static str),
     /// Attempt to query an index holding no objects.
     EmptyIndex,
+    /// The query batch is malformed (e.g. one radius missing); rejected
+    /// before any device work.
+    InvalidQuery(&'static str),
+}
+
+/// Check that a batched range query supplies exactly one radius per query.
+pub fn check_radii<O>(queries: &[O], radii: &[f64]) -> Result<(), IndexError> {
+    if queries.len() == radii.len() {
+        Ok(())
+    } else {
+        Err(IndexError::InvalidQuery(
+            "batch_range needs one radius per query",
+        ))
+    }
 }
 
 impl fmt::Display for IndexError {
@@ -78,6 +92,7 @@ impl fmt::Display for IndexError {
             ),
             IndexError::Unsupported(what) => write!(f, "unsupported operation: {what}"),
             IndexError::EmptyIndex => write!(f, "index is empty"),
+            IndexError::InvalidQuery(what) => write!(f, "invalid query: {what}"),
         }
     }
 }
@@ -107,7 +122,7 @@ pub trait SimilarityIndex<O> {
 
     /// Batch MRQ over `queries[i]` with radius `radii[i]`.
     fn batch_range(&self, queries: &[O], radii: &[f64]) -> Result<Vec<Vec<Neighbor>>, IndexError> {
-        assert_eq!(queries.len(), radii.len(), "queries/radii length mismatch");
+        check_radii(queries, radii)?;
         queries
             .iter()
             .zip(radii)

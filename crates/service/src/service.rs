@@ -454,6 +454,29 @@ fn lock_stats(stats: &Mutex<ExecutorStats>) -> MutexGuard<'_, ExecutorStats> {
     stats.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
+/// Account one panic contained at a lane boundary: count it, record a
+/// `LanePanic` instant on the lane's critical path and take a flight dump.
+fn lane_panicked<O, M>(
+    index: &ReplicatedShards<O, M>,
+    prefer: &[usize],
+    stats: &Mutex<ExecutorStats>,
+    trace: Option<&Arc<TraceRecorder>>,
+) where
+    O: Clone + Send + Sync + Footprint,
+    M: BatchMetric<O> + Clone,
+{
+    lock_stats(stats).lane_panics += 1;
+    if let Some(rec) = trace {
+        rec.record(TraceEvent::instant(
+            EventKind::LanePanic,
+            gts_trace::current_ctx(),
+            None,
+            index.span_of(prefer),
+        ));
+        rec.flight_dump(DumpReason::LanePanic);
+    }
+}
+
 /// One executor lane: receives its batches in deal order and runs each to
 /// completion before the next. Lanes prefer disjoint replica sets, so the
 /// per-batch span-cycle deltas a lane records against its own replicas'
@@ -548,16 +571,7 @@ fn run_lane<O, M>(
             BatchKind::Update => update_batch(index, prefer, &batch, stats, trace, metrics),
         }));
         if outcome.is_err() {
-            lock_stats(stats).lane_panics += 1;
-            if let Some(rec) = trace {
-                rec.record(TraceEvent::instant(
-                    EventKind::LanePanic,
-                    ctx,
-                    None,
-                    index.span_of(prefer),
-                ));
-                rec.flight_dump(DumpReason::LanePanic);
-            }
+            lane_panicked(index, prefer, stats, trace);
         } else if let Some(rec) = trace {
             rec.record(TraceEvent::span(
                 EventKind::LaneBatch {
@@ -597,16 +611,7 @@ fn query_batch<O, M>(
         })) {
             Ok(res) => res,
             Err(_) => {
-                lock_stats(stats).lane_panics += 1;
-                if let Some(rec) = trace {
-                    rec.record(TraceEvent::instant(
-                        EventKind::LanePanic,
-                        gts_trace::current_ctx(),
-                        None,
-                        index.span_of(prefer),
-                    ));
-                    rec.flight_dump(DumpReason::LanePanic);
-                }
+                lane_panicked(index, prefer, stats, trace);
                 Err(ServiceError::BatchPanicked)
             }
         };
@@ -723,16 +728,7 @@ fn update_batch<O, M>(
             })),
             Ok(Err(e)) => Err(ServiceError::from(e)),
             Err(_) => {
-                lock_stats(stats).lane_panics += 1;
-                if let Some(rec) = trace {
-                    rec.record(TraceEvent::instant(
-                        EventKind::LanePanic,
-                        gts_trace::current_ctx(),
-                        None,
-                        index.span_of(prefer),
-                    ));
-                    rec.flight_dump(DumpReason::LanePanic);
-                }
+                lane_panicked(index, prefer, stats, trace);
                 Err(ServiceError::BatchPanicked)
             }
         };

@@ -65,14 +65,15 @@ pub struct ServiceStats {
     /// snapshot was restored at). Max across replicas — a replica lagging
     /// after a permanent device loss does not hide progress.
     pub epoch: u64,
-    /// Replica-layer retries after an injected device fault or metric panic.
+    /// Replica-layer re-runs (query shard slices, update repairs) after an
+    /// injected device fault or metric panic.
     pub retries: u64,
     /// Device faults observed by the replica layer (transient + permanent).
     pub device_faults: u64,
     /// User-metric panics contained by the replica layer.
     pub metric_panics: u64,
-    /// Batches answered via the degraded per-shard composition path
-    /// (mixing surviving shard copies across replicas).
+    /// Batches planned across more than one replica (no replica held a
+    /// healthy copy of every shard, so surviving copies were mixed).
     pub degraded_calls: u64,
     /// Host microseconds requests spent queued, stamped at flush time.
     pub queue_wait_us: LatencyHistogram,

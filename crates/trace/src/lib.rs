@@ -190,8 +190,8 @@ pub enum EventKind {
         /// What killed the attempt.
         cause: RetryCause,
     },
-    /// Instant: the whole-replica fast path was unavailable and the batch
-    /// fell to the degraded per-shard composition.
+    /// Instant: no replica held a healthy copy of every shard, so the
+    /// batch's plan spans more than one replica.
     Degraded,
     /// Span: one shard answering its slice of a scattered batch.
     ShardScatter,

@@ -119,3 +119,59 @@ fn gts_agrees_with_mvpt_batch_wise() {
         );
     }
 }
+
+/// A range batch with fewer radii than queries is a typed error on every
+/// index layer and every batched baseline, raised before any device work.
+#[test]
+fn range_batch_with_a_missing_radius_is_a_typed_error() {
+    use gts::metric::index::IndexError;
+    let data = DatasetKind::Words.generate(200, 52);
+    let (items, metric) = (data.items.clone(), data.metric);
+    let dev = Device::rtx_2080_ti();
+    let gts = Gts::build(&dev, items.clone(), metric, GtsParams::default()).expect("gts");
+    let table = GpuTable::new(&dev, items.clone(), metric).expect("gpu-table");
+    let gtree = GpuTree::build(&dev, items.clone(), metric).expect("gpu-tree");
+    let scan = LinearScan::new(items.clone(), metric);
+    let sharded_pool = DevicePool::rtx_2080_ti(2);
+    let params = GtsParams::default().with_shards(2);
+    let sharded = ShardedGts::build(&sharded_pool, items.clone(), metric, params).expect("sharded");
+    let replicated_pool = DevicePool::rtx_2080_ti(4);
+    let replicated = ReplicatedShards::build(
+        &replicated_pool,
+        items.clone(),
+        metric,
+        params.with_replicas(2),
+    )
+    .expect("replicated");
+    let clocks = || -> Vec<u64> {
+        std::iter::once(&dev)
+            .chain(sharded_pool.devices())
+            .chain(replicated_pool.devices())
+            .map(|d| d.cycles())
+            .collect()
+    };
+
+    let (queries, radii) = (&items[..3], [1.0, 2.0]);
+    let before = clocks();
+    let replicated_answer = replicated
+        .batch_range(queries, &radii)
+        .map_err(|e| match e {
+            ReplicaError::Index(e) => e,
+            other => panic!("the replica layer passes the index error through, got {other}"),
+        });
+    let answers = [
+        ("GTS", gts.batch_range(queries, &radii)),
+        ("GTS-sharded", sharded.batch_range(queries, &radii)),
+        ("GTS-replicated", replicated_answer),
+        ("LinearScan", scan.batch_range(queries, &radii)),
+        ("GPU-Table", table.batch_range(queries, &radii)),
+        ("GPU-Tree", gtree.batch_range(queries, &radii)),
+    ];
+    for (name, answer) in answers {
+        assert!(
+            matches!(answer, Err(IndexError::InvalidQuery(_))),
+            "{name}: {answer:?}"
+        );
+    }
+    assert_eq!(clocks(), before, "no device clock moved");
+}
