@@ -15,12 +15,15 @@
 //! The audit follows the observability contract of `gts-trace` and
 //! `gts-metrics`: it only *reads* engine state already computed (frontier
 //! lengths, allocation sizes), never charges a cycle or touches an
-//! answer, and the disabled path is one relaxed atomic load per level.
+//! answer. It has no switch: it records whenever a plan is installed —
+//! whenever cost-model sizing made a prediction there is something to
+//! check — and an index no sizing pass ran on pays one uncontended lock
+//! per level.
 
 use crate::cost::CostModel;
 use crate::search::FRONTIER_ENTRY_BYTES;
 use gts_trace::LatencyHistogram;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 /// The prediction under audit: the fitted model and the batch size it
@@ -67,11 +70,10 @@ struct AuditInner {
     calibration_pct: LatencyHistogram,
 }
 
-/// Per-index audit state. Owned by every `Gts`; disabled by default and
-/// switched on alongside the service's metrics hub.
+/// Per-index audit state. Owned by every `Gts`; records whenever a plan
+/// is installed.
 #[derive(Default)]
 pub struct CostAudit {
-    enabled: AtomicBool,
     levels_observed: AtomicU64,
     overpredicted: AtomicU64,
     underpredicted: AtomicU64,
@@ -80,20 +82,9 @@ pub struct CostAudit {
 }
 
 impl CostAudit {
-    /// Is the audit recording?
-    pub fn enabled(&self) -> bool {
-        self.enabled.load(Ordering::Relaxed)
-    }
-
-    /// Switch recording on or off. Every observation site early-returns
-    /// on this one relaxed load while off.
-    pub fn set_enabled(&self, on: bool) {
-        self.enabled.store(on, Ordering::Relaxed);
-    }
-
     /// Install the prediction to audit against (called by the batch
-    /// sizing path whenever a cost model is fitted). Kept even while
-    /// disabled, so enabling later audits against the current plan.
+    /// sizing path whenever a cost model is fitted); from here on every
+    /// descent is held against it.
     pub fn install(&self, plan: AuditPlan) {
         self.inner.lock().expect("audit lock").plan = Some(plan);
     }
@@ -104,18 +95,26 @@ impl CostAudit {
     }
 
     /// Record one level observation: `observed` frontier entries entered
-    /// `level` while descending a batch of `queries`. No-op while
-    /// disabled or before any plan is installed.
-    pub(crate) fn observe_level(&self, level: u32, queries: u64, observed: u64) {
-        if !self.enabled.load(Ordering::Relaxed) {
-            return;
-        }
+    /// `level` while descending a batch of `queries`, about to fill an
+    /// expansion buffer of `expansion_bytes` (`None` on the leaf level;
+    /// the audit keeps the high-water mark). No-op before any plan is
+    /// installed — there is no prediction to hold them against.
+    pub(crate) fn observe_level(
+        &self,
+        level: u32,
+        queries: u64,
+        observed: u64,
+        expansion_bytes: Option<u64>,
+    ) {
         let mut inner = self.inner.lock().expect("audit lock");
         let Some(plan) = inner.plan else { return };
         let predicted = plan.predicted_frontier(queries, level).max(1);
         let pct = (observed as f64 * 100.0 / predicted as f64).round() as u64;
         inner.calibration_pct.record(pct);
         drop(inner);
+        if let Some(bytes) = expansion_bytes {
+            self.peak_frontier_bytes.fetch_max(bytes, Ordering::Relaxed);
+        }
         self.levels_observed.fetch_add(1, Ordering::Relaxed);
         if observed > predicted {
             self.underpredicted.fetch_add(1, Ordering::Relaxed);
@@ -124,20 +123,10 @@ impl CostAudit {
         }
     }
 
-    /// Record the size of one intermediate expansion buffer; the audit
-    /// keeps the high-water mark. No-op while disabled.
-    pub(crate) fn observe_frontier_bytes(&self, bytes: u64) {
-        if !self.enabled.load(Ordering::Relaxed) {
-            return;
-        }
-        self.peak_frontier_bytes.fetch_max(bytes, Ordering::Relaxed);
-    }
-
     /// Point-in-time view of the audit.
     pub fn snapshot(&self) -> CostAuditSnapshot {
         let inner = self.inner.lock().expect("audit lock");
         CostAuditSnapshot {
-            enabled: self.enabled(),
             predicted_batch: inner.plan.map_or(0, |p| p.predicted_batch),
             predicted_peak_bytes: inner.plan.map_or(0, |p| p.predicted_peak_bytes()),
             levels_observed: self.levels_observed.load(Ordering::Relaxed),
@@ -152,8 +141,6 @@ impl CostAudit {
 /// Snapshot of a [`CostAudit`], foldable across shards.
 #[derive(Clone, Debug, Default)]
 pub struct CostAuditSnapshot {
-    /// Was the audit recording when snapshotted?
-    pub enabled: bool,
     /// The admitted batch size under audit (0 before any sizing pass;
     /// the minimum across shards after a fold — the batch the service
     /// actually formed).
@@ -182,7 +169,6 @@ impl CostAuditSnapshot {
     /// peaks max, and `predicted_batch` takes the minimum of the
     /// non-zero values (the batch size the cross-shard sizing admits).
     pub fn combine(mut self, other: CostAuditSnapshot) -> CostAuditSnapshot {
-        self.enabled |= other.enabled;
         self.predicted_batch = match (self.predicted_batch, other.predicted_batch) {
             (0, b) => b,
             (a, 0) => a,
@@ -218,27 +204,24 @@ mod tests {
     }
 
     #[test]
-    fn disabled_audit_records_nothing() {
+    fn no_plan_records_nothing() {
         let audit = CostAudit::default();
-        audit.install(plan());
-        audit.observe_level(1, 8, 100);
-        audit.observe_frontier_bytes(1 << 20);
+        audit.observe_level(1, 8, 100, Some(1 << 20));
         let snap = audit.snapshot();
-        assert!(!snap.enabled);
         assert_eq!(snap.levels_observed, 0);
+        assert_eq!(snap.calibration_pct.count(), 0);
         assert_eq!(snap.peak_frontier_bytes, 0);
-        assert_eq!(snap.predicted_batch, 64, "the plan is kept while off");
+        assert_eq!(snap.predicted_batch, 0, "no sizing pass, no prediction");
     }
 
     #[test]
     fn calibration_pct_is_100_when_the_model_is_exact() {
         let audit = CostAudit::default();
-        audit.set_enabled(true);
         let p = plan();
         audit.install(p);
         // Feed the audit exactly what the model predicts at each level.
         for level in 1..=p.h {
-            audit.observe_level(level, 8, p.predicted_frontier(8, level));
+            audit.observe_level(level, 8, p.predicted_frontier(8, level), None);
         }
         let snap = audit.snapshot();
         assert_eq!(snap.levels_observed, u64::from(p.h));
@@ -252,12 +235,11 @@ mod tests {
     #[test]
     fn over_and_under_prediction_are_counted() {
         let audit = CostAudit::default();
-        audit.set_enabled(true);
         let p = plan();
         audit.install(p);
         let exact = p.predicted_frontier(8, 2);
-        audit.observe_level(2, 8, exact / 2); // pruning beat the model
-        audit.observe_level(2, 8, exact * 3); // model was optimistic
+        audit.observe_level(2, 8, exact / 2, None); // pruning beat the model
+        audit.observe_level(2, 8, exact * 3, None); // model was optimistic
         let snap = audit.snapshot();
         assert_eq!(snap.overpredicted, 1);
         assert_eq!(snap.underpredicted, 1);
@@ -268,10 +250,10 @@ mod tests {
     #[test]
     fn peak_bytes_is_a_high_water_mark() {
         let audit = CostAudit::default();
-        audit.set_enabled(true);
-        audit.observe_frontier_bytes(100);
-        audit.observe_frontier_bytes(5000);
-        audit.observe_frontier_bytes(400);
+        audit.install(plan());
+        for bytes in [100, 5000, 400] {
+            audit.observe_level(1, 8, 8, Some(bytes));
+        }
         assert_eq!(audit.snapshot().peak_frontier_bytes, 5000);
     }
 
@@ -280,13 +262,10 @@ mod tests {
         let a = CostAudit::default();
         let b = CostAudit::default();
         for audit in [&a, &b] {
-            audit.set_enabled(true);
             audit.install(plan());
         }
-        a.observe_level(1, 4, 4);
-        b.observe_level(1, 4, 8);
-        a.observe_frontier_bytes(1000);
-        b.observe_frontier_bytes(2000);
+        a.observe_level(1, 4, 4, Some(1000));
+        b.observe_level(1, 4, 8, Some(2000));
         let mut pb = plan();
         pb.predicted_batch = 32;
         b.install(pb);

@@ -657,8 +657,7 @@ where
             model.max_batch_queries(free_bytes, self.params.node_capacity, self.height(), radius);
         // Freeze this prediction for the cost-model audit: subsequent
         // descents are measured against exactly the sizing that admitted
-        // them (kept even while the audit is disabled, so enabling it later
-        // audits against the current plan).
+        // them.
         self.audit.install(AuditPlan {
             model: *model,
             nc: self.params.node_capacity,
@@ -671,17 +670,11 @@ where
 
     /// The cost-model audit of this index: §5.3's batch-sizing prediction
     /// held against the per-level survivors and peak intermediate bytes the
-    /// descent engine actually observes. Disabled by default; switch on
-    /// with [`Gts::set_cost_audit_enabled`].
+    /// descent engine actually observes. Records whenever a plan is
+    /// installed — after any [`Gts::max_batch_queries`] sizing pass — and
+    /// never charges a cycle or touches an answer.
     pub fn cost_audit(&self) -> crate::audit::CostAuditSnapshot {
         self.audit.snapshot()
-    }
-
-    /// Enable or disable the cost-model audit (off: one relaxed atomic load
-    /// per level, no other work; answers and simulated cycles are identical
-    /// either way).
-    pub fn set_cost_audit_enabled(&self, on: bool) {
-        self.audit.set_enabled(on);
     }
 }
 

@@ -74,4 +74,4 @@ pub use multi::MultiGts;
 pub use params::GtsParams;
 pub use replica::{ReplicaError, ReplicatedShards};
 pub use shard::{Applied, ShardedGts, UpdateOp};
-pub use stats::{LatencyHistogram, ReplicaStats, SearchStats, StatsSnapshot};
+pub use stats::{ReplicaStats, SearchStats, StatsSnapshot};

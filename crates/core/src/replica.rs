@@ -384,13 +384,6 @@ where
             })
     }
 
-    /// Enable or disable the cost-model audit on every replica.
-    pub fn set_cost_audit_enabled(&self, on: bool) {
-        for r in 0..self.replicas.len() {
-            self.rlock(r).set_cost_audit_enabled(on);
-        }
-    }
-
     /// Critical path across **all** replica devices (max per-device clock).
     pub fn span_cycles(&self) -> u64 {
         self.pool.aggregate().span_cycles

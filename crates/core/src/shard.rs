@@ -601,13 +601,6 @@ where
             })
     }
 
-    /// Enable or disable the cost-model audit on every shard.
-    pub fn set_cost_audit_enabled(&self, on: bool) {
-        for s in &self.shards {
-            s.gts.set_cost_audit_enabled(on);
-        }
-    }
-
     /// Serialize the whole sharded index into one envelope: the partition
     /// spec (shard count, strategy, global object count — the per-shard id
     /// assignment is a pure function of these) followed by every shard's

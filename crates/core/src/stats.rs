@@ -136,11 +136,6 @@ impl StatsSnapshot {
     }
 }
 
-/// The service-facing latency histogram now lives in `gts-trace` (the
-/// bottom of the crate stack) so the trace layer's per-stage summary can
-/// reuse it; re-exported here unchanged for existing callers.
-pub use gts_trace::LatencyHistogram;
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -179,19 +174,5 @@ mod tests {
         assert_eq!(c.distance_computations, 12);
         assert_eq!(c.nodes_pruned, 1);
         assert_eq!(c.max_frontier, 10, "frontiers never coexist — max");
-    }
-
-    #[test]
-    fn histogram_reexport_still_records_and_quantiles() {
-        // The implementation (and its unit tests) moved to `gts-trace`;
-        // this pins the re-export working through the old path.
-        let mut h = LatencyHistogram::default();
-        for v in [0u64, 1, 2, 3, 900, 1000] {
-            h.record(v);
-        }
-        assert_eq!(h.count(), 6);
-        assert_eq!(h.max(), 1000);
-        assert_eq!(h.quantile(0.99), 1000);
-        assert!(h.quantile(0.5) >= 2 && h.quantile(0.5) < 900);
     }
 }

@@ -240,28 +240,32 @@ fn parse_sample(line: &str) -> Result<PromSample, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::registry::MetricsRegistry;
 
-    fn sample_registry() -> MetricsRegistry {
-        let reg = MetricsRegistry::new();
-        let c = reg.counter(
+    fn sample_snapshot() -> MetricsSnapshot {
+        let mut wait = LatencyHistogram::default();
+        for v in [0u64, 1, 3, 100, 900] {
+            wait.record(v);
+        }
+        let mut snap = MetricsSnapshot::default();
+        snap.counter(
             "gts_requests_total",
             "Requests by client",
             &[("client", "alice")],
-        );
-        c.add(41);
-        let g = reg.gauge("gts_mem_peak_bytes", "Peak bytes", &[("device", "0")]);
-        g.set_max(1 << 20);
-        let h = reg.histogram("gts_wait_us", "Queue wait", &[]);
-        for v in [0u64, 1, 3, 100, 900] {
-            h.record(v);
-        }
-        reg
+            41,
+        )
+        .gauge(
+            "gts_mem_peak_bytes",
+            "Peak bytes",
+            &[("device", "0")],
+            1 << 20,
+        )
+        .histogram("gts_wait_us", "Queue wait", &[], wait);
+        snap
     }
 
     #[test]
     fn exposition_has_help_type_and_values() {
-        let text = sample_registry().render_prometheus();
+        let text = render_prometheus(&sample_snapshot());
         assert!(text.contains("# HELP gts_requests_total Requests by client\n"));
         assert!(text.contains("# TYPE gts_requests_total counter\n"));
         assert!(text.contains("gts_requests_total{client=\"alice\"} 41\n"));
@@ -275,8 +279,7 @@ mod tests {
 
     #[test]
     fn exposition_round_trips_through_the_parser() {
-        let reg = sample_registry();
-        let text = reg.render_prometheus();
+        let text = render_prometheus(&sample_snapshot());
         let samples = parse_prometheus(&text).expect("parses");
         let find = |name: &str| {
             samples
@@ -306,11 +309,10 @@ mod tests {
 
     #[test]
     fn label_escaping_round_trips() {
-        let reg = MetricsRegistry::new();
         let tricky = "a\\b\"c\nd";
-        reg.counter("gts_esc_total", "escapes", &[("client", tricky)])
-            .inc();
-        let text = reg.render_prometheus();
+        let mut snap = MetricsSnapshot::default();
+        snap.counter("gts_esc_total", "escapes", &[("client", tricky)], 1);
+        let text = render_prometheus(&snap);
         assert!(text.contains("client=\"a\\\\b\\\"c\\nd\""), "{text}");
         let samples = parse_prometheus(&text).expect("parses");
         assert_eq!(samples[0].labels[0].1, tricky, "unescapes to the original");
@@ -318,8 +320,10 @@ mod tests {
 
     #[test]
     fn two_renders_of_the_same_state_are_byte_identical() {
-        let reg = sample_registry();
-        assert_eq!(reg.render_prometheus(), reg.render_prometheus());
+        assert_eq!(
+            render_prometheus(&sample_snapshot()),
+            render_prometheus(&sample_snapshot())
+        );
     }
 
     #[test]

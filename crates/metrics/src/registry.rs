@@ -1,53 +1,22 @@
-//! The typed metrics registry: named families of counters, gauges, and
-//! log₂ histograms, cheap enough to leave in every hot path.
+//! Metric snapshots: named families of counters, gauges, and log₂
+//! histograms, built at scrape time from state the caller already keeps.
 //!
-//! Design points:
-//!
-//! * **Lock-cheap.** Counters stride over sharded cache-padded atomics,
-//!   histograms over sharded mutexes (one uncontended lock per record),
-//!   both summed exactly at snapshot time — [`LatencyHistogram::merge`] is
-//!   bucket-wise, so the sharding never changes a quantile. A registry
-//!   that exists records; metrics are switched off by not creating one.
-//! * **Deterministic exposition.** [`MetricsRegistry::snapshot`] sorts
-//!   families by name and series by label set, with the `stage` label
-//!   ordered by [`gts_trace::stage_rank`] — the same canonical pipeline
-//!   order `TraceSummary::to_table` uses — so two scrapes of the same
-//!   state are byte-identical.
-//! * **Handles are `Clone + Send + Sync`** and stay valid for the life of
-//!   the registry; registration is idempotent (same name + labels returns
-//!   the existing series).
+//! Nothing here records on a hot path. A [`MetricsSnapshot`] is filled by
+//! its builder methods ([`MetricsSnapshot::counter`],
+//! [`MetricsSnapshot::gauge`], [`MetricsSnapshot::histogram`]) and stays in
+//! **canonical order** as it grows: families sorted by name, series by
+//! label set with the `stage` label ordered by [`gts_trace::stage_rank`] —
+//! the same pipeline order `TraceSummary::to_table` uses — so two
+//! snapshots of the same state render byte-identically.
 
 use gts_trace::{stage_rank, LatencyHistogram};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
-
-/// Shard count for counters and histograms: enough to keep a handful of
-/// lanes off each other's cache lines without bloating snapshots.
-const VALUE_SHARDS: usize = 8;
-
-/// A cache-line-padded atomic so striped counter shards never false-share.
-#[repr(align(64))]
-#[derive(Default)]
-struct PaddedU64(AtomicU64);
-
-/// Monotonic thread-ordinal source for shard striding.
-static NEXT_THREAD: AtomicUsize = AtomicUsize::new(0);
-
-thread_local! {
-    /// This thread's shard stripe, assigned round-robin on first use.
-    static MY_SHARD: usize = NEXT_THREAD.fetch_add(1, Ordering::Relaxed) % VALUE_SHARDS;
-}
-
-fn my_shard() -> usize {
-    MY_SHARD.with(|s| *s)
-}
 
 /// What a metric family holds.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum MetricKind {
     /// Monotonically increasing `u64`.
     Counter,
-    /// A settable `u64` (last-write or running-max semantics).
+    /// A `u64` read at snapshot time.
     Gauge,
     /// A [`LatencyHistogram`] of `u64` samples.
     Histogram,
@@ -64,150 +33,6 @@ impl MetricKind {
     }
 }
 
-#[derive(Default)]
-struct CounterCore {
-    shards: [PaddedU64; VALUE_SHARDS],
-}
-
-impl CounterCore {
-    fn sum(&self) -> u64 {
-        self.shards
-            .iter()
-            .map(|s| s.0.load(Ordering::Relaxed))
-            .fold(0u64, u64::wrapping_add)
-    }
-}
-
-#[derive(Default)]
-struct HistogramCore {
-    shards: [Mutex<LatencyHistogram>; VALUE_SHARDS],
-}
-
-impl HistogramCore {
-    fn merged(&self) -> LatencyHistogram {
-        let mut out = LatencyHistogram::default();
-        for shard in &self.shards {
-            out.merge(&shard.lock().expect("histogram shard poisoned"));
-        }
-        out
-    }
-}
-
-/// A monotonically increasing counter handle.
-#[derive(Clone)]
-pub struct Counter {
-    core: Arc<CounterCore>,
-}
-
-impl Counter {
-    /// Add one.
-    pub fn inc(&self) {
-        self.add(1);
-    }
-
-    /// Add `n`.
-    pub fn add(&self, n: u64) {
-        self.core.shards[my_shard()]
-            .0
-            .fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Current total across all shards.
-    pub fn value(&self) -> u64 {
-        self.core.sum()
-    }
-}
-
-/// A settable gauge handle.
-#[derive(Clone)]
-pub struct Gauge {
-    core: Arc<AtomicU64>,
-}
-
-impl Gauge {
-    /// Set the gauge to `v`.
-    pub fn set(&self, v: u64) {
-        self.core.store(v, Ordering::Relaxed);
-    }
-
-    /// Raise the gauge to `v` if it is below (high-water-mark
-    /// semantics).
-    pub fn set_max(&self, v: u64) {
-        self.core.fetch_max(v, Ordering::Relaxed);
-    }
-
-    /// Current value.
-    pub fn value(&self) -> u64 {
-        self.core.load(Ordering::Relaxed)
-    }
-}
-
-/// A histogram handle recording `u64` samples into sharded
-/// [`LatencyHistogram`]s.
-#[derive(Clone)]
-pub struct Histogram {
-    core: Arc<HistogramCore>,
-}
-
-impl Histogram {
-    /// Record one sample.
-    pub fn record(&self, v: u64) {
-        let mut shard = self.core.shards[my_shard()]
-            .lock()
-            .expect("histogram shard poisoned");
-        shard.record(v);
-    }
-
-    /// Merge an already-aggregated histogram in (e.g. a per-lane
-    /// histogram folded at shutdown).
-    pub fn merge(&self, other: &LatencyHistogram) {
-        let mut shard = self.core.shards[my_shard()]
-            .lock()
-            .expect("histogram shard poisoned");
-        shard.merge(other);
-    }
-
-    /// Replace the histogram's contents with an externally aggregated
-    /// histogram. Unlike [`Histogram::merge`] this is **idempotent** —
-    /// the refresh path for cumulative sources re-read at scrape time
-    /// (trace summaries, cost-audit calibration), where merging on every
-    /// scrape would double-count.
-    pub fn replace(&self, other: &LatencyHistogram) {
-        for (i, shard) in self.core.shards.iter().enumerate() {
-            let mut s = shard.lock().expect("histogram shard poisoned");
-            *s = if i == 0 {
-                other.clone()
-            } else {
-                LatencyHistogram::default()
-            };
-        }
-    }
-
-    /// Exact merged view across all shards.
-    pub fn snapshot(&self) -> LatencyHistogram {
-        self.core.merged()
-    }
-}
-
-#[derive(Clone)]
-enum Handle {
-    Counter(Counter),
-    Gauge(Gauge),
-    Histogram(Histogram),
-}
-
-struct Series {
-    labels: Vec<(String, String)>,
-    handle: Handle,
-}
-
-struct Family {
-    name: String,
-    help: String,
-    kind: MetricKind,
-    series: Vec<Series>,
-}
-
 /// Point-in-time value of one labelled series.
 #[derive(Clone, Debug)]
 pub enum SeriesValue {
@@ -215,8 +40,8 @@ pub enum SeriesValue {
     Counter(u64),
     /// Gauge value.
     Gauge(u64),
-    /// Merged histogram (boxed: a histogram is an order of magnitude
-    /// larger than the scalar variants).
+    /// Histogram (boxed: a histogram is an order of magnitude larger than
+    /// the scalar variants).
     Histogram(Box<LatencyHistogram>),
 }
 
@@ -242,88 +67,71 @@ pub struct FamilySnapshot {
     pub series: Vec<SeriesSnapshot>,
 }
 
-/// A full registry snapshot in canonical order: families sorted by name,
-/// series sorted by label set (with `stage` values in pipeline order).
+/// A full snapshot in canonical order: families sorted by name, series
+/// sorted by label set (with `stage` values in pipeline order).
 #[derive(Clone, Debug, Default)]
 pub struct MetricsSnapshot {
     /// All families, sorted by name.
     pub families: Vec<FamilySnapshot>,
 }
 
-/// The registry: a named, labelled set of counters, gauges and
-/// histograms. A registry that exists records — the service switches
-/// metrics off by not creating one.
-#[derive(Default)]
-pub struct MetricsRegistry {
-    families: Mutex<Vec<Family>>,
-}
-
-impl MetricsRegistry {
-    /// Create an empty registry.
-    pub fn new() -> Self {
-        MetricsRegistry::default()
-    }
-
-    /// Register (or fetch) the counter `name{labels}`.
+impl MetricsSnapshot {
+    /// Add the counter series `name{labels} = value`.
     ///
     /// # Panics
-    /// On an invalid metric name, or if `name` was already registered
-    /// with a different kind.
-    pub fn counter(&self, name: &str, help: &str, labels: &[(&str, &str)]) -> Counter {
-        match self.register(name, help, MetricKind::Counter, labels, || {
-            Handle::Counter(Counter {
-                core: Arc::new(CounterCore::default()),
-            })
-        }) {
-            Handle::Counter(c) => c,
-            _ => unreachable!("kind checked in register"),
-        }
-    }
-
-    /// Register (or fetch) the gauge `name{labels}`.
-    ///
-    /// # Panics
-    /// On an invalid metric name, or if `name` was already registered
-    /// with a different kind.
-    pub fn gauge(&self, name: &str, help: &str, labels: &[(&str, &str)]) -> Gauge {
-        match self.register(name, help, MetricKind::Gauge, labels, || {
-            Handle::Gauge(Gauge {
-                core: Arc::new(AtomicU64::new(0)),
-            })
-        }) {
-            Handle::Gauge(g) => g,
-            _ => unreachable!("kind checked in register"),
-        }
-    }
-
-    /// Register (or fetch) the histogram `name{labels}`.
-    ///
-    /// # Panics
-    /// On an invalid metric name, or if `name` was already registered
-    /// with a different kind.
-    pub fn histogram(&self, name: &str, help: &str, labels: &[(&str, &str)]) -> Histogram {
-        match self.register(name, help, MetricKind::Histogram, labels, || {
-            Handle::Histogram(Histogram {
-                core: Arc::new(HistogramCore::default()),
-            })
-        }) {
-            Handle::Histogram(h) => h,
-            _ => unreachable!("kind checked in register"),
-        }
-    }
-
-    fn register(
-        &self,
+    /// On an invalid metric name or label key, if `name` already holds a
+    /// different kind, or if the series was already added.
+    pub fn counter(
+        &mut self,
         name: &str,
         help: &str,
-        kind: MetricKind,
         labels: &[(&str, &str)],
-        mint: impl FnOnce() -> Handle,
-    ) -> Handle {
+        value: u64,
+    ) -> &mut Self {
+        self.push(name, help, labels, SeriesValue::Counter(value))
+    }
+
+    /// Add the gauge series `name{labels} = value` (panics as
+    /// [`MetricsSnapshot::counter`]).
+    pub fn gauge(
+        &mut self,
+        name: &str,
+        help: &str,
+        labels: &[(&str, &str)],
+        value: u64,
+    ) -> &mut Self {
+        self.push(name, help, labels, SeriesValue::Gauge(value))
+    }
+
+    /// Add the histogram series `name{labels}` (panics as
+    /// [`MetricsSnapshot::counter`]).
+    pub fn histogram(
+        &mut self,
+        name: &str,
+        help: &str,
+        labels: &[(&str, &str)],
+        value: LatencyHistogram,
+    ) -> &mut Self {
+        self.push(name, help, labels, SeriesValue::Histogram(Box::new(value)))
+    }
+
+    /// Insert one series at its canonical position.
+    fn push(
+        &mut self,
+        name: &str,
+        help: &str,
+        labels: &[(&str, &str)],
+        value: SeriesValue,
+    ) -> &mut Self {
         assert!(
             valid_name(name),
             "invalid metric name {name:?}: want [a-zA-Z_:][a-zA-Z0-9_:]*"
         );
+        let kind = match value {
+            SeriesValue::Counter(_) => MetricKind::Counter,
+            SeriesValue::Gauge(_) => MetricKind::Gauge,
+            SeriesValue::Histogram(_) => MetricKind::Histogram,
+        };
         let mut labels: Vec<(String, String)> = labels
             .iter()
             .map(|(k, v)| {
@@ -332,87 +140,51 @@ impl MetricsRegistry {
             })
             .collect();
         labels.sort();
-        let mut families = self.families.lock().expect("registry poisoned");
-        let family = match families.iter_mut().find(|f| f.name == name) {
-            Some(f) => {
-                assert_eq!(
-                    f.kind,
-                    kind,
-                    "metric {name} already registered as a {}",
-                    f.kind.as_str()
+        let f = match self
+            .families
+            .binary_search_by(|f| f.name.as_str().cmp(name))
+        {
+            Ok(f) => f,
+            Err(f) => {
+                self.families.insert(
+                    f,
+                    FamilySnapshot {
+                        name: name.to_string(),
+                        help: help.to_string(),
+                        kind,
+                        series: Vec::new(),
+                    },
                 );
                 f
             }
-            None => {
-                families.push(Family {
-                    name: name.to_string(),
-                    help: help.to_string(),
-                    kind,
-                    series: Vec::new(),
-                });
-                families.last_mut().expect("just pushed")
-            }
         };
-        if let Some(series) = family.series.iter().find(|s| s.labels == labels) {
-            return series.handle.clone();
+        let family = &mut self.families[f];
+        assert_eq!(
+            family.kind,
+            kind,
+            "metric {name} already holds a {}",
+            family.kind.as_str()
+        );
+        let key = series_key(&labels);
+        match family
+            .series
+            .binary_search_by(|s| series_key(&s.labels).cmp(&key))
+        {
+            Ok(_) => panic!("series {name}{labels:?} added twice"),
+            Err(s) => family.series.insert(s, SeriesSnapshot { labels, value }),
         }
-        let handle = mint();
-        family.series.push(Series {
-            labels,
-            handle: handle.clone(),
-        });
-        handle
-    }
-
-    /// A consistent point-in-time view of every family, in canonical
-    /// exposition order (families by name; series by label set, with the
-    /// `stage` label ordered by the trace pipeline's
-    /// [`gts_trace::STAGE_ORDER`]). The exposition renders from this.
-    pub fn snapshot(&self) -> MetricsSnapshot {
-        let families = self.families.lock().expect("registry poisoned");
-        let mut out: Vec<FamilySnapshot> = families
-            .iter()
-            .map(|f| {
-                let mut series: Vec<SeriesSnapshot> = f
-                    .series
-                    .iter()
-                    .map(|s| SeriesSnapshot {
-                        labels: s.labels.clone(),
-                        value: match &s.handle {
-                            Handle::Counter(c) => SeriesValue::Counter(c.value()),
-                            Handle::Gauge(g) => SeriesValue::Gauge(g.value()),
-                            Handle::Histogram(h) => SeriesValue::Histogram(Box::new(h.snapshot())),
-                        },
-                    })
-                    .collect();
-                series.sort_by_key(|s| series_key(&s.labels));
-                FamilySnapshot {
-                    name: f.name.clone(),
-                    help: f.help.clone(),
-                    kind: f.kind,
-                    series,
-                }
-            })
-            .collect();
-        out.sort_by(|a, b| a.name.cmp(&b.name));
-        MetricsSnapshot { families: out }
-    }
-
-    /// Render the whole registry in the Prometheus text exposition
-    /// format (see [`crate::expo::render_prometheus`]).
-    pub fn render_prometheus(&self) -> String {
-        crate::expo::render_prometheus(&self.snapshot())
+        self
     }
 }
 
 /// Series ordering key: label-by-label, with `stage` values ranked by the
 /// canonical pipeline order before falling back to lexicographic.
-fn series_key(labels: &[(String, String)]) -> Vec<(String, usize, String)> {
+fn series_key(labels: &[(String, String)]) -> Vec<(&str, usize, &str)> {
     labels
         .iter()
         .map(|(k, v)| {
             let rank = if k == "stage" { stage_rank(v) } else { 0 };
-            (k.clone(), rank, v.clone())
+            (k.as_str(), rank, v.as_str())
         })
         .collect()
 }
@@ -440,64 +212,61 @@ mod tests {
     use super::*;
 
     #[test]
-    fn registration_is_idempotent_per_label_set() {
-        let reg = MetricsRegistry::new();
-        let a = reg.counter("gts_req_total", "requests", &[("client", "a")]);
-        let a2 = reg.counter("gts_req_total", "requests", &[("client", "a")]);
-        let b = reg.counter("gts_req_total", "requests", &[("client", "b")]);
-        a.inc();
-        a2.inc();
-        b.inc();
-        assert_eq!(a.value(), 2, "same labels share one series");
-        assert_eq!(b.value(), 1);
-        let snap = reg.snapshot();
+    fn series_of_one_family_share_it() {
+        let mut snap = MetricsSnapshot::default();
+        snap.counter("gts_req_total", "requests", &[("trigger", "size")], 2)
+            .counter("gts_req_total", "requests", &[("trigger", "deadline")], 1);
         assert_eq!(snap.families.len(), 1);
-        assert_eq!(snap.families[0].series.len(), 2);
-    }
-
-    #[test]
-    #[should_panic(expected = "already registered")]
-    fn kind_mismatch_panics() {
-        let reg = MetricsRegistry::new();
-        let _ = reg.counter("gts_x", "x", &[]);
-        let _ = reg.gauge("gts_x", "x", &[]);
-    }
-
-    #[test]
-    fn sharded_counters_sum_exactly_across_threads() {
-        let reg = Arc::new(MetricsRegistry::new());
-        let c = reg.counter("gts_thread_total", "per-thread", &[]);
-        let h = reg.histogram("gts_thread_hist", "per-thread", &[]);
-        let handles: Vec<_> = (0..4)
-            .map(|t| {
-                let (c, h) = (c.clone(), h.clone());
-                std::thread::spawn(move || {
-                    for i in 0..1000u64 {
-                        c.inc();
-                        h.record(t * 1000 + i);
-                    }
-                })
+        let values: Vec<(&str, u64)> = snap.families[0]
+            .series
+            .iter()
+            .map(|s| match s.value {
+                SeriesValue::Counter(v) => (s.labels[0].1.as_str(), v),
+                _ => panic!("counter expected"),
             })
             .collect();
-        for th in handles {
-            th.join().expect("thread");
-        }
-        assert_eq!(c.value(), 4000);
-        let merged = h.snapshot();
-        assert_eq!(merged.count(), 4000);
-        assert_eq!(merged.min(), 0);
-        assert_eq!(merged.max(), 3999);
+        assert_eq!(
+            values,
+            [("deadline", 1), ("size", 2)],
+            "series sort by label"
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "already holds")]
+    fn kind_mismatch_panics() {
+        let mut snap = MetricsSnapshot::default();
+        snap.counter("gts_x", "x", &[], 0)
+            .gauge("gts_x", "x", &[], 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "added twice")]
+    fn duplicate_series_panics() {
+        let mut snap = MetricsSnapshot::default();
+        snap.gauge("gts_x", "x", &[("device", "0")], 1)
+            .gauge("gts_x", "x", &[("device", "0")], 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid metric name")]
+    fn invalid_name_panics() {
+        MetricsSnapshot::default().counter("9gts", "x", &[], 0);
     }
 
     #[test]
     fn snapshot_orders_families_by_name_and_stage_series_by_pipeline() {
-        let reg = MetricsRegistry::new();
-        let _ = reg.counter("gts_z_total", "z", &[]);
-        let _ = reg.counter("gts_a_total", "a", &[]);
+        let mut snap = MetricsSnapshot::default();
+        snap.counter("gts_z_total", "z", &[], 0)
+            .counter("gts_a_total", "a", &[], 0);
         for stage in ["kernel", "lane_batch", "shard_scatter"] {
-            let _ = reg.histogram("gts_stage_cycles", "stage spans", &[("stage", stage)]);
+            snap.histogram(
+                "gts_stage_cycles",
+                "stage spans",
+                &[("stage", stage)],
+                LatencyHistogram::default(),
+            );
         }
-        let snap = reg.snapshot();
         let names: Vec<&str> = snap.families.iter().map(|f| f.name.as_str()).collect();
         assert_eq!(names, ["gts_a_total", "gts_stage_cycles", "gts_z_total"]);
         let stages: Vec<&str> = snap.families[1]

@@ -28,7 +28,6 @@
 //! of buffering batches without bound.
 
 use crate::api::{FlushTrigger, Request, Response, ServiceError, Ticket};
-use crate::metrics::{MetricsHub, DEFAULT_CLIENT};
 use gts_trace::RequestId;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -84,13 +83,13 @@ pub struct ServiceConfig {
     /// advances them, so answers, epochs, and cycle counts are bit-identical
     /// with it on or off.
     pub trace: gts_trace::TraceConfig,
-    /// Metrics recording. Disabled by default; when enabled the service
-    /// owns a [`crate::MetricsHub`] — per-client request
-    /// accounting, flush/batch counters, device-utilization gauges, the
-    /// cost-model audit — scrapeable via
-    /// [`QueryService::scrape`](crate::QueryService::scrape). The same
-    /// observability contract as tracing holds: metrics on or off,
-    /// answers, epochs, and simulated cycle counts are bit-identical.
+    /// Metrics exposition. Disabled by default; when enabled,
+    /// [`QueryService::scrape`](crate::QueryService::scrape) and
+    /// [`ServiceStats::metrics`](crate::ServiceStats::metrics) render the
+    /// Prometheus view of the service's ledger, device utilization, the
+    /// cost-model audit and (with tracing on) the per-stage spans. Nothing
+    /// records on a hot path either way, so answers, epochs, and simulated
+    /// cycle counts are bit-identical with metrics on or off.
     pub metrics: bool,
 }
 
@@ -169,10 +168,6 @@ pub(crate) struct Pending<O> {
     /// Service-assigned request id, minted under the admission lock so ids
     /// follow admission order (the trace/latency correlation key).
     pub(crate) id: RequestId,
-    /// Client id the request was submitted under (the per-client metrics
-    /// tag; [`DEFAULT_CLIENT`] unless [`SubmitHandle::submit_as`] named
-    /// one).
-    pub(crate) client: Arc<str>,
 }
 
 /// What a flushed batch holds: queries or updates, never both. The drain
@@ -197,7 +192,6 @@ pub(crate) struct Entry<O> {
     /// Host microseconds between admission and the flush that took it.
     pub(crate) wait_us: u64,
     pub(crate) id: RequestId,
-    pub(crate) client: Arc<str>,
 }
 
 /// One flushed batch: FIFO-ordered entries with their queue waits stamped
@@ -233,21 +227,10 @@ pub(crate) struct Shared<O> {
     pub(crate) rejected: AtomicU64,
     /// Next request id to mint (see [`Pending::id`]).
     pub(crate) next_request: AtomicU64,
-    /// The service's metrics hub, when [`ServiceConfig::metrics`] enabled
-    /// one — the submit path records per-client admission counters here.
-    pub(crate) metrics: Option<Arc<MetricsHub>>,
-    /// [`DEFAULT_CLIENT`], interned once: [`SubmitHandle::submit`] tags its
-    /// requests with a clone instead of allocating the name per request.
-    default_client: Arc<str>,
 }
 
 impl<O> Shared<O> {
-    pub(crate) fn new(
-        depth: usize,
-        target: usize,
-        deadline: Duration,
-        metrics: Option<Arc<MetricsHub>>,
-    ) -> Arc<Shared<O>> {
+    pub(crate) fn new(depth: usize, target: usize, deadline: Duration) -> Arc<Shared<O>> {
         Arc::new(Shared {
             state: Mutex::new(QueueState {
                 queue: VecDeque::new(),
@@ -260,8 +243,6 @@ impl<O> Shared<O> {
             admitted: AtomicU64::new(0),
             rejected: AtomicU64::new(0),
             next_request: AtomicU64::new(0),
-            metrics,
-            default_client: Arc::from(DEFAULT_CLIENT),
         })
     }
 
@@ -287,26 +268,12 @@ impl<O> Clone for SubmitHandle<O> {
 }
 
 impl<O> SubmitHandle<O> {
-    /// Submit one request under the default client id. Returns a
+    /// Submit one request. Returns a
     /// [`Ticket`] redeemable for the response, or an immediate rejection
     /// when the admission queue is at depth ([`ServiceError::QueueFull`] —
     /// the backpressure contract: submission never blocks) or the service
     /// is stopping.
     pub fn submit(&self, req: Request<O>) -> Result<Ticket, ServiceError> {
-        self.admit(Arc::clone(&self.shared.default_client), req)
-    }
-
-    /// [`SubmitHandle::submit`] under an explicit client id: with metrics
-    /// enabled, this request's admission, rejection, queue wait, and
-    /// response are accounted to `client`'s labelled series. The client id
-    /// changes accounting only — never batching, ordering, or answers.
-    pub fn submit_as(&self, client: &str, req: Request<O>) -> Result<Ticket, ServiceError> {
-        self.admit(Arc::from(client), req)
-    }
-
-    /// Admission proper. `client` arrives already built, so the admission
-    /// lock never covers its allocation.
-    fn admit(&self, client: Arc<str>, req: Request<O>) -> Result<Ticket, ServiceError> {
         let (tx, rx) = mpsc::sync_channel(1);
         let mut st = self.shared.state.lock().expect("admission lock");
         if st.stopped {
@@ -314,10 +281,6 @@ impl<O> SubmitHandle<O> {
         }
         if st.queue.len() >= self.shared.depth {
             self.shared.rejected.fetch_add(1, Ordering::Relaxed);
-            drop(st);
-            if let Some(hub) = &self.shared.metrics {
-                hub.client_rejected(&client);
-            }
             return Err(ServiceError::QueueFull {
                 depth: self.shared.depth,
             });
@@ -326,15 +289,11 @@ impl<O> SubmitHandle<O> {
         // deterministic arrival sequence gets deterministic ids (rejected
         // submissions consume none).
         let id = RequestId(self.shared.next_request.fetch_add(1, Ordering::Relaxed));
-        if let Some(hub) = &self.shared.metrics {
-            hub.client_admitted(&client);
-        }
         st.queue.push_back(Pending {
             req,
             tx,
             enqueued: Instant::now(),
             id,
-            client,
         });
         self.shared.admitted.fetch_add(1, Ordering::Relaxed);
         let len = st.queue.len();
@@ -395,7 +354,6 @@ fn drain<O>(queue: &mut VecDeque<Pending<O>>, limit: usize, trigger: FlushTrigge
                 tx: p.tx,
                 wait_us: wait.as_micros().min(u128::from(u64::MAX)) as u64,
                 id: p.id,
-                client: p.client,
             }
         })
         .collect();
@@ -470,7 +428,6 @@ pub(crate) fn run<O: Clone>(shared: &Shared<O>, lane_txs: &[mpsc::SyncSender<Bat
                                 tx: e.tx.clone(),
                                 wait_us: e.wait_us,
                                 id: e.id,
-                                client: Arc::clone(&e.client),
                             })
                             .collect(),
                         trigger: batch.trigger,
@@ -539,7 +496,7 @@ mod tests {
     use super::*;
 
     fn handle(depth: usize, target: usize) -> (SubmitHandle<u32>, Arc<Shared<u32>>) {
-        let shared = Shared::new(depth, target, Duration::from_millis(1), None);
+        let shared = Shared::new(depth, target, Duration::from_millis(1));
         (
             SubmitHandle {
                 shared: Arc::clone(&shared),
@@ -580,17 +537,12 @@ mod tests {
                 tx: tx.clone(),
                 enqueued: Instant::now(),
                 id: RequestId(u64::from(i)),
-                client: Arc::from(DEFAULT_CLIENT),
             });
         }
         let batch = drain(&mut q, 3, FlushTrigger::Size);
         assert_eq!(batch.entries.len(), 3);
         assert_eq!(q.len(), 2);
         for (i, e) in batch.entries.iter().enumerate() {
-            assert_eq!(
-                &*e.client, DEFAULT_CLIENT,
-                "submit() tags the default client"
-            );
             let Request::Knn { query, .. } = e.req else {
                 panic!("knn expected")
             };
@@ -601,7 +553,7 @@ mod tests {
 
     #[test]
     fn batcher_flushes_on_size_and_shutdown() {
-        let shared = Shared::<u32>::new(64, 4, Duration::from_secs(3600), None);
+        let shared = Shared::<u32>::new(64, 4, Duration::from_secs(3600));
         let h = SubmitHandle {
             shared: Arc::clone(&shared),
         };
@@ -631,7 +583,7 @@ mod tests {
 
     #[test]
     fn executor_death_poisons_the_service() {
-        let shared = Shared::<u32>::new(64, 4, Duration::from_secs(3600), None);
+        let shared = Shared::<u32>::new(64, 4, Duration::from_secs(3600));
         let h = SubmitHandle {
             shared: Arc::clone(&shared),
         };
@@ -663,7 +615,7 @@ mod tests {
 
     #[test]
     fn batches_deal_round_robin_across_lanes() {
-        let shared = Shared::<u32>::new(64, 2, Duration::from_secs(3600), None);
+        let shared = Shared::<u32>::new(64, 2, Duration::from_secs(3600));
         let h = SubmitHandle {
             shared: Arc::clone(&shared),
         };
@@ -709,7 +661,6 @@ mod tests {
                 tx: tx.clone(),
                 enqueued: Instant::now(),
                 id: RequestId(0),
-                client: Arc::from(DEFAULT_CLIENT),
             });
         }
         // The limit would take everything; the kind flips cut it into
@@ -726,7 +677,7 @@ mod tests {
 
     #[test]
     fn update_batches_broadcast_to_every_lane_with_one_responder() {
-        let shared = Shared::<u32>::new(64, 1, Duration::from_secs(3600), None);
+        let shared = Shared::<u32>::new(64, 1, Duration::from_secs(3600));
         let h = SubmitHandle {
             shared: Arc::clone(&shared),
         };
@@ -758,7 +709,7 @@ mod tests {
 
     #[test]
     fn batcher_flushes_on_deadline() {
-        let shared = Shared::<u32>::new(64, 1000, Duration::from_millis(5), None);
+        let shared = Shared::<u32>::new(64, 1000, Duration::from_millis(5));
         let h = SubmitHandle {
             shared: Arc::clone(&shared),
         };

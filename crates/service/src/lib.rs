@@ -26,7 +26,7 @@
 //! replaying the same requests against a single index in epoch order
 //! (`tests/streaming_updates.rs`).
 //!
-//! Three pieces, each its own module:
+//! Four pieces, each its own module:
 //!
 //! * [`api`] — the request/response surface: [`Request`], [`Ticket`],
 //!   [`Response`] with its per-request [`LatencyBreakdown`], and
@@ -42,18 +42,16 @@
 //!   against the pool-wide free-memory view) or the **deadline trigger**
 //!   fires (the oldest queued request has waited the configured flush
 //!   deadline), dealing flushed batches round-robin across the lanes;
-//! * [`metrics`] — [`MetricsHub`]: the service's metrics surface — one
-//!   [`MetricsRegistry`](gts_metrics::MetricsRegistry) holding per-client
-//!   request counters and queue-wait histograms (tag requests with
-//!   [`SubmitHandle::submit_as`]), flush/batch-span families, per-device
-//!   utilization gauges, and the cost-model audit; scrape it with
-//!   [`QueryService::scrape`] for Prometheus text exposition;
 //! * [`service`] — [`QueryService`]: owns the batcher and lane threads,
 //!   drives flushed batches through
 //!   [`ReplicatedShards::batch_range`](gts_core::ReplicatedShards::batch_range) /
 //!   [`ReplicatedShards::batch_knn`](gts_core::ReplicatedShards::batch_knn)
 //!   (FIFO within each lane, lanes preferring disjoint replica sets), and
-//!   aggregates [`ServiceStats`].
+//!   keeps the [`ServiceStats`] ledger;
+//! * `metrics` — the Prometheus exposition as a **view** of that ledger,
+//!   the per-device utilization, the cost-model audit and the trace
+//!   summary, built at scrape time ([`QueryService::scrape`],
+//!   [`ServiceStats::metrics`]); nothing records on a hot path.
 //!
 //! **Determinism.** Batch *formation* under the size trigger is a pure
 //! function of the arrival sequence: requests are admitted FIFO, the batch
@@ -78,7 +76,7 @@
 
 pub mod api;
 pub mod batcher;
-pub mod metrics;
+mod metrics;
 pub mod service;
 pub mod stats;
 
@@ -86,6 +84,5 @@ pub use api::{
     FlushTrigger, LatencyBreakdown, Reply, Request, Response, ServiceError, Ticket, UpdateAck,
 };
 pub use batcher::{BatchSizing, ServiceConfig, SubmitHandle};
-pub use metrics::{MetricsHub, DEFAULT_CLIENT};
 pub use service::QueryService;
 pub use stats::ServiceStats;

@@ -21,8 +21,8 @@ use crate::batcher::EXECUTOR_PIPELINE_BATCHES;
 use crate::batcher::{
     self, Batch, BatchKind, BatchSizing, Entry, ServiceConfig, Shared, SubmitHandle,
 };
-use crate::metrics::MetricsHub;
-use crate::stats::{ExecutorStats, ServiceStats};
+use crate::metrics;
+use crate::stats::ServiceStats;
 use gts_core::{ReplicatedShards, ShardedGts, UpdateOp};
 use gts_trace::{DumpReason, EventKind, TraceEvent, TraceRecorder};
 use metric_space::index::Neighbor;
@@ -74,7 +74,8 @@ use std::thread::JoinHandle;
 pub struct QueryService<O, M> {
     shared: Arc<Shared<O>>,
     index: Arc<ReplicatedShards<O, M>>,
-    exec_stats: Arc<Mutex<ExecutorStats>>,
+    /// The one ledger: lanes count into it, snapshots clone it.
+    ledger: Arc<Mutex<ServiceStats>>,
     batcher: Option<JoinHandle<()>>,
     lanes: Vec<JoinHandle<()>>,
     batch_target: usize,
@@ -82,8 +83,9 @@ pub struct QueryService<O, M> {
     /// The trace recorder, when [`ServiceConfig::trace`] enabled one. The
     /// same recorder is attached to every device of every replica.
     trace: Option<Arc<TraceRecorder>>,
-    /// The metrics hub, when [`ServiceConfig::metrics`] enabled one.
-    metrics: Option<Arc<MetricsHub>>,
+    /// Whether snapshots and scrapes render the metrics view
+    /// ([`ServiceConfig::metrics`]).
+    metrics: bool,
 }
 
 impl<O, M> QueryService<O, M>
@@ -143,21 +145,7 @@ where
         // trigger silently unreachable (every flush would wait out the
         // deadline).
         .clamp(1, cfg.max_batch.min(cfg.queue_depth));
-        // Metrics: one hub owning every family the stack exports. Enabling
-        // it also switches on the per-shard cost-model audit so the §5.3
-        // sizing prediction is held against observed survivors. Both are
-        // observational — answers, epochs, and cycles are bit-identical
-        // with metrics on or off.
-        let metrics = cfg.metrics.then(|| Arc::new(MetricsHub::new()));
-        if metrics.is_some() {
-            index.set_cost_audit_enabled(true);
-        }
-        let shared = Shared::new(
-            cfg.queue_depth,
-            batch_target,
-            cfg.flush_deadline,
-            metrics.clone(),
-        );
+        let shared = Shared::new(cfg.queue_depth, batch_target, cfg.flush_deadline);
         // Tracing: one recorder shared by every layer, attached to every
         // device of every replica with globally unique track ids. Purely
         // observational — it reads the simulated clocks, never advances
@@ -179,9 +167,11 @@ where
             }
             rec
         });
-        let exec_stats = Arc::new(Mutex::new(ExecutorStats {
+        let ledger = Arc::new(Mutex::new(ServiceStats {
+            batch_target,
+            lanes: num_lanes,
             lane_batches: vec![0; num_lanes],
-            ..ExecutorStats::default()
+            ..ServiceStats::default()
         }));
         // One bounded pipeline channel per lane: a slow lane backs pressure
         // up through the batcher into the admission queue instead of
@@ -202,37 +192,28 @@ where
             .enumerate()
             .map(|(lane, rx)| {
                 let index = Arc::clone(&index);
-                let stats = Arc::clone(&exec_stats);
+                let ledger = Arc::clone(&ledger);
                 let trace = trace.clone();
-                let metrics = metrics.clone();
                 // Disjoint preferred replica sets: lane l owns every
                 // replica congruent to l mod L.
                 let prefer: Vec<usize> = (0..index.num_replicas())
                     .filter(|r| r % num_lanes == lane)
                     .collect();
                 std::thread::spawn(move || {
-                    run_lane(
-                        &index,
-                        lane,
-                        &prefer,
-                        &rx,
-                        &stats,
-                        trace.as_ref(),
-                        metrics.as_deref(),
-                    )
+                    run_lane(&index, lane, &prefer, &rx, &ledger, trace.as_ref())
                 })
             })
             .collect();
         QueryService {
             shared,
             index,
-            exec_stats,
+            ledger,
             batcher: Some(batcher),
             lanes,
             batch_target,
             num_lanes,
             trace,
-            metrics,
+            metrics: cfg.metrics,
         }
     }
 
@@ -266,46 +247,16 @@ where
         self.trace.as_ref()
     }
 
-    /// The metrics hub, when [`ServiceConfig::metrics`] enabled one.
-    pub fn metrics(&self) -> Option<&Arc<MetricsHub>> {
-        self.metrics.as_ref()
-    }
-
-    /// Refresh the scrape-time families (epoch, per-device utilization,
-    /// cost-model audit, per-stage trace summary) and render the
-    /// Prometheus text exposition. `None` when metrics are disabled.
-    /// Scraping is observational: it reads the simulated clocks without
-    /// advancing them, and two scrapes of an idle service are
-    /// byte-identical.
+    /// Render the Prometheus text exposition of a fresh
+    /// [`ServiceStats::metrics`] view. `None` when metrics are disabled.
+    /// Scraping is observational: it reads the ledger and the simulated
+    /// clocks without advancing them, so two scrapes of an idle service
+    /// are byte-identical.
     pub fn scrape(&self) -> Option<String> {
-        let hub = self.metrics.as_ref()?;
-        self.refresh_metrics(hub);
-        Some(hub.render_prometheus())
-    }
-
-    /// Re-read the cumulative sources into their idempotent families.
-    /// Device indices are global and replica-major — the same numbering
-    /// the trace recorder uses for track ids.
-    fn refresh_metrics(&self, hub: &MetricsHub) {
-        hub.set_epoch(self.index.epoch_of(&[]));
-        let mut dev = 0usize;
-        for r in 0..self.index.num_replicas() {
-            for u in self
-                .index
-                .replica(r)
-                .read()
-                .expect("replica lock")
-                .pool()
-                .utilization()
-            {
-                hub.set_device_utilization(dev, &u);
-                dev += 1;
-            }
-        }
-        hub.set_cost_audit(&self.index.cost_audit());
-        if let Some(rec) = &self.trace {
-            hub.set_stage_summary(&rec.summary());
-        }
+        self.collect_stats()
+            .metrics
+            .as_ref()
+            .map(gts_metrics::render_prometheus)
     }
 
     /// Point-in-time statistics (the service keeps running).
@@ -321,9 +272,20 @@ where
         self.collect_stats()
     }
 
+    /// Clone the ledger — releasing its lock before anything else is read —
+    /// and fill in the fields derived elsewhere; then, with metrics on,
+    /// render the metrics view of the result.
     fn collect_stats(&self) -> ServiceStats {
-        let e = lock_stats(&self.exec_stats);
-        let replica = self.index.replica_stats();
+        let mut s = lock_stats(&self.ledger).clone();
+        s.admitted = self.shared.admitted.load(Ordering::Relaxed);
+        s.rejected = self.shared.rejected.load(Ordering::Relaxed);
+        s.epoch = self.index.epoch_of(&[]);
+        s.replica = self.index.replica_stats();
+        s.retries = s.replica.retries;
+        s.device_faults = s.replica.device_faults;
+        s.metric_panics = s.replica.metric_panics;
+        s.degraded_calls = s.replica.degraded_calls;
+        s.index = self.index.stats();
         // Snapshot-time reconciliation of the lane/batch ledger. Every
         // flushed batch is executed once per responsible lane — query
         // batches by one lane, update batches by all L — so a healthy
@@ -331,44 +293,30 @@ where
         // A lane that died mid-run (panic past every containment layer)
         // stops draining its copies and leaves the sum short; the deficit is
         // reported rather than silently miscounting throughput.
-        let expected = e.batches + (self.num_lanes as u64 - 1) * e.update_batches;
-        let lane_sum: u64 = e.lane_batches.iter().sum();
-        ServiceStats {
-            admitted: self.shared.admitted.load(Ordering::Relaxed),
-            rejected: self.shared.rejected.load(Ordering::Relaxed),
-            completed: e.completed,
-            batches: e.batches,
-            size_flushes: e.size_flushes,
-            deadline_flushes: e.deadline_flushes,
-            shutdown_flushes: e.shutdown_flushes,
-            batch_target: self.batch_target,
-            lanes: self.num_lanes,
-            lane_batches: e.lane_batches.clone(),
-            failed: e.failed,
-            shard_unavailable: e.shard_unavailable,
-            lane_panics: e.lane_panics,
-            updates_applied: e.updates_applied,
-            update_batches: e.update_batches,
-            epoch: self.index.epoch_of(&[]),
-            retries: replica.retries,
-            device_faults: replica.device_faults,
-            metric_panics: replica.metric_panics,
-            degraded_calls: replica.degraded_calls,
-            queue_wait_us: e.queue_wait_us.clone(),
-            batch_span_cycles: e.batch_span_cycles.clone(),
-            lane_batches_deficit: expected.saturating_sub(lane_sum),
-            trace_events_dropped: self.trace.as_ref().map_or(0, |t| t.dropped()),
-            flight_dumps: self
-                .trace
-                .as_ref()
-                .map_or_else(Vec::new, |t| t.flight_dumps()),
-            index: self.index.stats(),
-            replica,
-            metrics: self.metrics.as_ref().map(|hub| {
-                self.refresh_metrics(hub);
-                hub.registry().snapshot()
-            }),
+        let expected = s.batches + (self.num_lanes as u64 - 1) * s.update_batches;
+        s.lane_batches_deficit = expected.saturating_sub(s.lane_batches.iter().sum());
+        if let Some(rec) = &self.trace {
+            s.trace_events_dropped = rec.dropped();
+            s.flight_dumps = rec.flight_dumps();
         }
+        if self.metrics {
+            // Device indices are global and replica-major — the numbering
+            // the trace recorder uses for track ids.
+            let devices: Vec<_> = (0..self.index.num_replicas())
+                .flat_map(|r| {
+                    let replica = self.index.replica(r).read().expect("replica lock");
+                    replica.pool().utilization()
+                })
+                .collect();
+            let stages = self.trace.as_ref().map(|rec| rec.summary());
+            s.metrics = Some(metrics::exposition(
+                &s,
+                &devices,
+                self.index.cost_audit(),
+                stages,
+            ));
+        }
+        s
     }
 }
 
@@ -445,13 +393,27 @@ fn split_batch<O>(entries: &[Entry<O>]) -> Vec<SubBatch> {
     out
 }
 
-/// Take the executor-stats lock, ignoring poisoning: every update under it
-/// is a counter bump or a histogram record that leaves the ledger valid at
-/// each step, so a panic that unwound through a guard cost at most its own
+/// Take the ledger lock, ignoring poisoning: every update under it is a
+/// counter bump or a histogram record that leaves the ledger valid at each
+/// step, so a panic that unwound through a guard cost at most its own
 /// increment — while refusing the lock would fail every later batch on
 /// every lane.
-fn lock_stats(stats: &Mutex<ExecutorStats>) -> MutexGuard<'_, ExecutorStats> {
+fn lock_stats(stats: &Mutex<ServiceStats>) -> MutexGuard<'_, ServiceStats> {
     stats.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Count `n` responses about to be sent, failed with `err` when it is
+/// set. Called *before* the send: a client reading the stats the moment
+/// its `Ticket::wait` returns already sees its own request (the send is
+/// the happens-before edge).
+fn count_responses(s: &mut ServiceStats, n: u64, err: Option<&ServiceError>) {
+    s.completed += n;
+    if let Some(e) = err {
+        s.failed += n;
+        if matches!(e, ServiceError::ShardUnavailable { .. }) {
+            s.shard_unavailable += n;
+        }
+    }
 }
 
 /// Account one panic contained at a lane boundary: count it, record a
@@ -459,7 +421,7 @@ fn lock_stats(stats: &Mutex<ExecutorStats>) -> MutexGuard<'_, ExecutorStats> {
 fn lane_panicked<O, M>(
     index: &ReplicatedShards<O, M>,
     prefer: &[usize],
-    stats: &Mutex<ExecutorStats>,
+    stats: &Mutex<ServiceStats>,
     trace: Option<&Arc<TraceRecorder>>,
 ) where
     O: Clone + Send + Sync + Footprint,
@@ -496,9 +458,8 @@ fn run_lane<O, M>(
     lane: usize,
     prefer: &[usize],
     batch_rx: &mpsc::Receiver<Batch<O>>,
-    stats: &Mutex<ExecutorStats>,
+    stats: &Mutex<ServiceStats>,
     trace: Option<&Arc<TraceRecorder>>,
-    metrics: Option<&MetricsHub>,
 ) where
     O: Clone + Send + Sync + Footprint,
     M: BatchMetric<O> + Clone,
@@ -516,18 +477,6 @@ fn run_lane<O, M>(
                 }
                 for e in &batch.entries {
                     s.queue_wait_us.record(e.wait_us);
-                }
-            }
-        }
-        // Metrics mirror the responder-gated stats: the flush trigger is
-        // counted once per batch, queue waits once per request, both only
-        // on the responder copy (broadcast updates execute on every lane
-        // but are accounted once).
-        if batch.respond {
-            if let Some(hub) = metrics {
-                hub.batch_flushed(batch.trigger);
-                for e in &batch.entries {
-                    hub.queue_wait(&e.client, e.wait_us);
                 }
             }
         }
@@ -567,8 +516,8 @@ fn run_lane<O, M>(
         // pipeline and wedges the batcher. The batch's tickets disconnect;
         // the lane keeps serving.
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| match batch.kind {
-            BatchKind::Query => query_batch(index, prefer, &batch, stats, trace, metrics),
-            BatchKind::Update => update_batch(index, prefer, &batch, stats, trace, metrics),
+            BatchKind::Query => query_batch(index, prefer, &batch, stats, trace),
+            BatchKind::Update => update_batch(index, prefer, &batch, stats, trace),
         }));
         if outcome.is_err() {
             lane_panicked(index, prefer, stats, trace);
@@ -595,9 +544,8 @@ fn query_batch<O, M>(
     index: &ReplicatedShards<O, M>,
     prefer: &[usize],
     batch: &Batch<O>,
-    stats: &Mutex<ExecutorStats>,
+    stats: &Mutex<ServiceStats>,
     trace: Option<&Arc<TraceRecorder>>,
-    metrics: Option<&MetricsHub>,
 ) where
     O: Clone + Send + Sync + Footprint,
     M: BatchMetric<O> + Clone,
@@ -616,14 +564,12 @@ fn query_batch<O, M>(
             }
         };
         let span = index.span_of(prefer).saturating_sub(before);
-        lock_stats(stats).batch_span_cycles.record(span);
-        if let Some(hub) = metrics {
-            hub.batch_span(span);
-        }
         let indices = sub.indices();
-        let mut answered = 0u64;
-        let mut failed = 0u64;
-        let mut unavailable = 0u64;
+        {
+            let mut s = lock_stats(stats);
+            s.batch_span_cycles.record(span);
+            count_responses(&mut s, indices.len() as u64, answers.as_ref().err());
+        }
         match answers {
             Ok(mut per_query) => {
                 // Walk in reverse so `pop` hands each index its answer
@@ -632,39 +578,22 @@ fn query_batch<O, M>(
                     let result = Ok(Reply::Neighbors(
                         per_query.pop().expect("one answer per request"),
                     ));
-                    answered += respond(
-                        &batch.entries[i],
-                        result,
-                        epoch,
-                        span,
-                        size,
-                        batch.trigger,
-                        metrics,
-                    );
+                    respond(&batch.entries[i], result, epoch, span, size, batch.trigger);
                 }
             }
             Err(e) => {
-                if matches!(e, ServiceError::ShardUnavailable { .. }) {
-                    unavailable = indices.len() as u64;
-                }
-                failed = indices.len() as u64;
                 for &i in indices {
-                    answered += respond(
+                    respond(
                         &batch.entries[i],
                         Err(e.clone()),
                         epoch,
                         span,
                         size,
                         batch.trigger,
-                        metrics,
                     );
                 }
             }
         }
-        let mut s = lock_stats(stats);
-        s.completed += answered;
-        s.failed += failed;
-        s.shard_unavailable += unavailable;
     }
 }
 
@@ -677,9 +606,8 @@ fn update_batch<O, M>(
     index: &ReplicatedShards<O, M>,
     prefer: &[usize],
     batch: &Batch<O>,
-    stats: &Mutex<ExecutorStats>,
+    stats: &Mutex<ServiceStats>,
     trace: Option<&Arc<TraceRecorder>>,
-    metrics: Option<&MetricsHub>,
 ) where
     O: Clone + Send + Sync + Footprint,
     M: BatchMetric<O> + Clone,
@@ -702,18 +630,10 @@ fn update_batch<O, M>(
             Request::Range { .. } | Request::Knn { .. } => {
                 debug_assert!(false, "update batch must hold update requests");
                 if batch.respond {
-                    let answered = respond(
-                        entry,
-                        Err(ServiceError::MalformedBatch),
-                        index.epoch_of(prefer),
-                        0,
-                        size,
-                        batch.trigger,
-                        metrics,
-                    );
-                    let mut s = lock_stats(stats);
-                    s.failed += 1;
-                    s.completed += answered;
+                    let err = ServiceError::MalformedBatch;
+                    count_responses(&mut lock_stats(stats), 1, Some(&err));
+                    let epoch = index.epoch_of(prefer);
+                    respond(entry, Err(err), epoch, 0, size, batch.trigger);
                 }
                 continue;
             }
@@ -736,20 +656,13 @@ fn update_batch<O, M>(
         // The update's own application is included in its stamp.
         let epoch = index.epoch_of(prefer);
         if batch.respond {
-            let failed = result.is_err();
-            let unavailable = matches!(result, Err(ServiceError::ShardUnavailable { .. }));
-            if let Some(hub) = metrics {
-                hub.batch_span(span);
+            {
+                let mut s = lock_stats(stats);
+                s.batch_span_cycles.record(span);
+                s.updates_applied += u64::from(result.is_ok());
+                count_responses(&mut s, 1, result.as_ref().err());
             }
-            // Answer first, then take the lock: the guard never covers the
-            // registry lookup or the channel send.
-            let answered = respond(entry, result, epoch, span, size, batch.trigger, metrics);
-            let mut s = lock_stats(stats);
-            s.batch_span_cycles.record(span);
-            s.updates_applied += u64::from(!failed);
-            s.failed += u64::from(failed);
-            s.shard_unavailable += u64::from(unavailable);
-            s.completed += answered;
+            respond(entry, result, epoch, span, size, batch.trigger);
         }
     }
 }
@@ -801,9 +714,9 @@ where
     }
 }
 
-/// Send one response; returns 1 when delivered, 0 when the client dropped
-/// its [`Ticket`](crate::Ticket) (not an error — fire-and-forget clients
-/// are allowed).
+/// Send one response. A client that dropped its
+/// [`Ticket`](crate::Ticket) is not an error — fire-and-forget clients are
+/// allowed.
 fn respond<O>(
     entry: &Entry<O>,
     result: Result<Reply, ServiceError>,
@@ -811,17 +724,7 @@ fn respond<O>(
     span: u64,
     batch_size: usize,
     trigger: FlushTrigger,
-    metrics: Option<&MetricsHub>,
-) -> u64 {
-    // Metrics land *before* the send: a client scraping the moment its
-    // `Ticket::wait` returns must already see its own request counted
-    // (the send is the happens-before edge).
-    if let Some(hub) = metrics {
-        if result.is_err() {
-            hub.client_failed(&entry.client);
-        }
-        hub.client_served(&entry.client);
-    }
+) {
     let response = Response {
         result,
         epoch,
@@ -833,7 +736,7 @@ fn respond<O>(
             trigger,
         },
     };
-    u64::from(entry.tx.send(response).is_ok())
+    let _ = entry.tx.send(response);
 }
 
 #[cfg(test)]
@@ -948,7 +851,7 @@ mod tests {
 
         // Simulate the undercount (a lane whose counter never landed) and
         // snapshot again: the deficit surfaces instead of vanishing.
-        svc.exec_stats.lock().expect("stats lock").lane_batches[0] -= 1;
+        svc.ledger.lock().expect("stats lock").lane_batches[0] -= 1;
         assert_eq!(svc.stats().lane_batches_deficit, 1);
         let stats = svc.shutdown();
         assert_eq!(stats.lane_batches_deficit, 1, "shutdown keeps the ledger");
@@ -967,13 +870,13 @@ mod tests {
                 .with_sizing(BatchSizing::Fixed(1))
                 .with_flush_deadline(Duration::from_millis(1)),
         );
-        let stats = Arc::clone(&svc.exec_stats);
+        let stats = Arc::clone(&svc.ledger);
         let poisoner = std::thread::spawn(move || {
             let _guard = stats.lock().expect("first holder");
             panic!("poison the executor stats lock");
         });
         assert!(poisoner.join().is_err(), "the holder panicked");
-        assert!(svc.exec_stats.is_poisoned());
+        assert!(svc.ledger.is_poisoned());
         let h = svc.handle();
         let knn = h
             .submit(Request::Knn {
@@ -1004,7 +907,6 @@ mod tests {
             tx: tx.clone(),
             wait_us: 0,
             id: RequestId(0),
-            client: Arc::from(crate::metrics::DEFAULT_CLIENT),
         };
         let entries = vec![
             mk(Request::Knn { query: 0u32, k: 5 }),
@@ -1167,7 +1069,6 @@ mod tests {
             tx,
             wait_us: 0,
             id: RequestId(0),
-            client: Arc::from(crate::metrics::DEFAULT_CLIENT),
         }];
         let sub = SubBatch::Range(vec![0]);
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {

@@ -2,7 +2,8 @@
 //! latency histograms, lane/failure accounting, and the underlying index's
 //! search and replica counters.
 
-use gts_core::stats::{LatencyHistogram, ReplicaStats, StatsSnapshot};
+use gts_core::stats::{ReplicaStats, StatsSnapshot};
+use gts_trace::LatencyHistogram;
 
 /// A point-in-time snapshot of everything the service has done.
 ///
@@ -14,17 +15,22 @@ use gts_core::stats::{LatencyHistogram, ReplicaStats, StatsSnapshot};
 /// aggregated in as [`StatsSnapshot`] plus [`ReplicaStats`], so one
 /// snapshot tells the whole serving story: admission → batching → lanes →
 /// replicas → device work.
+///
+/// The service keeps one of these as its **ledger**: the lanes count into
+/// it under one lock, and a snapshot clones it and fills in the fields
+/// derived elsewhere (admission atomics, epoch, index and replica counters,
+/// trace state, the metrics view).
 #[derive(Clone, Debug, Default)]
 pub struct ServiceStats {
     /// Requests accepted into the admission queue.
     pub admitted: u64,
     /// Requests rejected by backpressure (queue at depth).
     pub rejected: u64,
-    /// Responses actually delivered to a waiting [`Ticket`](crate::Ticket).
-    /// A fire-and-forget client that drops its ticket before the batch
-    /// executes is *not* counted here, so `completed` can lawfully trail
-    /// `admitted` even with `rejected == 0`. Counts error responses too:
-    /// every delivered response is a completion, never a hang.
+    /// Responses produced, counted just before each is sent — so a client
+    /// reading the stats the moment its [`Ticket`](crate::Ticket) returns
+    /// already sees its own request. A response whose ticket the client
+    /// dropped still counts. Counts error responses too: every answered
+    /// request is a completion, never a hang.
     pub completed: u64,
     /// Batches flushed by the microbatcher.
     pub batches: u64,
@@ -44,7 +50,7 @@ pub struct ServiceStats {
     /// Batches executed per lane (index = lane). The batcher deals flushed
     /// batches round-robin, so these stay within one of each other.
     pub lane_batches: Vec<u64>,
-    /// Requests answered with a typed error (`Err` responses delivered).
+    /// Requests answered with a typed error (`Err` responses produced).
     /// Always `<= completed`; a lost request would show up as
     /// `completed < admitted` with live tickets, which never happens.
     pub failed: u64,
@@ -101,29 +107,9 @@ pub struct ServiceStats {
     /// dead shards) — the last-N-events snapshots taken at each fault.
     /// Empty when tracing is disabled.
     pub flight_dumps: Vec<gts_trace::FlightDump>,
-    /// A full metrics snapshot (every family the
-    /// [`MetricsHub`](crate::MetricsHub) exports, refreshed at snapshot
-    /// time), when [`ServiceConfig::metrics`](crate::ServiceConfig)
-    /// enabled the hub. `None` otherwise.
+    /// The metrics view of this snapshot — its counters and histograms plus
+    /// the device utilization, the cost-model audit and the trace summary —
+    /// when [`ServiceConfig::metrics`](crate::ServiceConfig) is on. `None`
+    /// otherwise.
     pub metrics: Option<gts_metrics::MetricsSnapshot>,
-}
-
-/// The mutable half the executor lanes update as batches run (everything
-/// except the submit-side atomics and the index snapshots, which are folded
-/// in when a [`ServiceStats`] is taken).
-#[derive(Debug, Default)]
-pub(crate) struct ExecutorStats {
-    pub(crate) completed: u64,
-    pub(crate) batches: u64,
-    pub(crate) size_flushes: u64,
-    pub(crate) deadline_flushes: u64,
-    pub(crate) shutdown_flushes: u64,
-    pub(crate) lane_batches: Vec<u64>,
-    pub(crate) failed: u64,
-    pub(crate) shard_unavailable: u64,
-    pub(crate) lane_panics: u64,
-    pub(crate) updates_applied: u64,
-    pub(crate) update_batches: u64,
-    pub(crate) queue_wait_us: LatencyHistogram,
-    pub(crate) batch_span_cycles: LatencyHistogram,
 }

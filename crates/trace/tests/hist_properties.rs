@@ -1,7 +1,8 @@
 //! Property tests for [`LatencyHistogram`]: `merge` must be *exactly* the
 //! histogram of the concatenated sample streams — it backs every
-//! cross-lane and cross-shard aggregation in the service stats and the
-//! metrics registry, so an off-by-one here silently skews every p99.
+//! cross-shard aggregation in the trace summary and the cost audit, and
+//! every scrape renders those histograms, so an off-by-one here silently
+//! skews every p99.
 
 use gts_trace::LatencyHistogram;
 use proptest::prelude::*;

@@ -1,7 +1,7 @@
 //! Metrics scrape: run a metered (and traced) service for a short mixed
-//! workload from two tagged clients, then print the Prometheus text
-//! exposition — per-client request accounting, per-device utilization
-//! with the exact clock partition `busy + transfer + stall + idle ==
+//! workload, then print the Prometheus text exposition — request and
+//! batch counters read off the service's stats ledger, per-device
+//! utilization with the exact clock partition `busy + transfer + stall + idle ==
 //! span`, the cost-model audit, and per-stage span histograms.
 //!
 //! ```sh
@@ -26,8 +26,8 @@ fn main() {
         .expect("build"),
     );
 
-    // Metrics AND tracing on: the hub folds the per-stage trace summary
-    // into `gts_stage_cycles{stage=...}` at scrape time. Cost-model
+    // Metrics AND tracing on: the scrape folds the per-stage trace summary
+    // into `gts_stage_cycles{stage=...}`. Cost-model
     // sizing installs the §5.3 prediction the audit holds against the
     // observed per-level survivors (`gts_cost_calibration_pct`).
     let cfg = ServiceConfig::default()
@@ -57,13 +57,7 @@ fn main() {
             1 => Request::Insert { object: q },
             _ => Request::Knn { query: q, k: 5 },
         };
-        // Two tagged clients plus untagged traffic under the default id.
-        let ticket = match i % 3 {
-            0 => h.submit_as("analytics", req),
-            1 => h.submit_as("frontend", req),
-            _ => h.submit(req),
-        };
-        tickets.push(ticket.expect("admitted"));
+        tickets.push(h.submit(req).expect("admitted"));
     }
     for t in tickets {
         t.wait().expect("answered").result.expect("ok");

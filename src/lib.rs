@@ -17,10 +17,9 @@
 //! * [`trace`] — end-to-end tracing: per-request spans from
 //!   admission to kernel launch, Chrome-trace export, and a fault-triggered
 //!   flight recorder;
-//! * [`metrics`] — the typed metrics registry behind the service's
-//!   [`MetricsHub`](gts_service::MetricsHub): per-client request
-//!   accounting, device-utilization gauges, the cost-model audit, and
-//!   Prometheus exposition;
+//! * [`metrics`] — the typed metric snapshot and its Prometheus
+//!   exposition: the service's scrape is a view of its stats ledger,
+//!   device-utilization gauges, and the cost-model audit;
 //! * [`baselines`] — every comparator of the paper's evaluation.
 //!
 //! ## Quickstart
@@ -64,11 +63,10 @@ pub mod prelude {
         Applied, CostAuditSnapshot, CostModel, Gts, GtsParams, ReplicaError, ReplicatedShards,
         ShardedGts, UpdateOp,
     };
-    pub use gts_metrics::{parse_prometheus, MetricsRegistry, MetricsSnapshot};
+    pub use gts_metrics::{parse_prometheus, MetricsSnapshot};
     pub use gts_service::{
-        BatchSizing, FlushTrigger, LatencyBreakdown, MetricsHub, QueryService, Reply, Request,
-        Response, ServiceConfig, ServiceError, ServiceStats, SubmitHandle, Ticket, UpdateAck,
-        DEFAULT_CLIENT,
+        BatchSizing, FlushTrigger, LatencyBreakdown, QueryService, Reply, Request, Response,
+        ServiceConfig, ServiceError, ServiceStats, SubmitHandle, Ticket, UpdateAck,
     };
     pub use gts_trace::{
         validate_chrome_trace, DumpReason, EventKind, FlightDump, LatencyHistogram, RequestId,

@@ -7,9 +7,10 @@
 //!   cycle-domain family (device utilization, batch spans, cost audit,
 //!   request counters) reproduces exactly across runs, at every shard and
 //!   lane count; two scrapes of an idle service are byte-identical.
-//! * **Exposition is conformant** — the text scrape parses back with
-//!   [`parse_prometheus`] and the recovered samples agree with the typed
-//!   snapshot.
+//! * **Exposition is a view of the ledger** — the text scrape parses back
+//!   with [`parse_prometheus`], every ledger-derived sample equals its
+//!   [`ServiceStats`] field, and a request is counted before its ticket
+//!   returns.
 //! * **The device clock partitions** — for every device,
 //!   `busy + transfer + stall + idle == span`, read straight off the
 //!   scraped gauges.
@@ -121,7 +122,7 @@ fn cycle_domain(scrape: &str) -> String {
 }
 
 /// Metrics on ⇒ answers, epochs, and simulated cycles bit-identical to
-/// metrics off: the hub observes the clocks, never advances them.
+/// metrics off: the view observes the clocks, never advances them.
 #[test]
 fn metrics_change_no_answer_epoch_or_cycle() {
     for shards in [1u32, 2] {
@@ -157,9 +158,8 @@ fn cycle_domain_metrics_reproduce_for_a_fixed_seed() {
     }
 }
 
-/// Two scrapes of an idle service are byte-identical: scraping refreshes
-/// idempotently (gauges set, cumulative histograms replaced) and never
-/// counts itself.
+/// Two scrapes of an idle service are byte-identical: each scrape renders
+/// a fresh view of unchanged state and never counts itself.
 #[test]
 fn idle_service_scrapes_are_byte_identical() {
     let (_, _, _, first, _) = {
@@ -191,9 +191,10 @@ fn idle_service_scrapes_are_byte_identical() {
     assert!(!first.is_empty());
 }
 
-/// The scrape parses back under the exposition grammar, and the recovered
-/// per-device gauges satisfy the clock partition exactly:
-/// `busy + transfer + stall + idle == span` for every device.
+/// The scrape parses back under the exposition grammar, the recovered
+/// per-device gauges satisfy the clock partition exactly
+/// (`busy + transfer + stall + idle == span` for every device), and every
+/// ledger-derived sample equals its `ServiceStats` field.
 #[test]
 fn scrape_is_conformant_and_device_clocks_partition() {
     let (_, _, _, scrape, stats) = metered_run(2, 2, 2, true, 30);
@@ -230,14 +231,65 @@ fn scrape_is_conformant_and_device_clocks_partition() {
         assert!(parts["span"] > 0, "device {dev} saw work");
     }
 
-    // The parsed counters agree with the typed snapshot the stats carry.
+    // Every ledger-derived sample is the ledger field it views.
+    let sample = |name: &str, label: Option<(&str, &str)>| -> u64 {
+        samples
+            .iter()
+            .find(|s| {
+                s.name == name
+                    && label.map_or(s.labels.is_empty(), |(k, v)| {
+                        s.labels.iter().any(|(sk, sv)| sk == k && sv == v)
+                    })
+            })
+            .unwrap_or_else(|| panic!("{name} {label:?} in the scrape"))
+            .value as u64
+    };
+    let trigger = |t| Some(("trigger", t));
+    for (name, label, want) in [
+        ("gts_requests_admitted_total", None, stats.admitted),
+        ("gts_requests_rejected_total", None, stats.rejected),
+        ("gts_requests_served_total", None, stats.completed),
+        ("gts_requests_failed_total", None, stats.failed),
+        ("gts_batches_total", trigger("size"), stats.size_flushes),
+        (
+            "gts_batches_total",
+            trigger("deadline"),
+            stats.deadline_flushes,
+        ),
+        (
+            "gts_batches_total",
+            trigger("shutdown"),
+            stats.shutdown_flushes,
+        ),
+        (
+            "gts_queue_wait_microseconds_count",
+            None,
+            stats.queue_wait_us.count(),
+        ),
+        (
+            "gts_queue_wait_microseconds_sum",
+            None,
+            stats.queue_wait_us.sum(),
+        ),
+        (
+            "gts_batch_span_cycles_count",
+            None,
+            stats.batch_span_cycles.count(),
+        ),
+        (
+            "gts_batch_span_cycles_sum",
+            None,
+            stats.batch_span_cycles.sum(),
+        ),
+    ] {
+        assert_eq!(
+            sample(name, label),
+            want,
+            "{name} {label:?} views the ledger"
+        );
+    }
+    assert_eq!(stats.completed, 30, "every request served");
     let snap = stats.metrics.expect("metrics on");
-    let served: f64 = samples
-        .iter()
-        .filter(|s| s.name == "gts_requests_served_total")
-        .map(|s| s.value)
-        .sum();
-    assert_eq!(served as u64, stats.completed, "scrape matches stats");
     assert!(
         snap.families
             .iter()
@@ -247,74 +299,81 @@ fn scrape_is_conformant_and_device_clocks_partition() {
 }
 
 /// Cost-model sizing installs the §5.3 prediction, and serving under it
-/// populates the audit: per-level calibration samples, a non-zero
-/// admitted batch, and a frontier-bytes high-water mark at or below the
-/// predicted peak's order of magnitude.
+/// populates the audit — with metrics on or off, because the audit records
+/// whenever a plan is installed: per-level calibration samples, a non-zero
+/// admitted batch, and a frontier-bytes high-water mark.
 #[test]
 fn cost_model_audit_populates_through_the_service() {
-    let data = DatasetKind::Words.generate(2_000, 2026);
-    let pool = DevicePool::rtx_2080_ti(2);
-    let index = Arc::new(
-        ReplicatedShards::build(
-            &pool,
-            data.items.clone(),
-            data.metric,
-            GtsParams::default().with_shards(2),
-        )
-        .expect("build"),
-    );
-    let cfg = ServiceConfig::default()
-        .with_sizing(BatchSizing::CostModel {
-            radius_hint: 2.0,
-            samples: 128,
-            seed: 41,
-        })
-        .with_flush_deadline(Duration::from_millis(1))
-        .with_metrics(true);
-    let svc = QueryService::start_replicated(Arc::clone(&index), cfg);
-    let h = svc.handle();
-    for i in 0..40 {
-        h.submit(Request::Range {
-            query: data.items[(i * 13) % 2_000].clone(),
-            radius: 2.0,
-        })
-        .expect("admitted")
-        .wait()
-        .expect("answered")
-        .result
-        .expect("ok");
+    for metrics in [true, false] {
+        let data = DatasetKind::Words.generate(2_000, 2026);
+        let pool = DevicePool::rtx_2080_ti(2);
+        let index = Arc::new(
+            ReplicatedShards::build(
+                &pool,
+                data.items.clone(),
+                data.metric,
+                GtsParams::default().with_shards(2),
+            )
+            .expect("build"),
+        );
+        let cfg = ServiceConfig::default()
+            .with_sizing(BatchSizing::CostModel {
+                radius_hint: 2.0,
+                samples: 128,
+                seed: 41,
+            })
+            .with_flush_deadline(Duration::from_millis(1))
+            .with_metrics(metrics);
+        let svc = QueryService::start_replicated(Arc::clone(&index), cfg);
+        let h = svc.handle();
+        for i in 0..40 {
+            h.submit(Request::Range {
+                query: data.items[(i * 13) % 2_000].clone(),
+                radius: 2.0,
+            })
+            .expect("admitted")
+            .wait()
+            .expect("answered")
+            .result
+            .expect("ok");
+        }
+        let audit = index.cost_audit();
+        assert!(
+            audit.predicted_batch > 0,
+            "metrics = {metrics}: cost-model sizing installed a plan (admitted {})",
+            audit.predicted_batch
+        );
+        assert!(
+            audit.levels_observed > 0,
+            "metrics = {metrics}: descents recorded level samples"
+        );
+        assert!(audit.calibration_pct.count() == audit.levels_observed);
+        assert!(audit.peak_frontier_bytes > 0, "expansion buffers observed");
+        match svc.scrape() {
+            Some(scrape) => assert!(
+                metrics
+                    && scrape.contains("gts_cost_calibration_pct_count")
+                    && !scrape.contains("gts_cost_calibration_pct_count 0"),
+                "the calibration histogram reaches the exposition:\n{scrape}"
+            ),
+            None => assert!(!metrics, "metrics on renders a scrape"),
+        }
+        let median = audit.calibration_pct.quantile(0.5);
+        println!(
+            "metrics = {metrics}: calibration: {} levels, median {}%, over {} / under {}",
+            audit.levels_observed, median, audit.overpredicted, audit.underpredicted
+        );
+        svc.shutdown();
     }
-    let audit = index.cost_audit();
-    assert!(audit.enabled, "metrics on enables the audit");
-    assert!(
-        audit.predicted_batch > 0,
-        "cost-model sizing installed a plan (admitted {})",
-        audit.predicted_batch
-    );
-    assert!(audit.levels_observed > 0, "descents recorded level samples");
-    assert!(audit.calibration_pct.count() == audit.levels_observed);
-    assert!(audit.peak_frontier_bytes > 0, "expansion buffers observed");
-    let scrape = svc.scrape().expect("metrics on");
-    assert!(
-        scrape.contains("gts_cost_calibration_pct_count")
-            && !scrape.contains("gts_cost_calibration_pct_count 0"),
-        "the calibration histogram reaches the exposition:\n{scrape}"
-    );
-    let median = audit.calibration_pct.quantile(0.5);
-    println!(
-        "calibration: {} levels, median {}%, over {} / under {}",
-        audit.levels_observed, median, audit.overpredicted, audit.underpredicted
-    );
-    svc.shutdown();
 }
 
 /// 10k-request metered soak (the CI `metrics` job runs it with
 /// `--include-ignored`): a 2-shard × 2-replica stack under cost-model
-/// sizing serves 10 000 mixed requests from three tagged clients with the
-/// hub recording throughout. Asserts the full contract at scale — every
-/// request served, the clock partition holding on all four devices, the
-/// audit populated — and prints the per-device utilization and
-/// cost-calibration tables REPORT.md §11 reproduces.
+/// sizing serves 10 000 mixed requests with metrics on throughout.
+/// Asserts the full contract at scale — every request served, the clock
+/// partition holding on all four devices, the audit populated — and prints
+/// the per-device utilization and cost-calibration tables REPORT.md §11
+/// reproduces.
 #[test]
 #[ignore = "soak: run explicitly or via CI --include-ignored"]
 fn metered_soak_10k_requests() {
@@ -342,15 +401,10 @@ fn metered_soak_10k_requests() {
         .with_metrics(true);
     let svc = QueryService::start_replicated(Arc::clone(&index), cfg);
     let h = svc.handle();
-    let clients = ["analytics", "frontend", DEFAULT_CLIENT];
     for wave in mixed_sequence(&data.items, N).chunks(64) {
         let tickets: Vec<_> = wave
             .iter()
-            .enumerate()
-            .map(|(i, r)| {
-                h.submit_as(clients[i % clients.len()], r.clone())
-                    .expect("admitted")
-            })
+            .map(|r| h.submit(r.clone()).expect("admitted"))
             .collect();
         for t in tickets {
             t.wait().expect("answered").result.expect("ok");
@@ -407,7 +461,7 @@ fn metered_soak_10k_requests() {
     }
 
     // Cost-model calibration table.
-    assert!(audit.enabled && audit.predicted_batch > 0 && audit.levels_observed > 0);
+    assert!(audit.predicted_batch > 0 && audit.levels_observed > 0);
     assert!(audit.peak_frontier_bytes > 0, "expansion buffers observed");
     println!(
         "audit: predicted_batch {} | predicted_peak_bytes {} | observed_peak_bytes {}",
@@ -428,56 +482,54 @@ fn metered_soak_10k_requests() {
     );
 }
 
-/// Per-client accounting: requests tagged with `submit_as` land in their
-/// own label series, and untagged requests count under the default client.
+/// The ledger counts a response before sending it: the moment a ticket's
+/// `wait` returns, both the stats and a live scrape already include that
+/// request — across 1 lane × 1 replica and 2 lanes × 2 replicas, over a
+/// mix of kNN, range and insert requests sent one at a time.
 #[test]
-fn per_client_series_separate_tagged_traffic() {
-    let data = DatasetKind::Words.generate(300, 11);
-    let pool = DevicePool::rtx_2080_ti(1);
-    let index = Arc::new(
-        ReplicatedShards::build(&pool, data.items.clone(), data.metric, GtsParams::default())
+fn a_request_is_counted_before_its_ticket_returns() {
+    const N: usize = 200;
+    for (lanes, replicas) in [(1usize, 1u32), (2, 2)] {
+        let data = DatasetKind::Words.generate(300, 11);
+        let pool = DevicePool::rtx_2080_ti(replicas as usize);
+        let index = Arc::new(
+            ReplicatedShards::build(
+                &pool,
+                data.items.clone(),
+                data.metric,
+                GtsParams::default().with_replicas(replicas),
+            )
             .expect("build"),
-    );
-    let cfg = ServiceConfig::default()
-        .with_sizing(BatchSizing::Fixed(2))
-        .with_flush_deadline(Duration::from_millis(1))
-        .with_metrics(true);
-    let svc = QueryService::start_replicated(index, cfg);
-    let h = svc.handle();
-    let mut tickets = Vec::new();
-    for i in 0..6 {
-        let req = Request::Knn {
-            query: data.items[i * 7].clone(),
-            k: 3,
-        };
-        let t = match i % 3 {
-            0 => h.submit_as("alice", req),
-            1 => h.submit_as("bob", req),
-            _ => h.submit(req),
-        };
-        tickets.push(t.expect("admitted"));
-    }
-    for t in tickets {
-        t.wait().expect("answered").result.expect("ok");
-    }
-    let scrape = svc.scrape().expect("metrics on");
-    for client in ["alice", "bob", DEFAULT_CLIENT] {
-        assert!(
-            scrape.contains(&format!(
-                "gts_requests_admitted_total{{client=\"{client}\"}} 2"
-            )),
-            "client {client} admitted twice:\n{scrape}"
         );
-        assert!(
-            scrape.contains(&format!(
-                "gts_requests_served_total{{client=\"{client}\"}} 2"
-            )),
-            "client {client} served twice"
-        );
+        let cfg = ServiceConfig::default()
+            .with_sizing(BatchSizing::Fixed(4))
+            .with_flush_deadline(Duration::from_millis(1))
+            .with_lanes(lanes)
+            .with_metrics(true);
+        let svc = QueryService::start_replicated(index, cfg);
+        let h = svc.handle();
+        for (i, r) in mixed_sequence(&data.items, N).into_iter().enumerate() {
+            h.submit(r)
+                .expect("admitted")
+                .wait()
+                .expect("answered")
+                .result
+                .expect("ok");
+            let want = i as u64 + 1;
+            assert_eq!(
+                svc.stats().completed,
+                want,
+                "{lanes} lanes: stats count request {i} once its ticket returned"
+            );
+            let scrape = svc.scrape().expect("metrics on");
+            let served = parse_prometheus(&scrape)
+                .expect("exposition parses back")
+                .into_iter()
+                .find(|s| s.name == "gts_requests_served_total")
+                .expect("served counter")
+                .value as u64;
+            assert_eq!(served, want, "{lanes} lanes: the scrape counts request {i}");
+        }
+        assert_eq!(svc.shutdown().completed, N as u64);
     }
-    assert!(
-        scrape.contains("gts_queue_wait_microseconds_count{client=\"alice\"} 2"),
-        "per-client queue-wait histogram recorded"
-    );
-    svc.shutdown();
 }
