@@ -17,15 +17,26 @@
 //!   segment that overruns the per-layer bound splits, and its groups
 //!   descend one after another while it keeps its buffers alive.
 //!
+//! **Seeding.** Exact MkNNQ does not start its pools empty. The root level's
+//! pivot-distance kernel is fused with a greedy dive per query: one pivot
+//! distance per level into the nearest non-empty ring, then the reached
+//! leaf's live objects, all inserted into the query's pool. So the first
+//! prune already runs against a real k-th bound instead of ∞, and the root
+//! skips its Alg. 5 bound update, whose only candidate — the root pivot —
+//! the dive has inserted. Seeds are live objects at their true distances,
+//! so every bound stays an upper bound on the true k-th distance and the
+//! answers are unchanged (`tests/knn_seeding.rs`). Range search and beam
+//! search do not seed.
+//!
 //! **Step-order fidelity.** The engine replays the recursive loops' exact
 //! order of device-visible actions — allocations (one intermediate-result
 //! buffer per level, held until the segment and its groups finish, mirroring
 //! the recursion's buffer lifetimes), kernel launches, and stat updates —
 //! so running an engine returns the pre-refactor monolithic
-//! descent's answers and counters bit for bit (`tests/shard_invariance.rs`
-//! pins this against a checked-in fingerprint; the cycle pins of vector
-//! metrics are the pre-refactor ones too, those of edit distance were
-//! re-recorded when leaf verification started charging the banded DP).
+//! descent's answers bit for bit (`tests/shard_invariance.rs` pins this
+//! against a checked-in fingerprint whose cycle and counter pins were
+//! re-recorded twice on purpose: when leaf verification started charging
+//! edit distance's banded DP, and when exact kNN started seeding).
 //!
 //! **Host parallelism.** Leaf verification executes per *query*, not per
 //! wave: chunks of whole query segments run concurrently on the host pool
@@ -35,7 +46,8 @@
 //! still snapshotted before the wave; per-wave accounts are summed over the
 //! chunks and charged as the same kernels in the same order.
 
-use crate::dispatch::{query_chunk_bounds, run_query_chunks};
+use crate::dispatch::{distance_block, query_chunk_bounds, run_query_chunks};
+use crate::node::Node;
 use crate::search::{
     verify_block, Frontier, LeafScratch, SearchCtx, SearchScratch, TopK, FRONTIER_ENTRY_BYTES,
     VERIFY_EXTRA_WORK,
@@ -279,6 +291,7 @@ where
                         self.ctx,
                         self.queries,
                         &entries,
+                        level,
                         pools,
                         *beam,
                         &mut self.scratch,
@@ -380,12 +393,14 @@ where
 /// Expand one MkNNQ level (Alg. 5 lines 7–17): pivot distances (the pivots
 /// are real objects, so each distance is also a candidate), the
 /// encode-and-global-sort bound update, then tie-safe pruning against the
-/// query's k-th bound `pools[q].bound()`. Returns the (optionally
-/// beam-truncated) next-level frontier.
+/// query's k-th bound `pools[q].bound()`. The exact search's root level
+/// runs the fused seeding kernel ([`seed_knn`]) in place of the first two.
+/// Returns the (optionally beam-truncated) next-level frontier.
 fn expand_knn<O, M>(
     ctx: &SearchCtx<'_, O, M>,
     queries: &[O],
     entries: &[Frontier],
+    level: u32,
     pools: &mut [TopK],
     beam: Option<usize>,
     scratch: &mut SearchScratch,
@@ -395,34 +410,40 @@ where
     M: BatchMetric<O>,
 {
     let shape = ctx.shape();
-    // Alg. 5 lines 7–10: pivot distances for the frontier (one batched
-    // kernel + memo).
-    ctx.pivot_distances(queries, entries, scratch);
+    if beam.is_none() && level == 1 {
+        // At the root the bound update would only insert the root pivot,
+        // which the dive inserts too.
+        seed_knn(ctx, queries, entries, pools, scratch);
+    } else {
+        // Alg. 5 lines 7–10: pivot distances for the frontier (one batched
+        // kernel).
+        ctx.pivot_distances(queries, entries, scratch);
 
-    // Alg. 5 lines 11–12: the per-query k-th bound is located by encoding
-    // `query_rank + dis/denom` and running the same global device sort as
-    // construction; walking the sorted runs inserts candidates in ascending
-    // order per query.
-    let SearchScratch { dq, pairs, .. } = &mut *scratch;
-    let maxd = reduce_max_f64(ctx.dev, dq).max(0.0);
-    let denom = 2.0 * (maxd + 1.0);
-    pairs.clear();
-    pairs.extend(
-        entries
-            .iter()
-            .enumerate()
-            .map(|(i, e)| (f64::from(e.query) + dq[i] / denom, i as u32)),
-    );
-    ctx.dev.launch_charged(pairs.len() as u64 * 2, 2);
-    sort_pairs_by_key(ctx.dev, pairs);
-    for &(_, i) in pairs.iter() {
-        let e = entries[i as usize];
-        let pivot = ctx.nodes.get(e.node as usize).pivot.expect("internal node");
-        // A tombstoned pivot's distance must not become a candidate (it is
-        // no longer an answer) nor a bound (it could over-tighten pruning
-        // against live objects).
-        if ctx.live[pivot as usize] {
-            pools[e.query as usize].insert(Neighbor::new(pivot, dq[i as usize]));
+        // Alg. 5 lines 11–12: the per-query k-th bound is located by
+        // encoding `query_rank + dis/denom` and running the same global
+        // device sort as construction; walking the sorted runs inserts
+        // candidates in ascending order per query.
+        let SearchScratch { dq, pairs, .. } = &mut *scratch;
+        let maxd = reduce_max_f64(ctx.dev, dq).max(0.0);
+        let denom = 2.0 * (maxd + 1.0);
+        pairs.clear();
+        pairs.extend(
+            entries
+                .iter()
+                .enumerate()
+                .map(|(i, e)| (f64::from(e.query) + dq[i] / denom, i as u32)),
+        );
+        ctx.dev.launch_charged(pairs.len() as u64 * 2, 2);
+        sort_pairs_by_key(ctx.dev, pairs);
+        for &(_, i) in pairs.iter() {
+            let e = entries[i as usize];
+            let pivot = ctx.nodes.get(e.node as usize).pivot.expect("internal node");
+            // A tombstoned pivot's distance must not become a candidate (it
+            // is no longer an answer) nor a bound (it could over-tighten
+            // pruning against live objects).
+            if ctx.live[pivot as usize] {
+                pools[e.query as usize].insert(Neighbor::new(pivot, dq[i as usize]));
+            }
         }
     }
 
@@ -458,19 +479,12 @@ where
                 pruned += 1;
             } else {
                 expanded += 1;
-                let gap = if dqi < child.min_dis {
-                    child.min_dis - dqi
-                } else if dqi > child.max_dis {
-                    dqi - child.max_dis
-                } else {
-                    0.0
-                };
                 next.push(Frontier {
                     node: cid as u32,
                     query: e.query,
                     dqp: dqi,
                 });
-                scratch.gaps.push(gap);
+                scratch.gaps.push(ring_gap(dqi, child));
             }
         }
     }
@@ -491,6 +505,162 @@ where
         }
         None => next,
     }
+}
+
+/// Distance from a query's mapped coordinate `d` (its distance to the
+/// parent pivot) to `node`'s ring `[min_dis, max_dis]`: 0 inside the ring,
+/// and for `d = NaN` (a root leaf, which has no parent pivot).
+fn ring_gap(d: f64, node: &Node) -> f64 {
+    if d < node.min_dis {
+        node.min_dis - d
+    } else if d > node.max_dis {
+        d - node.max_dis
+    } else {
+        0.0
+    }
+}
+
+/// The exact MkNNQ root level's fused **seeding kernel** (see the module
+/// docs), in place of the root's pivot-distance kernel and Alg. 5 bound
+/// update: per query, `d(q, root pivot)` into `scratch.dq` and one greedy
+/// [`dive`]. `TopK`'s id check makes the later verification of the dive's
+/// leaf a no-op.
+///
+/// One launch over the root frontier: work is the dives' summed distance
+/// work, span the longest pivot chain plus widest leaf pair of any query.
+/// The frontier runs as query-chunk runs with disjoint pool windows, so
+/// answers and cycles do not depend on the host thread count.
+fn seed_knn<O, M>(
+    ctx: &SearchCtx<'_, O, M>,
+    queries: &[O],
+    entries: &[Frontier],
+    pools: &mut [TopK],
+    scratch: &mut SearchScratch,
+) where
+    O: Send + Sync,
+    M: BatchMetric<O>,
+{
+    let SearchScratch { dq, leaf, .. } = scratch;
+    dq.clear();
+    dq.resize(entries.len(), 0.0);
+    let mut dived: Vec<u64> = Vec::new();
+    ctx.dev.launch_batch(entries.len(), || {
+        let mut dq_rest = dq.as_mut_slice();
+        let runs: Vec<_> = leaf_runs(entries, pools, &mut dived, leaf)
+            .into_iter()
+            .map(|run| {
+                let (out, rest) = std::mem::take(&mut dq_rest).split_at_mut(run.entries.len());
+                dq_rest = rest;
+                (run, out)
+            })
+            .collect();
+        let (total, span) = run_query_chunks(ctx.dev, ctx.threads, runs, |(run, out), threads| {
+            let lo = run.entries[0].query;
+            let (mut total, mut span) = (0u64, 0u64);
+            for (e, dq) in run.entries.iter().zip(out) {
+                let (w, s) = dive(
+                    ctx,
+                    threads,
+                    &queries[e.query as usize],
+                    &mut run.state[(e.query - lo) as usize],
+                    dq,
+                    run.scratch,
+                    run.acct,
+                );
+                total += w;
+                span = span.max(s);
+            }
+            (total, span)
+        });
+        ((), total, span)
+    });
+    let dived: u64 = dived.iter().sum();
+    ctx.stats.add(
+        &ctx.stats.distance_computations,
+        entries.len() as u64 + dived,
+    );
+    ctx.stats.add(&ctx.stats.seed_distances, dived);
+}
+
+/// One query's seeding dive from the root: one pivot distance per level,
+/// into the non-empty child whose ring is nearest that distance (a tie goes
+/// to the lowest child index), then the leaf's live objects through the
+/// exact kernel. Live pivots and leaf objects enter `pool`; `d(q, root
+/// pivot)` goes to `dq` and the distances spent below the root are added to
+/// `dived`. Returns the dive's `(work, span)`: the span is the pivot chain
+/// plus the widest leaf pair.
+fn dive<O, M>(
+    ctx: &SearchCtx<'_, O, M>,
+    threads: usize,
+    query: &O,
+    pool: &mut TopK,
+    dq: &mut f64,
+    stage: &mut LeafScratch,
+    dived: &mut u64,
+) -> (u64, u64)
+where
+    O: Send + Sync,
+    M: BatchMetric<O>,
+{
+    let shape = ctx.shape();
+    let kernel = |ids: &[u32], out: &mut [f64]| {
+        distance_block(
+            ctx.dev,
+            threads,
+            ctx.metric,
+            ctx.objects,
+            ctx.arena,
+            query,
+            ids,
+            out,
+        )
+    };
+    let (mut total, mut chain) = (0u64, 0u64);
+    let mut node = 1usize;
+    for level in 1..shape.h {
+        let pivot = ctx.nodes.get(node).pivot.expect("internal node");
+        let mut d = [0.0];
+        let (w, s) = kernel(&[pivot], &mut d);
+        (total, chain) = (total + w, chain + s);
+        let d = d[0];
+        if level == 1 {
+            *dq = d;
+        } else {
+            *dived += 1;
+        }
+        if ctx.live[pivot as usize] {
+            pool.insert(Neighbor::new(pivot, d));
+        }
+        // `min_by` keeps the first of equal gaps: the lowest child index.
+        let nearest = (0..shape.nc as usize)
+            .map(|j| shape.child(node, j))
+            .filter_map(|c| {
+                let child = ctx.nodes.get(c);
+                (!child.is_empty()).then(|| (ring_gap(d, child), c))
+            })
+            .min_by(|a, b| a.0.total_cmp(&b.0));
+        match nearest {
+            Some((_, c)) => node = c,
+            None => return (total, chain),
+        }
+    }
+    let leaf = ctx.nodes.get(node);
+    let rows = leaf.pos as usize..(leaf.pos + leaf.size) as usize;
+    stage.ids.clear();
+    stage.ids.extend(
+        ctx.table.obj_column()[rows]
+            .iter()
+            .copied()
+            .filter(|&o| ctx.live[o as usize]),
+    );
+    stage.dists.clear();
+    stage.dists.resize(stage.ids.len(), 0.0);
+    let (w, s) = kernel(&stage.ids, &mut stage.dists);
+    *dived += stage.ids.len() as u64;
+    for (&o, &d) in stage.ids.iter().zip(&stage.dists) {
+        pool.insert(Neighbor::new(o, d));
+    }
+    (total + w, chain + s)
 }
 
 /// Per-query beam truncation: keep the `beam` entries whose ring is closest
@@ -762,16 +932,6 @@ fn verify_knn<O, M>(
     // The ordering pass: each query's leaves closest-ring-first, so the
     // first wave almost certainly contains the true neighbours.
     ctx.dev.launch_charged(entries.len() as u64 * 4, 32);
-    let ring_gap = |e: &Frontier| {
-        let node = ctx.nodes.get(e.node as usize);
-        if e.dqp < node.min_dis {
-            node.min_dis - e.dqp
-        } else if e.dqp > node.max_dis {
-            e.dqp - node.max_dis
-        } else {
-            0.0 // inside the ring, or a root leaf (`dqp = NaN`)
-        }
-    };
     let mut accts: Vec<[WaveAcct; KNN_WAVES]> = Vec::new();
     let runs = leaf_runs(entries, pools, &mut accts, &mut scratch.leaf);
     run_query_chunks(ctx.dev, ctx.threads, runs, |run, threads| {
@@ -780,7 +940,13 @@ fn verify_knn<O, M>(
         for seg in run.entries.chunk_by(|a, b| a.query == b.query) {
             let q = seg[0].query;
             keys.clear();
-            keys.extend(seg.iter().map(|e| (ring_gap(e), e.node, e.dqp)));
+            keys.extend(seg.iter().map(|e| {
+                (
+                    ring_gap(e.dqp, ctx.nodes.get(e.node as usize)),
+                    e.node,
+                    e.dqp,
+                )
+            }));
             keys.sort_unstable_by(|a, b| {
                 let by_gap = a.0.partial_cmp(&b.0).expect("finite gap");
                 by_gap.then(a.1.cmp(&b.1))

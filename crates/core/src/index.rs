@@ -335,9 +335,12 @@ where
     /// `queries[i]` — exactly the **canonical** `k` smallest `(dist, id)`
     /// pairs, so ties at the k-th distance resolve deterministically by id
     /// (the property [`ShardedGts`](crate::ShardedGts) relies on to merge
-    /// per-shard answers bit-identically). The per-query distance bound
-    /// tightens level by level — the paper's "progressively narrowed
-    /// distance boundary".
+    /// per-shard answers bit-identically). Before the first prune each query
+    /// dives greedily from the root to one leaf and seeds its pool with the
+    /// live objects it meets, so its distance bound starts at a real k-th
+    /// distance; later levels and leaf waves narrow it further — the paper's
+    /// "progressively narrowed distance boundary". What the dive cost is
+    /// [`StatsSnapshot::seed_distances`].
     ///
     /// ```
     /// use gts_core::{Gts, GtsParams};

@@ -43,7 +43,11 @@
 //! against the parent pivot; MkNNQ additionally uses the own-pivot prune
 //! (`d(q, pivot) − own_max > bound`) after the per-level bound update, which
 //! mirrors Alg. 5 lines 11–16 (the bound update runs through the same
-//! encode-and-global-sort machinery as construction). All MkNNQ prunes are
+//! encode-and-global-sort machinery as construction). Exact MkNNQ seeds
+//! every pool before the first prune: the root level's kernel also dives
+//! greedily to one leaf per query and inserts what it meets (see
+//! `crate::engine`), so the bound is finite from the root on instead of
+//! ∞ until the pool happens to fill. All MkNNQ prunes are
 //! **tie-safe**: they fire only when a candidate would be *strictly* worse
 //! than the current bound (the closed-ball form of the lemmas, with the
 //! bound as the radius), so every object tied with the k-th distance is
@@ -115,6 +119,9 @@ pub(crate) struct LeafScratch {
     pub(crate) ids: Vec<u32>,
     /// Output of the bounded kernel, parallel to `ids`.
     out: Vec<Option<f64>>,
+    /// Output of the exact kernel over the seeding dive's leaf, parallel to
+    /// `ids`.
+    pub(crate) dists: Vec<f64>,
 }
 
 /// Reusable host-side buffers for the level-synchronous loops.

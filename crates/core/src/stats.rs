@@ -7,6 +7,12 @@ use std::sync::atomic::{AtomicU64, Ordering};
 pub struct SearchStats {
     /// Real metric-distance evaluations performed.
     pub distance_computations: AtomicU64,
+    /// The subset of `distance_computations` spent by exact MkNNQ's seeding
+    /// dive: the pivots below the root and the leaf objects of each query's
+    /// greedy root-to-leaf descent, which fills its pool before the first
+    /// prune. The root pivot's distance, which the root level needs anyway,
+    /// is not counted here.
+    pub seed_distances: AtomicU64,
     /// Tree nodes pruned by Lemma 5.1/5.2 ring tests.
     pub nodes_pruned: AtomicU64,
     /// Tree nodes expanded (survived pruning).
@@ -32,6 +38,7 @@ impl SearchStats {
     pub fn reset(&self) {
         for c in [
             &self.distance_computations,
+            &self.seed_distances,
             &self.nodes_pruned,
             &self.nodes_expanded,
             &self.leaf_filtered,
@@ -48,6 +55,7 @@ impl SearchStats {
     pub fn snapshot(&self) -> StatsSnapshot {
         StatsSnapshot {
             distance_computations: self.distance_computations.load(Ordering::Relaxed),
+            seed_distances: self.seed_distances.load(Ordering::Relaxed),
             nodes_pruned: self.nodes_pruned.load(Ordering::Relaxed),
             nodes_expanded: self.nodes_expanded.load(Ordering::Relaxed),
             leaf_filtered: self.leaf_filtered.load(Ordering::Relaxed),
@@ -101,6 +109,9 @@ pub struct ReplicaStats {
 pub struct StatsSnapshot {
     /// Real metric-distance evaluations performed.
     pub distance_computations: u64,
+    /// The subset of `distance_computations` spent by exact MkNNQ's seeding
+    /// dive (see [`SearchStats::seed_distances`]).
+    pub seed_distances: u64,
     /// Nodes pruned by ring tests.
     pub nodes_pruned: u64,
     /// Nodes expanded.
@@ -125,6 +136,7 @@ impl StatsSnapshot {
     pub fn combine(self, other: StatsSnapshot) -> StatsSnapshot {
         StatsSnapshot {
             distance_computations: self.distance_computations + other.distance_computations,
+            seed_distances: self.seed_distances + other.seed_distances,
             nodes_pruned: self.nodes_pruned + other.nodes_pruned,
             nodes_expanded: self.nodes_expanded + other.nodes_expanded,
             leaf_filtered: self.leaf_filtered + other.leaf_filtered,
@@ -157,6 +169,7 @@ mod tests {
     fn combine_sums_counters_and_maxes_frontier() {
         let a = StatsSnapshot {
             distance_computations: 5,
+            seed_distances: 2,
             nodes_pruned: 1,
             nodes_expanded: 2,
             leaf_filtered: 3,
@@ -167,11 +180,13 @@ mod tests {
         };
         let b = StatsSnapshot {
             distance_computations: 7,
+            seed_distances: 3,
             max_frontier: 4,
             ..StatsSnapshot::default()
         };
         let c = a.combine(b);
         assert_eq!(c.distance_computations, 12);
+        assert_eq!(c.seed_distances, 5);
         assert_eq!(c.nodes_pruned, 1);
         assert_eq!(c.max_frontier, 10, "frontiers never coexist — max");
     }

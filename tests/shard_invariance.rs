@@ -12,7 +12,8 @@
 //! checked-in fingerprint (answer hashes, simulated cycle counts, and search
 //! counters captured from the seed implementation before the refactor; the
 //! two edit-distance cycle counts were re-recorded once, when leaf
-//! verification started charging the banded DP).
+//! verification started charging the banded DP, and the kNN counts once,
+//! when exact kNN started seeding its pools before the first prune).
 
 use gts::prelude::*;
 
@@ -240,15 +241,23 @@ fn overflow_rebuild_on_one_shard_leaves_other_clocks_untouched() {
 /// to the pre-refactor monolithic `range_descend`/`knn_descend` loops.
 /// The expected values below were captured by running the *seed*
 /// implementation (commit before the engine landed) on these exact
-/// workloads; every answer hash, simulated cycle count, and search counter
-/// must still match — except the two Words cycle counts, re-recorded when
-/// the early-abandoning kernel became the only leaf path (the seed charged
-/// the full edit DP: 28 294 / 86 807 cycles; answers and counters as
-/// captured). The third workload squeezes device memory until the
-/// two-stage strategy forms 18 query groups, so the engine's explicit
-/// frame stack is pinned against the recursion it replaced — buffer
-/// lifetimes included (a leaked or early-dropped intermediate buffer would
-/// shift `free_bytes`, change the group split, and move every number).
+/// workloads; every answer hash and every MRQ number must still match.
+/// Re-recorded on purpose, twice: the Words cycle counts when the
+/// early-abandoning kernel became the only leaf path (the seed charged the
+/// full edit DP: 28 294 / 86 807 cycles), and every kNN cycle count,
+/// distance count and verified-leaf count — plus the grouped workload's
+/// group count and frontier high-water mark, which its kNN batch used to
+/// set — when exact MkNNQ started seeding each pool with a greedy
+/// root-to-leaf dive (before it: Words 86 219 / 49 597 / 49 533, Vector
+/// 99 744 / 57 605 / 57 541, grouped 684 880 cycles, 114 666 distances,
+/// 114 410 verified, 18 groups, 2 560 entries). The seeded bound prunes
+/// before the first level, so kNN verifies fewer leaves and forms fewer
+/// groups; the answers are the same. The third workload squeezes device
+/// memory until the two-stage strategy forms query groups, so the engine's
+/// explicit frame stack is pinned against the recursion it replaced —
+/// buffer lifetimes included (a leaked or early-dropped intermediate buffer
+/// would shift `free_bytes`, change the group split, and move every
+/// number).
 #[test]
 fn engine_matches_prerefactor_fingerprint() {
     // (dataset, n, radius, k, expected MRQ hash, MRQ cycles, kNN hash,
@@ -262,9 +271,9 @@ fn engine_matches_prerefactor_fingerprint() {
             0x5065ef5b376d735du64,
             27_422u64,
             0x2e2327414a04281du64,
-            86_219u64,
-            49_597u64,
-            49_533u64,
+            63_372u64,
+            50_926u64,
+            49_422u64,
         ),
         (
             DatasetKind::Vector,
@@ -274,9 +283,9 @@ fn engine_matches_prerefactor_fingerprint() {
             0xc2fcf54ab2ce6aff,
             43_079,
             0xcfd5a13aa1acf0e,
-            99_744,
-            57_605,
-            57_541,
+            77_409,
+            59_043,
+            57_539,
         ),
     ] {
         let data = kind.generate(n, 1234);
@@ -330,17 +339,17 @@ fn engine_matches_prerefactor_fingerprint() {
     );
     let mark = dev.cycles();
     let knn = gts.batch_knn(&queries, 10).expect("knn");
-    assert_eq!(dev.cycles() - mark, 684_880, "grouped: kNN cycles");
+    assert_eq!(dev.cycles() - mark, 99_436, "grouped: kNN cycles");
     assert_eq!(
         hash_answers(&knn),
         0xfdf44f29921ae3fb,
         "grouped: kNN answers"
     );
     let s = gts.stats();
-    assert_eq!(s.groups_formed, 18, "grouped: query groups");
-    assert_eq!(s.max_frontier, 2_560, "grouped: frontier high-water mark");
-    assert_eq!(s.distance_computations, 114_666, "grouped: distance count");
-    assert_eq!(s.leaf_verified, 114_410, "grouped: verified leaves");
+    assert_eq!(s.groups_formed, 4, "grouped: query groups");
+    assert_eq!(s.max_frontier, 229, "grouped: frontier high-water mark");
+    assert_eq!(s.distance_computations, 45_883, "grouped: distance count");
+    assert_eq!(s.leaf_verified, 26_427, "grouped: verified leaves");
 }
 
 #[test]
