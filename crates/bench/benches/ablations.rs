@@ -25,30 +25,6 @@ fn bench(c: &mut Criterion) {
             b.iter(|| idx.batch_range(&queries, &radii).expect("mrq"))
         });
     }
-    // Extension: approximate beam search vs exact MkNNQ.
-    let dev = cfg.device();
-    let built = AnyIndex::build(
-        Method::Gts,
-        &dev,
-        &data,
-        &cfg,
-        gts_core::GtsParams::default(),
-    )
-    .expect("build");
-    let AnyIndex::Gts(gts) = &built.index else {
-        unreachable!()
-    };
-    group.bench_function("knn/exact", |b| {
-        b.iter(|| gts.batch_knn(&queries, defaults::K).expect("knn"))
-    });
-    for beam in [1usize, 4, 16] {
-        group.bench_function(format!("knn/beam={beam}"), |b| {
-            b.iter(|| {
-                gts.batch_knn_approx(&queries, defaults::K, beam)
-                    .expect("approx knn")
-            })
-        });
-    }
     group.finish();
 }
 

@@ -2,7 +2,6 @@
 //! [`Table`]s that regenerate it. `run_all` executes the full evaluation.
 
 pub mod ablations;
-pub mod approx_tradeoff;
 pub mod fig10_distinct;
 pub mod fig11_cardinality;
 pub mod fig5_updates;
@@ -27,7 +26,7 @@ pub struct Experiment {
 }
 
 /// Registry of every experiment, in paper order.
-pub const ALL: [Experiment; 11] = [
+pub const ALL: [Experiment; 10] = [
     Experiment {
         id: "table4",
         describe: "Table 4: index construction cost (time, storage) per method per dataset",
@@ -77,11 +76,6 @@ pub const ALL: [Experiment; 11] = [
         id: "ablations",
         describe: "A1: GTS design ablations (two-sided pruning, pivots, grouping)",
         run: ablations::run,
-    },
-    Experiment {
-        id: "approx",
-        describe: "Extension (§7 future work): approximate MkNNQ beam trade-off",
-        run: approx_tradeoff::run,
     },
 ];
 

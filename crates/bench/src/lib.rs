@@ -11,12 +11,11 @@
 //! suite completes on a laptop while preserving the paper's comparative
 //! shapes — who wins, by what factor, and where the OOM crossovers fall.
 //!
-//! Beyond the paper's figures, three benches record what has no wall-clock
+//! Beyond the paper's figures, two benches record what has no wall-clock
 //! successor in the workspace's `benchmark/` package (tables and
 //! methodology in `REPORT.md`): `dist_kernels` (flat-arena batched kernels
-//! vs the per-pair path, → `BENCH_dist_kernels.json`), `shard_scaling`
-//! (simulated span vs shard count, → `BENCH_shard.json`) and
-//! `approx_sweep` (beam width vs recall, → `BENCH_approx.json`).
+//! vs the per-pair path, → `BENCH_dist_kernels.json`) and `shard_scaling`
+//! (simulated span vs shard count, → `BENCH_shard.json`).
 
 #![warn(missing_docs)]
 pub mod config;

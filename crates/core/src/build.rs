@@ -38,6 +38,7 @@ pub(crate) struct Structure {
     pub nodes: NodeList,
     pub table: TableList,
     /// Distance evaluations spent building (tests assert the `O(n·h)` bound).
+    #[cfg(test)]
     pub build_distances: u64,
 }
 
@@ -123,6 +124,7 @@ where
     Ok(Structure {
         nodes,
         table,
+        #[cfg(test)]
         build_distances,
     })
 }

@@ -25,8 +25,8 @@
 //! skips its Alg. 5 bound update, whose only candidate — the root pivot —
 //! the dive has inserted. Seeds are live objects at their true distances,
 //! so every bound stays an upper bound on the true k-th distance and the
-//! answers are unchanged (`tests/knn_seeding.rs`). Range search and beam
-//! search do not seed.
+//! answers are unchanged (`tests/knn_seeding.rs`). Range search does not
+//! seed.
 //!
 //! **Step-order fidelity.** The engine replays the recursive loops' exact
 //! order of device-visible actions — allocations (one intermediate-result
@@ -103,12 +103,8 @@ enum Mode<'a> {
         results: Vec<Vec<Neighbor>>,
     },
     /// MkNNQ (Alg. 5): per-query best-k pools whose k-th distance is the
-    /// pruning bound, optionally truncated to a per-level beam (approximate
-    /// search).
-    Knn {
-        beam: Option<usize>,
-        pools: Vec<TopK>,
-    },
+    /// pruning bound.
+    Knn { pools: Vec<TopK> },
 }
 
 /// The per-batch descent state. Constructed by
@@ -144,16 +140,10 @@ where
         Self::start(ctx, queries, mode, seed)
     }
 
-    /// Start a batched MkNNQ descent (`beam = None` is the exact search).
-    /// Comes up already finished when the batch is empty or `k == 0`.
-    pub(crate) fn start_knn(
-        ctx: &'a SearchCtx<'a, O, M>,
-        queries: &'a [O],
-        k: usize,
-        beam: Option<usize>,
-    ) -> Self {
+    /// Start a batched MkNNQ descent. Comes up already finished when the
+    /// batch is empty or `k == 0`.
+    pub(crate) fn start_knn(ctx: &'a SearchCtx<'a, O, M>, queries: &'a [O], k: usize) -> Self {
         let mode = Mode::Knn {
-            beam,
             pools: (0..queries.len()).map(|_| TopK::new(k)).collect(),
         };
         let seed = !ctx.table.is_empty() && !queries.is_empty() && k > 0;
@@ -267,7 +257,7 @@ where
                         results,
                         &mut self.scratch,
                     ),
-                    Mode::Knn { pools, .. } => {
+                    Mode::Knn { pools } => {
                         verify_knn(self.ctx, self.queries, &entries, pools, &mut self.scratch)
                     }
                 }
@@ -287,13 +277,12 @@ where
                     Mode::Range { radii, .. } => {
                         expand_range(self.ctx, self.queries, radii, &entries, &mut self.scratch)
                     }
-                    Mode::Knn { beam, pools } => expand_knn(
+                    Mode::Knn { pools } => expand_knn(
                         self.ctx,
                         self.queries,
                         &entries,
                         level,
                         pools,
-                        *beam,
                         &mut self.scratch,
                     ),
                 };
@@ -330,7 +319,7 @@ where
                 }
                 results
             }
-            Mode::Knn { pools, .. } => pools.into_iter().map(TopK::into_sorted).collect(),
+            Mode::Knn { pools } => pools.into_iter().map(TopK::into_sorted).collect(),
         }
     }
 }
@@ -393,16 +382,15 @@ where
 /// Expand one MkNNQ level (Alg. 5 lines 7–17): pivot distances (the pivots
 /// are real objects, so each distance is also a candidate), the
 /// encode-and-global-sort bound update, then tie-safe pruning against the
-/// query's k-th bound `pools[q].bound()`. The exact search's root level
-/// runs the fused seeding kernel ([`seed_knn`]) in place of the first two.
-/// Returns the (optionally beam-truncated) next-level frontier.
+/// query's k-th bound `pools[q].bound()`. The root level runs the fused
+/// seeding kernel ([`seed_knn`]) in place of the first two. Returns the
+/// next-level frontier.
 fn expand_knn<O, M>(
     ctx: &SearchCtx<'_, O, M>,
     queries: &[O],
     entries: &[Frontier],
     level: u32,
     pools: &mut [TopK],
-    beam: Option<usize>,
     scratch: &mut SearchScratch,
 ) -> Vec<Frontier>
 where
@@ -410,7 +398,7 @@ where
     M: BatchMetric<O>,
 {
     let shape = ctx.shape();
-    if beam.is_none() && level == 1 {
+    if level == 1 {
         // At the root the bound update would only insert the root pivot,
         // which the dive inserts too.
         seed_knn(ctx, queries, entries, pools, scratch);
@@ -454,7 +442,6 @@ where
     // object can enter the canonical answer through the `(dis, id)`
     // tie-break.
     let mut next = scratch.take_frontier();
-    scratch.gaps.clear();
     let (mut pruned, mut expanded) = (0u64, 0u64);
     for (i, e) in entries.iter().enumerate() {
         let node = ctx.nodes.get(e.node as usize);
@@ -484,7 +471,6 @@ where
                     query: e.query,
                     dqp: dqi,
                 });
-                scratch.gaps.push(ring_gap(dqi, child));
             }
         }
     }
@@ -492,24 +478,12 @@ where
     ctx.stats.add(&ctx.stats.nodes_expanded, expanded);
     ctx.dev
         .launch_charged((entries.len() * shape.nc as usize) as u64 * 4, 8);
-
-    match beam {
-        Some(b) => {
-            let mut trimmed = scratch.take_frontier();
-            {
-                let SearchScratch { gaps, ranked, .. } = &mut *scratch;
-                truncate_beam(ctx, &next, gaps, b.max(1), &mut trimmed, ranked);
-            }
-            scratch.put_frontier(next);
-            trimmed
-        }
-        None => next,
-    }
+    next
 }
 
 /// Distance from a query's mapped coordinate `d` (its distance to the
-/// parent pivot) to `node`'s ring `[min_dis, max_dis]`: 0 inside the ring,
-/// and for `d = NaN` (a root leaf, which has no parent pivot).
+/// parent pivot) to `node`'s ring `[min_dis, max_dis]`: 0 inside the ring.
+/// A NaN coordinate (a root leaf, which has no parent pivot) also gives 0.
 fn ring_gap(d: f64, node: &Node) -> f64 {
     if d < node.min_dis {
         node.min_dis - d
@@ -661,46 +635,6 @@ where
         pool.insert(Neighbor::new(o, d));
     }
     (total + w, chain + s)
-}
-
-/// Per-query beam truncation: keep the `beam` entries whose ring is closest
-/// to the query's mapped coordinate. Entries are query-contiguous; `gaps`
-/// runs parallel to `entries`. Writes survivors into `out`; `ranked` is
-/// reused ranking scratch.
-fn truncate_beam<O, M>(
-    ctx: &SearchCtx<'_, O, M>,
-    entries: &[Frontier],
-    gaps: &[f64],
-    beam: usize,
-    out: &mut Vec<Frontier>,
-    ranked: &mut Vec<u32>,
-) where
-    O: Send + Sync,
-    M: BatchMetric<O>,
-{
-    let mut i = 0usize;
-    while i < entries.len() {
-        let q = entries[i].query;
-        let mut j = i;
-        while j < entries.len() && entries[j].query == q {
-            j += 1;
-        }
-        if j - i <= beam {
-            out.extend_from_slice(&entries[i..j]);
-        } else {
-            ranked.clear();
-            ranked.extend(i as u32..j as u32);
-            ranked.sort_by(|&a, &b| {
-                gaps[a as usize]
-                    .partial_cmp(&gaps[b as usize])
-                    .expect("finite gap")
-                    .then(entries[a as usize].node.cmp(&entries[b as usize].node))
-            });
-            out.extend(ranked[..beam].iter().map(|&e| entries[e as usize]));
-        }
-        i = j;
-    }
-    ctx.dev.launch_charged(entries.len() as u64 * 4, 16);
 }
 
 // ---------------------------------------------------------------------------

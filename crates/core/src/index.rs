@@ -61,7 +61,6 @@ pub struct Gts<O, M> {
     /// (disabled by default; see [`crate::audit`]).
     audit: CostAudit,
     rebuilds: u64,
-    build_distances: u64,
     /// Device residency of (node list, table list, object payloads).
     residency: Option<[Reservation; 3]>,
 }
@@ -157,7 +156,6 @@ where
             stats: SearchStats::default(),
             audit: CostAudit::default(),
             rebuilds: 0,
-            build_distances: 0,
             residency: None,
         };
         gts.rebuild()?;
@@ -236,11 +234,7 @@ where
         {
             self.arena = self.metric.build_arena(&self.objects);
         }
-        let Structure {
-            nodes,
-            table,
-            build_distances,
-        } = build::construct(
+        let Structure { nodes, table, .. } = build::construct(
             &self.dev,
             &self.objects,
             self.arena.as_ref(),
@@ -268,7 +262,6 @@ where
             .map_err(gpu_err)?;
         self.nodes = nodes;
         self.table = table;
-        self.build_distances = build_distances;
         self.residency = Some([res_nodes, res_table, res_data]);
         self.cache.clear();
         self.rebuilds += 1;
@@ -322,6 +315,7 @@ where
         radii: &[f64],
     ) -> Result<Vec<Vec<Neighbor>>, IndexError> {
         metric_space::index::check_radii(queries, radii)?;
+        metric_space::index::check_queries(&self.metric, queries)?;
         self.transfer_queries_in(queries);
         let mut results = search::batch_range(&self.ctx(), queries, radii).map_err(gpu_err)?;
         self.merge_cache_range(queries, radii, &mut results);
@@ -363,28 +357,9 @@ where
     /// assert!(stats.nodes_expanded > 0, "the frontier descended the tree");
     /// ```
     pub fn batch_knn(&self, queries: &[O], k: usize) -> Result<Vec<Vec<Neighbor>>, IndexError> {
+        metric_space::index::check_queries(&self.metric, queries)?;
         self.transfer_queries_in(queries);
         let mut results = search::batch_knn(&self.ctx(), queries, k).map_err(gpu_err)?;
-        self.merge_cache_knn(queries, k, &mut results);
-        self.transfer_results_out(&results);
-        Ok(results)
-    }
-
-    /// **Approximate** batched MkNNQ — the paper's §7 future-work direction.
-    ///
-    /// Each query expands at most `beam` frontier nodes per level (those
-    /// whose distance ring is closest to the query's mapped coordinate).
-    /// Recall degrades gracefully as `beam` shrinks; `beam ≥ Nc^(h−1)`
-    /// degenerates to the exact search.
-    pub fn batch_knn_approx(
-        &self,
-        queries: &[O],
-        k: usize,
-        beam: usize,
-    ) -> Result<Vec<Vec<Neighbor>>, IndexError> {
-        self.transfer_queries_in(queries);
-        let mut results =
-            search::batch_knn_impl(&self.ctx(), queries, k, Some(beam)).map_err(gpu_err)?;
         self.merge_cache_knn(queries, k, &mut results);
         self.transfer_results_out(&results);
         Ok(results)
@@ -499,11 +474,6 @@ where
         self.rebuilds
     }
 
-    /// Distance evaluations spent in the most recent (re)construction.
-    pub fn build_distance_count(&self) -> u64 {
-        self.build_distances
-    }
-
     /// Number of insertions currently buffered in the cache table.
     pub fn cache_len(&self) -> usize {
         self.cache.len()
@@ -590,7 +560,6 @@ where
             stats: SearchStats::default(),
             audit: CostAudit::default(),
             rebuilds: 0,
-            build_distances: 0,
             residency: Some([res_nodes, res_table, res_data]),
         })
     }

@@ -10,11 +10,10 @@
 //! shared substrate — the frontier representation, the reusable
 //! `SearchScratch`, the borrowed `SearchCtx`, the per-layer memory bound,
 //! the batched `verify_block` kernel wrapper, and the `TopK` pool — plus
-//! the thin batch drivers (`batch_range`, `batch_knn`,
-//! `batch_knn_impl`) that start an engine and run it. The drivers return
-//! the answers of the pre-engine monolithic loops bit for bit (asserted
-//! against a checked-in pre-refactor fingerprint in
-//! `tests/shard_invariance.rs`).
+//! the thin batch drivers (`batch_range`, `batch_knn`) that start an
+//! engine and run it. The drivers return the answers of the pre-engine
+//! monolithic loops bit for bit (asserted against a checked-in pre-refactor
+//! fingerprint in `tests/shard_invariance.rs`).
 //!
 //! **Batched distance kernels.** Every distance evaluation in the hot path
 //! goes through [`BatchMetric::distance_batch`] (pivot distances) or its
@@ -141,12 +140,8 @@ pub(crate) struct SearchScratch {
     pub(crate) dq: Vec<f64>,
     /// Pivot id per frontier entry (the pivot-distance kernel's ids).
     pub(crate) kernel_ids: Vec<u32>,
-    /// Ring gap per next-level entry (MkNNQ beam ranking).
-    pub(crate) gaps: Vec<f64>,
     /// Encoded `(key, entry)` pairs for the MkNNQ bound update.
     pub(crate) pairs: Vec<(f64, u32)>,
-    /// Per-block ranking indices for beam truncation.
-    pub(crate) ranked: Vec<u32>,
     /// Leaf-verification staging, one per query-segment run.
     pub(crate) leaf: Vec<LeafScratch>,
 }
@@ -468,24 +463,7 @@ where
     O: Send + Sync,
     M: BatchMetric<O>,
 {
-    batch_knn_impl(ctx, queries, k, None)
-}
-
-/// Approximate batched MkNNQ (the paper's future-work direction, §7): at
-/// each level every query keeps only its `beam` most promising frontier
-/// entries (smallest ring gap to the query coordinate). `beam = None` is
-/// the exact search. Smaller beams trade recall for throughput.
-pub(crate) fn batch_knn_impl<O, M>(
-    ctx: &SearchCtx<'_, O, M>,
-    queries: &[O],
-    k: usize,
-    beam: Option<usize>,
-) -> Result<Vec<Vec<Neighbor>>, GpuError>
-where
-    O: Send + Sync,
-    M: BatchMetric<O>,
-{
-    let mut engine = DescentEngine::start_knn(ctx, queries, k, beam);
+    let mut engine = DescentEngine::start_knn(ctx, queries, k);
     engine.run()?;
     Ok(engine.into_results())
 }

@@ -184,11 +184,6 @@ impl<O, M> ShardedGts<O, M> {
         self.fenced = false;
     }
 
-    /// Whether the [`DynamicIndex`] mutation surface is currently fenced.
-    pub fn is_fenced(&self) -> bool {
-        self.fenced
-    }
-
     fn ensure_unfenced(&self) -> Result<(), IndexError> {
         if self.fenced {
             return Err(IndexError::Unsupported(
@@ -268,8 +263,7 @@ pub(crate) fn merge_range(
 }
 
 /// Merge per-shard top-`k` lists (remapped to global ids) into per-query
-/// global top-`k` answers by [`kway_merge`] — the merge of the exact and
-/// approximate kNN paths, shared like [`merge_range`].
+/// global top-`k` answers by [`kway_merge`], shared like [`merge_range`].
 pub(crate) fn merge_knn(
     mut per_shard: Vec<Vec<Vec<Neighbor>>>,
     queries: usize,
@@ -476,27 +470,6 @@ where
     pub fn batch_knn(&self, queries: &[O], k: usize) -> Result<Vec<Vec<Neighbor>>, IndexError> {
         self.scatter(
             |gts| gts.batch_knn(queries, k),
-            |lists| merge_knn(lists, queries.len(), k),
-        )
-    }
-
-    /// Approximate batched MkNNQ ([`Gts::batch_knn_approx`]), scattered to
-    /// every shard and merged by the same k-way `(distance, id)` merge as
-    /// the exact search. Each shard applies the `beam` to **its own**
-    /// per-level frontier, so a small beam explores up to `S·beam` nodes
-    /// per level in total and N-shard recall can differ from 1-shard recall
-    /// — but a beam wide enough to make the per-shard search exact (e.g.
-    /// `beam ≥ Nc^(h−1)`) makes the merged answer bit-identical to the
-    /// exact single-device search, ties included
-    /// (`tests/shard_invariance.rs`).
-    pub fn batch_knn_approx(
-        &self,
-        queries: &[O],
-        k: usize,
-        beam: usize,
-    ) -> Result<Vec<Vec<Neighbor>>, IndexError> {
-        self.scatter(
-            |gts| gts.batch_knn_approx(queries, k, beam),
             |lists| merge_knn(lists, queries.len(), k),
         )
     }

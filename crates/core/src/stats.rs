@@ -7,7 +7,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 pub struct SearchStats {
     /// Real metric-distance evaluations performed.
     pub distance_computations: AtomicU64,
-    /// The subset of `distance_computations` spent by exact MkNNQ's seeding
+    /// The subset of `distance_computations` spent by MkNNQ's seeding
     /// dive: the pivots below the root and the leaf objects of each query's
     /// greedy root-to-leaf descent, which fills its pool before the first
     /// prune. The root pivot's distance, which the root level needs anyway,
@@ -109,7 +109,7 @@ pub struct ReplicaStats {
 pub struct StatsSnapshot {
     /// Real metric-distance evaluations performed.
     pub distance_computations: u64,
-    /// The subset of `distance_computations` spent by exact MkNNQ's seeding
+    /// The subset of `distance_computations` spent by MkNNQ's seeding
     /// dive (see [`SearchStats::seed_distances`]).
     pub seed_distances: u64,
     /// Nodes pruned by ring tests.

@@ -25,6 +25,13 @@ pub trait Metric<O: ?Sized>: Send + Sync {
 
     /// Human-readable metric name (for reports).
     fn name(&self) -> &'static str;
+
+    /// Whether `obj` is an object this metric can measure. Indexes check
+    /// every query with it before any device work, so a malformed query is
+    /// a typed error instead of a panic inside [`Metric::distance`].
+    fn accepts(&self, _obj: &O) -> bool {
+        true
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -396,6 +403,13 @@ impl Metric<Item> for ItemMetric {
             ItemMetric::Edit => "edit",
             ItemMetric::Vector(m) => m.name(),
         }
+    }
+
+    fn accepts(&self, obj: &Item) -> bool {
+        matches!(
+            (self, obj),
+            (ItemMetric::Edit, Item::Text(_)) | (ItemMetric::Vector(_), Item::Vector(_))
+        )
     }
 }
 

@@ -7,6 +7,7 @@
 //! that have a genuine batch path (GTS, the GPU baselines) override them,
 //! CPU baselines fall back to a loop.
 
+use crate::dist::Metric;
 use std::fmt;
 
 /// One query answer: an object id and its distance to the query.
@@ -75,6 +76,18 @@ pub fn check_radii<O>(queries: &[O], radii: &[f64]) -> Result<(), IndexError> {
     } else {
         Err(IndexError::InvalidQuery(
             "batch_range needs one radius per query",
+        ))
+    }
+}
+
+/// Check that `metric` can measure every query (e.g. no text query against
+/// a vector index).
+pub fn check_queries<O, M: Metric<O>>(metric: &M, queries: &[O]) -> Result<(), IndexError> {
+    if queries.iter().all(|q| metric.accepts(q)) {
+        Ok(())
+    } else {
+        Err(IndexError::InvalidQuery(
+            "query payload kind does not match the index metric",
         ))
     }
 }

@@ -175,3 +175,74 @@ fn range_batch_with_a_missing_radius_is_a_typed_error() {
     }
     assert_eq!(clocks(), before, "no device clock moved");
 }
+
+/// A query whose payload kind the metric cannot measure (text against a
+/// vector index, or the reverse) is a typed error on every index layer —
+/// not a panic in the metric, which the replica layer would count as a
+/// strike against healthy replicas and retry until `AllReplicasFailed`.
+#[test]
+fn wrong_payload_kind_is_a_typed_error_not_a_strike() {
+    use gts::metric::index::IndexError;
+    let text = Item::Text("kitten".into());
+    let vector = Item::Vector(vec![0.5f32; 2].into());
+    for (kind, bad) in [(DatasetKind::TLoc, text), (DatasetKind::Words, vector)] {
+        let data = kind.generate(300, 53);
+        let (items, metric) = (data.items.clone(), data.metric);
+        let gts = Gts::build(
+            &Device::rtx_2080_ti(),
+            items.clone(),
+            metric,
+            GtsParams::default(),
+        )
+        .expect("gts");
+        let params = GtsParams::default().with_shards(2);
+        let sharded = ShardedGts::build(&DevicePool::rtx_2080_ti(2), items.clone(), metric, params)
+            .expect("sharded");
+        let replicated = ReplicatedShards::build(
+            &DevicePool::rtx_2080_ti(2),
+            items.clone(),
+            metric,
+            GtsParams::default().with_replicas(2),
+        )
+        .expect("replicated");
+
+        // The malformed query rides in a batch with a well-formed one.
+        let queries = [items[0].clone(), bad.clone()];
+        let radii = [1.0, 1.0];
+        let untyped = |r: Result<Vec<Vec<Neighbor>>, ReplicaError>| {
+            r.map_err(|e| match e {
+                ReplicaError::Index(e) => e,
+                other => panic!("the replica layer passes the index error through, got {other}"),
+            })
+        };
+        let answers = [
+            ("GTS kNN", gts.batch_knn(&queries, 3)),
+            ("GTS range", gts.batch_range(&queries, &radii)),
+            ("GTS-sharded kNN", sharded.batch_knn(&queries, 3)),
+            ("GTS-sharded range", sharded.batch_range(&queries, &radii)),
+            (
+                "GTS-replicated kNN",
+                untyped(replicated.batch_knn(&queries, 3)),
+            ),
+            (
+                "GTS-replicated range",
+                untyped(replicated.batch_range(&queries, &radii)),
+            ),
+        ];
+        for (name, answer) in answers {
+            assert!(
+                matches!(answer, Err(IndexError::InvalidQuery(_))),
+                "{}: {name}: {answer:?}",
+                kind.name()
+            );
+        }
+        let stats = replicated.replica_stats();
+        assert_eq!(stats.strikes, vec![0, 0], "{}: {stats:?}", kind.name());
+        assert_eq!(stats.retries, 0, "{}: {stats:?}", kind.name());
+        assert!(
+            replicated.batch_knn(&queries[..1], 3).is_ok(),
+            "{}: a well-formed batch is still served",
+            kind.name()
+        );
+    }
+}

@@ -274,16 +274,15 @@ fn tombstoned_seeds_never_reach_an_answer() {
 }
 
 /// `seed_distances` is the dive's share of `distance_computations`: zero
-/// for range search, beam search and a height-1 tree; between one and
-/// `queries · (h − 1 + widest leaf)` for an exact batch.
+/// for range search and a height-1 tree; between one and
+/// `queries · (h − 1 + widest leaf)` for a kNN batch.
 #[test]
 fn seed_distances_count_only_the_dive() {
     let data = DatasetKind::TLoc.generate(3_000, 5);
     let gts = build(&data, 20, &Device::rtx_2080_ti());
     let qs: Vec<Item> = (0..32u32).map(|i| data.item(i * 31).clone()).collect();
     gts.batch_range(&qs, &vec![1.0; qs.len()]).expect("range");
-    gts.batch_knn_approx(&qs, 8, 2).expect("beam knn");
-    assert_eq!(gts.stats().seed_distances, 0, "range and beam search");
+    assert_eq!(gts.stats().seed_distances, 0, "range search");
     assert!(gts.stats().distance_computations > 0);
 
     gts.reset_stats();

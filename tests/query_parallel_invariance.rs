@@ -3,7 +3,7 @@
 //! frontier alone. So for any `host_threads`, a batch must return the same
 //! answers, leave the same `StatsSnapshot`, and charge the device the same
 //! cycles, kernel launches and work as the 1-thread run — across batch
-//! sizes around the chunk boundary, kNN / beam kNN / range, tombstoned
+//! sizes around the chunk boundary, kNN / range, tombstoned
 //! tables, early-abandoning verification, two-stage query groups, and
 //! batches in which some queries' frontiers die before the leaves.
 
@@ -30,7 +30,7 @@ struct Scenario {
 /// Everything a run can observably produce, per batch size.
 #[derive(Debug, PartialEq)]
 struct Outcome {
-    answers: Vec<[Vec<Vec<Neighbor>>; 3]>,
+    answers: Vec<[Vec<Vec<Neighbor>>; 2]>,
     stats: StatsSnapshot,
     device: DeviceStats,
 }
@@ -92,7 +92,6 @@ fn run(sc: Scenario, data: &Dataset, threads: usize) -> Outcome {
             let radii = vec![sc.radius; batch];
             [
                 gts.batch_knn(&qs, 8).expect("knn"),
-                gts.batch_knn_approx(&qs, 8, 3).expect("beam knn"),
                 gts.batch_range(&qs, &radii).expect("range"),
             ]
         })
@@ -120,10 +119,7 @@ fn assert_thread_invariant(sc: Scenario) {
         let multi = run(sc, &data, threads);
         for (b, (want, got)) in single.answers.iter().zip(&multi.answers).enumerate() {
             let batch = BATCHES[b];
-            for (kind, (want, got)) in ["kNN", "beam kNN", "range"]
-                .iter()
-                .zip(want.iter().zip(got))
-            {
+            for (kind, (want, got)) in ["kNN", "range"].iter().zip(want.iter().zip(got)) {
                 assert_eq!(
                     want, got,
                     "{sc:?}: {kind} answers, batch {batch}, {threads} threads"
