@@ -70,14 +70,6 @@ impl Method {
         }
     }
 
-    /// Whether this method runs on the GPU (vs the CPU cost model).
-    pub fn is_gpu(self) -> bool {
-        matches!(
-            self,
-            Method::GpuTable | Method::GpuTree | Method::Lbpg | Method::Ganns | Method::Gts
-        )
-    }
-
     /// Dataset support, mirroring the paper's Remark: LBPG needs Lp vector
     /// data (T-Loc, Color); GANNS needs vector data (T-Loc, Vector, Color).
     pub fn supports(self, kind: DatasetKind) -> bool {

@@ -91,48 +91,6 @@ impl CostModel {
         }
     }
 
-    /// Largest query-batch size expected to descend a tree of height `h`
-    /// and node capacity `nc` **without** triggering the two-stage memory
-    /// strategy's query grouping, given `free_bytes` of device memory.
-    ///
-    /// Inverts the per-layer bound of §5.2
-    /// (`size_limit = size_GPU / ((h − layer + 1)·Nc)`, the exact formula
-    /// the search loops group against) using §5.3's Chebyshev survivor
-    /// estimate for the expected per-query frontier at each layer:
-    /// `E_i = min(Nc^(i−1), n)·p^(i−1)` entries, `p` the survive
-    /// probability at radius `r`. The answer is
-    /// `min_i ⌊size_limit(i) / E_i⌋`, floored at 1 — a single query is
-    /// always admissible because grouping never splits one query's
-    /// frontier.
-    ///
-    /// This is the **size trigger** of the `gts-service` microbatcher: an
-    /// admission-side estimate (actual pruning can beat or miss the model,
-    /// in which case the in-search grouping still guarantees progress), so
-    /// it is a scheduling heuristic, never a correctness bound.
-    pub fn max_batch_queries(&self, free_bytes: u64, nc: u32, h: u32, r: f64) -> usize {
-        assert!(nc >= 2);
-        let h = h.max(1); // a real tree is never flatter than one level
-        let mut best = usize::MAX;
-        for level in 1..=h {
-            let limit = crate::search::layer_size_limit(free_bytes, h, level, nc);
-            let expected = self.expected_frontier(nc, r, level);
-            best = best.min(((limit as f64 / expected).floor() as usize).max(1));
-        }
-        best
-    }
-
-    /// Expected per-query frontier entries *entering* `level` (1-based):
-    /// `max(min(Nc^(level−1), n)·p^(level−1), 1)` — the Chebyshev survivor
-    /// estimate [`Self::max_batch_queries`] divides each layer bound by.
-    /// Exposed on its own so the cost-model audit can hold the very same
-    /// prediction against the survivors the engine actually observes.
-    pub fn expected_frontier(&self, nc: u32, r: f64, level: u32) -> f64 {
-        assert!(nc >= 2 && level >= 1);
-        let p = self.survive_probability(r);
-        let width = f64::from(nc).powi(level as i32 - 1).min(self.n as f64);
-        (width * p.powi(level as i32 - 1)).max(1.0)
-    }
-
     /// Recommend a node capacity from `candidates` (Table 3's sweep by
     /// default) for radius `r`, by minimising [`Self::mrq_cost`].
     pub fn recommend_nc(&self, r: f64, candidates: &[u32]) -> u32 {
@@ -205,24 +163,6 @@ mod tests {
         let c320 = m.construction_cost(320);
         assert!(c10.is_finite() && c320.is_finite());
         assert!(c10 > c320, "fewer levels with bigger fanout");
-    }
-
-    #[test]
-    fn max_batch_queries_scales_with_memory_and_selectivity() {
-        let m = model(100_000);
-        let small = m.max_batch_queries(1 << 20, 20, 4, 2.0);
-        let big = m.max_batch_queries(1 << 30, 20, 4, 2.0);
-        assert!(big > small, "more free memory admits bigger batches");
-        let selective = m.max_batch_queries(1 << 26, 20, 4, 1.5);
-        let broad = m.max_batch_queries(1 << 26, 20, 4, 1_000.0);
-        assert!(
-            selective >= broad,
-            "broad radii survive pruning and shrink the batch: {selective} < {broad}"
-        );
-        assert!(
-            m.max_batch_queries(0, 20, 4, 2.0) >= 1,
-            "a single query is always admissible"
-        );
     }
 
     #[test]

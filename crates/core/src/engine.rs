@@ -229,23 +229,6 @@ where
             });
             let frontier_len = entries.len() as u64;
 
-            // Cost-model audit: once sizing installed a plan, hold its §5.3
-            // survivor estimate against the frontier that actually entered
-            // this level. Observational only; entries are query-contiguous,
-            // so the query count of this group is one plus the number of id
-            // transitions.
-            if self.ctx.audit.plan().is_some() {
-                let queries_here = 1 + entries
-                    .windows(2)
-                    .filter(|w| w[0].query != w[1].query)
-                    .count() as u64;
-                let expansion_bytes = (level < shape.h)
-                    .then(|| frontier_len * u64::from(shape.nc) * FRONTIER_ENTRY_BYTES as u64);
-                self.ctx
-                    .audit
-                    .observe_level(level, queries_here, frontier_len, expansion_bytes);
-            }
-
             if level == shape.h {
                 // The segment's leaves: verify, then retire.
                 match &mut self.mode {

@@ -1,6 +1,5 @@
 //! The public GTS index type.
 
-use crate::audit::{AuditPlan, CostAudit};
 use crate::build::{self, Structure};
 use crate::cost::CostModel;
 use crate::dispatch::distance_block;
@@ -57,9 +56,6 @@ pub struct Gts<O, M> {
     table: TableList,
     cache: CacheTable,
     stats: SearchStats,
-    /// Cost-model audit: prediction vs. observed survivors per level
-    /// (disabled by default; see [`crate::audit`]).
-    audit: CostAudit,
     rebuilds: u64,
     /// Device residency of (node list, table list, object payloads).
     residency: Option<[Reservation; 3]>,
@@ -154,7 +150,6 @@ where
             table: TableList::default(),
             cache: CacheTable::new(params.cache_capacity_bytes),
             stats: SearchStats::default(),
-            audit: CostAudit::default(),
             rebuilds: 0,
             residency: None,
         };
@@ -280,7 +275,6 @@ where
             live: &self.live,
             stats: &self.stats,
             threads: self.threads,
-            audit: &self.audit,
         }
     }
 
@@ -558,7 +552,6 @@ where
             table: decoded.table,
             cache,
             stats: SearchStats::default(),
-            audit: CostAudit::default(),
             rebuilds: 0,
             residency: Some([res_nodes, res_table, res_data]),
         })
@@ -605,48 +598,6 @@ where
             sigma,
             distance_work: work as f64 / samples as f64,
         }
-    }
-
-    /// Largest query batch the §5.3 model expects this index to run without
-    /// query grouping, sized against **this device's** current free memory
-    /// ([`CostModel::max_batch_queries`] over the index's actual tree shape).
-    pub fn max_batch_queries(&self, model: &CostModel, radius: f64) -> usize {
-        self.max_batch_queries_with_free(self.dev.free_bytes(), model, radius)
-    }
-
-    /// [`Gts::max_batch_queries`] against an explicit free-memory budget —
-    /// the entry point a *global* scheduler uses to size one batch across
-    /// several shards (passing the pool-wide minimum free bytes instead of
-    /// this device's own view; see
-    /// [`ShardedGts::max_batch_queries`](crate::ShardedGts::max_batch_queries)).
-    pub fn max_batch_queries_with_free(
-        &self,
-        free_bytes: u64,
-        model: &CostModel,
-        radius: f64,
-    ) -> usize {
-        let batch =
-            model.max_batch_queries(free_bytes, self.params.node_capacity, self.height(), radius);
-        // Freeze this prediction for the cost-model audit: subsequent
-        // descents are measured against exactly the sizing that admitted
-        // them.
-        self.audit.install(AuditPlan {
-            model: *model,
-            nc: self.params.node_capacity,
-            h: self.height(),
-            radius,
-            predicted_batch: batch,
-        });
-        batch
-    }
-
-    /// The cost-model audit of this index: §5.3's batch-sizing prediction
-    /// held against the per-level survivors and peak intermediate bytes the
-    /// descent engine actually observes. Records whenever a plan is
-    /// installed — after any [`Gts::max_batch_queries`] sizing pass — and
-    /// never charges a cycle or touches an answer.
-    pub fn cost_audit(&self) -> crate::audit::CostAuditSnapshot {
-        self.audit.snapshot()
     }
 }
 

@@ -49,7 +49,6 @@
 //! frontier to the last verified leaf in one call; each shard runs its own.
 
 #![warn(missing_docs)]
-pub mod audit;
 pub mod build;
 pub mod cost;
 mod dispatch;
@@ -66,7 +65,6 @@ pub mod stats;
 pub mod table;
 pub mod update;
 
-pub use audit::{AuditPlan, CostAudit, CostAuditSnapshot};
 pub use cost::CostModel;
 pub use dispatch::QUERY_CHUNK;
 pub use index::Gts;

@@ -374,16 +374,6 @@ where
         }
     }
 
-    /// Folded cost-model audit across every replica's shards (see
-    /// [`ShardedGts::cost_audit`](crate::ShardedGts::cost_audit)).
-    pub fn cost_audit(&self) -> crate::audit::CostAuditSnapshot {
-        (0..self.replicas.len())
-            .map(|r| self.rlock(r).cost_audit())
-            .fold(crate::audit::CostAuditSnapshot::default(), |a, b| {
-                a.combine(b)
-            })
-    }
-
     /// Critical path across **all** replica devices (max per-device clock).
     pub fn span_cycles(&self) -> u64 {
         self.pool.aggregate().span_cycles
@@ -399,13 +389,6 @@ where
             .map(|d| d.cycles())
             .max()
             .unwrap_or(0)
-    }
-
-    /// Global batch sizing, delegated to replica 0 (replicas are identical,
-    /// so its cost model speaks for all; sampling kernels charge replica
-    /// 0's devices).
-    pub fn max_batch_queries(&self, radius: f64, samples: usize, seed: u64) -> usize {
-        self.rlock(0).max_batch_queries(radius, samples, seed)
     }
 
     // -- selection ----------------------------------------------------------
@@ -911,11 +894,6 @@ mod tests {
         assert!(idx.span_cycles() >= idx.span_of(&[0]).min(idx.span_of(&[1])));
         idx.reset_stats();
         assert_eq!(idx.stats(), StatsSnapshot::default());
-        // Sizing is deterministic and delegates to replica 0.
-        assert_eq!(
-            idx.max_batch_queries(2.0, 64, 7),
-            idx.replica(0).read().unwrap().max_batch_queries(2.0, 64, 7)
-        );
     }
 
     #[test]

@@ -94,15 +94,12 @@ pub(crate) struct RawEntry {
 }
 
 /// Device bytes one frontier entry occupies — the unit the two-stage memory
-/// bound and the cost-model batch sizing are denominated in.
+/// bound is denominated in.
 pub(crate) const FRONTIER_ENTRY_BYTES: usize = std::mem::size_of::<RawEntry>();
 
 /// The paper's per-layer intermediate-result bound, in frontier entries:
 /// `size_limit = size_GPU / ((h − layer + 1)·Nc)` with `size_GPU` the free
-/// device bytes. Shared by the search loops (which split into query groups
-/// past it) and by [`CostModel::max_batch_queries`](crate::CostModel), so
-/// the admission-side batch planner and the in-search grouping agree on the
-/// budget.
+/// device bytes. The search loops split a level into query groups past it.
 pub(crate) fn layer_size_limit(free_bytes: u64, h: u32, level: u32, nc: u32) -> usize {
     let denom = (h - level + 1) as usize * nc as usize * FRONTIER_ENTRY_BYTES;
     (free_bytes as usize / denom.max(1)).max(1)
@@ -173,11 +170,6 @@ pub(crate) struct SearchCtx<'a, O, M> {
     /// valid for *ring pruning*, which concerns the tree geometry).
     pub live: &'a [bool],
     pub stats: &'a SearchStats,
-    /// Cost-model audit sink: the engine reports per-level frontier sizes
-    /// and intermediate-buffer bytes here so the §5.3 batch-sizing
-    /// prediction can be held against reality. Purely observational; the
-    /// disabled path is one relaxed load per level.
-    pub audit: &'a crate::audit::CostAudit,
     /// Host threads for the batched kernels (the device's
     /// [`host_threads`](gpu_sim::DeviceConfig::host_threads), divided among
     /// the shards that search beside this one); wall-clock only — the

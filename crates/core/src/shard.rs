@@ -527,53 +527,6 @@ where
         self.pool.aggregate().span_cycles
     }
 
-    /// Size one query batch against the **global** two-stage memory budget:
-    /// the largest batch the §5.3 cost model expects *every* shard to run
-    /// without query grouping.
-    ///
-    /// A batched query scatters to all shards, so the batch must fit the
-    /// least-headroom device — each shard's capacity is therefore evaluated
-    /// against [`DevicePool::free_bytes_min`] (the pool-wide free-memory
-    /// view) rather than the shard's own free bytes, and the answer is the
-    /// minimum across shards (shard trees differ in height and survivor
-    /// profile). This closes the gap the per-shard two-stage strategy
-    /// leaves open: in-search grouping still sizes groups off each shard's
-    /// own memory as a safety net, but the admission-side scheduler plans
-    /// batches the whole pool can take in one descent.
-    ///
-    /// The per-shard cost models are fitted by seeded sampling
-    /// ([`Gts::cost_model`] with `samples`, `seed`), so the returned size
-    /// is deterministic for a given index state — the property the
-    /// `gts-service` microbatcher relies on for reproducible batch
-    /// formation. Fitting charges the sampling kernels to each shard's
-    /// device clock.
-    pub fn max_batch_queries(&self, radius: f64, samples: usize, seed: u64) -> usize {
-        let free = self.pool.free_bytes_min();
-        self.shards
-            .iter()
-            .map(|sh| {
-                let model = sh.gts.cost_model(samples, seed);
-                sh.gts.max_batch_queries_with_free(free, &model, radius)
-            })
-            .min()
-            .expect("a sharded index holds at least one shard")
-            .max(1)
-    }
-
-    /// Folded cost-model audit across shards: counters sum, calibration
-    /// histograms merge, peak bytes max, and the predicted batch is the
-    /// cross-shard minimum
-    /// ([`CostAuditSnapshot::combine`](crate::audit::CostAuditSnapshot::combine))
-    /// — exactly the batch [`ShardedGts::max_batch_queries`] admits.
-    pub fn cost_audit(&self) -> crate::audit::CostAuditSnapshot {
-        self.shards
-            .iter()
-            .map(|s| s.gts.cost_audit())
-            .fold(crate::audit::CostAuditSnapshot::default(), |a, b| {
-                a.combine(b)
-            })
-    }
-
     /// Serialize the whole sharded index into one envelope: the partition
     /// spec (shard count, strategy, global object count — the per-shard id
     /// assignment is a pure function of these) followed by every shard's
@@ -1035,24 +988,6 @@ mod tests {
             matches!(err, Err(IndexError::EmptyIndex)),
             "EmptyIndex is reserved for an actually-empty dataset"
         );
-    }
-
-    #[test]
-    fn global_batch_sizing_is_deterministic_and_pool_bound() {
-        let (_, _, idx) = sharded(300, 2);
-        let a = idx.max_batch_queries(2.0, 64, 7);
-        let b = idx.max_batch_queries(2.0, 64, 7);
-        assert_eq!(a, b, "seeded fitting makes the size trigger reproducible");
-        assert!(a >= 1);
-        // The global plan uses the pool-wide minimum free memory, so it can
-        // never exceed what any single shard would plan for itself against
-        // that same budget.
-        let free = idx.pool().free_bytes_min();
-        for s in 0..idx.num_shards() {
-            let shard = idx.shard(s);
-            let model = shard.cost_model(64, 7);
-            assert!(a <= shard.max_batch_queries_with_free(free, &model, 2.0));
-        }
     }
 
     /// A metric that panics when it touches the poisoned query string —

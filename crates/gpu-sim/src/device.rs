@@ -267,12 +267,6 @@ impl Device {
         self.healthy.store(false, Ordering::Relaxed);
     }
 
-    /// Lift a quarantine (tests and soak harnesses only — real permanent
-    /// faults don't heal).
-    pub fn revive(&self) {
-        self.healthy.store(true, Ordering::Relaxed);
-    }
-
     /// Arm a fault that fires on the `at_launch`-th kernel launch from now
     /// (1-based: `at_launch = 1` fails the very next launch). A device
     /// holds at most one armed fault; arming again replaces it.
@@ -576,22 +570,6 @@ impl Device {
         })
     }
 
-    /// Allocate a buffer holding `data` (accounting an H2D copy).
-    pub fn alloc_from<T: Clone>(
-        self: &Arc<Self>,
-        data: Vec<T>,
-        context: &'static str,
-    ) -> Result<DeviceBuffer<T>, GpuError> {
-        let bytes = (data.len() * std::mem::size_of::<T>()) as u64;
-        self.try_take(bytes, context)?;
-        self.h2d_transfer(bytes);
-        Ok(DeviceBuffer {
-            data,
-            bytes,
-            dev: Arc::clone(self),
-        })
-    }
-
     /// Reserve raw bytes (for structures whose layout lives host-side in the
     /// simulator — e.g. the object payloads of a resident dataset).
     pub fn reserve(
@@ -651,15 +629,6 @@ impl<T> DeviceBuffer<T> {
     /// Accounted size in bytes.
     pub fn bytes(&self) -> u64 {
         self.bytes
-    }
-
-    /// Copy the contents back to the host (accounting a D2H transfer).
-    pub fn to_host(&self) -> Vec<T>
-    where
-        T: Clone,
-    {
-        self.dev.d2h_transfer(self.bytes);
-        self.data.clone()
     }
 }
 

@@ -135,20 +135,6 @@ impl DevicePool {
         &self.devices
     }
 
-    /// Pool-wide free-memory view, pessimistic: the **minimum** free bytes
-    /// across devices. A batched query scatters to *every* shard, so the
-    /// device with the least headroom is the binding constraint on any
-    /// globally-planned batch — this is the number a cross-shard scheduler
-    /// (e.g. the `gts-service` microbatcher) should size against, rather
-    /// than each shard consulting only its own free memory.
-    pub fn free_bytes_min(&self) -> u64 {
-        self.devices
-            .iter()
-            .map(|d| d.free_bytes())
-            .min()
-            .expect("a pool holds at least one device")
-    }
-
     /// Number of quarantined (unhealthy) devices.
     pub fn quarantined(&self) -> usize {
         self.devices.iter().filter(|d| !d.is_healthy()).count()
@@ -324,18 +310,6 @@ mod tests {
     }
 
     #[test]
-    fn free_memory_view_tracks_most_loaded_device() {
-        let pool = DevicePool::rtx_2080_ti(2);
-        assert_eq!(pool.free_bytes_min(), pool.get(0).free_bytes());
-        let _held = pool.get(1).reserve(1 << 20, "test").expect("fits");
-        assert_eq!(
-            pool.free_bytes_min(),
-            pool.get(1).free_bytes(),
-            "min tracks the most-loaded device"
-        );
-    }
-
-    #[test]
     fn devices_are_independent() {
         let pool = DevicePool::rtx_2080_ti(2);
         pool.get(0).charge_kernel(100, 1);
@@ -346,26 +320,6 @@ mod tests {
     #[should_panic(expected = "at least one device")]
     fn empty_pool_rejected() {
         let _ = DevicePool::homogeneous(0, DeviceConfig::rtx_2080_ti());
-    }
-
-    #[test]
-    fn free_bytes_min_on_heterogeneous_pool() {
-        // A pool mixing an 11 GB card with a 1 KB toy device: the pessimistic
-        // pool-wide view is pinned to the smallest card even with zero
-        // allocations, and follows whichever device is most loaded after.
-        let big = Device::rtx_2080_ti();
-        let small = Device::new(DeviceConfig {
-            global_mem_bytes: 1024,
-            ..DeviceConfig::rtx_2080_ti()
-        });
-        let pool = DevicePool::from_devices(vec![big, small]);
-        assert_eq!(pool.free_bytes_min(), 1024, "bounded by the small card");
-        let _r = pool.get(1).reserve(1000, "t").expect("fits");
-        assert_eq!(pool.free_bytes_min(), 24);
-        // Loading the big card doesn't change the binding constraint until
-        // it dips below the small card's headroom.
-        let _big = pool.get(0).reserve(1 << 30, "t").expect("fits");
-        assert_eq!(pool.free_bytes_min(), 24, "small card still binds");
     }
 
     #[test]

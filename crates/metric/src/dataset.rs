@@ -47,11 +47,6 @@ impl Dataset {
         self.metric.distance(self.item(a), self.item(b))
     }
 
-    /// Distance from an arbitrary query object to an indexed object.
-    pub fn distance_to(&self, q: &Item, b: ObjId) -> f64 {
-        self.metric.distance(q, self.item(b))
-    }
-
     /// Total payload bytes of the raw objects (shared by all methods; not
     /// counted in any index's `memory_bytes`).
     pub fn data_bytes(&self) -> u64 {

@@ -286,8 +286,10 @@ pub fn l2(a: &[f32], b: &[f32]) -> f64 {
 }
 
 /// Angular distance `arccos(cosine similarity) / π`, a metric on the unit
-/// sphere. Inputs need not be normalised; zero vectors are at distance 0
-/// from everything by convention (they do not occur in the generators).
+/// sphere. Inputs need not be normalised. A zero vector has no direction:
+/// it is at distance 0 from another zero vector and ½ from every non-zero
+/// one, which keeps the triangle inequality (a zero vector sits "between"
+/// any two directions, whose distance is at most 1).
 pub fn angular(a: &[f32], b: &[f32]) -> f64 {
     debug_assert_eq!(a.len(), b.len());
     let (mut dot, mut na, mut nb) = (0f64, 0f64, 0f64);
@@ -297,8 +299,10 @@ pub fn angular(a: &[f32], b: &[f32]) -> f64 {
         na += x * x;
         nb += y * y;
     }
-    if na == 0.0 || nb == 0.0 {
-        return 0.0;
+    match (na == 0.0, nb == 0.0) {
+        (true, true) => return 0.0,
+        (true, false) | (false, true) => return 0.5,
+        (false, false) => {}
     }
     let cos = (dot / (na.sqrt() * nb.sqrt())).clamp(-1.0, 1.0);
     cos.acos() / std::f64::consts::PI
@@ -405,11 +409,15 @@ impl Metric<Item> for ItemMetric {
         }
     }
 
+    /// The payload kind must match the metric, and a vector must have
+    /// finite coordinates: a NaN or ±∞ makes every distance NaN, which no
+    /// pruning bound can order.
     fn accepts(&self, obj: &Item) -> bool {
-        matches!(
-            (self, obj),
-            (ItemMetric::Edit, Item::Text(_)) | (ItemMetric::Vector(_), Item::Vector(_))
-        )
+        match (self, obj) {
+            (ItemMetric::Edit, Item::Text(_)) => true,
+            (ItemMetric::Vector(_), Item::Vector(v)) => v.iter().all(|x| x.is_finite()),
+            _ => false,
+        }
     }
 }
 
@@ -507,6 +515,10 @@ mod tests {
         assert!((angular(&a, &a)).abs() < 1e-9);
         assert!((angular(&a, &b) - 0.5).abs() < 1e-9);
         assert!((angular(&a, &c) - 1.0).abs() < 1e-9);
+        let z = [0.0f32, 0.0];
+        assert_eq!(angular(&z, &z), 0.0);
+        assert_eq!(angular(&z, &a), 0.5);
+        assert_eq!(angular(&c, &z), 0.5);
     }
 
     #[test]

@@ -24,12 +24,6 @@ impl Neighbor {
     pub fn new(id: u32, dist: f64) -> Self {
         Neighbor { id, dist }
     }
-
-    /// Total order: by distance, ties broken by id (makes result comparisons
-    /// in tests deterministic).
-    pub fn cmp_key(&self) -> (f64, u32) {
-        (self.dist, self.id)
-    }
 }
 
 /// Sort answers by `(dist, id)`; canonical form used in tests and reports.
@@ -69,25 +63,28 @@ pub enum IndexError {
     InvalidQuery(&'static str),
 }
 
-/// Check that a batched range query supplies exactly one radius per query.
+/// Check that a batched range query supplies exactly one radius per query,
+/// and that none is NaN (no distance compares within a NaN radius).
 pub fn check_radii<O>(queries: &[O], radii: &[f64]) -> Result<(), IndexError> {
-    if queries.len() == radii.len() {
-        Ok(())
-    } else {
+    if queries.len() != radii.len() {
         Err(IndexError::InvalidQuery(
             "batch_range needs one radius per query",
         ))
+    } else if radii.iter().any(|r| r.is_nan()) {
+        Err(IndexError::InvalidQuery("a range radius is NaN"))
+    } else {
+        Ok(())
     }
 }
 
 /// Check that `metric` can measure every query (e.g. no text query against
-/// a vector index).
+/// a vector index, no vector query with a NaN coordinate).
 pub fn check_queries<O, M: Metric<O>>(metric: &M, queries: &[O]) -> Result<(), IndexError> {
     if queries.iter().all(|q| metric.accepts(q)) {
         Ok(())
     } else {
         Err(IndexError::InvalidQuery(
-            "query payload kind does not match the index metric",
+            "query payload does not fit the index metric",
         ))
     }
 }

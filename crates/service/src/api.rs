@@ -60,7 +60,7 @@ impl<O> Request<O> {
 /// Which trigger flushed the batch a request rode in.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum FlushTrigger {
-    /// The queue reached the batch target (the §5.3 cost-model size).
+    /// The queue reached the batch target.
     Size,
     /// The oldest queued request aged past the flush deadline.
     Deadline,

@@ -6,12 +6,10 @@
 //! backpressure, never blocking the caller). The **microbatcher** thread
 //! drains the queue into batches on two triggers:
 //!
-//! * **size** — the queue holds at least the *batch target*: the number of
-//!   queries the §5.3 cost model expects the whole device pool to descend
-//!   in one pass without query grouping
-//!   ([`ShardedGts::max_batch_queries`](gts_core::ShardedGts::max_batch_queries),
-//!   evaluated against the pool-wide free-memory minimum — the global
-//!   two-stage budget), clamped by [`ServiceConfig::max_batch`];
+//! * **size** — the queue holds at least the *batch target*:
+//!   [`ServiceConfig::max_batch`], clamped to the queue depth. Device
+//!   memory is not an admission concern: the descent's two-stage strategy
+//!   (§5.2) splits a batch into query groups against each layer's bound;
 //! * **deadline** — the oldest queued request has waited
 //!   [`ServiceConfig::flush_deadline`], so a partially-filled batch ships
 //!   rather than stalling a quiet period (the latency/throughput knob of
@@ -34,28 +32,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-/// How the service derives its batch-size trigger.
-#[derive(Clone, Copy, Debug)]
-pub enum BatchSizing {
-    /// A fixed batch target (operator override; also how the benches pin
-    /// the degenerate one-request-per-batch baseline).
-    Fixed(usize),
-    /// Derive the target from the §5.3 cost model fitted by seeded
-    /// sampling, sized against the pool-wide free-memory minimum — the
-    /// global two-stage memory budget shared by all shards.
-    CostModel {
-        /// Representative query radius the survivor estimate is evaluated
-        /// at (a workload hint, not a correctness bound).
-        radius_hint: f64,
-        /// Distance samples used to fit σ and the mean distance work.
-        samples: usize,
-        /// RNG seed for the sampling — the service's tie-breaking seed:
-        /// the same seed always derives the same batch target, which is
-        /// what makes size-triggered batch formation reproducible.
-        seed: u64,
-    },
-}
-
 /// Configuration of the online query service.
 #[derive(Clone, Copy, Debug)]
 pub struct ServiceConfig {
@@ -65,10 +41,9 @@ pub struct ServiceConfig {
     /// Flush a partially-filled batch once its oldest request has waited
     /// this long.
     pub flush_deadline: Duration,
-    /// Batch-size trigger derivation.
-    pub sizing: BatchSizing,
-    /// Hard cap on the batch target regardless of what the cost model
-    /// recommends (bounds per-batch latency and host staging memory).
+    /// The batch target: the size trigger flushes once this many requests
+    /// are queued (clamped to [`ServiceConfig::queue_depth`]). Bounds
+    /// per-batch latency and host staging memory.
     pub max_batch: usize,
     /// Executor lanes to run. Each lane drains its own bounded pipeline
     /// channel and prefers a disjoint set of replicas, so lanes execute
@@ -86,10 +61,10 @@ pub struct ServiceConfig {
     /// Metrics exposition. Disabled by default; when enabled,
     /// [`QueryService::scrape`](crate::QueryService::scrape) and
     /// [`ServiceStats::metrics`](crate::ServiceStats::metrics) render the
-    /// Prometheus view of the service's ledger, device utilization, the
-    /// cost-model audit and (with tracing on) the per-stage spans. Nothing
-    /// records on a hot path either way, so answers, epochs, and simulated
-    /// cycle counts are bit-identical with metrics on or off.
+    /// Prometheus view of the service's ledger, device utilization and
+    /// (with tracing on) the per-stage spans. Nothing records on a hot path
+    /// either way, so answers, epochs, and simulated cycle counts are
+    /// bit-identical with metrics on or off.
     pub metrics: bool,
 }
 
@@ -98,11 +73,6 @@ impl Default for ServiceConfig {
         ServiceConfig {
             queue_depth: 4096,
             flush_deadline: Duration::from_millis(2),
-            sizing: BatchSizing::CostModel {
-                radius_hint: 2.0,
-                samples: 256,
-                seed: 0x67_74_73,
-            },
             max_batch: 4096,
             lanes: 1,
             trace: gts_trace::TraceConfig::default(),
@@ -125,13 +95,7 @@ impl ServiceConfig {
         self
     }
 
-    /// Builder-style sizing override.
-    pub fn with_sizing(mut self, sizing: BatchSizing) -> Self {
-        self.sizing = sizing;
-        self
-    }
-
-    /// Builder-style batch cap override.
+    /// Builder-style batch-target override.
     pub fn with_max_batch(mut self, cap: usize) -> Self {
         assert!(cap >= 1, "a batch holds at least one request");
         self.max_batch = cap;

@@ -3,8 +3,8 @@
 //! An **online query service** over a sharded GTS index: the layer that
 //! turns individual similarity-search requests — the shape real serving
 //! traffic arrives in — into the large MRQ/MkNNQ batches the paper's
-//! concurrent-query design (§4), cost model (§5.3), and two-stage memory
-//! strategy are built to exploit.
+//! concurrent-query design (§4) and two-stage memory strategy (§5.2) are
+//! built to exploit.
 //!
 //! ```text
 //!  clients ──▶ SubmitHandle ──▶ admission queue ──▶ microbatcher ──▶ lane 0 ──▶ replicas {0,2,…}
@@ -37,9 +37,8 @@
 //!   configured depth, [`SubmitHandle::submit`] rejects with
 //!   [`ServiceError::QueueFull`] instead of blocking) and the
 //!   **microbatcher** that flushes a batch when either the **size trigger**
-//!   fires (queue depth reaches the batch target derived from
-//!   [`CostModel::max_batch_queries`](gts_core::CostModel::max_batch_queries)
-//!   against the pool-wide free-memory view) or the **deadline trigger**
+//!   fires (queue depth reaches the batch target,
+//!   [`ServiceConfig::max_batch`]) or the **deadline trigger**
 //!   fires (the oldest queued request has waited the configured flush
 //!   deadline), dealing flushed batches round-robin across the lanes;
 //! * [`service`] — [`QueryService`]: owns the batcher and lane threads,
@@ -49,16 +48,15 @@
 //!   (FIFO within each lane, lanes preferring disjoint replica sets), and
 //!   keeps the [`ServiceStats`] ledger;
 //! * `metrics` — the Prometheus exposition as a **view** of that ledger,
-//!   the per-device utilization, the cost-model audit and the trace
-//!   summary, built at scrape time ([`QueryService::scrape`],
-//!   [`ServiceStats::metrics`]); nothing records on a hot path.
+//!   the per-device utilization and the trace summary, built at scrape
+//!   time ([`QueryService::scrape`], [`ServiceStats::metrics`]); nothing
+//!   records on a hot path.
 //!
 //! **Determinism.** Batch *formation* under the size trigger is a pure
 //! function of the arrival sequence: requests are admitted FIFO, the batch
-//! target is computed once at startup from seeded cost-model sampling
-//! ([`BatchSizing::CostModel`]), batches are dealt to lanes round-robin,
-//! and each lane executes its batches in FIFO order against its own
-//! replicas — so a given arrival sequence always produces the same
+//! target is fixed by the configuration, batches are dealt to lanes
+//! round-robin, and each lane executes its batches in FIFO order against
+//! its own replicas — so a given arrival sequence always produces the same
 //! batches, and the simulated device clocks advance identically run to
 //! run. The deadline trigger necessarily depends on wall-clock timing, but
 //! **answers never do**: every batch shape returns bit-identical results
@@ -83,6 +81,6 @@ pub mod stats;
 pub use api::{
     FlushTrigger, LatencyBreakdown, Reply, Request, Response, ServiceError, Ticket, UpdateAck,
 };
-pub use batcher::{BatchSizing, ServiceConfig, SubmitHandle};
+pub use batcher::{ServiceConfig, SubmitHandle};
 pub use service::QueryService;
 pub use stats::ServiceStats;

@@ -1,10 +1,10 @@
 //! The service's Prometheus exposition, as a view: [`exposition`] renders
 //! every family the serving stack exports from state the stack already
 //! keeps — the [`ServiceStats`] ledger, the pool's per-device
-//! [`DeviceUtilization`]s, the folded [`CostAuditSnapshot`], and the trace
-//! recorder's [`TraceSummary`] when tracing is on. Nothing is recorded on a
-//! hot path, and each scrape builds a fresh snapshot, so two scrapes of an
-//! idle service are byte-identical by construction.
+//! [`DeviceUtilization`]s, and the trace recorder's [`TraceSummary`] when
+//! tracing is on. Nothing is recorded on a hot path, and each scrape builds
+//! a fresh snapshot, so two scrapes of an idle service are byte-identical by
+//! construction.
 //!
 //! Like tracing, metrics **observe** the simulated clocks and never
 //! advance them: metrics on or off changes no answer, epoch, or cycle
@@ -12,7 +12,6 @@
 
 use crate::stats::ServiceStats;
 use gpu_sim::DeviceUtilization;
-use gts_core::CostAuditSnapshot;
 use gts_metrics::MetricsSnapshot;
 use gts_trace::TraceSummary;
 
@@ -23,7 +22,6 @@ use gts_trace::TraceSummary;
 pub(crate) fn exposition(
     stats: &ServiceStats,
     devices: &[DeviceUtilization],
-    audit: CostAuditSnapshot,
     stages: Option<TraceSummary>,
 ) -> MetricsSnapshot {
     let mut m = MetricsSnapshot::default();
@@ -121,48 +119,6 @@ pub(crate) fn exposition(
             u.peak_allocated,
         );
     }
-    m.gauge(
-        "gts_cost_predicted_batch",
-        "batch size the cost model admitted (min across shards)",
-        &[],
-        audit.predicted_batch as u64,
-    )
-    .gauge(
-        "gts_cost_predicted_peak_bytes",
-        "predicted peak intermediate-buffer bytes for that batch",
-        &[],
-        audit.predicted_peak_bytes,
-    )
-    .gauge(
-        "gts_cost_levels_observed",
-        "per-level audit observations recorded",
-        &[],
-        audit.levels_observed,
-    )
-    .gauge(
-        "gts_cost_levels_overpredicted",
-        "levels where pruning beat the Chebyshev estimate",
-        &[],
-        audit.overpredicted,
-    )
-    .gauge(
-        "gts_cost_levels_underpredicted",
-        "levels where survivors exceeded the estimate",
-        &[],
-        audit.underpredicted,
-    )
-    .gauge(
-        "gts_cost_peak_frontier_bytes",
-        "largest intermediate expansion buffer actually allocated",
-        &[],
-        audit.peak_frontier_bytes,
-    )
-    .histogram(
-        "gts_cost_calibration_pct",
-        "100*observed/predicted frontier entries per level step",
-        &[],
-        audit.calibration_pct,
-    );
     for (stage, hist) in stages.into_iter().flat_map(|s| s.stages) {
         m.histogram(
             "gts_stage_cycles",
@@ -187,13 +143,7 @@ mod tests {
             deadline_flushes: 2,
             ..ServiceStats::default()
         };
-        let audit = CostAuditSnapshot {
-            predicted_batch: 64,
-            levels_observed: 3,
-            ..CostAuditSnapshot::default()
-        };
-        let render =
-            || gts_metrics::render_prometheus(&exposition(&stats, &[], audit.clone(), None));
+        let render = || gts_metrics::render_prometheus(&exposition(&stats, &[], None));
         let once = render();
         assert_eq!(render(), once, "a view of the same state renders the same");
         for line in [
@@ -203,7 +153,6 @@ mod tests {
             "gts_requests_failed_total 1",
             "gts_batches_total{trigger=\"deadline\"} 2",
             "gts_batches_total{trigger=\"size\"} 0",
-            "gts_cost_predicted_batch 64",
         ] {
             assert!(once.contains(&format!("{line}\n")), "{line} in\n{once}");
         }

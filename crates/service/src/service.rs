@@ -18,9 +18,7 @@ use crate::api::{
     FlushTrigger, LatencyBreakdown, Reply, Request, Response, ServiceError, UpdateAck,
 };
 use crate::batcher::EXECUTOR_PIPELINE_BATCHES;
-use crate::batcher::{
-    self, Batch, BatchKind, BatchSizing, Entry, ServiceConfig, Shared, SubmitHandle,
-};
+use crate::batcher::{self, Batch, BatchKind, Entry, ServiceConfig, Shared, SubmitHandle};
 use crate::metrics;
 use crate::stats::ServiceStats;
 use gts_core::{ReplicatedShards, ShardedGts, UpdateOp};
@@ -104,10 +102,7 @@ where
         Self::start_replicated(Arc::new(ReplicatedShards::from_replicas(vec![index])), cfg)
     }
 
-    /// Start the service over a replicated index: derives the batch target
-    /// from `cfg.sizing` (one seeded cost-model fit per shard for
-    /// [`BatchSizing::CostModel`], sized against the pool-wide free-memory
-    /// minimum — the global two-stage budget), then spawns the batcher
+    /// Start the service over a replicated index: spawns the batcher
     /// thread and `cfg.lanes` executor lanes. The lane count is clamped to
     /// the replica count — lane `l` prefers replicas `{r : r mod L = l}`,
     /// and more lanes than replicas would race on the same devices and
@@ -132,19 +127,11 @@ where
         );
         assert!(cfg.lanes >= 1, "the service needs at least one lane");
         let num_lanes = cfg.lanes.min(index.num_replicas());
-        let batch_target = match cfg.sizing {
-            BatchSizing::Fixed(n) => n,
-            BatchSizing::CostModel {
-                radius_hint,
-                samples,
-                seed,
-            } => index.max_batch_queries(radius_hint, samples, seed),
-        }
-        // Clamped to the queue depth as well as the batch cap: a target the
-        // admission queue cannot physically hold would make the size
+        // The batch target is the cap, clamped to the queue depth: a target
+        // the admission queue cannot physically hold would make the size
         // trigger silently unreachable (every flush would wait out the
         // deadline).
-        .clamp(1, cfg.max_batch.min(cfg.queue_depth));
+        let batch_target = cfg.max_batch.min(cfg.queue_depth);
         let shared = Shared::new(cfg.queue_depth, batch_target, cfg.flush_deadline);
         // Tracing: one recorder shared by every layer, attached to every
         // device of every replica with globally unique track ids. Purely
@@ -309,12 +296,7 @@ where
                 })
                 .collect();
             let stages = self.trace.as_ref().map(|rec| rec.summary());
-            s.metrics = Some(metrics::exposition(
-                &s,
-                &devices,
-                self.index.cost_audit(),
-                stages,
-            ));
+            s.metrics = Some(metrics::exposition(&s, &devices, stages));
         }
         s
     }
@@ -804,7 +786,7 @@ mod tests {
             1,
             2,
             ServiceConfig::default()
-                .with_sizing(BatchSizing::Fixed(2))
+                .with_max_batch(2)
                 .with_flush_deadline(Duration::from_millis(1))
                 .with_lanes(2),
         );
@@ -867,7 +849,7 @@ mod tests {
             200,
             1,
             ServiceConfig::default()
-                .with_sizing(BatchSizing::Fixed(1))
+                .with_max_batch(1)
                 .with_flush_deadline(Duration::from_millis(1)),
         );
         let stats = Arc::clone(&svc.ledger);
@@ -940,7 +922,7 @@ mod tests {
             400,
             2,
             ServiceConfig::default()
-                .with_sizing(BatchSizing::Fixed(4))
+                .with_max_batch(4)
                 .with_flush_deadline(Duration::from_millis(1)),
         );
         let h = svc.handle();
@@ -996,7 +978,7 @@ mod tests {
         // service: every answer must match, and both lanes must have
         // executed work.
         let cfg = ServiceConfig::default()
-            .with_sizing(BatchSizing::Fixed(3))
+            .with_max_batch(3)
             .with_flush_deadline(Duration::from_millis(1));
         let (items, _, base) = service(400, 2, cfg);
         let (items2, wide) = replicated_service(400, 2, 2, cfg.with_lanes(2));
@@ -1090,7 +1072,7 @@ mod tests {
             300,
             1,
             ServiceConfig::default()
-                .with_sizing(BatchSizing::Fixed(1000))
+                .with_max_batch(1000)
                 .with_flush_deadline(Duration::from_secs(3600)),
         );
         let h = svc.handle();
@@ -1127,7 +1109,7 @@ mod tests {
             300,
             2,
             ServiceConfig::default()
-                .with_sizing(BatchSizing::Fixed(4))
+                .with_max_batch(4)
                 .with_flush_deadline(Duration::from_millis(1)),
         );
         let h = svc.handle();
@@ -1189,7 +1171,7 @@ mod tests {
             1,
             2,
             ServiceConfig::default()
-                .with_sizing(BatchSizing::Fixed(2))
+                .with_max_batch(2)
                 .with_flush_deadline(Duration::from_millis(1))
                 .with_lanes(2),
         );
@@ -1226,25 +1208,6 @@ mod tests {
             .unwrap()
             .insert(items[1].clone())
             .expect("fence released after shutdown");
-    }
-
-    #[test]
-    fn cost_model_sizing_is_deterministic() {
-        let cfg = ServiceConfig::default().with_sizing(BatchSizing::CostModel {
-            radius_hint: 2.0,
-            samples: 64,
-            seed: 9,
-        });
-        let (_, _, a) = service(500, 2, cfg);
-        let (_, _, b) = service(500, 2, cfg);
-        assert_eq!(
-            a.batch_target(),
-            b.batch_target(),
-            "seeded sizing is reproducible"
-        );
-        assert!(a.batch_target() >= 1);
-        a.shutdown();
-        b.shutdown();
     }
 
     #[test]

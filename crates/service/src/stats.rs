@@ -40,9 +40,9 @@ pub struct ServiceStats {
     pub deadline_flushes: u64,
     /// Batches flushed while draining at shutdown.
     pub shutdown_flushes: u64,
-    /// The batch target in force (requests per size-triggered batch),
-    /// derived once at startup from the configured
-    /// [`BatchSizing`](crate::BatchSizing).
+    /// The batch target in force (requests per size-triggered batch):
+    /// [`ServiceConfig::max_batch`](crate::ServiceConfig::max_batch),
+    /// clamped to the queue depth.
     pub batch_target: usize,
     /// Executor lanes running (after clamping the configured lane count to
     /// the number of replicas).
@@ -108,7 +108,7 @@ pub struct ServiceStats {
     /// Empty when tracing is disabled.
     pub flight_dumps: Vec<gts_trace::FlightDump>,
     /// The metrics view of this snapshot — its counters and histograms plus
-    /// the device utilization, the cost-model audit and the trace summary —
+    /// the device utilization and the trace summary —
     /// when [`ServiceConfig::metrics`](crate::ServiceConfig) is on. `None`
     /// otherwise.
     pub metrics: Option<gts_metrics::MetricsSnapshot>,

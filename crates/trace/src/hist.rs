@@ -8,15 +8,14 @@
 /// queue waits and per-batch simulated spans without unbounded memory.
 ///
 /// Bucket `b` covers values whose bit length is `b` — i.e. `[2^(b−1), 2^b)`
-/// for `b ≥ 1`, with bucket 0 holding exact zeros. Merging histograms is a
-/// plain bucket-wise sum, so per-worker histograms aggregate exactly.
+/// for `b ≥ 1`, with bucket 0 holding exact zeros.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct LatencyHistogram {
     buckets: [u64; 65],
     count: u64,
     sum: u64,
     max: u64,
-    /// Smallest sample seen; `u64::MAX` sentinel while empty so `merge`
+    /// Smallest sample seen; `u64::MAX` sentinel while empty so `record`
     /// stays a plain `min` without an emptiness branch.
     min: u64,
 }
@@ -137,17 +136,6 @@ impl LatencyHistogram {
             (1u64 << b) - 1
         }
     }
-
-    /// Bucket-wise sum with another histogram (exact aggregation).
-    pub fn merge(&mut self, other: &LatencyHistogram) {
-        for (a, b) in self.buckets.iter_mut().zip(other.buckets.iter()) {
-            *a += b;
-        }
-        self.count += other.count;
-        self.sum = self.sum.saturating_add(other.sum);
-        self.max = self.max.max(other.max);
-        self.min = self.min.min(other.min);
-    }
 }
 
 #[cfg(test)]
@@ -238,22 +226,5 @@ mod tests {
             let est = h.quantile(q);
             assert!((7..=9_999).contains(&est), "q={q}: {est}");
         }
-    }
-
-    #[test]
-    fn histogram_merge_is_bucketwise_sum() {
-        let mut a = LatencyHistogram::default();
-        let mut b = LatencyHistogram::default();
-        let mut all = LatencyHistogram::default();
-        for v in [5u64, 17, 64] {
-            a.record(v);
-            all.record(v);
-        }
-        for v in [1u64, 1_000_000] {
-            b.record(v);
-            all.record(v);
-        }
-        a.merge(&b);
-        assert_eq!(a, all, "merge equals recording everything in one");
     }
 }

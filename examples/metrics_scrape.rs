@@ -2,7 +2,7 @@
 //! workload, then print the Prometheus text exposition — request and
 //! batch counters read off the service's stats ledger, per-device
 //! utilization with the exact clock partition `busy + transfer + stall + idle ==
-//! span`, the cost-model audit, and per-stage span histograms.
+//! span`, and per-stage span histograms.
 //!
 //! ```sh
 //! cargo run --release --example metrics_scrape
@@ -27,15 +27,8 @@ fn main() {
     );
 
     // Metrics AND tracing on: the scrape folds the per-stage trace summary
-    // into `gts_stage_cycles{stage=...}`. Cost-model
-    // sizing installs the §5.3 prediction the audit holds against the
-    // observed per-level survivors (`gts_cost_calibration_pct`).
+    // into `gts_stage_cycles{stage=...}`.
     let cfg = ServiceConfig::default()
-        .with_sizing(BatchSizing::CostModel {
-            radius_hint: 2.0,
-            samples: 128,
-            seed: 41,
-        })
         .with_flush_deadline(Duration::from_millis(1))
         .with_lanes(2)
         .with_metrics(true)

@@ -1,8 +1,7 @@
 //! Online serving quickstart: stand up the query service over a 2-shard
 //! index, fire individual requests at it from several client threads (the
 //! shape real traffic arrives in), and watch the microbatcher coalesce
-//! them into cost-model-sized batches — then read the latency story out of
-//! `ServiceStats`.
+//! them into batches — then read the latency story out of `ServiceStats`.
 //!
 //! ```sh
 //! cargo run --release --example online_service
@@ -28,25 +27,17 @@ fn main() {
     )
     .expect("sharded construction");
     println!(
-        "index: {} objects over {} shards, pool min free {:.2} GB",
+        "index: {} objects over {} shards",
         data.len(),
         index.num_shards(),
-        pool.free_bytes_min() as f64 / 1e9,
     );
 
-    // 2. The service: bounded admission queue, batch target derived from
-    //    the §5.3 cost model against the pool-wide memory budget, 2 ms
-    //    flush deadline for quiet periods.
+    // 2. The service: bounded admission queue, a batch target of 256
+    //    requests (small enough that the size trigger shows in this demo;
+    //    the descent's two-stage strategy keeps any batch within device
+    //    memory), 2 ms flush deadline for quiet periods.
     let cfg = ServiceConfig::default()
         .with_queue_depth(2048)
-        .with_sizing(BatchSizing::CostModel {
-            radius_hint: 2.0,
-            samples: 256,
-            seed: 11,
-        })
-        // The cost model would happily take thousands of queries per batch
-        // on an 11 GB device; cap it so per-batch latency stays serving-
-        // friendly (and the size trigger is visible in this demo).
         .with_max_batch(256)
         .with_flush_deadline(Duration::from_millis(2));
     // The service takes the index by value: while it runs, the replicas are

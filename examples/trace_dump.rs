@@ -29,7 +29,7 @@ fn main() {
 
     // Tracing on: every layer records into one shared bounded recorder.
     let cfg = ServiceConfig::default()
-        .with_sizing(BatchSizing::Fixed(16))
+        .with_max_batch(16)
         .with_flush_deadline(Duration::from_millis(1))
         .with_tracing(TraceConfig {
             enabled: true,

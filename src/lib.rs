@@ -12,14 +12,14 @@
 //! * [`gpu`](gpu_sim) — the deterministic SIMT device model (work–span
 //!   clock, memory allocator, parallel primitives);
 //! * [`service`] — the online query service: a bounded
-//!   admission queue plus a cost-model microbatcher that coalesces
+//!   admission queue plus a microbatcher that coalesces
 //!   individual requests into the batches the index is built for;
 //! * [`trace`] — end-to-end tracing: per-request spans from
 //!   admission to kernel launch, Chrome-trace export, and a fault-triggered
 //!   flight recorder;
 //! * [`metrics`] — the typed metric snapshot and its Prometheus
-//!   exposition: the service's scrape is a view of its stats ledger,
-//!   device-utilization gauges, and the cost-model audit;
+//!   exposition: the service's scrape is a view of its stats ledger and
+//!   device-utilization gauges;
 //! * [`baselines`] — every comparator of the paper's evaluation.
 //!
 //! ## Quickstart
@@ -60,13 +60,12 @@ pub mod prelude {
     pub use baselines::{Bst, Egnat, Ganns, GpuTable, GpuTree, LbpgTree, LinearScan, Mvpt};
     pub use gpu_sim::{Device, DeviceConfig, DevicePool, DeviceUtilization, FaultKind, FaultPlan};
     pub use gts_core::{
-        Applied, CostAuditSnapshot, CostModel, Gts, GtsParams, ReplicaError, ReplicatedShards,
-        ShardedGts, UpdateOp,
+        Applied, CostModel, Gts, GtsParams, ReplicaError, ReplicatedShards, ShardedGts, UpdateOp,
     };
     pub use gts_metrics::{parse_prometheus, MetricsSnapshot};
     pub use gts_service::{
-        BatchSizing, FlushTrigger, LatencyBreakdown, QueryService, Reply, Request, Response,
-        ServiceConfig, ServiceError, ServiceStats, SubmitHandle, Ticket, UpdateAck,
+        FlushTrigger, LatencyBreakdown, QueryService, Reply, Request, Response, ServiceConfig,
+        ServiceError, ServiceStats, SubmitHandle, Ticket, UpdateAck,
     };
     pub use gts_trace::{
         validate_chrome_trace, DumpReason, EventKind, FlightDump, LatencyHistogram, RequestId,

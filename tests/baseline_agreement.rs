@@ -176,16 +176,29 @@ fn range_batch_with_a_missing_radius_is_a_typed_error() {
     assert_eq!(clocks(), before, "no device clock moved");
 }
 
-/// A query whose payload kind the metric cannot measure (text against a
-/// vector index, or the reverse) is a typed error on every index layer —
-/// not a panic in the metric, which the replica layer would count as a
-/// strike against healthy replicas and retry until `AllReplicasFailed`.
+/// A query whose payload the metric cannot measure (text against a vector
+/// index, or the reverse, or a vector with a NaN or ±∞ coordinate) is a
+/// typed error on every index layer — not a panic in the metric, which the
+/// replica layer would count as a strike against healthy replicas and retry
+/// until `AllReplicasFailed`, and not a silent answer at `dist: NaN`. A NaN
+/// range radius is a typed error too, not an empty answer.
 #[test]
 fn wrong_payload_kind_is_a_typed_error_not_a_strike() {
     use gts::metric::index::IndexError;
     let text = Item::Text("kitten".into());
     let vector = Item::Vector(vec![0.5f32; 2].into());
-    for (kind, bad) in [(DatasetKind::TLoc, text), (DatasetKind::Words, vector)] {
+    let vector_with = |x: f32| Item::Vector(vec![0.5, x].into());
+    // (dataset, malformed query or `None`, radius of the query in slot 1).
+    let cases = [
+        (DatasetKind::TLoc, Some(text), 1.0),
+        (DatasetKind::Words, Some(vector), 1.0),
+        (DatasetKind::TLoc, Some(vector_with(f32::NAN)), 1.0),
+        (DatasetKind::TLoc, Some(vector_with(f32::INFINITY)), 1.0),
+        (DatasetKind::TLoc, Some(vector_with(f32::NEG_INFINITY)), 1.0),
+        (DatasetKind::TLoc, None, f64::NAN),
+        (DatasetKind::Words, None, f64::NAN),
+    ];
+    for (kind, bad, radius) in cases {
         let data = kind.generate(300, 53);
         let (items, metric) = (data.items.clone(), data.metric);
         let gts = Gts::build(
@@ -206,9 +219,11 @@ fn wrong_payload_kind_is_a_typed_error_not_a_strike() {
         )
         .expect("replicated");
 
-        // The malformed query rides in a batch with a well-formed one.
-        let queries = [items[0].clone(), bad.clone()];
-        let radii = [1.0, 1.0];
+        // The malformed query or radius rides in a batch with a well-formed
+        // one.
+        let bad_query = bad.is_some();
+        let queries = [items[0].clone(), bad.unwrap_or_else(|| items[1].clone())];
+        let radii = [1.0, radius];
         let untyped = |r: Result<Vec<Vec<Neighbor>>, ReplicaError>| {
             r.map_err(|e| match e {
                 ReplicaError::Index(e) => e,
@@ -230,6 +245,11 @@ fn wrong_payload_kind_is_a_typed_error_not_a_strike() {
             ),
         ];
         for (name, answer) in answers {
+            // A NaN radius leaves the kNN rows well-formed.
+            if !bad_query && name.ends_with("kNN") {
+                assert!(answer.is_ok(), "{}: {name}: {answer:?}", kind.name());
+                continue;
+            }
             assert!(
                 matches!(answer, Err(IndexError::InvalidQuery(_))),
                 "{}: {name}: {answer:?}",

@@ -182,3 +182,59 @@ fn duplicate_heavy_data_is_exact_on_one_and_two_shards() {
         }
     }
 }
+
+/// Zero vectors under the angular metric: every 97th object zeroed. A zero
+/// vector has no direction, so the metric puts it at ½ from every other
+/// vector; a convention that broke the triangle inequality would let the
+/// tree prune true answers.
+#[test]
+fn zero_vectors_keep_angular_search_exact() {
+    let mut data = DatasetKind::Vector.generate(2_000, 13);
+    let dims = data.item(0).as_vector().expect("vector data").len();
+    for item in data.items.iter_mut().step_by(97) {
+        *item = Item::vector(vec![0.0f32; dims]);
+    }
+    let scan = scan(&data);
+    let queries: Vec<Item> = (0..64)
+        .map(|i| data.item((i * 31) % 2_000).clone())
+        .collect();
+    assert!(queries
+        .iter()
+        .any(|q| q.as_vector().unwrap().iter().all(|&x| x == 0.0)));
+    let want_knn: Vec<_> = queries
+        .iter()
+        .map(|q| scan.knn_query(q, 8).expect("scan"))
+        .collect();
+    let want_mrq: Vec<_> = queries
+        .iter()
+        .map(|q| scan.range_query(q, 0.2).expect("scan"))
+        .collect();
+    let gts = build(&data, 20);
+    assert_eq!(
+        gts.batch_knn(&queries, 8).expect("knn"),
+        want_knn,
+        "Gts knn"
+    );
+    assert_eq!(
+        gts.batch_range(&queries, &[0.2; 64]).expect("mrq"),
+        want_mrq,
+        "Gts mrq"
+    );
+    let sharded = ShardedGts::build(
+        &DevicePool::rtx_2080_ti(2),
+        data.items.clone(),
+        data.metric,
+        GtsParams::default().with_shards(2),
+    )
+    .expect("build");
+    assert_eq!(
+        sharded.batch_knn(&queries, 8).expect("knn"),
+        want_knn,
+        "2 shards knn"
+    );
+    assert_eq!(
+        sharded.batch_range(&queries, &[0.2; 64]).expect("mrq"),
+        want_mrq,
+        "2 shards mrq"
+    );
+}

@@ -115,7 +115,7 @@ fn chaos_soak(total: usize, transient: usize, permanent: usize, seed: u64) {
     );
     let cfg = ServiceConfig::default()
         .with_queue_depth(2048)
-        .with_sizing(BatchSizing::Fixed(8))
+        .with_max_batch(8)
         .with_flush_deadline(Duration::from_millis(1))
         .with_lanes(2);
     let svc = QueryService::start_replicated(Arc::clone(&index), cfg);
@@ -329,7 +329,7 @@ fn mixed_chaos_soak(total: usize, transient: usize, seed: u64) {
     );
     let cfg = ServiceConfig::default()
         .with_queue_depth(2048)
-        .with_sizing(BatchSizing::Fixed(8))
+        .with_max_batch(8)
         .with_flush_deadline(Duration::from_millis(1))
         .with_lanes(2);
     let svc = QueryService::start_replicated(Arc::clone(&index), cfg);
@@ -422,7 +422,7 @@ fn dead_shard_fails_fast_and_typed_through_the_service() {
         .expect("build"),
     );
     let cfg = ServiceConfig::default()
-        .with_sizing(BatchSizing::Fixed(4))
+        .with_max_batch(4)
         .with_flush_deadline(Duration::from_millis(1))
         .with_lanes(2);
     let svc = QueryService::start_replicated(Arc::clone(&index), cfg);
@@ -503,7 +503,7 @@ fn service_survives_a_panicking_metric() {
         .expect("build never sees the poison"),
     );
     let cfg = ServiceConfig::default()
-        .with_sizing(BatchSizing::Fixed(1))
+        .with_max_batch(1)
         .with_flush_deadline(Duration::from_millis(1))
         .with_lanes(2);
     let svc = QueryService::start_replicated(index, cfg);
@@ -571,7 +571,7 @@ fn flight_recorder_soak(total: usize, fault_at_launch: u64, exact_prior: bool) {
     );
     let cfg = ServiceConfig::default()
         .with_queue_depth(2048)
-        .with_sizing(BatchSizing::Fixed(8))
+        .with_max_batch(8)
         .with_flush_deadline(Duration::from_millis(1))
         .with_tracing(TraceConfig {
             enabled: true,

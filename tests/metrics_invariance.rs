@@ -4,8 +4,8 @@
 //! * **Observation is free of semantic cost** — metrics on ⇒ answers,
 //!   epochs, and simulated device cycles bit-identical to metrics off.
 //! * **Exposition is deterministic** — for a fixed seed, every
-//!   cycle-domain family (device utilization, batch spans, cost audit,
-//!   request counters) reproduces exactly across runs, at every shard and
+//!   cycle-domain family (device utilization, batch spans, request
+//!   counters) reproduces exactly across runs, at every shard and
 //!   lane count; two scrapes of an idle service are byte-identical.
 //! * **Exposition is a view of the ledger** — the text scrape parses back
 //!   with [`parse_prometheus`], every ledger-derived sample equals its
@@ -74,7 +74,7 @@ fn metered_run(
         .expect("build"),
     );
     let cfg = ServiceConfig::default()
-        .with_sizing(BatchSizing::Fixed(4))
+        .with_max_batch(4)
         .with_flush_deadline(Duration::from_millis(1))
         .with_lanes(lanes)
         .with_metrics(metrics_on);
@@ -170,7 +170,7 @@ fn idle_service_scrapes_are_byte_identical() {
                 .expect("build"),
         );
         let cfg = ServiceConfig::default()
-            .with_sizing(BatchSizing::Fixed(4))
+            .with_max_batch(4)
             .with_flush_deadline(Duration::from_millis(1))
             .with_metrics(true);
         let svc = QueryService::start_replicated(index, cfg);
@@ -298,82 +298,11 @@ fn scrape_is_conformant_and_device_clocks_partition() {
     );
 }
 
-/// Cost-model sizing installs the §5.3 prediction, and serving under it
-/// populates the audit — with metrics on or off, because the audit records
-/// whenever a plan is installed: per-level calibration samples, a non-zero
-/// admitted batch, and a frontier-bytes high-water mark.
-#[test]
-fn cost_model_audit_populates_through_the_service() {
-    for metrics in [true, false] {
-        let data = DatasetKind::Words.generate(2_000, 2026);
-        let pool = DevicePool::rtx_2080_ti(2);
-        let index = Arc::new(
-            ReplicatedShards::build(
-                &pool,
-                data.items.clone(),
-                data.metric,
-                GtsParams::default().with_shards(2),
-            )
-            .expect("build"),
-        );
-        let cfg = ServiceConfig::default()
-            .with_sizing(BatchSizing::CostModel {
-                radius_hint: 2.0,
-                samples: 128,
-                seed: 41,
-            })
-            .with_flush_deadline(Duration::from_millis(1))
-            .with_metrics(metrics);
-        let svc = QueryService::start_replicated(Arc::clone(&index), cfg);
-        let h = svc.handle();
-        for i in 0..40 {
-            h.submit(Request::Range {
-                query: data.items[(i * 13) % 2_000].clone(),
-                radius: 2.0,
-            })
-            .expect("admitted")
-            .wait()
-            .expect("answered")
-            .result
-            .expect("ok");
-        }
-        let audit = index.cost_audit();
-        assert!(
-            audit.predicted_batch > 0,
-            "metrics = {metrics}: cost-model sizing installed a plan (admitted {})",
-            audit.predicted_batch
-        );
-        assert!(
-            audit.levels_observed > 0,
-            "metrics = {metrics}: descents recorded level samples"
-        );
-        assert!(audit.calibration_pct.count() == audit.levels_observed);
-        assert!(audit.peak_frontier_bytes > 0, "expansion buffers observed");
-        match svc.scrape() {
-            Some(scrape) => assert!(
-                metrics
-                    && scrape.contains("gts_cost_calibration_pct_count")
-                    && !scrape.contains("gts_cost_calibration_pct_count 0"),
-                "the calibration histogram reaches the exposition:\n{scrape}"
-            ),
-            None => assert!(!metrics, "metrics on renders a scrape"),
-        }
-        let median = audit.calibration_pct.quantile(0.5);
-        println!(
-            "metrics = {metrics}: calibration: {} levels, median {}%, over {} / under {}",
-            audit.levels_observed, median, audit.overpredicted, audit.underpredicted
-        );
-        svc.shutdown();
-    }
-}
-
 /// 10k-request metered soak (the CI `metrics` job runs it with
-/// `--include-ignored`): a 2-shard × 2-replica stack under cost-model
-/// sizing serves 10 000 mixed requests with metrics on throughout.
-/// Asserts the full contract at scale — every request served, the clock
-/// partition holding on all four devices, the audit populated — and prints
-/// the per-device utilization and cost-calibration tables REPORT.md §11
-/// reproduces.
+/// `--include-ignored`): a 2-shard × 2-replica stack serves 10 000 mixed
+/// requests with metrics on throughout. Asserts the full contract at scale
+/// — every request served, the clock partition holding on all four devices
+/// — and prints the per-device utilization table REPORT.md §11 reproduces.
 #[test]
 #[ignore = "soak: run explicitly or via CI --include-ignored"]
 fn metered_soak_10k_requests() {
@@ -390,11 +319,6 @@ fn metered_soak_10k_requests() {
         .expect("build"),
     );
     let cfg = ServiceConfig::default()
-        .with_sizing(BatchSizing::CostModel {
-            radius_hint: 2.0,
-            samples: 128,
-            seed: 41,
-        })
         .with_queue_depth(256)
         .with_flush_deadline(Duration::from_millis(1))
         .with_lanes(2)
@@ -411,7 +335,6 @@ fn metered_soak_10k_requests() {
         }
     }
 
-    let audit = index.cost_audit();
     let stats = svc.shutdown();
     assert_eq!(stats.completed, N as u64, "every request served");
     let scrape = stats
@@ -460,22 +383,6 @@ fn metered_soak_10k_requests() {
         );
     }
 
-    // Cost-model calibration table.
-    assert!(audit.predicted_batch > 0 && audit.levels_observed > 0);
-    assert!(audit.peak_frontier_bytes > 0, "expansion buffers observed");
-    println!(
-        "audit: predicted_batch {} | predicted_peak_bytes {} | observed_peak_bytes {}",
-        audit.predicted_batch, audit.predicted_peak_bytes, audit.peak_frontier_bytes
-    );
-    println!(
-        "calibration: {} levels | p50 {}% | p95 {}% | max {}% | over {} | under {}",
-        audit.levels_observed,
-        audit.calibration_pct.quantile(0.5),
-        audit.calibration_pct.quantile(0.95),
-        audit.calibration_pct.quantile(1.0),
-        audit.overpredicted,
-        audit.underpredicted,
-    );
     println!(
         "served {} requests in {} batches across {} lanes",
         stats.completed, stats.batches, stats.lanes
@@ -502,7 +409,7 @@ fn a_request_is_counted_before_its_ticket_returns() {
             .expect("build"),
         );
         let cfg = ServiceConfig::default()
-            .with_sizing(BatchSizing::Fixed(4))
+            .with_max_batch(4)
             .with_flush_deadline(Duration::from_millis(1))
             .with_lanes(lanes)
             .with_metrics(true);

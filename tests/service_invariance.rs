@@ -136,7 +136,7 @@ fn size_triggered_service_matches_direct_batches() {
         let reqs = request_sequence(&items, 90);
         let want = direct_answers(&index, &reqs);
         let cfg = ServiceConfig::default()
-            .with_sizing(BatchSizing::Fixed(7))
+            .with_max_batch(7)
             .with_flush_deadline(Duration::from_secs(3600));
         let index = replicated(index);
         let (got, stats) = serve(Arc::clone(&index), cfg, &reqs);
@@ -170,7 +170,6 @@ fn deadline_triggered_service_matches_direct_batches() {
         // The size trigger is unreachable (huge target), so every batch
         // ships on the deadline (or the shutdown drain).
         let cfg = ServiceConfig::default()
-            .with_sizing(BatchSizing::Fixed(100_000))
             .with_max_batch(100_000)
             .with_flush_deadline(Duration::from_millis(2));
         let (got, stats) = serve(replicated(index), cfg, &reqs);
@@ -184,19 +183,16 @@ fn deadline_triggered_service_matches_direct_batches() {
     }
 }
 
+/// The configuration the benchmark serves under: its batch target is the
+/// default cap, and answers still match direct batch calls.
 #[test]
-fn cost_model_sized_service_matches_direct_batches() {
+fn default_config_service_matches_direct_batches() {
     let (items, index) = build_sharded(500, 2, 2026);
     let reqs = request_sequence(&items, 64);
     let want = direct_answers(&index, &reqs);
-    let cfg = ServiceConfig::default().with_sizing(BatchSizing::CostModel {
-        radius_hint: 2.0,
-        samples: 128,
-        seed: 41,
-    });
-    let (got, stats) = serve(replicated(index), cfg, &reqs);
+    let (got, stats) = serve(replicated(index), ServiceConfig::default(), &reqs);
     assert_eq!(got, want);
-    assert!(stats.batch_target >= 1);
+    assert_eq!(stats.batch_target, 4096);
     assert_eq!(stats.admitted, 64);
 }
 
@@ -210,7 +206,7 @@ fn identical_arrival_sequences_produce_identical_device_clocks() {
         let index = replicated(index);
         let reqs = request_sequence(&items, 56);
         let cfg = ServiceConfig::default()
-            .with_sizing(BatchSizing::Fixed(8))
+            .with_max_batch(8)
             .with_flush_deadline(Duration::from_secs(3600));
         let (answers, _) = serve(Arc::clone(&index), cfg, &reqs);
         (
@@ -238,7 +234,6 @@ fn backpressure_rejects_but_never_corrupts() {
     // admission bound.
     let cfg = ServiceConfig::default()
         .with_queue_depth(4)
-        .with_sizing(BatchSizing::Fixed(100_000))
         .with_max_batch(100_000)
         .with_flush_deadline(Duration::from_millis(50));
     let svc = QueryService::start(index, cfg);
@@ -296,7 +291,7 @@ fn soak_ten_thousand_requests() {
     let want_knn = index.batch_knn(&[data.items[5].clone()], 4).expect("knn");
     let cfg = ServiceConfig::default()
         .with_queue_depth(2048)
-        .with_sizing(BatchSizing::Fixed(256))
+        .with_max_batch(256)
         .with_flush_deadline(Duration::from_millis(1));
     let svc = QueryService::start(index, cfg);
     let h = svc.handle();
@@ -400,7 +395,7 @@ fn traced_run(
         .expect("build"),
     );
     let cfg = ServiceConfig::default()
-        .with_sizing(BatchSizing::Fixed(4))
+        .with_max_batch(4)
         .with_flush_deadline(Duration::from_millis(1))
         .with_lanes(lanes)
         .with_tracing(TraceConfig {

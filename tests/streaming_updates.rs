@@ -166,7 +166,7 @@ fn check(shards: u32, lanes: usize, requests: usize, seed: u64) {
     );
     let cfg = ServiceConfig::default()
         .with_queue_depth(1024)
-        .with_sizing(BatchSizing::Fixed(4))
+        .with_max_batch(4)
         .with_flush_deadline(Duration::from_millis(1))
         .with_lanes(lanes);
     let svc = QueryService::start_replicated(Arc::clone(&index), cfg);

@@ -251,7 +251,7 @@ fn snapshot_restore_resumes_epoch_and_serves_identically() {
     }));
     let serve = |idx: ShardedGts<Item, ItemMetric>| -> Vec<(Result<Reply, ServiceError>, u64)> {
         let cfg = ServiceConfig::default()
-            .with_sizing(BatchSizing::Fixed(4))
+            .with_max_batch(4)
             .with_flush_deadline(Duration::from_millis(1));
         let svc = QueryService::start(idx, cfg);
         let h = svc.handle();
