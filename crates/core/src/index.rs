@@ -119,6 +119,7 @@ where
         metric: M,
         params: GtsParams,
     ) -> Result<Self, IndexError> {
+        metric_space::index::check_objects(&metric, &objects, None)?;
         Self::build_shard(dev, objects, metric, params, 1)
     }
 
@@ -156,6 +157,12 @@ where
         gts.rebuild()?;
         gts.rebuilds = 0; // the initial build is not an update-triggered rebuild
         Ok(gts)
+    }
+
+    /// Check that every object of `objs` can join this index: the metric
+    /// accepts it and it has the stored objects' shape.
+    pub(crate) fn check_new(&self, objs: &[O]) -> Result<(), IndexError> {
+        metric_space::index::check_objects(&self.metric, objs, self.objects.first())
     }
 
     /// Host-only half of a batch update: tombstone `deletions` and append
@@ -309,7 +316,7 @@ where
         radii: &[f64],
     ) -> Result<Vec<Vec<Neighbor>>, IndexError> {
         metric_space::index::check_radii(queries, radii)?;
-        metric_space::index::check_queries(&self.metric, queries)?;
+        metric_space::index::check_queries(&self.metric, queries, self.objects.first())?;
         self.transfer_queries_in(queries);
         let mut results = search::batch_range(&self.ctx(), queries, radii).map_err(gpu_err)?;
         self.merge_cache_range(queries, radii, &mut results);
@@ -351,7 +358,7 @@ where
     /// assert!(stats.nodes_expanded > 0, "the frontier descended the tree");
     /// ```
     pub fn batch_knn(&self, queries: &[O], k: usize) -> Result<Vec<Vec<Neighbor>>, IndexError> {
-        metric_space::index::check_queries(&self.metric, queries)?;
+        metric_space::index::check_queries(&self.metric, queries, self.objects.first())?;
         self.transfer_queries_in(queries);
         let mut results = search::batch_knn(&self.ctx(), queries, k).map_err(gpu_err)?;
         self.merge_cache_knn(queries, k, &mut results);
@@ -650,6 +657,7 @@ where
     /// shipped to the device-resident cache); rebuilds when the cache
     /// exceeds its byte budget.
     fn insert(&mut self, obj: O) -> Result<u32, IndexError> {
+        self.check_new(std::slice::from_ref(&obj))?;
         let (id, overflow) = self.stage_insert(obj);
         if overflow {
             self.rebuild()?;
@@ -682,6 +690,7 @@ where
 
     /// Batch update (§4.4): apply all changes, then reconstruct once.
     fn batch_update(&mut self, insertions: Vec<O>, deletions: &[u32]) -> Result<(), IndexError> {
+        self.check_new(&insertions)?;
         self.stage_update(insertions, deletions);
         self.rebuild()
     }

@@ -362,6 +362,7 @@ where
         if objects.is_empty() {
             return Err(IndexError::EmptyIndex);
         }
+        metric_space::index::check_objects(&metric, &objects, None)?;
         let partitioner = Partitioner::new(params.shards, strategy);
         let assignment = partitioner.split(objects.len());
         if assignment.iter().any(Vec::is_empty) {
@@ -638,10 +639,18 @@ where
     /// leaves the host state complete, the epoch un-advanced and the owed
     /// rebuilds recorded — calling `repair` again finishes the op.
     ///
-    /// A typed `Err` (e.g. device OOM during a rebuild) still advances the
-    /// epoch: such errors are deterministic given identical replicas, so
-    /// counting the op keeps replica epochs converged.
+    /// An object the index cannot hold (see [`IndexError::InvalidObject`])
+    /// is rejected before anything is staged, and the epoch stays put. Any
+    /// later typed `Err` (e.g. device OOM during a rebuild) still advances
+    /// the epoch: such errors are deterministic given identical replicas,
+    /// so counting the op keeps replica epochs converged.
     pub fn apply(&mut self, op: &UpdateOp<O>) -> Result<Applied, IndexError> {
+        let new = match op {
+            UpdateOp::Insert(obj) => std::slice::from_ref(obj),
+            UpdateOp::Remove(_) => &[],
+            UpdateOp::Batch { insertions, .. } => insertions.as_slice(),
+        };
+        self.shards[0].gts.check_new(new)?;
         let pending = self.pending.insert(Pending {
             applied: Applied {
                 epoch: self.epoch + 1,

@@ -12,9 +12,11 @@
 //! string datasets, and an offsets array mapping object ids to payload
 //! ranges. The batched kernels of [`crate::BatchMetric`] resolve ids against
 //! an arena instead of an `&[Item]`. Vector rows are packed back to back
-//! (no padding); the 8-lane L1/L2 kernels of [`crate::dist`] handle the tail
-//! themselves.
+//! (no padding); the 8-lane kernels of [`crate::dist`] handle the tail
+//! themselves. An arena can also keep each row's Euclidean norm, so the
+//! angular kernel reduces to one dot product per pair.
 
+use crate::dist::norm;
 use crate::object::Item;
 
 /// Payload family stored by an arena. A dataset is always homogeneous
@@ -44,6 +46,9 @@ pub struct ObjectArena {
     /// `offsets[i]..offsets[i+1]` is object `i`'s payload range; length
     /// `len + 1` with `offsets[0] = 0`.
     offsets: Vec<u32>,
+    /// `norms[i]` is [`norm`] of vector row `i`, when the arena keeps the
+    /// column (see [`ObjectArena::keep_norms`]).
+    norms: Option<Vec<f64>>,
 }
 
 impl ObjectArena {
@@ -54,6 +59,7 @@ impl ObjectArena {
             floats: Vec::new(),
             bytes: Vec::new(),
             offsets: vec![0],
+            norms: None,
         }
     }
 
@@ -109,10 +115,32 @@ impl ObjectArena {
                 }
                 self.floats.extend_from_slice(v);
                 self.offsets.push((base + v.len()) as u32);
+                if let Some(norms) = self.norms.as_mut() {
+                    norms.push(norm(v));
+                }
                 true
             }
             _ => false,
         }
+    }
+
+    /// Compute the Euclidean norm of every vector row and keep the column
+    /// current through later [`push_item`](ObjectArena::push_item)s. A no-op
+    /// on a text arena and on an arena already keeping it.
+    pub(crate) fn keep_norms(&mut self) {
+        if self.text || self.norms.is_some() {
+            return;
+        }
+        let norms = (0..self.len() as u32)
+            .map(|id| norm(self.vector(id)))
+            .collect();
+        self.norms = Some(norms);
+    }
+
+    /// The per-row norm column, if this arena keeps one.
+    #[inline]
+    pub(crate) fn norms(&self) -> Option<&[f64]> {
+        self.norms.as_deref()
     }
 
     /// Payload family of this arena.
@@ -170,12 +198,13 @@ impl ObjectArena {
         hi - lo
     }
 
-    /// Bytes occupied by the flat buffers + offsets (device residency of
-    /// the arena layout).
+    /// Bytes occupied by the flat buffers, offsets and norm column (device
+    /// residency of the arena layout).
     pub fn size_bytes(&self) -> u64 {
         (self.bytes.len()
             + self.floats.len() * std::mem::size_of::<f32>()
-            + self.offsets.len() * std::mem::size_of::<u32>()) as u64
+            + self.offsets.len() * std::mem::size_of::<u32>()
+            + self.norms().map_or(0, std::mem::size_of_val)) as u64
     }
 }
 
@@ -227,7 +256,21 @@ mod tests {
     fn size_accounts_payload_and_offsets() {
         let a = ObjectArena::from_items(&[Item::text("abcd")]).expect("arena");
         assert_eq!(a.size_bytes(), 4 + 2 * 4, "4 payload bytes + 2 u32 offsets");
-        let v = ObjectArena::from_items(&[Item::vector(vec![0.0; 8])]).expect("arena");
+        let mut v = ObjectArena::from_items(&[Item::vector(vec![0.0; 8])]).expect("arena");
         assert_eq!(v.size_bytes(), 8 * 4 + 2 * 4);
+        v.keep_norms();
+        assert_eq!(v.size_bytes(), 8 * 4 + 2 * 4 + 8, "plus one f64 norm");
+    }
+
+    #[test]
+    fn norm_column_tracks_pushes() {
+        let mut a = ObjectArena::from_items(&[Item::vector(vec![3.0, 4.0])]).expect("arena");
+        assert_eq!(a.norms(), None, "no column unless asked for");
+        a.keep_norms();
+        assert!(a.push_item(&Item::vector(vec![0.0, 0.0])));
+        assert_eq!(a.norms(), Some(&[5.0, 0.0][..]));
+        let mut t = ObjectArena::from_items(&[Item::text("ab")]).expect("arena");
+        t.keep_norms();
+        assert_eq!(t.norms(), None, "text rows have no norm");
     }
 }

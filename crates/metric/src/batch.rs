@@ -30,8 +30,9 @@
 
 use crate::arena::{ArenaKind, ObjectArena};
 use crate::dist::{
-    edit_distance_bounded_bytes_with, edit_distance_bytes_with, with_edit_scratch, EditDistance,
-    ItemMetric, Metric,
+    angular_cos_floor, angular_from, angular_within, dot_wide, edit_distance_bounded_bytes_with,
+    edit_distance_bytes_with, l1, l2, norm, with_edit_scratch, with_widened, EditDistance,
+    ItemMetric, Metric, VectorMetric,
 };
 use crate::object::Item;
 
@@ -207,14 +208,74 @@ fn edit_bound(bound: f64) -> Option<u32> {
     Some(bound.floor().min(f64::from(u32::MAX)) as u32)
 }
 
+/// Fill `out[i] = f(id, row)` for `id = ids[i]`, resolving each vector row
+/// from the arena, or from the boxed item when there is none. Every vector
+/// kernel runs through here with its own closure, so each metric's loop is
+/// compiled with its distance inlined.
+#[inline(always)]
+fn vector_rows<T>(
+    objects: &[Item],
+    arena: Option<&ObjectArena>,
+    ids: &[u32],
+    out: &mut [T],
+    mut f: impl FnMut(u32, &[f32]) -> T,
+) {
+    for (slot, &id) in out.iter_mut().zip(ids) {
+        let o = match arena {
+            Some(arena) => arena.vector(id),
+            None => objects[id as usize]
+                .as_vector()
+                .expect("vector metric over vector items"),
+        };
+        *slot = f(id, o);
+    }
+}
+
+/// The angular kernel shared by the plain and bounded entry points:
+/// `out[i] = f(q · o, ‖q‖, ‖o‖)` for `o = ids[i]`. The query is widened to
+/// `f64` once per call; row norms come from the arena's column when it
+/// keeps one and are computed otherwise — the same bits either way, so an
+/// index that lost its arena answers identically.
+fn angular_rows<T>(
+    objects: &[Item],
+    arena: Option<&ObjectArena>,
+    q: &[f32],
+    ids: &[u32],
+    out: &mut [T],
+    f: impl Fn(f64, f64, f64) -> T,
+) {
+    let norms = arena.and_then(ObjectArena::norms);
+    let nq = norm(q);
+    with_widened(q, |qw| {
+        vector_rows(objects, arena, ids, out, |id, o| {
+            let no = norms.map_or_else(|| norm(o), |n| n[id as usize]);
+            f(dot_wide(qw, o), nq, no)
+        });
+    });
+}
+
+/// A vector metric's work depends on the dimensionality alone, so a batch
+/// of `n` pairs costs `n` times one pair, with that pair as its span.
+fn vector_charge(m: VectorMetric, dims: usize, n: usize) -> (u64, u64) {
+    let w = m.work_len(dims);
+    (w * n as u64, if n == 0 { 0 } else { w })
+}
+
 impl BatchMetric<Item> for ItemMetric {
+    /// Angular arenas keep each row's norm, so their kernel is one dot
+    /// product per pair.
     fn build_arena(&self, objects: &[Item]) -> Option<ObjectArena> {
-        let arena = ObjectArena::from_items(objects)?;
+        let mut arena = ObjectArena::from_items(objects)?;
         // The arena family must match the metric, or the kernels below
         // would be handed payloads of the wrong type.
         match (self, arena.kind()) {
             (ItemMetric::Edit, ArenaKind::Text) => Some(arena),
-            (ItemMetric::Vector(_), ArenaKind::Vector) => Some(arena),
+            (ItemMetric::Vector(m), ArenaKind::Vector) => {
+                if *m == VectorMetric::Angular {
+                    arena.keep_norms();
+                }
+                Some(arena)
+            }
             _ => None,
         }
     }
@@ -232,10 +293,10 @@ impl BatchMetric<Item> for ItemMetric {
         out: &mut [f64],
     ) -> (u64, u64) {
         assert_eq!(ids.len(), out.len());
-        let (mut total, mut span) = (0u64, 0u64);
         match (self, arena, query) {
             (ItemMetric::Edit, Some(arena), Item::Text(q)) => {
                 let q = q.as_bytes();
+                let (mut total, mut span) = (0u64, 0u64);
                 with_edit_scratch(|scratch| {
                     for (slot, &id) in out.iter_mut().zip(ids) {
                         let o = arena.text_bytes(id);
@@ -245,19 +306,20 @@ impl BatchMetric<Item> for ItemMetric {
                         span = span.max(w);
                     }
                 });
+                (total, span)
             }
-            (ItemMetric::Vector(m), Some(arena), Item::Vector(q)) => {
-                for (slot, &id) in out.iter_mut().zip(ids) {
-                    let o = arena.vector(id);
-                    *slot = m.distance(q, o);
-                    let w = m.work(q, o);
-                    total += w;
-                    span = span.max(w);
+            (ItemMetric::Vector(m), _, Item::Vector(q)) => {
+                match m {
+                    VectorMetric::L1 => vector_rows(objects, arena, ids, out, |_, o| l1(q, o)),
+                    VectorMetric::L2 => vector_rows(objects, arena, ids, out, |_, o| l2(q, o)),
+                    VectorMetric::Angular => {
+                        angular_rows(objects, arena, q, ids, out, angular_from);
+                    }
                 }
+                vector_charge(*m, q.len(), ids.len())
             }
-            _ => return scalar_batch(self, objects, query, ids, out),
+            _ => scalar_batch(self, objects, query, ids, out),
         }
-        (total, span)
     }
 
     fn distance_batch_bounded(
@@ -270,10 +332,9 @@ impl BatchMetric<Item> for ItemMetric {
         out: &mut [Option<f64>],
     ) -> (u64, u64) {
         assert_eq!(ids.len(), out.len());
-        let (mut total, mut span) = (0u64, 0u64);
-        // Both resolution paths (arena bytes vs boxed `Item` payloads) run
-        // the same banded DP and charge the same banded work, so an index
-        // that lost its arena charges the same simulated cycles.
+        // Both resolution paths (arena payloads vs boxed `Item` payloads)
+        // run the same kernel and charge the same work, so an index that
+        // lost its arena charges the same simulated cycles.
         match (self, query) {
             (ItemMetric::Edit, Item::Text(q)) => {
                 // A negative or NaN bound admits nothing and costs nothing.
@@ -282,6 +343,7 @@ impl BatchMetric<Item> for ItemMetric {
                     return (0, 0);
                 };
                 let qb = q.as_bytes();
+                let (mut total, mut span) = (0u64, 0u64);
                 with_edit_scratch(|scratch| {
                     for (slot, &id) in out.iter_mut().zip(ids) {
                         let o = match arena {
@@ -298,26 +360,28 @@ impl BatchMetric<Item> for ItemMetric {
                         span = span.max(w);
                     }
                 });
+                (total, span)
             }
             (ItemMetric::Vector(m), Item::Vector(q)) => {
-                for (slot, &id) in out.iter_mut().zip(ids) {
-                    let o = match arena {
-                        Some(arena) => arena.vector(id),
-                        None => objects[id as usize]
-                            .as_vector()
-                            .expect("vector metric over vector items"),
-                    };
-                    let d = m.distance(q, o);
-                    *slot = (d <= bound).then_some(d);
+                let within = |d: f64| (d <= bound).then_some(d);
+                match m {
+                    VectorMetric::L1 => {
+                        vector_rows(objects, arena, ids, out, |_, o| within(l1(q, o)));
+                    }
+                    VectorMetric::L2 => {
+                        vector_rows(objects, arena, ids, out, |_, o| within(l2(q, o)));
+                    }
+                    VectorMetric::Angular => {
+                        let floor = angular_cos_floor(bound);
+                        angular_rows(objects, arena, q, ids, out, |dot, nq, no| {
+                            angular_within(dot, nq, no, bound, floor)
+                        });
+                    }
                 }
-                // A vector metric's work depends on the dimensionality alone.
-                let w = m.work_len(q.len());
-                total = w * ids.len() as u64;
-                span = if ids.is_empty() { 0 } else { w };
+                vector_charge(*m, q.len(), ids.len())
             }
-            _ => return scalar_batch_bounded(self, objects, query, ids, bound, out),
+            _ => scalar_batch_bounded(self, objects, query, ids, bound, out),
         }
-        (total, span)
     }
 }
 

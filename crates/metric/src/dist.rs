@@ -32,6 +32,14 @@ pub trait Metric<O: ?Sized>: Send + Sync {
     fn accepts(&self, _obj: &O) -> bool {
         true
     }
+
+    /// Whether `a` and `b` have the same shape, so that measuring them is
+    /// meaningful. Indexes compare every query and every new object with a
+    /// stored one: a vector of the wrong dimension is a typed error, not a
+    /// distance over the shorter prefix.
+    fn comparable(&self, _a: &O, _b: &O) -> bool {
+        true
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -234,10 +242,11 @@ pub enum VectorMetric {
     Angular,
 }
 
-/// Lanes summed in parallel by the L1/L2 kernels.
+/// Lanes summed in parallel by the L1/L2 and dot-product kernels.
 pub const LANES: usize = 8;
 
-/// The **canonical lane-summation order** of the L1/L2 kernels: 8 per-lane
+/// The **canonical lane-summation order** of the L1/L2 and dot-product
+/// kernels: 8 per-lane
 /// `f64` accumulators filled sequentially across 8-element blocks, reduced
 /// once at the end by this fixed binary tree. The parallel accumulators
 /// break the loop-carried add dependency of a sequential fold (so rustc can
@@ -285,27 +294,127 @@ pub fn l2(a: &[f32], b: &[f32]) -> f64 {
     lane_reduce(acc).sqrt()
 }
 
-/// Angular distance `arccos(cosine similarity) / π`, a metric on the unit
-/// sphere. Inputs need not be normalised. A zero vector has no direction:
-/// it is at distance 0 from another zero vector and ½ from every non-zero
-/// one, which keeps the triangle inequality (a zero vector sits "between"
-/// any two directions, whose distance is at most 1).
-pub fn angular(a: &[f32], b: &[f32]) -> f64 {
+/// Dot product in the canonical lane order (see `lane_reduce`). Each
+/// `f32 × f32` product is exact in `f64`, so the only roundings are the
+/// lane additions — which is what lets the batched kernels fuse them.
+pub(crate) fn dot(a: &[f32], b: &[f32]) -> f64 {
     debug_assert_eq!(a.len(), b.len());
-    let (mut dot, mut na, mut nb) = (0f64, 0f64, 0f64);
-    for (x, y) in a.iter().zip(b) {
-        let (x, y) = (f64::from(*x), f64::from(*y));
-        dot += x * y;
-        na += x * x;
-        nb += y * y;
+    let mut acc = [0f64; LANES];
+    let mut ca = a.chunks_exact(LANES);
+    let mut cb = b.chunks_exact(LANES);
+    for (xa, xb) in (&mut ca).zip(&mut cb) {
+        for l in 0..LANES {
+            acc[l] += f64::from(xa[l]) * f64::from(xb[l]);
+        }
     }
-    match (na == 0.0, nb == 0.0) {
-        (true, true) => return 0.0,
-        (true, false) | (false, true) => return 0.5,
-        (false, false) => {}
+    for (l, (x, y)) in ca.remainder().iter().zip(cb.remainder()).enumerate() {
+        acc[l] += f64::from(*x) * f64::from(*y);
     }
-    let cos = (dot / (na.sqrt() * nb.sqrt())).clamp(-1.0, 1.0);
-    cos.acos() / std::f64::consts::PI
+    lane_reduce(acc)
+}
+
+/// [`dot`] against a query already widened to `f64` (see
+/// [`with_widened`]): the batched kernels widen a query once per call
+/// instead of once per pair. The lanes accumulate with `mul_add`, which
+/// rounds once — exactly like [`dot`]'s add of an exact product — so the
+/// two are bit-identical.
+pub(crate) fn dot_wide(a: &[f64], b: &[f32]) -> f64 {
+    debug_assert_eq!(a.len(), b.len());
+    let mut acc = [0f64; LANES];
+    let mut ca = a.chunks_exact(LANES);
+    let mut cb = b.chunks_exact(LANES);
+    for (xa, xb) in (&mut ca).zip(&mut cb) {
+        for l in 0..LANES {
+            acc[l] = xa[l].mul_add(f64::from(xb[l]), acc[l]);
+        }
+    }
+    for (l, (x, y)) in ca.remainder().iter().zip(cb.remainder()).enumerate() {
+        acc[l] = x.mul_add(f64::from(*y), acc[l]);
+    }
+    lane_reduce(acc)
+}
+
+/// Euclidean norm `√(a·a)`, in [`dot`]'s order. Angular arenas store it
+/// per row, so a cached norm and a fresh one are the same bits.
+pub(crate) fn norm(a: &[f32]) -> f64 {
+    dot(a, a).sqrt()
+}
+
+std::thread_local! {
+    /// Per-thread `f64` copy of the query a batched vector kernel is
+    /// running, reused across calls like `EDIT_SCRATCH`.
+    static WIDE_SCRATCH: std::cell::RefCell<Vec<f64>> = const { std::cell::RefCell::new(Vec::new()) };
+}
+
+/// Run `f` with `q` widened to `f64` in this thread's reusable scratch.
+pub(crate) fn with_widened<R>(q: &[f32], f: impl FnOnce(&[f64]) -> R) -> R {
+    WIDE_SCRATCH.with(|s| {
+        let mut wide = s.borrow_mut();
+        wide.clear();
+        wide.extend(q.iter().map(|&x| f64::from(x)));
+        f(&wide)
+    })
+}
+
+/// [`angular`] from a dot product and the two norms — the one definition
+/// every angular path runs.
+#[inline]
+pub(crate) fn angular_from(dot: f64, norm_a: f64, norm_b: f64) -> f64 {
+    match (norm_a == 0.0, norm_b == 0.0) {
+        (true, true) => 0.0,
+        (true, false) | (false, true) => 0.5,
+        (false, false) => cosine(dot, norm_a, norm_b).acos() / std::f64::consts::PI,
+    }
+}
+
+#[inline]
+fn cosine(dot: f64, norm_a: f64, norm_b: f64) -> f64 {
+    (dot / (norm_a * norm_b)).clamp(-1.0, 1.0)
+}
+
+/// Angular distance `arccos(cosine similarity) / π`, a metric on the unit
+/// sphere, computed as one dot product over the two norms. Inputs need not
+/// be normalised. A zero vector has no direction: it is at distance 0 from
+/// another zero vector and ½ from every non-zero one, which keeps the
+/// triangle inequality (a zero vector sits "between" any two directions,
+/// whose distance is at most 1).
+pub fn angular(a: &[f32], b: &[f32]) -> f64 {
+    angular_from(dot(a, b), norm(a), norm(b))
+}
+
+/// Margin of [`angular_cos_floor`]: far above the few-ulp error of
+/// `cos`, `acos` and the division, far below any bound that matters.
+const COS_FLOOR_MARGIN: f64 = 1e-9;
+
+/// The cosine below which an angular distance is provably past `bound`,
+/// so [`angular_within`] can skip the `acos`. Since |d acos/dc| ≥ 1,
+/// `cos < cos(π·bound) − 1e-9` puts the angle at least 1e-9 past `π·bound`.
+/// Only a bound in `[0, 1)` has such a floor; for NaN, negative and ≥ 1
+/// bounds it is −∞ and every pair takes the full path.
+pub(crate) fn angular_cos_floor(bound: f64) -> f64 {
+    if (0.0..1.0).contains(&bound) {
+        (std::f64::consts::PI * bound).cos() - COS_FLOOR_MARGIN
+    } else {
+        f64::NEG_INFINITY
+    }
+}
+
+/// `Some(angular_from(dot, norm_a, norm_b))` iff it is `≤ bound`, where
+/// `floor` is [`angular_cos_floor`]`(bound)`. A pair whose cosine is below
+/// the floor is answered `None` without its `acos`.
+#[inline]
+pub(crate) fn angular_within(
+    dot: f64,
+    norm_a: f64,
+    norm_b: f64,
+    bound: f64,
+    floor: f64,
+) -> Option<f64> {
+    if norm_a != 0.0 && norm_b != 0.0 && cosine(dot, norm_a, norm_b) < floor {
+        return None;
+    }
+    let d = angular_from(dot, norm_a, norm_b);
+    (d <= bound).then_some(d)
 }
 
 impl VectorMetric {
@@ -419,6 +528,15 @@ impl Metric<Item> for ItemMetric {
             _ => false,
         }
     }
+
+    /// Vectors must share a dimension; any two strings are comparable.
+    fn comparable(&self, a: &Item, b: &Item) -> bool {
+        match (a, b) {
+            (Item::Text(_), Item::Text(_)) => true,
+            (Item::Vector(x), Item::Vector(y)) => x.len() == y.len(),
+            _ => false,
+        }
+    }
 }
 
 #[cfg(test)]
@@ -522,6 +640,45 @@ mod tests {
     }
 
     #[test]
+    fn widened_fma_dot_equals_lane_dot_bit_for_bit() {
+        // Coordinates spread over nine decades, so the lane sums round at
+        // every step; lengths straddle the 8-lane width and reach 300.
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut coord = || {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1);
+            let unit = (state >> 40) as f32 / (1u64 << 24) as f32 - 0.5;
+            unit * 10f32.powi((state % 9) as i32 - 4)
+        };
+        for n in [0usize, 1, 7, 8, 9, 17, 300] {
+            let a: Vec<f32> = (0..n).map(|_| coord()).collect();
+            let b: Vec<f32> = (0..n).map(|_| coord()).collect();
+            let fused = with_widened(&a, |wide| dot_wide(wide, &b));
+            assert_eq!(fused.to_bits(), dot(&a, &b).to_bits(), "n={n}");
+            let cached = angular_from(fused, norm(&a), norm(&b));
+            assert_eq!(cached.to_bits(), angular(&a, &b).to_bits(), "n={n}");
+        }
+    }
+
+    #[test]
+    fn cos_floor_only_for_bounds_below_one() {
+        for bound in [f64::NAN, -1.0, 1.0, 2.0, f64::INFINITY] {
+            assert_eq!(angular_cos_floor(bound), f64::NEG_INFINITY, "{bound}");
+        }
+        assert!(angular_cos_floor(0.0) < 1.0);
+        assert!(angular_cos_floor(0.5).abs() < 2e-9);
+        // A pair exactly at the bound is never skipped.
+        let (a, b) = ([1.0f32, 2.0, 3.0], [3.0f32, -1.0, 0.5]);
+        let d = angular(&a, &b);
+        let floor = angular_cos_floor(d);
+        assert_eq!(
+            angular_within(dot(&a, &b), norm(&a), norm(&b), d, floor),
+            Some(d)
+        );
+    }
+
+    #[test]
     fn item_metric_dispatch() {
         let m = ItemMetric::Edit;
         assert_eq!(m.distance(&Item::text("ab"), &Item::text("abc")), 1.0);
@@ -544,6 +701,19 @@ mod tests {
         assert!(long > short && short > 0);
         let v = ItemMetric::L1;
         assert!(v.work(&Item::vector(vec![0.0; 300]), &Item::vector(vec![0.0; 300])) >= 600);
+    }
+
+    #[test]
+    fn comparable_needs_one_kind_and_one_dimension() {
+        let m = ItemMetric::ANGULAR;
+        let (v2, v3) = (
+            Item::vector(vec![1.0, 0.0]),
+            Item::vector(vec![1.0, 0.0, 0.0]),
+        );
+        assert!(m.comparable(&v2, &Item::vector(vec![0.0, 1.0])));
+        assert!(!m.comparable(&v3, &v2));
+        assert!(!m.comparable(&Item::text("a"), &v2));
+        assert!(ItemMetric::Edit.comparable(&Item::text("a"), &Item::text("abc")));
     }
 
     #[test]

@@ -61,6 +61,10 @@ pub enum IndexError {
     /// The query batch is malformed (e.g. one radius missing); rejected
     /// before any device work.
     InvalidQuery(&'static str),
+    /// An object offered to build or insert cannot be indexed (e.g. a NaN
+    /// coordinate, or a dimension unlike the stored objects'); rejected
+    /// before the index changes.
+    InvalidObject(&'static str),
 }
 
 /// Check that a batched range query supplies exactly one radius per query,
@@ -77,16 +81,42 @@ pub fn check_radii<O>(queries: &[O], radii: &[f64]) -> Result<(), IndexError> {
     }
 }
 
-/// Check that `metric` can measure every query (e.g. no text query against
-/// a vector index, no vector query with a NaN coordinate).
-pub fn check_queries<O, M: Metric<O>>(metric: &M, queries: &[O]) -> Result<(), IndexError> {
-    if queries.iter().all(|q| metric.accepts(q)) {
-        Ok(())
+/// Why `metric` cannot measure one of `items` against `stored`, if it
+/// cannot: a payload it does not accept, or a shape unlike `stored`'s.
+fn misfit<O, M: Metric<O>>(metric: &M, items: &[O], stored: Option<&O>) -> Option<&'static str> {
+    if !items.iter().all(|o| metric.accepts(o)) {
+        Some("payload does not fit the index metric")
+    } else if !items
+        .iter()
+        .all(|o| stored.is_none_or(|s| metric.comparable(o, s)))
+    {
+        Some("shape differs from the indexed objects")
     } else {
-        Err(IndexError::InvalidQuery(
-            "query payload does not fit the index metric",
-        ))
+        None
     }
+}
+
+/// Check that `metric` can measure every query against `stored`, one of
+/// the indexed objects (e.g. no text query against a vector index, no
+/// vector query with a NaN coordinate or another dimension).
+pub fn check_queries<O, M: Metric<O>>(
+    metric: &M,
+    queries: &[O],
+    stored: Option<&O>,
+) -> Result<(), IndexError> {
+    misfit(metric, queries, stored).map_or(Ok(()), |why| Err(IndexError::InvalidQuery(why)))
+}
+
+/// Check that `metric` can index every object of `objects`, each
+/// comparable with `stored` (the first object when `None`): the same test
+/// as [`check_queries`], run before a build or an insert changes anything.
+pub fn check_objects<O, M: Metric<O>>(
+    metric: &M,
+    objects: &[O],
+    stored: Option<&O>,
+) -> Result<(), IndexError> {
+    misfit(metric, objects, stored.or(objects.first()))
+        .map_or(Ok(()), |why| Err(IndexError::InvalidObject(why)))
 }
 
 impl fmt::Display for IndexError {
@@ -103,6 +133,7 @@ impl fmt::Display for IndexError {
             IndexError::Unsupported(what) => write!(f, "unsupported operation: {what}"),
             IndexError::EmptyIndex => write!(f, "index is empty"),
             IndexError::InvalidQuery(what) => write!(f, "invalid query: {what}"),
+            IndexError::InvalidObject(what) => write!(f, "invalid object: {what}"),
         }
     }
 }

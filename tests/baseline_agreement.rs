@@ -177,7 +177,8 @@ fn range_batch_with_a_missing_radius_is_a_typed_error() {
 }
 
 /// A query whose payload the metric cannot measure (text against a vector
-/// index, or the reverse, or a vector with a NaN or ±∞ coordinate) is a
+/// index, or the reverse, a vector with a NaN or ±∞ coordinate, or one of
+/// another dimension than the indexed vectors) is a
 /// typed error on every index layer — not a panic in the metric, which the
 /// replica layer would count as a strike against healthy replicas and retry
 /// until `AllReplicasFailed`, and not a silent answer at `dist: NaN`. A NaN
@@ -191,6 +192,12 @@ fn wrong_payload_kind_is_a_typed_error_not_a_strike() {
     // (dataset, malformed query or `None`, radius of the query in slot 1).
     let cases = [
         (DatasetKind::TLoc, Some(text), 1.0),
+        // A 3-d query against the 2-d T-Loc index.
+        (
+            DatasetKind::TLoc,
+            Some(Item::Vector(vec![0.5f32; 3].into())),
+            1.0,
+        ),
         (DatasetKind::Words, Some(vector), 1.0),
         (DatasetKind::TLoc, Some(vector_with(f32::NAN)), 1.0),
         (DatasetKind::TLoc, Some(vector_with(f32::INFINITY)), 1.0),
@@ -264,5 +271,96 @@ fn wrong_payload_kind_is_a_typed_error_not_a_strike() {
             "{}: a well-formed batch is still served",
             kind.name()
         );
+    }
+}
+
+/// An object the metric cannot measure against the rest — a NaN or ±∞
+/// coordinate, another dimension, another payload kind — is a typed
+/// `InvalidObject` at build and at insert on every index layer, and a
+/// rejected insert leaves the index as it was: same length, same epoch,
+/// same answers.
+#[test]
+fn unindexable_objects_are_typed_errors_at_build_and_insert() {
+    use gts::metric::index::{DynamicIndex, IndexError};
+    let data = DatasetKind::TLoc.generate(200, 54);
+    let (items, metric) = (data.items.clone(), data.metric);
+    let bad_objects = [
+        Item::Vector(vec![0.5, f32::NAN].into()),
+        Item::Vector(vec![f32::INFINITY, 0.5].into()),
+        Item::Vector(vec![0.5f32; 3].into()),
+        Item::Text("kitten".into()),
+    ];
+    let is_invalid_object = |e: &IndexError| matches!(e, IndexError::InvalidObject(_));
+    let sharded_params = GtsParams::default().with_shards(2);
+    for bad in bad_objects {
+        let mut with_bad = items.clone();
+        with_bad.insert(17, bad.clone());
+        let dev = Device::rtx_2080_ti();
+        let built = Gts::build(&dev, with_bad.clone(), metric, GtsParams::default());
+        assert!(
+            built.as_ref().is_err_and(is_invalid_object),
+            "GTS build with {bad:?}"
+        );
+        assert_eq!(dev.cycles(), 0, "rejected before any device work");
+        let sharded = ShardedGts::build(
+            &DevicePool::rtx_2080_ti(2),
+            with_bad.clone(),
+            metric,
+            sharded_params,
+        );
+        assert!(
+            sharded.as_ref().is_err_and(is_invalid_object),
+            "sharded build with {bad:?}"
+        );
+        let replicated = ReplicatedShards::build(
+            &DevicePool::rtx_2080_ti(2),
+            with_bad,
+            metric,
+            GtsParams::default().with_replicas(2),
+        );
+        assert!(
+            replicated.as_ref().is_err_and(is_invalid_object),
+            "replicated build with {bad:?}"
+        );
+
+        let queries = &items[..4];
+        let mut gts = Gts::build(
+            &Device::rtx_2080_ti(),
+            items.clone(),
+            metric,
+            GtsParams::default(),
+        )
+        .expect("gts");
+        let before = gts.batch_knn(queries, 3).expect("knn");
+        let err = gts.insert(bad.clone()).expect_err("insert");
+        assert!(is_invalid_object(&err), "GTS insert of {bad:?}: {err}");
+        let err = gts
+            .batch_update(vec![items[0].clone(), bad.clone()], &[3])
+            .expect_err("batch");
+        assert!(
+            is_invalid_object(&err),
+            "GTS batch update with {bad:?}: {err}"
+        );
+        assert_eq!(gts.len(), items.len(), "nothing staged, nothing removed");
+        assert_eq!(gts.batch_knn(queries, 3).expect("knn"), before);
+
+        let mut sharded = ShardedGts::build(
+            &DevicePool::rtx_2080_ti(2),
+            items.clone(),
+            metric,
+            sharded_params,
+        )
+        .expect("sharded");
+        let err = sharded.insert(bad.clone()).expect_err("insert");
+        assert!(is_invalid_object(&err), "sharded insert of {bad:?}: {err}");
+        let op = UpdateOp::Batch {
+            insertions: vec![items[0].clone(), bad.clone()],
+            deletions: vec![3],
+        };
+        let err = sharded.apply(&op).expect_err("batch");
+        assert!(is_invalid_object(&err), "sharded batch with {bad:?}: {err}");
+        assert_eq!(sharded.len(), items.len());
+        assert_eq!(sharded.epoch(), 0, "a rejected op is not serialized");
+        assert_eq!(sharded.batch_knn(queries, 3).expect("knn"), before);
     }
 }

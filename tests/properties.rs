@@ -162,34 +162,47 @@ proptest! {
     }
 
     /// The early-abandoning batched kernel is exact whenever it answers
-    /// `Some`, and only abandons pairs that genuinely exceed the bound.
+    /// `Some`, and only abandons pairs that genuinely exceed the bound —
+    /// with or without an arena. The angular case draws dimensions around
+    /// the 8-lane width and the 300-d Vector width, zero vectors, a
+    /// parallel and an antipodal copy of the query, and bounds at exactly
+    /// `d(q, o)`, NaN, −1, 0 and ≥ 1 as well as random ones.
     #[test]
     fn batch_bounded_exact_when_some(
         words in proptest::collection::vec(arb_word(), 2..30),
         vecs in proptest::collection::vec(arb_vec(4), 2..30),
         bound in 0.0f64..8.0,
+        dim_sel in 0usize..5,
+        n in 3usize..12,
+        coords in proptest::collection::vec(-100.0f32..100.0, 300 * 12),
+        zero_sel in 0usize..16,
+        bound_sel in 0usize..7,
+        raw in 0.0f64..1.0,
     ) {
-        let cases: [(ItemMetric, Vec<Item>); 2] = [
-            (ItemMetric::Edit, words.iter().map(|w| Item::text(w.clone())).collect()),
-            (ItemMetric::L2, vecs.iter().cloned().map(Item::vector).collect()),
-        ];
-        for (metric, items) in cases {
-            let arena = metric.build_arena(&items).expect("homogeneous");
-            let q = &items[0];
-            let ids: Vec<u32> = (0..items.len() as u32).collect();
-            let mut out = vec![None; ids.len()];
-            metric.distance_batch_bounded(&items, Some(&arena), q, &ids, bound, &mut out);
-            for (&id, slot) in ids.iter().zip(&out) {
-                let real = metric.distance(q, &items[id as usize]);
-                match slot {
-                    Some(d) => {
-                        prop_assert_eq!(d.to_bits(), real.to_bits(), "{}", metric.name());
-                        prop_assert!(*d <= bound);
-                    }
-                    None => prop_assert!(real > bound, "{}: abandoned {real} <= {bound}", metric.name()),
-                }
+        check_bounded(ItemMetric::Edit, words.iter().map(|w| Item::text(w.clone())).collect(), bound)?;
+        check_bounded(ItemMetric::L2, vecs.iter().cloned().map(Item::vector).collect(), bound)?;
+
+        let dim = [1usize, 7, 8, 9, 300][dim_sel];
+        let mut rows: Vec<Vec<f32>> = coords.chunks_exact(300).take(n).map(|c| c[..dim].to_vec()).collect();
+        rows[1] = rows[0].iter().map(|x| 2.0 * x).collect();
+        rows[2] = rows[0].iter().map(|x| -x).collect();
+        for (i, row) in rows.iter_mut().enumerate() {
+            if (i + zero_sel) % 5 == 0 {
+                row.fill(0.0);
             }
         }
+        let items: Vec<Item> = rows.into_iter().map(Item::vector).collect();
+        let at = &items[(raw * n as f64) as usize % n];
+        let bound = match bound_sel {
+            0 => ItemMetric::ANGULAR.distance(&items[0], at),
+            1 => f64::NAN,
+            2 => -1.0,
+            3 => 0.0,
+            4 => 1.0,
+            5 => 1.0 + raw,
+            _ => raw,
+        };
+        check_bounded(ItemMetric::ANGULAR, items, bound)?;
     }
 
     /// GTS MRQ equals brute force on random 2-d point sets.
@@ -243,4 +256,52 @@ proptest! {
             prop_assert!((g.dist - w.dist).abs() < 1e-9, "{} vs {}", g.dist, w.dist);
         }
     }
+}
+
+/// `distance_batch_bounded` from `items[0]` to every item, through the
+/// arena and without one: `Some(d)` iff `d ≤ bound`, bit-equal to the
+/// scalar distance, and the same outputs and charges on both paths.
+fn check_bounded(
+    metric: ItemMetric,
+    items: Vec<Item>,
+    bound: f64,
+) -> Result<(), proptest::test_runner::TestCaseError> {
+    let arena = metric.build_arena(&items).expect("homogeneous");
+    let q = &items[0];
+    let ids: Vec<u32> = (0..items.len() as u32).collect();
+    let mut out = vec![None; ids.len()];
+    let charged = metric.distance_batch_bounded(&items, Some(&arena), q, &ids, bound, &mut out);
+    let mut bare = vec![None; ids.len()];
+    let charged_bare = metric.distance_batch_bounded(&items, None, q, &ids, bound, &mut bare);
+    prop_assert_eq!(&out, &bare, "{}: arena vs no arena", metric.name());
+    prop_assert_eq!(charged, charged_bare, "{}: charges", metric.name());
+    for (&id, slot) in ids.iter().zip(&out) {
+        let real = metric.distance(q, &items[id as usize]);
+        match slot {
+            Some(d) => {
+                prop_assert_eq!(d.to_bits(), real.to_bits(), "{}", metric.name());
+                prop_assert!(*d <= bound);
+            }
+            None => prop_assert!(
+                bound.is_nan() || real > bound,
+                "{}: abandoned {real} <= {bound}",
+                metric.name()
+            ),
+        }
+    }
+    Ok(())
+}
+
+/// `mul_add` compiles to one instruction only when FMA is enabled at build
+/// time (`.cargo/config.toml` targets x86-64-v3). Without it every
+/// `mul_add` of the dot-product kernel becomes a libm call: the same bits,
+/// several times slower.
+#[cfg(target_arch = "x86_64")]
+#[test]
+#[allow(clippy::assertions_on_constants)] // a build-time fact, checked at test time
+fn x86_64_builds_enable_fma() {
+    assert!(
+        cfg!(target_feature = "fma"),
+        "build for x86-64-v3 (see .cargo/config.toml)"
+    );
 }

@@ -233,7 +233,13 @@ fn overflow_rebuild_on_one_shard_leaves_other_clocks_untouched() {
 /// 99 744 / 57 605 / 57 541, grouped 684 880 cycles, 114 666 distances,
 /// 114 410 verified, 18 groups, 2 560 entries). The seeded bound prunes
 /// before the first level, so kNN verifies fewer leaves and forms fewer
-/// groups; the answers are the same. The third workload squeezes device
+/// groups; the answers are the same. The Vector answer hashes were
+/// re-recorded once more when angular distance became one dot product over
+/// cached row norms in the 8-lane summation order (before it: MRQ
+/// `0xc2fcf54ab2ce6aff`, kNN `0x0cfd5a13aa1acf0e`): the new order moves
+/// distances in their last bits, which the hashes see, while every cycle
+/// count, the distance count and the verified-leaf count stayed put. The
+/// third workload squeezes device
 /// memory until the two-stage strategy forms query groups, so the engine's
 /// explicit frame stack is pinned against the recursion it replaced —
 /// buffer lifetimes included (a leaked or early-dropped intermediate buffer
@@ -261,9 +267,9 @@ fn engine_matches_prerefactor_fingerprint() {
             900,
             0.35,
             8,
-            0xc2fcf54ab2ce6aff,
+            0xef0a42b3297b9537,
             43_079,
-            0xcfd5a13aa1acf0e,
+            0x1cc33a2d8306ba91,
             77_409,
             59_043,
             57_539,
