@@ -155,11 +155,14 @@ impl SimilarityIndex<Item> for GpuTable {
             let hi = lo + rows;
             let _table = self
                 .dev
-                .alloc::<f64>(rows * n, "GPU-Table distance table")
+                .reserve(
+                    (rows * n * std::mem::size_of::<f64>()) as u64,
+                    "GPU-Table distance table",
+                )
                 .map_err(gpu_err)?;
             let d = self.distance_rows(queries, lo, hi);
             // Parallel filter pass over the table.
-            self.dev.launch_charged((rows * n) as u64, 8);
+            self.dev.charge_kernel((rows * n) as u64, 8);
             for (row, result) in results[lo..hi].iter_mut().enumerate() {
                 let r = radii[lo + row];
                 for (o, &dist) in d[row * n..(row + 1) * n].iter().enumerate() {
@@ -187,7 +190,10 @@ impl SimilarityIndex<Item> for GpuTable {
             let hi = lo + rows;
             let _table = self
                 .dev
-                .alloc::<f64>(rows * n, "GPU-Table distance table")
+                .reserve(
+                    (rows * n * std::mem::size_of::<f64>()) as u64,
+                    "GPU-Table distance table",
+                )
                 .map_err(gpu_err)?;
             let mut d = self.distance_rows(queries, lo, hi);
             // Tombstoned objects are masked before selection.
@@ -198,7 +204,7 @@ impl SimilarityIndex<Item> for GpuTable {
                     }
                 }
             }
-            self.dev.launch_charged((rows * n) as u64, 4);
+            self.dev.charge_kernel((rows * n) as u64, 4);
             for (row, result) in results[lo..hi].iter_mut().enumerate() {
                 let rowslice = &d[row * n..(row + 1) * n];
                 // Dr.Top-k: per-chunk delegates, then final selection.

@@ -271,7 +271,10 @@ impl LbpgTree {
         // barely prunes, so this is where LBPG runs out of memory.
         let _buf = self
             .dev
-            .alloc::<u64>(total, "LBPG candidate buffers")
+            .reserve(
+                (total * std::mem::size_of::<u64>()) as u64,
+                "LBPG candidate buffers",
+            )
             .map_err(gpu_err)?;
         let flat: Vec<(u32, u32)> = candidates
             .iter()

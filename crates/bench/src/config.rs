@@ -49,8 +49,7 @@ impl Config {
         c
     }
 
-    /// A deliberately tiny configuration for Criterion benches and smoke
-    /// tests.
+    /// A deliberately tiny configuration for smoke tests.
     pub fn tiny() -> Self {
         Config {
             scale: 0.001,

@@ -3,8 +3,7 @@
 //! The experiment harness that regenerates **every table and figure** of the
 //! GTS paper's evaluation (§6) on the simulated device, plus the ablations
 //! called out in DESIGN.md. The `experiments` binary runs them all and
-//! writes `results/*.csv` + a combined markdown report; the Criterion
-//! benches under `benches/` wrap the same runners at reduced scale.
+//! writes `results/*.csv` + a combined markdown report.
 //!
 //! Scaling: cardinalities, device memory, and the EGNAT host budget all
 //! shrink by `GTS_SCALE` (default 0.01 = 1/100 of the paper) so the full

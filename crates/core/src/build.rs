@@ -94,7 +94,7 @@ where
         size: n as u32,
         own_max_dis: 0.0,
     };
-    dev.launch_charged(n as u64, 1); // parallel table init
+    dev.charge_kernel(n as u64, 1); // parallel table init
 
     let mut rng = StdRng::seed_from_u64(params.seed);
 
@@ -186,7 +186,7 @@ fn mapping<O, M>(
                     best = i;
                 }
             }
-            dev.launch_charged(n as u64, (64 - n.leading_zeros()) as u64);
+            dev.charge_kernel(n as u64, (64 - n.leading_zeros()) as u64);
             table.get(best).obj
         } else {
             seed_obj
@@ -216,7 +216,7 @@ fn mapping<O, M>(
             };
             nodes.get_mut(node_id).pivot = Some(pivot);
         }
-        dev.launch_charged(n as u64, 32); // segmented argmax over the level
+        dev.charge_kernel(n as u64, 32); // segmented argmax over the level
     }
 
     // --- distance computation ---------------------------------------------
@@ -276,7 +276,7 @@ fn mapping<O, M>(
             .fold(0f64, |m, e| m.max(e.dis));
         nodes.get_mut(node_id).own_max_dis = max;
     }
-    dev.launch_charged(n as u64, 32);
+    dev.charge_kernel(n as u64, 32);
 }
 
 /// Alg. 3: distance encoding, global sort, even split into children.
@@ -312,7 +312,7 @@ fn partitioning(
     // Gather the table into sorted order (scatter kernel, linear work);
     // each SoA column is gathered independently.
     table.gather(|i| pairs[i].1 as usize);
-    dev.launch_charged(n as u64, 1);
+    dev.charge_kernel(n as u64, 1);
 
     // Lines 8–18: split each node evenly into Nc children.
     for rank in 0..level_width {
@@ -345,7 +345,7 @@ fn partitioning(
             };
         }
     }
-    dev.launch_charged((level_width * nc) as u64, 4);
+    dev.charge_kernel((level_width * nc) as u64, 4);
 }
 
 /// For every table position, the 0-based rank (within the level) of the node

@@ -1,21 +1,24 @@
-//! The level-synchronized **descent engine**: the core of the batched
-//! search loops (paper §5, Alg. 4–5).
+//! The level-synchronized **descent**: the core of the batched search loops
+//! (paper §5, Alg. 4–5).
 //!
-//! [`DescentEngine`] holds everything one batched descent owns — the frame
-//! stack (frontier + per-level intermediate-result buffers + pending query
-//! groups), the per-query kNN pools, and the reused [`SearchScratch`]:
+//! [`batch_range`] and [`batch_knn`] seed the root frontier — one entry per
+//! query — and hand it to one recursive [`Descent::descend`]`(entries,
+//! level)`, which works in this order:
 //!
-//! * **start** ([`DescentEngine::start_range`] /
-//!   [`DescentEngine::start_knn`]) seeds the root frontier (or comes up
-//!   already finished for an empty batch);
-//! * **run** ([`DescentEngine::run`]) descends to completion: one
-//!   device-level action at a time — a level expansion (pivot-distance
-//!   kernel, Alg. 5 bound update, ring pruning) or a segment's leaf
-//!   verification — with the administrative work between them (group
-//!   splits, starting the next group, retiring empty frontiers) charging
-//!   nothing. The frame stack is what runs two-stage query groups: a
-//!   segment that overruns the per-layer bound splits, and its groups
-//!   descend one after another while it keeps its buffers alive.
+//! * an empty frontier returns;
+//! * a frontier past the per-layer memory bound
+//!   ([`SearchCtx::size_limit`]) splits into query groups, and each group
+//!   descends at the same level, one after another (the two-stage
+//!   strategy);
+//! * the leaf level verifies;
+//! * any other level reserves its intermediate-result buffer (the paper's
+//!   `Q'_Res`), expands (pivot-distance kernel, Alg. 5 bound update, child
+//!   pruning), descends to the next level, and only then releases the
+//!   buffer — so each level's buffer stays live while the levels below it
+//!   run, which is the memory pressure the group split reacts to.
+//!
+//! Both expansions share one child-prune loop ([`prune_children`]); only
+//! MkNNQ adds the own-pivot test.
 //!
 //! **Seeding.** Exact MkNNQ does not start its pools empty. The root level's
 //! pivot-distance kernel is fused with a greedy dive per query: one pivot
@@ -28,15 +31,14 @@
 //! answers are unchanged (`tests/knn_seeding.rs`). Range search does not
 //! seed.
 //!
-//! **Step-order fidelity.** The engine replays the recursive loops' exact
-//! order of device-visible actions — allocations (one intermediate-result
-//! buffer per level, held until the segment and its groups finish, mirroring
-//! the recursion's buffer lifetimes), kernel launches, and stat updates —
-//! so running an engine returns the pre-refactor monolithic
-//! descent's answers bit for bit (`tests/shard_invariance.rs` pins this
-//! against a checked-in fingerprint whose cycle and counter pins were
-//! re-recorded twice on purpose: when leaf verification started charging
-//! edit distance's banded DP, and when exact kNN started seeding).
+//! **Order of device actions.** Allocations, kernel launches and stat
+//! updates happen in the order of the original monolithic loops, buffer
+//! lifetimes included, so the answers, counters and simulated cycles are
+//! bit for bit those of the seed implementation
+//! (`tests/shard_invariance.rs` pins this against a checked-in fingerprint
+//! whose cycle and counter pins were re-recorded twice on purpose: when leaf
+//! verification started charging edit distance's banded DP, and when exact
+//! kNN started seeding).
 //!
 //! **Host parallelism.** Leaf verification executes per *query*, not per
 //! wave: chunks of whole query segments run concurrently on the host pool
@@ -53,256 +55,202 @@ use crate::search::{
     VERIFY_EXTRA_WORK,
 };
 use gpu_sim::primitives::{reduce_max_f64, sort_pairs_by_key};
-use gpu_sim::{GpuError, Reservation};
+use gpu_sim::GpuError;
 use metric_space::index::{sort_neighbors, Neighbor};
 use metric_space::lemmas::prune_node_range;
 use metric_space::BatchMetric;
 use std::sync::atomic::Ordering;
 
-/// One suspended descent segment: a frontier at a level, the
-/// intermediate-result buffers its levels allocated, and any query groups
-/// it split into. Frames stack exactly like the recursive descent's call
-/// frames did: a segment that splits keeps its buffers alive while its
-/// groups (pushed as child frames) run to completion, then retires.
-struct Frame {
-    /// The segment's current frontier; `None` once the segment has split
-    /// into query groups and only manages them.
-    entries: Option<Vec<Frontier>>,
-    /// Level `entries` sits at (the root frontier starts at 1).
-    level: u32,
-    /// Per-level intermediate-result buffers (the paper's `Q'_Res`),
-    /// reserved on expansion and held until this frame pops — each level's
-    /// buffer stays live while deeper levels run, which is the memory
-    /// pressure the two-stage strategy reacts to. Only the bytes exist: the
-    /// frontier itself lives host-side in `entries`.
-    held: Vec<Reservation>,
-    /// Pending query groups in reverse order (`pop()` yields the next),
-    /// formed when the frontier overran the per-layer memory bound.
-    groups: Vec<Vec<Frontier>>,
-    /// The level the group split happened at; every group resumes there.
-    group_level: u32,
-}
-
-impl Frame {
-    fn running(entries: Vec<Frontier>, level: u32) -> Frame {
-        Frame {
-            entries: Some(entries),
-            level,
-            held: Vec::new(),
-            groups: Vec::new(),
-            group_level: 0,
-        }
-    }
-}
-
-/// What kind of query the engine is descending, plus its per-query state.
-enum Mode<'a> {
-    /// MRQ (Alg. 4): fixed per-query radii, hits accumulated per query.
-    Range {
-        radii: &'a [f64],
-        results: Vec<Vec<Neighbor>>,
-    },
-    /// MkNNQ (Alg. 5): per-query best-k pools whose k-th distance is the
-    /// pruning bound.
-    Knn { pools: Vec<TopK> },
-}
-
-/// The per-batch descent state. Constructed by
-/// [`DescentEngine::start_range`] or [`DescentEngine::start_knn`], borrowing
-/// the batch's [`SearchCtx`], then [`run`](DescentEngine::run) once.
-pub(crate) struct DescentEngine<'a, O, M> {
-    ctx: &'a SearchCtx<'a, O, M>,
-    queries: &'a [O],
-    mode: Mode<'a>,
-    /// Descent segments, deepest last — the explicit form of the recursive
-    /// group descent's call stack.
-    stack: Vec<Frame>,
-    scratch: SearchScratch,
-}
-
-impl<'a, O, M> DescentEngine<'a, O, M>
+/// Batched MRQ (Algorithm 4): `answers[i] = MRQ(queries[i], radii[i])` in
+/// canonical `(distance, id)` order.
+pub(crate) fn batch_range<O, M>(
+    ctx: &SearchCtx<'_, O, M>,
+    queries: &[O],
+    radii: &[f64],
+) -> Result<Vec<Vec<Neighbor>>, GpuError>
 where
     O: Send + Sync,
     M: BatchMetric<O>,
 {
-    /// Start a batched MRQ descent (`answers[i] = MRQ(queries[i],
-    /// radii[i])`). Comes up already finished when the batch is empty.
-    pub(crate) fn start_range(
-        ctx: &'a SearchCtx<'a, O, M>,
-        queries: &'a [O],
+    debug_assert_eq!(queries.len(), radii.len(), "checked by Gts::batch_range");
+    let mut hits = vec![Vec::new(); queries.len()];
+    let mode = Mode::Range {
+        radii,
+        hits: &mut hits,
+    };
+    Descent::run(ctx, queries, mode)?;
+    for h in &mut hits {
+        sort_neighbors(h);
+    }
+    Ok(hits)
+}
+
+/// Batched MkNNQ (Algorithm 5): the `k` nearest objects per query, in
+/// canonical order.
+pub(crate) fn batch_knn<O, M>(
+    ctx: &SearchCtx<'_, O, M>,
+    queries: &[O],
+    k: usize,
+) -> Result<Vec<Vec<Neighbor>>, GpuError>
+where
+    O: Send + Sync,
+    M: BatchMetric<O>,
+{
+    let mut pools: Vec<TopK> = (0..queries.len()).map(|_| TopK::new(k)).collect();
+    if k > 0 {
+        Descent::run(ctx, queries, Mode::Knn { pools: &mut pools })?;
+    }
+    Ok(pools.into_iter().map(TopK::into_sorted).collect())
+}
+
+/// What kind of query is descending, plus its per-query state.
+enum Mode<'a> {
+    /// MRQ (Alg. 4): fixed per-query radii, hits accumulated per query.
+    Range {
         radii: &'a [f64],
-    ) -> Self {
-        let mode = Mode::Range {
-            radii,
-            results: vec![Vec::new(); queries.len()],
-        };
-        let seed = !ctx.table.is_empty() && !queries.is_empty();
-        Self::start(ctx, queries, mode, seed)
-    }
+        hits: &'a mut [Vec<Neighbor>],
+    },
+    /// MkNNQ (Alg. 5): per-query best-k pools whose k-th distance is the
+    /// pruning bound.
+    Knn { pools: &'a mut [TopK] },
+}
 
-    /// Start a batched MkNNQ descent. Comes up already finished when the
-    /// batch is empty or `k == 0`.
-    pub(crate) fn start_knn(ctx: &'a SearchCtx<'a, O, M>, queries: &'a [O], k: usize) -> Self {
-        let mode = Mode::Knn {
-            pools: (0..queries.len()).map(|_| TopK::new(k)).collect(),
-        };
-        let seed = !ctx.table.is_empty() && !queries.is_empty() && k > 0;
-        Self::start(ctx, queries, mode, seed)
-    }
+/// One batched descent: the batch's context and queries, the per-query
+/// state, and the [`SearchScratch`] reused across levels and groups.
+struct Descent<'a, O, M> {
+    ctx: &'a SearchCtx<'a, O, M>,
+    queries: &'a [O],
+    mode: Mode<'a>,
+    scratch: SearchScratch,
+}
 
-    fn start(ctx: &'a SearchCtx<'a, O, M>, queries: &'a [O], mode: Mode<'a>, seed: bool) -> Self {
-        let mut engine = DescentEngine {
+impl<'a, O, M> Descent<'a, O, M>
+where
+    O: Send + Sync,
+    M: BatchMetric<O>,
+{
+    /// Descend the whole batch from the root: one frontier entry per query
+    /// at level 1.
+    fn run(ctx: &'a SearchCtx<'a, O, M>, queries: &'a [O], mode: Mode<'a>) -> Result<(), GpuError> {
+        if ctx.table.is_empty() {
+            return Ok(());
+        }
+        let root = (0..queries.len() as u32)
+            .map(|query| Frontier {
+                node: 1,
+                query,
+                dqp: f64::NAN,
+            })
+            .collect();
+        Descent {
             ctx,
             queries,
             mode,
-            stack: Vec::new(),
             scratch: SearchScratch::default(),
-        };
-        if seed {
-            let mut entries = engine.scratch.take_frontier();
-            entries.extend((0..queries.len() as u32).map(|q| Frontier {
-                node: 1,
-                query: q,
-                dqp: f64::NAN,
-            }));
-            engine.stack.push(Frame::running(entries, 1));
         }
-        engine
+        .descend(root, 1)
     }
 
-    /// Run the descent to completion: every level expansion and every
-    /// segment's leaf verification, in the recursive descent's order.
-    /// Administrative transitions (group splits, starting the next group,
-    /// retiring empty frontiers) charge nothing. On error (device OOM on an
-    /// intermediate buffer) the engine is dead.
-    pub(crate) fn run(&mut self) -> Result<(), GpuError> {
-        while let Some(top) = self.stack.last_mut() {
-            // Group-manager frame: start the next group or retire.
-            let Some(entries) = top.entries.take() else {
-                match top.groups.pop() {
-                    Some(g) => {
-                        let level = top.group_level;
-                        self.stack.push(Frame::running(g, level));
-                    }
-                    None => {
-                        self.stack.pop(); // drops this segment's held buffers
-                    }
-                }
-                continue;
-            };
-            if entries.is_empty() {
-                self.scratch.put_frontier(entries);
-                self.stack.pop();
-                continue;
-            }
-            let level = top.level;
-            let shape = self.ctx.shape();
-            self.ctx
-                .stats
-                .max(&self.ctx.stats.max_frontier, entries.len() as u64);
-
-            // Two-stage strategy: form query groups when the frontier would
-            // overrun the per-layer memory bound (Alg. 4 line 4 / Alg. 5
-            // line 4). Groups run sequentially; for kNN they *share* the
-            // pools, so later groups inherit tightened bounds — a free bonus
-            // of sequential group processing.
-            if self.ctx.params.query_grouping
-                && entries.len() > self.ctx.size_limit(level)
-                && SearchCtx::<O, M>::multiple_queries(&entries)
-            {
-                let groups = SearchCtx::<O, M>::split_groups(entries, self.ctx.size_limit(level));
-                self.ctx
-                    .stats
-                    .add(&self.ctx.stats.groups_formed, groups.len() as u64);
-                top.groups = groups;
-                top.groups.reverse();
-                top.group_level = level;
-                continue;
-            }
-
-            // Per-level trace span: snapshot the clock and the verified-leaf
-            // counter before the device action, record the delta after.
-            // Purely observational — the action's charges are untouched.
-            let trace = self.ctx.dev.tracer().map(|(rec, dev_id)| {
-                let verified = self.ctx.stats.leaf_verified.load(Ordering::Relaxed);
-                (rec, dev_id, self.ctx.dev.cycles(), verified)
-            });
-            let frontier_len = entries.len() as u64;
-
-            if level == shape.h {
-                // The segment's leaves: verify, then retire.
-                match &mut self.mode {
-                    Mode::Range { radii, results } => verify_range(
-                        self.ctx,
-                        self.queries,
-                        radii,
-                        &entries,
-                        results,
-                        &mut self.scratch,
-                    ),
-                    Mode::Knn { pools } => {
-                        verify_knn(self.ctx, self.queries, &entries, pools, &mut self.scratch)
-                    }
-                }
-                self.stack.pop();
-            } else {
-                // Expand one level. The intermediate buffer is sized |E|·Nc
-                // like the paper's Q'_Res; with grouping on, the size-limit
-                // check above guarantees it fits — with it off this is
-                // exactly where the naive strategy deadlocks.
-                let context = match self.mode {
-                    Mode::Range { .. } => "MRQ intermediate results",
-                    Mode::Knn { .. } => "MkNNQ intermediate results",
-                };
-                let bytes = (entries.len() * shape.nc as usize * FRONTIER_ENTRY_BYTES) as u64;
-                top.held.push(self.ctx.dev.reserve(bytes, context)?);
-                let next = match &mut self.mode {
-                    Mode::Range { radii, .. } => {
-                        expand_range(self.ctx, self.queries, radii, &entries, &mut self.scratch)
-                    }
-                    Mode::Knn { pools } => expand_knn(
-                        self.ctx,
-                        self.queries,
-                        &entries,
-                        level,
-                        pools,
-                        &mut self.scratch,
-                    ),
-                };
-                top.entries = Some(next);
-                top.level = level + 1;
-            }
+    /// Descend a query-ascending frontier at `level` down to its leaves.
+    /// Fails only when the device refuses an intermediate buffer.
+    fn descend(&mut self, entries: Vec<Frontier>, level: u32) -> Result<(), GpuError> {
+        let ctx = self.ctx;
+        if entries.is_empty() {
             self.scratch.put_frontier(entries);
-            if let Some((rec, dev_id, c0, v0)) = trace {
-                rec.record(gts_trace::TraceEvent::span(
-                    gts_trace::EventKind::Level {
-                        level,
-                        frontier: frontier_len,
-                        verified: self.ctx.stats.leaf_verified.load(Ordering::Relaxed) - v0,
-                    },
-                    gts_trace::current_ctx(),
-                    Some(dev_id),
-                    c0,
-                    self.ctx.dev.cycles(),
-                ));
+            return Ok(());
+        }
+        ctx.stats.max(&ctx.stats.max_frontier, entries.len() as u64);
+
+        // Two-stage strategy: form query groups when the frontier would
+        // overrun the per-layer memory bound (Alg. 4 line 4 / Alg. 5
+        // line 4). Groups run sequentially; for kNN they *share* the pools,
+        // so later groups inherit tightened bounds — a free bonus of
+        // sequential group processing.
+        let limit = ctx.size_limit(level);
+        if ctx.params.query_grouping
+            && entries.len() > limit
+            && SearchCtx::<O, M>::multiple_queries(&entries)
+        {
+            let groups = SearchCtx::<O, M>::split_groups(entries, limit);
+            ctx.stats.add(&ctx.stats.groups_formed, groups.len() as u64);
+            for group in groups {
+                self.descend(group, level)?;
             }
+            return Ok(());
+        }
+
+        // Per-level trace span: snapshot the clock and the verified-leaf
+        // counter before the device action, record the delta after.
+        // Purely observational — the action's charges are untouched.
+        let trace = ctx.dev.tracer().map(|(rec, dev_id)| {
+            let verified = ctx.stats.leaf_verified.load(Ordering::Relaxed);
+            (rec, dev_id, ctx.dev.cycles(), verified)
+        });
+        let frontier = entries.len() as u64;
+        let shape = ctx.shape();
+        let below = if level == shape.h {
+            self.verify(&entries);
+            None
+        } else {
+            // The intermediate buffer is sized |E|·Nc like the paper's
+            // Q'_Res; with grouping on, the size-limit check above
+            // guarantees it fits — with it off this is exactly where the
+            // naive strategy deadlocks.
+            let context = match self.mode {
+                Mode::Range { .. } => "MRQ intermediate results",
+                Mode::Knn { .. } => "MkNNQ intermediate results",
+            };
+            let bytes = (entries.len() * shape.nc as usize * FRONTIER_ENTRY_BYTES) as u64;
+            let held = ctx.dev.reserve(bytes, context)?;
+            Some((held, self.expand(&entries, level)))
+        };
+        self.scratch.put_frontier(entries);
+        if let Some((rec, dev_id, c0, v0)) = trace {
+            rec.record(gts_trace::TraceEvent::span(
+                gts_trace::EventKind::Level {
+                    level,
+                    frontier,
+                    verified: ctx.stats.leaf_verified.load(Ordering::Relaxed) - v0,
+                },
+                gts_trace::current_ctx(),
+                Some(dev_id),
+                c0,
+                ctx.dev.cycles(),
+            ));
+        }
+        if let Some((held, next)) = below {
+            self.descend(next, level + 1)?;
+            drop(held);
         }
         Ok(())
     }
 
-    /// Consume the finished engine into per-query answer lists in canonical
-    /// `(distance, id)` order. Must only be called once
-    /// [`run`](DescentEngine::run) has returned `Ok`.
-    pub(crate) fn into_results(self) -> Vec<Vec<Neighbor>> {
-        debug_assert!(self.stack.is_empty(), "descent not finished");
-        match self.mode {
-            Mode::Range { mut results, .. } => {
-                for r in &mut results {
-                    sort_neighbors(r);
-                }
-                results
+    /// Expand one internal level (the loop bodies of Alg. 4 / Alg. 5):
+    /// pivot distances — for MkNNQ with the bound update, or the seeding
+    /// kernel at the root — then the shared child prune. Returns the
+    /// next-level frontier.
+    fn expand(&mut self, entries: &[Frontier], level: u32) -> Vec<Frontier> {
+        let (ctx, queries, scratch) = (self.ctx, self.queries, &mut self.scratch);
+        match &mut self.mode {
+            Mode::Range { radii, .. } => {
+                ctx.pivot_distances(queries, entries, scratch);
+                prune_children(ctx, entries, scratch, false, |q| radii[q as usize])
             }
-            Mode::Knn { pools } => pools.into_iter().map(TopK::into_sorted).collect(),
+            Mode::Knn { pools } => {
+                update_knn_bounds(ctx, queries, entries, level, pools, scratch);
+                prune_children(ctx, entries, scratch, true, |q| pools[q as usize].bound())
+            }
+        }
+    }
+
+    /// Verify a leaf-level frontier into the per-query state.
+    fn verify(&mut self, entries: &[Frontier]) {
+        let (ctx, queries, scratch) = (self.ctx, self.queries, &mut self.scratch);
+        match &mut self.mode {
+            Mode::Range { radii, hits } => {
+                verify_range(ctx, queries, radii, entries, hits, scratch)
+            }
+            Mode::Knn { pools } => verify_knn(ctx, queries, entries, pools, scratch),
         }
     }
 }
@@ -311,126 +259,85 @@ where
 // Level expansion (the loop bodies of Alg. 4 / Alg. 5)
 // ---------------------------------------------------------------------------
 
-/// Expand one MRQ level: one pivot-distance kernel over the frontier, then
-/// the Lemma 5.1 ring test for each of the `Nc` children. Returns the
-/// next-level frontier.
-fn expand_range<O, M>(
-    ctx: &SearchCtx<'_, O, M>,
-    queries: &[O],
-    radii: &[f64],
-    entries: &[Frontier],
-    scratch: &mut SearchScratch,
-) -> Vec<Frontier>
-where
-    O: Send + Sync,
-    M: BatchMetric<O>,
-{
-    let shape = ctx.shape();
-    ctx.pivot_distances(queries, entries, scratch);
-    let mut next = scratch.take_frontier();
-    let (mut pruned, mut expanded) = (0u64, 0u64);
-    for (i, e) in entries.iter().enumerate() {
-        let r = radii[e.query as usize];
-        let dqi = scratch.dq[i];
-        for j in 0..shape.nc as usize {
-            let cid = shape.child(e.node as usize, j);
-            let child = ctx.nodes.get(cid);
-            if child.is_empty() {
-                continue;
-            }
-            let upper = if ctx.params.two_sided_pruning {
-                child.max_dis
-            } else {
-                f64::INFINITY
-            };
-            if prune_node_range(child.min_dis, upper, dqi, r) {
-                pruned += 1;
-            } else {
-                expanded += 1;
-                next.push(Frontier {
-                    node: cid as u32,
-                    query: e.query,
-                    dqp: dqi,
-                });
-            }
-        }
-    }
-    ctx.stats.add(&ctx.stats.nodes_pruned, pruned);
-    ctx.stats.add(&ctx.stats.nodes_expanded, expanded);
-    ctx.dev
-        .launch_charged((entries.len() * shape.nc as usize) as u64 * 4, 8);
-    next
-}
-
-/// Expand one MkNNQ level (Alg. 5 lines 7–17): pivot distances (the pivots
-/// are real objects, so each distance is also a candidate), the
-/// encode-and-global-sort bound update, then tie-safe pruning against the
-/// query's k-th bound `pools[q].bound()`. The root level runs the fused
-/// seeding kernel ([`seed_knn`]) in place of the first two. Returns the
-/// next-level frontier.
-fn expand_knn<O, M>(
+/// Alg. 5 lines 7–12 for one MkNNQ level: pivot distances (the pivots are
+/// real objects, so each distance is also a candidate), then the
+/// encode-and-global-sort bound update. The root level runs the fused
+/// seeding kernel ([`seed_knn`]) in place of both.
+fn update_knn_bounds<O, M>(
     ctx: &SearchCtx<'_, O, M>,
     queries: &[O],
     entries: &[Frontier],
     level: u32,
     pools: &mut [TopK],
     scratch: &mut SearchScratch,
+) where
+    O: Send + Sync,
+    M: BatchMetric<O>,
+{
+    if level == 1 {
+        // At the root the bound update would only insert the root pivot,
+        // which the dive inserts too.
+        seed_knn(ctx, queries, entries, pools, scratch);
+        return;
+    }
+    // Alg. 5 lines 7–10: pivot distances for the frontier (one batched
+    // kernel).
+    ctx.pivot_distances(queries, entries, scratch);
+
+    // Alg. 5 lines 11–12: the per-query k-th bound is located by encoding
+    // `query_rank + dis/denom` and running the same global device sort as
+    // construction; walking the sorted runs inserts candidates in ascending
+    // order per query.
+    let SearchScratch { dq, pairs, .. } = scratch;
+    let maxd = reduce_max_f64(ctx.dev, dq).max(0.0);
+    let denom = 2.0 * (maxd + 1.0);
+    pairs.clear();
+    pairs.extend(
+        entries
+            .iter()
+            .enumerate()
+            .map(|(i, e)| (f64::from(e.query) + dq[i] / denom, i as u32)),
+    );
+    ctx.dev.charge_kernel(pairs.len() as u64 * 2, 2);
+    sort_pairs_by_key(ctx.dev, pairs);
+    for &(_, i) in pairs.iter() {
+        let e = entries[i as usize];
+        let pivot = ctx.nodes.get(e.node as usize).pivot.expect("internal node");
+        // A tombstoned pivot's distance must not become a candidate (it is
+        // no longer an answer) nor a bound (it could over-tighten pruning
+        // against live objects).
+        if ctx.live[pivot as usize] {
+            pools[e.query as usize].insert(Neighbor::new(pivot, dq[i as usize]));
+        }
+    }
+}
+
+/// The child prune of both expansions (Alg. 4 lines 6–10, Alg. 5 lines
+/// 13–17) over the pivot distances in `scratch.dq`: the parent-pivot ring
+/// test of Lemma 5.1/5.2 per child against the query's `bound` (MRQ: its
+/// radius; MkNNQ: its pool's k-th distance), after — with `own_pivot`, for
+/// MkNNQ — the own-pivot test on the expanded node. Both tests are tie-safe
+/// (strict `>`): a node that could still contain an object at exactly the
+/// bound distance survives, because such an object can enter the canonical
+/// kNN answer through the `(dis, id)` tie-break. Returns the next-level
+/// frontier.
+fn prune_children<O, M>(
+    ctx: &SearchCtx<'_, O, M>,
+    entries: &[Frontier],
+    scratch: &mut SearchScratch,
+    own_pivot: bool,
+    bound: impl Fn(u32) -> f64,
 ) -> Vec<Frontier>
 where
     O: Send + Sync,
     M: BatchMetric<O>,
 {
     let shape = ctx.shape();
-    if level == 1 {
-        // At the root the bound update would only insert the root pivot,
-        // which the dive inserts too.
-        seed_knn(ctx, queries, entries, pools, scratch);
-    } else {
-        // Alg. 5 lines 7–10: pivot distances for the frontier (one batched
-        // kernel).
-        ctx.pivot_distances(queries, entries, scratch);
-
-        // Alg. 5 lines 11–12: the per-query k-th bound is located by
-        // encoding `query_rank + dis/denom` and running the same global
-        // device sort as construction; walking the sorted runs inserts
-        // candidates in ascending order per query.
-        let SearchScratch { dq, pairs, .. } = &mut *scratch;
-        let maxd = reduce_max_f64(ctx.dev, dq).max(0.0);
-        let denom = 2.0 * (maxd + 1.0);
-        pairs.clear();
-        pairs.extend(
-            entries
-                .iter()
-                .enumerate()
-                .map(|(i, e)| (f64::from(e.query) + dq[i] / denom, i as u32)),
-        );
-        ctx.dev.launch_charged(pairs.len() as u64 * 2, 2);
-        sort_pairs_by_key(ctx.dev, pairs);
-        for &(_, i) in pairs.iter() {
-            let e = entries[i as usize];
-            let pivot = ctx.nodes.get(e.node as usize).pivot.expect("internal node");
-            // A tombstoned pivot's distance must not become a candidate (it
-            // is no longer an answer) nor a bound (it could over-tighten
-            // pruning against live objects).
-            if ctx.live[pivot as usize] {
-                pools[e.query as usize].insert(Neighbor::new(pivot, dq[i as usize]));
-            }
-        }
-    }
-
-    // Alg. 5 lines 13–17: prune with the updated bounds — the own-pivot
-    // test on the expanded node, then the parent-pivot ring test per child.
-    // Both tests are tie-safe (strict `>`): a node that could still contain
-    // an object at exactly the bound distance survives, because such an
-    // object can enter the canonical answer through the `(dis, id)`
-    // tie-break.
     let mut next = scratch.take_frontier();
     let (mut pruned, mut expanded) = (0u64, 0u64);
-    for (i, e) in entries.iter().enumerate() {
-        let node = ctx.nodes.get(e.node as usize);
-        let bound = pools[e.query as usize].bound();
-        let dqi = scratch.dq[i];
-        if dqi - node.own_max_dis > bound {
+    for (e, &dqi) in entries.iter().zip(&scratch.dq) {
+        let bound = bound(e.query);
+        if own_pivot && dqi - ctx.nodes.get(e.node as usize).own_max_dis > bound {
             pruned += u64::from(shape.nc);
             continue;
         }
@@ -460,7 +367,7 @@ where
     ctx.stats.add(&ctx.stats.nodes_pruned, pruned);
     ctx.stats.add(&ctx.stats.nodes_expanded, expanded);
     ctx.dev
-        .launch_charged((entries.len() * shape.nc as usize) as u64 * 4, 8);
+        .charge_kernel((entries.len() * shape.nc as usize) as u64 * 4, 8);
     next
 }
 
@@ -848,7 +755,7 @@ fn verify_knn<O, M>(
 {
     // The ordering pass: each query's leaves closest-ring-first, so the
     // first wave almost certainly contains the true neighbours.
-    ctx.dev.launch_charged(entries.len() as u64 * 4, 32);
+    ctx.dev.charge_kernel(entries.len() as u64 * 4, 32);
     let mut accts: Vec<[WaveAcct; KNN_WAVES]> = Vec::new();
     let runs = leaf_runs(entries, pools, &mut accts, &mut scratch.leaf);
     run_query_chunks(ctx.dev, ctx.threads, runs, |run, threads| {

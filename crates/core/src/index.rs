@@ -3,9 +3,10 @@
 use crate::build::{self, Structure};
 use crate::cost::CostModel;
 use crate::dispatch::distance_block;
+use crate::engine;
 use crate::node::NodeList;
 use crate::params::GtsParams;
-use crate::search::{self, SearchCtx};
+use crate::search::SearchCtx;
 use crate::stats::{SearchStats, StatsSnapshot};
 use crate::table::TableList;
 use crate::update::CacheTable;
@@ -318,7 +319,7 @@ where
         metric_space::index::check_radii(queries, radii)?;
         metric_space::index::check_queries(&self.metric, queries, self.objects.first())?;
         self.transfer_queries_in(queries);
-        let mut results = search::batch_range(&self.ctx(), queries, radii).map_err(gpu_err)?;
+        let mut results = engine::batch_range(&self.ctx(), queries, radii).map_err(gpu_err)?;
         self.merge_cache_range(queries, radii, &mut results);
         self.transfer_results_out(&results);
         Ok(results)
@@ -360,7 +361,7 @@ where
     pub fn batch_knn(&self, queries: &[O], k: usize) -> Result<Vec<Vec<Neighbor>>, IndexError> {
         metric_space::index::check_queries(&self.metric, queries, self.objects.first())?;
         self.transfer_queries_in(queries);
-        let mut results = search::batch_knn(&self.ctx(), queries, k).map_err(gpu_err)?;
+        let mut results = engine::batch_knn(&self.ctx(), queries, k).map_err(gpu_err)?;
         self.merge_cache_knn(queries, k, &mut results);
         self.transfer_results_out(&results);
         Ok(results)
@@ -575,11 +576,21 @@ where
 
     /// Fit the §5.3 cost model to this index's data by sampling pivot
     /// coordinates (`samples` distance evaluations, charged to the device).
+    /// With no live object left in the table there is nothing to sample:
+    /// the model has `σ = 0`, no distance work, and nothing is charged.
     pub fn cost_model(&self, samples: usize, seed: u64) -> CostModel {
         use rand::rngs::StdRng;
         use rand::{Rng, SeedableRng};
-        let mut rng = StdRng::seed_from_u64(seed);
         let ids: Vec<u32> = self.table.live_ids();
+        if ids.is_empty() {
+            return CostModel {
+                n: self.len(),
+                cores: self.dev.config().cores,
+                sigma: 0.0,
+                distance_work: 0.0,
+            };
+        }
+        let mut rng = StdRng::seed_from_u64(seed);
         let pivot = ids[rng.gen_range(0..ids.len())];
         let mut sum = 0f64;
         let mut sum2 = 0f64;
@@ -683,7 +694,7 @@ where
             // a faulted remove leaves the host state already complete and
             // recovery needs no structural work.
             self.table.tombstone(id);
-            self.dev.launch_charged(self.table.len() as u64, 8);
+            self.dev.charge_kernel(self.table.len() as u64, 8);
         }
         Ok(true)
     }
@@ -728,6 +739,19 @@ mod tests {
         assert!(gts.height() >= 1);
         let got = gts.range_query(&items[7], 2.0).expect("query");
         assert_eq!(got, scan_range(&items, &metric, &items[7], 2.0));
+    }
+
+    #[test]
+    fn cost_model_without_live_table_ids_samples_nothing() {
+        let (dev, items, metric) = words(50);
+        let mut gts = Gts::build(&dev, items, metric, GtsParams::default()).expect("build");
+        for id in 0..50 {
+            assert!(gts.remove(id).expect("remove"));
+        }
+        let cycles = dev.cycles();
+        let model = gts.cost_model(64, 7);
+        assert_eq!((model.n, model.sigma, model.distance_work), (0, 0.0, 0.0));
+        assert_eq!(dev.cycles(), cycles, "nothing sampled, nothing charged");
     }
 
     #[test]

@@ -44,9 +44,10 @@
 //! included. Updates route to the owning shard, so an overflow rebuilds
 //! one shard while the other devices' clocks never move.
 //!
-//! Search itself is expressed as a **descent engine** (`engine`,
-//! crate-internal): an explicit per-batch frame stack, run from the root
-//! frontier to the last verified leaf in one call; each shard runs its own.
+//! Search itself is one recursive level-synchronous **descent** (`engine`,
+//! crate-internal): from the root frontier to the last verified leaf, with
+//! oversized frontiers split into query groups that descend in turn; each
+//! shard runs its own.
 
 #![warn(missing_docs)]
 pub mod build;

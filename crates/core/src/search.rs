@@ -5,15 +5,11 @@
 //! one uniform kernel over the whole frontier — never a per-query traversal,
 //! which is what starves GPU-Tree-style designs.
 //!
-//! The level loop itself lives in `crate::engine` as an explicit frame
-//! stack (`DescentEngine`): this module keeps the
-//! shared substrate — the frontier representation, the reusable
-//! `SearchScratch`, the borrowed `SearchCtx`, the per-layer memory bound,
-//! the batched `verify_block` kernel wrapper, and the `TopK` pool — plus
-//! the thin batch drivers (`batch_range`, `batch_knn`) that start an
-//! engine and run it. The drivers return the answers of the pre-engine
-//! monolithic loops bit for bit (asserted against a checked-in pre-refactor
-//! fingerprint in `tests/shard_invariance.rs`).
+//! The level loop itself — `batch_range` / `batch_knn` and their one
+//! recursive descent — lives in `crate::engine`. This module keeps the
+//! shared substrate: the frontier representation, the reusable
+//! `SearchScratch`, the borrowed `SearchCtx` with the per-layer memory
+//! bound, the batched `verify_block` kernel wrapper, and the `TopK` pool.
 //!
 //! **Batched distance kernels.** Every distance evaluation in the hot path
 //! goes through [`BatchMetric::distance_batch`] (pivot distances) or its
@@ -62,13 +58,12 @@
 use crate::dispatch::{
     distance_block, distance_block_bounded, query_chunk_bounds, run_query_chunks,
 };
-use crate::engine::DescentEngine;
 use crate::node::TreeShape;
 use crate::params::GtsParams;
 use crate::stats::SearchStats;
 use crate::table::TableList;
 use gpu_sim::exec::BATCH_CHUNK;
-use gpu_sim::{Device, GpuError};
+use gpu_sim::Device;
 use metric_space::index::Neighbor;
 use metric_space::{BatchMetric, ObjectArena};
 use std::sync::Arc;
@@ -96,14 +91,6 @@ pub(crate) struct RawEntry {
 /// Device bytes one frontier entry occupies — the unit the two-stage memory
 /// bound is denominated in.
 pub(crate) const FRONTIER_ENTRY_BYTES: usize = std::mem::size_of::<RawEntry>();
-
-/// The paper's per-layer intermediate-result bound, in frontier entries:
-/// `size_limit = size_GPU / ((h − layer + 1)·Nc)` with `size_GPU` the free
-/// device bytes. The search loops split a level into query groups past it.
-pub(crate) fn layer_size_limit(free_bytes: u64, h: u32, level: u32, nc: u32) -> usize {
-    let denom = (h - level + 1) as usize * nc as usize * FRONTIER_ENTRY_BYTES;
-    (free_bytes as usize / denom.max(1)).max(1)
-}
 
 /// Per-work-item staging of the leaf-verification kernels: one per
 /// query-segment run, so concurrent runs never share a buffer.
@@ -188,10 +175,13 @@ where
     }
 
     /// The paper's per-layer intermediate-result bound:
-    /// `size_limit = size_GPU / ((h − layer + 1)·Nc)`, in frontier entries.
+    /// `size_limit = size_GPU / ((h − layer + 1)·Nc)` in frontier entries,
+    /// with `size_GPU` the free device bytes. The descent splits a level
+    /// into query groups past it.
     pub(crate) fn size_limit(&self, level: u32) -> usize {
         let shape = self.shape();
-        layer_size_limit(self.dev.free_bytes(), shape.h, level, shape.nc)
+        let denom = (shape.h - level + 1) as usize * shape.nc as usize * FRONTIER_ENTRY_BYTES;
+        (self.dev.free_bytes() as usize / denom.max(1)).max(1)
     }
 
     /// Split a frontier into query groups each within `limit` entries
@@ -421,43 +411,6 @@ impl TopK {
     pub(crate) fn into_sorted(self) -> Vec<Neighbor> {
         self.items
     }
-}
-
-// ---------------------------------------------------------------------------
-// Batch drivers (thin wrappers over the descent engine)
-// ---------------------------------------------------------------------------
-
-/// Batched MRQ (Algorithm 4): `answers[i] = MRQ(queries[i], radii[i])` in
-/// canonical order — start a range engine, run it, collect.
-pub(crate) fn batch_range<O, M>(
-    ctx: &SearchCtx<'_, O, M>,
-    queries: &[O],
-    radii: &[f64],
-) -> Result<Vec<Vec<Neighbor>>, GpuError>
-where
-    O: Send + Sync,
-    M: BatchMetric<O>,
-{
-    debug_assert_eq!(queries.len(), radii.len(), "checked by Gts::batch_range");
-    let mut engine = DescentEngine::start_range(ctx, queries, radii);
-    engine.run()?;
-    Ok(engine.into_results())
-}
-
-/// Batched MkNNQ (Algorithm 5): the `k` nearest objects per query,
-/// canonical order.
-pub(crate) fn batch_knn<O, M>(
-    ctx: &SearchCtx<'_, O, M>,
-    queries: &[O],
-    k: usize,
-) -> Result<Vec<Vec<Neighbor>>, GpuError>
-where
-    O: Send + Sync,
-    M: BatchMetric<O>,
-{
-    let mut engine = DescentEngine::start_knn(ctx, queries, k);
-    engine.run()?;
-    Ok(engine.into_results())
 }
 
 #[cfg(test)]

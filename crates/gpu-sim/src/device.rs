@@ -5,7 +5,6 @@ use crate::error::GpuError;
 use crate::exec;
 use crate::fault::{DeviceFault, FaultKind};
 use gts_trace::{DumpReason, EventKind, TraceEvent, TraceRecorder};
-use std::ops::{Deref, DerefMut};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
 use std::sync::{Arc, RwLock};
 
@@ -397,54 +396,38 @@ impl Device {
 
     /// Launch a map-style kernel over `0..n`: each thread `i` computes
     /// `f(i) -> (value, work_units)`. Results are returned in index order;
-    /// the clock advances by the work–span cost of the whole grid. Threads
-    /// are padded to warp granularity.
+    /// the grid is charged as one [`launch_batch`](Device::launch_batch)
+    /// whose span is the longest thread.
     pub fn launch_map<T, F>(&self, n: usize, f: F) -> Vec<T>
     where
         T: Send,
         F: Fn(usize) -> (T, u64) + Sync,
     {
-        if n == 0 {
-            return Vec::new();
-        }
-        let results = exec::par_map(n, self.cfg.host_threads, &f);
-        let mut total: u64 = 0;
-        let mut span: u64 = 0;
-        let mut out = Vec::with_capacity(n);
-        for (v, w) in results {
-            total += w;
-            span = span.max(w);
-            out.push(v);
-        }
-        // Warp padding: idle lanes of the final partial warp still occupy
-        // cores for the duration of the mean thread.
-        let warp = u64::from(self.cfg.warp_size);
-        let lanes = (n as u64).div_ceil(warp) * warp;
-        let padded = total + (lanes - n as u64) * (total / n as u64);
-        self.charge_kernel(padded, span);
-        out
-    }
-
-    /// Launch a kernel executed purely for its cost (work already known),
-    /// e.g. a data-movement pass.
-    pub fn launch_charged(&self, work: u64, span: u64) {
-        self.charge_kernel(work, span);
+        self.launch_batch(n, || {
+            let results = exec::par_map(n, self.cfg.host_threads, &f);
+            let (mut total, mut span) = (0u64, 0u64);
+            let mut out = Vec::with_capacity(n);
+            for (v, w) in results {
+                total += w;
+                span = span.max(w);
+                out.push(v);
+            }
+            (out, total, span)
+        })
     }
 
     /// Launch a **batched** kernel over `n` logical threads.
     ///
-    /// Where [`Device::launch_map`] invokes a per-thread closure and
-    /// collects per-thread work, `launch_batch` hands the whole grid to one
-    /// host-side batch routine `f` (e.g. a [`BatchMetric`-style] distance
-    /// kernel writing an output slice) which reports the batch's
-    /// `(result, total_work, span)` in one go — the work is charged **once
-    /// per batch**, not bookkept per pair. The cost model is *identical* to
-    /// `launch_map` over the same grid: warp padding idles the partial
-    /// warp's lanes for the mean thread duration, and the clock advances by
-    /// `max(⌈W/C⌉, span)` plus launch overhead.
+    /// `launch_batch` hands the whole grid to one host-side batch routine
+    /// `f` (e.g. a [`BatchMetric`-style] distance kernel writing an output
+    /// slice) which reports the batch's `(result, total_work, span)` in one
+    /// go — the work is charged **once per batch**, not bookkept per pair.
+    /// Warp padding idles the partial warp's lanes for the mean thread
+    /// duration, and the clock advances by `max(⌈W/C⌉, span)` plus launch
+    /// overhead. [`Device::launch_map`] is this entry over per-thread
+    /// closures.
     ///
-    /// `n = 0` executes `f` without charging (no kernel is launched),
-    /// mirroring `launch_map`'s empty-grid behaviour.
+    /// `n = 0` executes `f` without charging (no kernel is launched).
     ///
     /// # Host parallelism and the determinism contract
     ///
@@ -554,22 +537,6 @@ impl Device {
         self.allocated.fetch_sub(bytes, Ordering::Relaxed);
     }
 
-    /// Allocate a zero-initialised buffer of `len` elements in global
-    /// memory.
-    pub fn alloc<T: Clone + Default>(
-        self: &Arc<Self>,
-        len: usize,
-        context: &'static str,
-    ) -> Result<DeviceBuffer<T>, GpuError> {
-        let bytes = (len * std::mem::size_of::<T>()) as u64;
-        self.try_take(bytes, context)?;
-        Ok(DeviceBuffer {
-            data: vec![T::default(); len],
-            bytes,
-            dev: Arc::clone(self),
-        })
-    }
-
     /// Reserve raw bytes (for structures whose layout lives host-side in the
     /// simulator — e.g. the object payloads of a resident dataset).
     pub fn reserve(
@@ -603,51 +570,6 @@ impl Device {
         let cycles = (secs * self.cfg.clock_hz).ceil() as u64;
         self.cycles.fetch_add(cycles, Ordering::Relaxed);
         self.transfer.fetch_add(cycles, Ordering::Relaxed);
-    }
-}
-
-/// A typed allocation in device global memory. Dereferences to a slice;
-/// dropping it returns the bytes to the allocator.
-#[derive(Debug)]
-pub struct DeviceBuffer<T> {
-    data: Vec<T>,
-    bytes: u64,
-    dev: Arc<Device>,
-}
-
-impl<T> DeviceBuffer<T> {
-    /// Number of elements.
-    pub fn len(&self) -> usize {
-        self.data.len()
-    }
-
-    /// True when the buffer holds no elements.
-    pub fn is_empty(&self) -> bool {
-        self.data.is_empty()
-    }
-
-    /// Accounted size in bytes.
-    pub fn bytes(&self) -> u64 {
-        self.bytes
-    }
-}
-
-impl<T> Deref for DeviceBuffer<T> {
-    type Target = [T];
-    fn deref(&self) -> &[T] {
-        &self.data
-    }
-}
-
-impl<T> DerefMut for DeviceBuffer<T> {
-    fn deref_mut(&mut self) -> &mut [T] {
-        &mut self.data
-    }
-}
-
-impl<T> Drop for DeviceBuffer<T> {
-    fn drop(&mut self) {
-        self.dev.release(self.bytes);
     }
 }
 
@@ -685,9 +607,9 @@ mod tests {
     #[test]
     fn alloc_accounts_and_frees() {
         let dev = tiny_device(1024);
-        let buf = dev.alloc::<u64>(16, "test").expect("fits");
+        let buf = dev.reserve(128, "test").expect("fits");
         assert_eq!(dev.allocated_bytes(), 128);
-        assert_eq!(buf.len(), 16);
+        assert_eq!(buf.bytes(), 128);
         drop(buf);
         assert_eq!(dev.allocated_bytes(), 0);
         assert_eq!(dev.stats().peak_allocated, 128);
@@ -696,7 +618,7 @@ mod tests {
     #[test]
     fn alloc_oom() {
         let dev = tiny_device(64);
-        let err = dev.alloc::<u64>(16, "big").expect_err("must OOM");
+        let err = dev.reserve(128, "big").expect_err("must OOM");
         match err {
             GpuError::OutOfMemory {
                 requested,
@@ -870,7 +792,7 @@ mod tests {
                 let dev = Arc::clone(&dev);
                 s.spawn(move || {
                     for _ in 0..100 {
-                        let b = dev.alloc::<u8>(64, "c").expect("fits");
+                        let b = dev.reserve(64, "c").expect("fits");
                         drop(b);
                     }
                 });

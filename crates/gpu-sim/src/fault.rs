@@ -195,7 +195,7 @@ mod tests {
         let again = catch_unwind(AssertUnwindSafe(|| pool.get(0).charge_kernel(10, 1)));
         assert!(again.is_err(), "quarantined device refuses kernels");
         // And allocations are refused with a typed error.
-        let alloc = pool.get(0).alloc::<u8>(16, "post-fault");
+        let alloc = pool.get(0).reserve(16, "post-fault");
         assert!(matches!(
             alloc,
             Err(crate::GpuError::DeviceUnavailable { .. })

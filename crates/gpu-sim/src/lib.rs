@@ -9,8 +9,8 @@
 //!   units) with critical path `S` advances the device clock by
 //!   `max(⌈W / cores⌉, S) + launch overhead` cycles (Brent's theorem). This
 //!   is exactly the `⌈n/C⌉`-style accounting the paper uses in §4.5/§5.3.
-//! * **Global-memory allocator** — every [`DeviceBuffer`] and
-//!   [`Reservation`] draws from a hard capacity; exhaustion returns
+//! * **Global-memory allocator** — every [`Reservation`] draws from a
+//!   hard capacity; exhaustion returns
 //!   [`GpuError::OutOfMemory`], reproducing the paper's observed OOMs and
 //!   memory deadlocks (Table 4, Fig. 9, Fig. 11).
 //! * **Transfer accounting** — H2D/D2H bytes advance the clock at PCIe-like
@@ -36,7 +36,7 @@ pub mod primitives;
 
 pub use config::DeviceConfig;
 pub use cpu::CpuClock;
-pub use device::{Device, DeviceBuffer, DeviceStats, Reservation};
+pub use device::{Device, DeviceStats, Reservation};
 pub use error::GpuError;
 pub use fault::{DeviceFault, FaultKind, FaultPlan, FaultSpec};
 pub use pool::{DevicePool, DeviceUtilization, PoolStats};

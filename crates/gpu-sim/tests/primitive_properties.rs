@@ -123,7 +123,7 @@ fn allocator_accounting_fuzz() {
     for _ in 0..2_000 {
         if rng.gen_bool(0.6) || live.is_empty() {
             let len = rng.gen_range(1..4096usize);
-            if let Ok(buf) = d.alloc::<u8>(len, "fuzz") {
+            if let Ok(buf) = d.reserve(len as u64, "fuzz") {
                 live.push(buf);
             }
         } else {

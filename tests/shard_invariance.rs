@@ -6,14 +6,14 @@
 //! the owning shard, and an overflow rebuild on one shard must leave every
 //! other shard's device cycle counter untouched.
 //!
-//! Since the descent-engine refactor this suite also pins down the engine
-//! itself — driving the batch drivers through the resumable `DescentEngine`
-//! must reproduce the pre-refactor monolithic loops, asserted against a
-//! checked-in fingerprint (answer hashes, simulated cycle counts, and search
-//! counters captured from the seed implementation before the refactor; the
-//! two edit-distance cycle counts were re-recorded once, when leaf
-//! verification started charging the banded DP, and the kNN counts once,
-//! when exact kNN started seeding its pools before the first prune).
+//! This suite also pins down the descent itself — the recursive level loop
+//! behind the batch searches must reproduce the seed implementation's
+//! monolithic loops, asserted against a checked-in fingerprint (answer
+//! hashes, simulated cycle counts, and search counters captured from the
+//! seed implementation; the two edit-distance cycle counts were re-recorded
+//! once, when leaf verification started charging the banded DP, and the kNN
+//! counts once, when exact kNN started seeding its pools before the first
+//! prune).
 
 use gts::prelude::*;
 
@@ -217,9 +217,8 @@ fn overflow_rebuild_on_one_shard_leaves_other_clocks_untouched() {
     );
 }
 
-/// Acceptance (a) of the descent-engine refactor: driving the batch
-/// drivers through the resumable engine must be **bit- and cycle-identical**
-/// to the pre-refactor monolithic `range_descend`/`knn_descend` loops.
+/// The batched descent must be **bit- and cycle-identical** to the seed
+/// implementation's monolithic `range_descend`/`knn_descend` loops.
 /// The expected values below were captured by running the *seed*
 /// implementation (commit before the engine landed) on these exact
 /// workloads; every answer hash and every MRQ number must still match.
@@ -240,11 +239,10 @@ fn overflow_rebuild_on_one_shard_leaves_other_clocks_untouched() {
 /// distances in their last bits, which the hashes see, while every cycle
 /// count, the distance count and the verified-leaf count stayed put. The
 /// third workload squeezes device
-/// memory until the two-stage strategy forms query groups, so the engine's
-/// explicit frame stack is pinned against the recursion it replaced —
-/// buffer lifetimes included (a leaked or early-dropped intermediate buffer
-/// would shift `free_bytes`, change the group split, and move every
-/// number).
+/// memory until the two-stage strategy forms query groups, so the group
+/// recursion is pinned — buffer lifetimes included (a leaked or
+/// early-dropped intermediate buffer would shift `free_bytes`, change the
+/// group split, and move every number).
 #[test]
 fn engine_matches_prerefactor_fingerprint() {
     // (dataset, n, radius, k, expected MRQ hash, MRQ cycles, kNN hash,
