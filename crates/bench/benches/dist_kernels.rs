@@ -7,11 +7,16 @@
 //! * **per-pair**: `Metric::distance(&Item, &Item)` in a loop, chasing a
 //!   boxed payload per evaluation (the pre-arena implementation);
 //! * **batch**: one `BatchMetric::distance_batch` call resolving ids
-//!   against the flat [`ObjectArena`] (contiguous payloads, shared DP
-//!   scratch);
+//!   against the flat [`ObjectArena`] (contiguous payloads, the query
+//!   prepared once: the edit kernel's bit-parallel match masks, the
+//!   angular kernel's widened copy);
 //! * **batch-bounded**: the early-abandoning variant leaf verification
-//!   runs (Ukkonen banding for edit distance; for angular, no `acos` for a
+//!   runs (for edit distance, the same bit-parallel kernel, abandoned once
+//!   its score cannot return under the bound; for angular, no `acos` for a
 //!   pair whose cosine already puts it past the bound).
+//!
+//! The per-pair edit path builds a pattern for every pair, so the edit
+//! row's `batch_speedup` is the gain of building it once per query.
 //!
 //! All variants of a metric are timed **round-robin** (one rep of each in
 //! rotation, min per variant): slow drift on the shared core — frequency

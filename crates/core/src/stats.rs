@@ -22,8 +22,8 @@ pub struct SearchStats {
     /// Leaf table entries verified with a real distance computation.
     pub leaf_verified: AtomicU64,
     /// Leaf verifications the bounded kernel answered `None` (`d > bound`).
-    /// A subset of `leaf_verified`. Under edit distance each one ran only
-    /// the Ukkonen band and paid banded work; a vector metric has no early
+    /// A subset of `leaf_verified`. Under edit distance each one is charged
+    /// the modelled Ukkonen band's work; a vector metric has no early
     /// exit, so there this is simply the verified objects that lay beyond
     /// the bound.
     pub leaf_abandoned: AtomicU64,

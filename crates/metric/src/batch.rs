@@ -5,7 +5,8 @@
 //! per level, leaf verification, construction mapping) always evaluate a
 //! query against **many** stored objects at once. [`BatchMetric`] is that
 //! kernel-shaped interface: resolve ids against the arena, stream payloads
-//! from contiguous buffers, reuse DP scratch across the whole batch, and
+//! from contiguous buffers, prepare the query once for the whole batch (the
+//! edit kernel's match masks, the angular kernel's widened query), and
 //! report the batch's total work and critical path in one go so the device
 //! charges a single kernel per batch instead of bookkeeping per pair.
 //!
@@ -16,23 +17,23 @@
 //!   `(total, span)` equals the sum/max of per-pair [`Metric::work`] — so
 //!   an arena-backed search produces the same answers *and the same
 //!   simulated cycle counts* as the per-pair path it replaced.
-//! * `distance_batch_bounded` may abandon early (Ukkonen banding for edit
-//!   distance) but is exact whenever it reports `Some(d)`, and `Some(d)` is
-//!   reported iff `d ≤ bound`.
+//! * `distance_batch_bounded` may abandon early (for edit distance, once
+//!   the bit-parallel kernel's score can no longer return under the bound)
+//!   but is exact whenever it reports `Some(d)`, and `Some(d)` is reported
+//!   iff `d ≤ bound`.
 //! * The kernels are **chunk-safe**: evaluating disjoint sub-slices of one
 //!   id block concurrently from several host threads (see [`chunk_pairs`])
 //!   produces the same outputs and the same summed `(total, span)` as one
 //!   serial call over the whole block. Each pair's result depends only on
-//!   `(query, id)`, mutable state is confined to per-thread DP scratch
-//!   ([`crate::dist::with_edit_scratch`]), and the arena is read-only — so
-//!   callers may slice the arena-resolved block at any fixed chunk
-//!   boundary and fan the chunks out.
+//!   `(query, id)`, every call builds its own query state (the edit
+//!   kernel's [`EditPattern`], the angular kernel's widened query), and the
+//!   arena is read-only — so callers may slice the arena-resolved block at
+//!   any fixed chunk boundary and fan the chunks out.
 
 use crate::arena::{ArenaKind, ObjectArena};
 use crate::dist::{
-    angular_cos_floor, angular_from, angular_within, dot_wide, edit_distance_bounded_bytes_with,
-    edit_distance_bytes_with, l1, l2, norm, with_edit_scratch, with_widened, EditDistance,
-    ItemMetric, Metric, VectorMetric,
+    angular_cos_floor, angular_from, angular_within, dot_wide, l1, l2, norm, with_widened,
+    EditDistance, EditPattern, ItemMetric, Metric, VectorMetric,
 };
 use crate::object::Item;
 
@@ -94,10 +95,10 @@ fn scalar_batch_bounded<O, M: Metric<O> + ?Sized>(
 /// [`chunk_pairs`]) and call `distance_batch` on the chunks from several
 /// host threads concurrently. Implementations must therefore keep each
 /// pair's result a pure function of `(query, id)` and confine any mutable
-/// scratch to the call or the thread (the shipped edit kernels use the
-/// per-thread scratch of [`crate::dist::with_edit_scratch`]). The scalar
-/// defaults satisfy this automatically — `Metric` is `Send + Sync` and the
-/// defaults hold no state.
+/// scratch to the call or the thread (the shipped edit kernels build their
+/// [`EditPattern`] inside the call and hold no per-thread state). The
+/// scalar defaults satisfy this automatically — `Metric` is `Send + Sync`
+/// and the defaults hold no state.
 pub trait BatchMetric<O>: Metric<O> {
     /// Build the flat arena for `objects`, or `None` when this metric (or
     /// this object type) has no flat layout — callers then pass
@@ -198,7 +199,7 @@ pub fn chunk_pairs<'a, T>(
         .collect()
 }
 
-/// Clamp a float radius to the integer bound the banded edit DP expects:
+/// Clamp a float radius to the integer bound the edit kernel expects:
 /// an integer distance `d` satisfies `d ≤ r` iff `d ≤ ⌊r⌋`. Negative and
 /// NaN radii admit no distance at all.
 fn edit_bound(bound: f64) -> Option<u32> {
@@ -228,6 +229,30 @@ fn vector_rows<T>(
                 .expect("vector metric over vector items"),
         };
         *slot = f(id, o);
+    }
+}
+
+/// [`vector_rows`] for text: fill `out[i] = f(row)` for `id = ids[i]`,
+/// resolving each string's bytes from the arena or from the boxed item.
+/// Both edit kernels run through here, so an index that lost its arena
+/// still builds its query's [`EditPattern`] once per call.
+#[inline(always)]
+fn text_rows<T>(
+    objects: &[Item],
+    arena: Option<&ObjectArena>,
+    ids: &[u32],
+    out: &mut [T],
+    mut f: impl FnMut(&[u8]) -> T,
+) {
+    for (slot, &id) in out.iter_mut().zip(ids) {
+        let o = match arena {
+            Some(arena) => arena.text_bytes(id),
+            None => objects[id as usize]
+                .as_text()
+                .expect("edit metric over text items")
+                .as_bytes(),
+        };
+        *slot = f(o);
     }
 }
 
@@ -293,22 +318,21 @@ impl BatchMetric<Item> for ItemMetric {
         out: &mut [f64],
     ) -> (u64, u64) {
         assert_eq!(ids.len(), out.len());
-        match (self, arena, query) {
-            (ItemMetric::Edit, Some(arena), Item::Text(q)) => {
+        match (self, query) {
+            (ItemMetric::Edit, Item::Text(q)) => {
                 let q = q.as_bytes();
+                let mut pattern = EditPattern::new(q);
                 let (mut total, mut span) = (0u64, 0u64);
-                with_edit_scratch(|scratch| {
-                    for (slot, &id) in out.iter_mut().zip(ids) {
-                        let o = arena.text_bytes(id);
-                        *slot = f64::from(edit_distance_bytes_with(q, o, scratch));
-                        let w = EditDistance::work_full_lens(q.len(), o.len());
-                        total += w;
-                        span = span.max(w);
-                    }
+                text_rows(objects, arena, ids, out, |o| {
+                    let w = EditDistance::work_full_lens(q.len(), o.len());
+                    total += w;
+                    span = span.max(w);
+                    let d = pattern.distance(o, u32::MAX);
+                    f64::from(d.expect("an unbounded distance always answers"))
                 });
                 (total, span)
             }
-            (ItemMetric::Vector(m), _, Item::Vector(q)) => {
+            (ItemMetric::Vector(m), Item::Vector(q)) => {
                 match m {
                     VectorMetric::L1 => vector_rows(objects, arena, ids, out, |_, o| l1(q, o)),
                     VectorMetric::L2 => vector_rows(objects, arena, ids, out, |_, o| l2(q, o)),
@@ -342,23 +366,15 @@ impl BatchMetric<Item> for ItemMetric {
                     out.fill(None);
                     return (0, 0);
                 };
-                let qb = q.as_bytes();
+                let q = q.as_bytes();
+                let mut pattern = EditPattern::new(q);
                 let (mut total, mut span) = (0u64, 0u64);
-                with_edit_scratch(|scratch| {
-                    for (slot, &id) in out.iter_mut().zip(ids) {
-                        let o = match arena {
-                            Some(arena) => arena.text_bytes(id),
-                            None => objects[id as usize]
-                                .as_text()
-                                .expect("edit metric over text items")
-                                .as_bytes(),
-                        };
-                        *slot = edit_distance_bounded_bytes_with(qb, o, b, scratch).map(f64::from);
-                        // Charge the banded DP, not the full table.
-                        let w = EditDistance::work_bounded_lens(qb.len(), o.len(), b);
-                        total += w;
-                        span = span.max(w);
-                    }
+                text_rows(objects, arena, ids, out, |o| {
+                    // Charge the banded DP, not the full table.
+                    let w = EditDistance::work_bounded_lens(q.len(), o.len(), b);
+                    total += w;
+                    span = span.max(w);
+                    pattern.distance(o, b).map(f64::from)
                 });
                 (total, span)
             }
@@ -500,6 +516,18 @@ mod tests {
             assert_eq!(with, without, "{}", metric.name());
             assert_eq!(charged_with, charged_without, "{}", metric.name());
         }
+        // The unbounded edit kernel resolves rows the same way.
+        let items = words();
+        let arena = ItemMetric::Edit.build_arena(&items).expect("arena");
+        let ids: Vec<u32> = (0..items.len() as u32).collect();
+        let mut with = vec![0.0; ids.len()];
+        let mut without = vec![0.0; ids.len()];
+        let q = &items[4];
+        let charged_with =
+            ItemMetric::Edit.distance_batch(&items, Some(&arena), q, &ids, &mut with);
+        let charged_without = ItemMetric::Edit.distance_batch(&items, None, q, &ids, &mut without);
+        assert_eq!(with, without);
+        assert_eq!(charged_with, charged_without);
     }
 
     #[test]

@@ -51,141 +51,162 @@ pub trait Metric<O: ?Sized>: Send + Sync {
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct EditDistance;
 
-/// Reusable scratch for the two DP rows of the Levenshtein kernels.
+/// The match masks of one edit-distance pattern, built once and run
+/// against many texts by the bit-parallel kernel [`EditPattern::distance`]
+/// (Myers 1999, in Hyyrö's global-distance form). Bit `i` of the mask of
+/// byte `c` is set iff `pattern[i] == c`.
 ///
-/// The rows used to be `vec![...]`'d on every invocation — two heap
-/// allocations per distance inside leaf verification, the hottest loop in
-/// the system. Callers that evaluate many distances (the batched kernels of
-/// [`crate::BatchMetric`], the microbenches) hold one `EditScratch` for the
-/// whole batch; the scalar entry points share a thread-local instance.
-#[derive(Clone, Debug, Default)]
-pub struct EditScratch {
-    prev: Vec<u32>,
-    cur: Vec<u32>,
+/// A pattern of at most 64 bytes (every Words object) keeps one word per
+/// byte value, inline; a longer one (a 108-base DNA read) keeps ⌈m/64⌉
+/// words per byte value and carries the horizontal delta from block to
+/// block. The batched kernels build one pattern per call from the query,
+/// so the masks are paid once per query, not once per pair.
+pub struct EditPattern {
+    len: usize,
+    masks: Masks,
 }
 
-std::thread_local! {
-    /// Per-thread scratch backing the scalar `edit_distance*` entry points
-    /// **and** the batched edit kernels. Kernel execution fans out over
-    /// host threads (`gpu_sim::exec` chunk workers), so the scratch must be
-    /// per-thread, not global: each worker reuses its own DP rows across
-    /// every chunk it executes, and chunks never contend.
-    static EDIT_SCRATCH: std::cell::RefCell<EditScratch> =
-        std::cell::RefCell::new(EditScratch::default());
+// The inline table is the common case (every Words pattern) and the point
+// of it: boxing it would put an allocation back on every scalar call.
+#[allow(clippy::large_enum_variant)]
+enum Masks {
+    One([u64; 256]),
+    Blocks {
+        /// The masks of byte `c` are `peq[c * blocks..][..blocks]`.
+        peq: Vec<u64>,
+        /// Each block's vertical deltas `(Pv, Mv)` for the current text
+        /// byte; reset by every run, so no run allocates.
+        deltas: Vec<(u64, u64)>,
+    },
 }
 
-/// Run `f` with this thread's reusable [`EditScratch`] — the chunk-safe
-/// scratch entry the batched kernels use (one DP-row pair per host thread,
-/// reused across batches and chunks, never shared between threads).
-pub fn with_edit_scratch<R>(f: impl FnOnce(&mut EditScratch) -> R) -> R {
-    EDIT_SCRATCH.with(|s| f(&mut s.borrow_mut()))
+/// Advance one 64-row block of the edit-distance column past a text byte
+/// whose match mask is `eq`. `(pv, mv)` are the block's vertical deltas
+/// (bit `i` set: row `i` is one more / one less than the row above),
+/// `h_in ∈ {−1, 0, +1}` is the horizontal delta entering the block's top
+/// row, and the return value is the horizontal delta leaving the row
+/// whose bit is `row`.
+#[inline(always)]
+fn advance_block((pv, mv): &mut (u64, u64), eq: u64, h_in: isize, row: u64) -> isize {
+    let neg_in = u64::from(h_in < 0);
+    let xv = eq | *mv;
+    // A −1 entering the top row lets row 0 start a carry like a match.
+    let eq = eq | neg_in;
+    let xh = ((eq & *pv).wrapping_add(*pv) ^ *pv) | eq;
+    let ph = *mv | !(xh | *pv);
+    let mh = *pv & xh;
+    let h_out = isize::from(ph & row != 0) - isize::from(mh & row != 0);
+    let ph = (ph << 1) | u64::from(h_in > 0);
+    let mh = (mh << 1) | neg_in;
+    *pv = mh | !(xv | ph);
+    *mv = ph & xv;
+    h_out
 }
 
-/// Classic two-row dynamic-programming Levenshtein distance.
-///
-/// Operates on bytes; the generators emit ASCII, matching the paper's word
-/// and DNA data.
-pub fn edit_distance(a: &str, b: &str) -> u32 {
-    edit_distance_bytes(a.as_bytes(), b.as_bytes())
-}
-
-/// Byte-level Levenshtein distance (thread-local scratch).
-pub fn edit_distance_bytes(a: &[u8], b: &[u8]) -> u32 {
-    EDIT_SCRATCH.with(|s| edit_distance_bytes_with(a, b, &mut s.borrow_mut()))
-}
-
-/// Byte-level Levenshtein distance using caller-provided row scratch.
-pub fn edit_distance_bytes_with(a: &[u8], b: &[u8], scratch: &mut EditScratch) -> u32 {
-    // Keep the shorter string in the inner dimension to minimise the rows.
-    let (a, b) = if a.len() < b.len() { (b, a) } else { (a, b) };
-    if b.is_empty() {
-        return a.len() as u32;
-    }
-    scratch.prev.clear();
-    scratch.prev.extend(0..=b.len() as u32);
-    scratch.cur.clear();
-    scratch.cur.resize(b.len() + 1, 0);
-    let (mut prev, mut cur) = (&mut scratch.prev, &mut scratch.cur);
-    for (i, &ca) in a.iter().enumerate() {
-        cur[0] = i as u32 + 1;
-        for (j, &cb) in b.iter().enumerate() {
-            let sub = prev[j] + u32::from(ca != cb);
-            cur[j + 1] = sub.min(prev[j + 1] + 1).min(cur[j] + 1);
+impl EditPattern {
+    /// The match masks of `pattern`.
+    pub fn new(pattern: &[u8]) -> Self {
+        let masks = if pattern.len() <= 64 {
+            let mut peq = [0u64; 256];
+            for (i, &c) in pattern.iter().enumerate() {
+                peq[usize::from(c)] |= 1 << i;
+            }
+            Masks::One(peq)
+        } else {
+            let blocks = pattern.len().div_ceil(64);
+            let mut peq = vec![0u64; 256 * blocks];
+            for (i, &c) in pattern.iter().enumerate() {
+                peq[usize::from(c) * blocks + i / 64] |= 1 << (i % 64);
+            }
+            Masks::Blocks {
+                peq,
+                deltas: vec![(0, 0); blocks],
+            }
+        };
+        EditPattern {
+            len: pattern.len(),
+            masks,
         }
-        std::mem::swap(&mut prev, &mut cur);
     }
-    prev[b.len()]
+
+    /// `Some(d)` iff the byte-level Levenshtein distance `d` between the
+    /// pattern and `text` is `≤ bound`; exact whenever it answers, and
+    /// `bound = u32::MAX` never abandons.
+    ///
+    /// The kernel tracks the last row of the DP table, one text byte at a
+    /// time. That row's score moves by at most one per byte, so the run
+    /// abandons as soon as it exceeds `bound` by more than the bytes left.
+    pub fn distance(&mut self, text: &[u8], bound: u32) -> Option<u32> {
+        let (m, n) = (self.len, text.len());
+        let bound = usize::try_from(bound).unwrap_or(usize::MAX);
+        if m.abs_diff(n) > bound {
+            return None;
+        }
+        if m == 0 {
+            return u32::try_from(n).ok();
+        }
+        let last_row = 1u64 << ((m - 1) % 64);
+        let mut score = m;
+        // The top row of the table is 0, 1, 2, …: every column enters the
+        // first block with a horizontal delta of +1.
+        let mut column = |j: usize, h: isize| {
+            score = score.wrapping_add_signed(h);
+            score <= bound.saturating_add(n - j - 1)
+        };
+        match &mut self.masks {
+            Masks::One(peq) => {
+                let mut delta = (!0u64, 0u64);
+                for (j, &c) in text.iter().enumerate() {
+                    let h = advance_block(&mut delta, peq[usize::from(c)], 1, last_row);
+                    if !column(j, h) {
+                        return None;
+                    }
+                }
+            }
+            Masks::Blocks { peq, deltas } => {
+                let blocks = deltas.len();
+                deltas.fill((!0, 0));
+                let (body, tail) = deltas.split_at_mut(blocks - 1);
+                for (j, &c) in text.iter().enumerate() {
+                    let eqs = &peq[usize::from(c) * blocks..][..blocks];
+                    let mut h = 1;
+                    for (delta, &eq) in body.iter_mut().zip(eqs) {
+                        h = advance_block(delta, eq, h, 1 << 63);
+                    }
+                    h = advance_block(&mut tail[0], eqs[blocks - 1], h, last_row);
+                    if !column(j, h) {
+                        return None;
+                    }
+                }
+            }
+        }
+        u32::try_from(score).ok()
+    }
 }
 
-/// Early-abandoning edit distance: returns `None` as soon as the distance is
-/// provably `> bound` (Ukkonen banding). Exact when `Some` is returned.
+/// Levenshtein distance over bytes; the generators emit ASCII, matching
+/// the paper's word and DNA data.
+pub fn edit_distance(a: &str, b: &str) -> u32 {
+    edit_distance_bounded(a, b, u32::MAX).expect("an unbounded distance always answers")
+}
+
+/// Early-abandoning edit distance: `Some(d)` iff `d ≤ bound`, exact when
+/// it answers. Runs [`EditPattern::distance`] with the shorter string as
+/// the pattern.
 ///
 /// Used by verification steps where a query radius is known; charged the
 /// banded work by [`EditDistance::work_bounded`].
 pub fn edit_distance_bounded(a: &str, b: &str, bound: u32) -> Option<u32> {
-    EDIT_SCRATCH.with(|s| {
-        edit_distance_bounded_bytes_with(a.as_bytes(), b.as_bytes(), bound, &mut s.borrow_mut())
-    })
-}
-
-/// Byte-level banded edit distance using caller-provided row scratch.
-pub fn edit_distance_bounded_bytes_with(
-    a: &[u8],
-    b: &[u8],
-    bound: u32,
-    scratch: &mut EditScratch,
-) -> Option<u32> {
-    let (a, b) = if a.len() < b.len() { (b, a) } else { (a, b) };
-    if (a.len() - b.len()) as u32 > bound {
-        return None;
-    }
-    if b.is_empty() {
-        return Some(a.len() as u32);
-    }
-    // Saturating sentinel: `bound = u32::MAX` must not wrap `inf` to 0
-    // (which would report every distance as 0); the DP already saturates
-    // its cell updates, so a saturated sentinel stays exact.
-    let inf = bound.saturating_add(1);
-    scratch.prev.clear();
-    scratch
-        .prev
-        .extend((0..=b.len() as u32).map(|v| v.min(inf)));
-    scratch.cur.clear();
-    scratch.cur.resize(b.len() + 1, inf);
-    let (mut prev, mut cur) = (&mut scratch.prev, &mut scratch.cur);
-    let band = bound as usize;
-    for (i, &ca) in a.iter().enumerate() {
-        cur[0] = (i as u32 + 1).min(inf);
-        // Only the diagonal band [i-band, i+band] can stay within `bound`.
-        let lo = i.saturating_sub(band);
-        let hi = i.saturating_add(band).saturating_add(1).min(b.len());
-        if lo > 0 {
-            cur[lo] = inf;
-        }
-        let mut row_min = cur[0];
-        for j in lo..hi {
-            let cb = b[j];
-            let sub = prev[j].saturating_add(u32::from(ca != cb));
-            let del = prev[j + 1].saturating_add(1);
-            let ins = cur[j].saturating_add(1);
-            let v = sub.min(del).min(ins).min(inf);
-            cur[j + 1] = v;
-            row_min = row_min.min(v);
-        }
-        if hi < b.len() {
-            cur[hi + 1..].fill(inf);
-        }
-        if row_min > bound {
-            return None;
-        }
-        std::mem::swap(&mut prev, &mut cur);
-    }
-    let d = prev[b.len()];
-    (d <= bound).then_some(d)
+    let (a, b) = (a.as_bytes(), b.as_bytes());
+    let (pattern, text) = if a.len() <= b.len() { (a, b) } else { (b, a) };
+    EditPattern::new(pattern).distance(text, bound)
 }
 
 impl EditDistance {
-    /// Work of the full DP: `(|a|+1)·(|b|+1)` cell updates, ~3 ops each.
+    /// Work of the full DP a simulated GPU thread runs: `(|a|+1)·(|b|+1)`
+    /// cell updates, ~3 ops each. It prices the modelled device kernel, not
+    /// the host's bit-parallel one, so the simulated clock does not move
+    /// with the host implementation.
     pub fn work_full(a: &str, b: &str) -> u64 {
         Self::work_full_lens(a.len(), b.len())
     }
@@ -201,7 +222,10 @@ impl EditDistance {
         Self::work_bounded_lens(a.len(), b.len(), bound)
     }
 
-    /// [`EditDistance::work_bounded`] from payload lengths alone.
+    /// [`EditDistance::work_bounded`] from payload lengths alone. It prices
+    /// the banded DP (Ukkonen's band of half-width `bound`) that a
+    /// simulated GPU thread runs, not the host kernel, and charges the same
+    /// for a pair rejected by length as for one that is evaluated.
     pub fn work_bounded_lens(a_len: usize, b_len: usize, bound: u32) -> u64 {
         let band = (2 * u64::from(bound) + 1).min(b_len as u64 + 1);
         3 * (a_len as u64 + 1) * band
@@ -342,7 +366,7 @@ pub(crate) fn norm(a: &[f32]) -> f64 {
 
 std::thread_local! {
     /// Per-thread `f64` copy of the query a batched vector kernel is
-    /// running, reused across calls like `EDIT_SCRATCH`.
+    /// running, reused across calls.
     static WIDE_SCRATCH: std::cell::RefCell<Vec<f64>> = const { std::cell::RefCell::new(Vec::new()) };
 }
 
@@ -579,12 +603,27 @@ mod tests {
 
     #[test]
     fn edit_bounded_survives_maximal_bound() {
-        // `bound = u32::MAX` must not wrap the `inf` sentinel to 0.
+        // `bound + bytes left` must saturate, not wrap, at `u32::MAX`.
         assert_eq!(
             edit_distance_bounded("kitten", "sitting", u32::MAX),
             Some(3)
         );
         assert_eq!(edit_distance_bounded("", "abc", u32::MAX), Some(3));
+    }
+
+    #[test]
+    fn edit_patterns_past_one_block() {
+        // 64-row blocks: the horizontal delta must carry between them, and
+        // the score must be read at the last pattern row, not bit 63.
+        let a = "acgt".repeat(27); // 108 bytes, a DNA read's length
+        let mut b = a.clone();
+        b.replace_range(70..71, "a");
+        b.insert(3, 't');
+        assert_eq!(edit_distance(&a, &b), 2);
+        assert_eq!(edit_distance_bounded(&a, &b, 1), None);
+        assert_eq!(edit_distance(&"x".repeat(130), ""), 130);
+        assert_eq!(edit_distance(&"x".repeat(65), &"x".repeat(64)), 1);
+        assert_eq!(edit_distance(&"ab".repeat(50), &"ba".repeat(50)), 2);
     }
 
     #[test]

@@ -14,7 +14,8 @@
 //! * [`ObjectArena`]/[`BatchMetric`] — the flat object arena (contiguous
 //!   payload buffers + offsets) and the batched distance-kernel layer the
 //!   index hot paths launch one level at a time, with an early-abandoning
-//!   (Ukkonen-banded) variant for bounded verification;
+//!   variant for bounded verification (edit distance runs one bit-parallel
+//!   kernel, [`dist::EditPattern`], built once per query);
 //! * [`Dataset`] and [`gen`] — seeded synthetic generators mirroring the
 //!   paper's Words, T-Loc, Vector, DNA, and Color datasets (Table 2);
 //! * [`SimilarityIndex`] — the query interface shared by GTS and every
@@ -44,7 +45,7 @@ pub mod stats;
 pub use arena::{ArenaKind, ObjectArena};
 pub use batch::{chunk_pairs, BatchChunk, BatchMetric};
 pub use dataset::{Dataset, DatasetKind};
-pub use dist::{EditDistance, EditScratch, ItemMetric, Metric, VectorMetric};
+pub use dist::{EditDistance, ItemMetric, Metric, VectorMetric};
 pub use index::{DynamicIndex, IndexError, Neighbor, SimilarityIndex};
 pub use object::{Footprint, Item};
 pub use partition::{PartitionStrategy, Partitioner};

@@ -9,6 +9,8 @@ use gts::metric::BatchMetric;
 use gts::metric::Metric as _;
 use gts::prelude::*;
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::Rng;
 
 fn arb_word() -> impl Strategy<Value = String> {
     proptest::string::string_regex("[a-d]{0,12}").expect("regex")
@@ -16,6 +18,85 @@ fn arb_word() -> impl Strategy<Value = String> {
 
 fn arb_vec(dim: usize) -> impl Strategy<Value = Vec<f32>> {
     proptest::collection::vec(-100.0f32..100.0, dim)
+}
+
+/// Characters of one to four UTF-8 bytes, NUL among them. The edit kernel
+/// works on bytes, so a multi-byte character fills several pattern rows.
+const TEXT_CHARS: [char; 8] = ['a', 'b', 'c', '\u{0}', 'é', 'ß', '中', '🦀'];
+
+/// Byte lengths on both sides of the edit kernel's 64-row block edges.
+const BLOCK_EDGE_LENS: [usize; 9] = [0, 1, 63, 64, 65, 127, 128, 129, 200];
+
+/// Pairs of strings for the edit kernel. The first has a byte length from
+/// [`BLOCK_EDGE_LENS`] or a random one up to 210. The second is either
+/// drawn the same way or is the first after up to ten random character
+/// edits, so that small bounds are both met and missed.
+struct ArbTextPair;
+
+impl ArbTextPair {
+    fn text(rng: &mut StdRng) -> String {
+        let len = if rng.gen_bool(0.75) {
+            BLOCK_EDGE_LENS[rng.gen_range(0..BLOCK_EDGE_LENS.len())]
+        } else {
+            rng.gen_range(0..=210)
+        };
+        let mut s = String::with_capacity(len);
+        while s.len() < len {
+            let c = TEXT_CHARS[rng.gen_range(0..TEXT_CHARS.len())];
+            s.push(if s.len() + c.len_utf8() <= len {
+                c
+            } else {
+                'a'
+            });
+        }
+        s
+    }
+
+    fn edited(rng: &mut StdRng, s: &str) -> String {
+        let mut chars: Vec<char> = s.chars().collect();
+        for _ in 0..rng.gen_range(0..=10) {
+            let c = TEXT_CHARS[rng.gen_range(0..TEXT_CHARS.len())];
+            let at = rng.gen_range(0..=chars.len());
+            match rng.gen_range(0..3) {
+                0 => chars.insert(at, c),
+                _ if at == chars.len() => {}
+                1 => {
+                    chars.remove(at);
+                }
+                _ => chars[at] = c,
+            }
+        }
+        chars.into_iter().collect()
+    }
+}
+
+impl Strategy for ArbTextPair {
+    type Value = (String, String);
+    fn generate(&self, rng: &mut StdRng) -> (String, String) {
+        let a = Self::text(rng);
+        let b = if rng.gen_bool(0.3) {
+            Self::text(rng)
+        } else {
+            Self::edited(rng, &a)
+        };
+        (a, b)
+    }
+}
+
+/// The textbook two-row Levenshtein DP over bytes: the reference the
+/// library's bit-parallel kernel is held against, defined here so that a
+/// bug in the library cannot hide in it.
+fn reference_edit(a: &[u8], b: &[u8]) -> u32 {
+    let mut prev: Vec<u32> = (0..=b.len() as u32).collect();
+    for (i, &ca) in a.iter().enumerate() {
+        let mut cur = vec![i as u32 + 1; b.len() + 1];
+        for (j, &cb) in b.iter().enumerate() {
+            let sub = prev[j] + u32::from(ca != cb);
+            cur[j + 1] = sub.min(prev[j + 1] + 1).min(cur[j] + 1);
+        }
+        prev = cur;
+    }
+    prev[b.len()]
 }
 
 proptest! {
@@ -254,6 +335,46 @@ proptest! {
         prop_assert_eq!(got.len(), all.len());
         for (g, w) in got.iter().zip(&all) {
             prop_assert!((g.dist - w.dist).abs() < 1e-9, "{} vs {}", g.dist, w.dist);
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The edit kernel equals [`reference_edit`] in both argument orders,
+    /// through the scalar entry points and the batched kernels (with and
+    /// without an arena, each string as the query), unbounded and at
+    /// bounds 0..=8 and `u32::MAX`.
+    #[test]
+    fn edit_kernel_matches_reference_dp(pair in ArbTextPair) {
+        let (a, b) = pair;
+        let want = reference_edit(a.as_bytes(), b.as_bytes());
+        prop_assert_eq!(edit_distance(&a, &b), want, "{:?} {:?}", a, b);
+        prop_assert_eq!(edit_distance(&b, &a), want, "{:?} {:?}", b, a);
+        let metric = ItemMetric::Edit;
+        let items = vec![Item::text(a.clone()), Item::text(b.clone())];
+        let arena = metric.build_arena(&items).expect("homogeneous text");
+        let mut out = [0.0];
+        for arena in [Some(&arena), None] {
+            for (q, o) in [(0, 1), (1, 0)] {
+                metric.distance_batch(&items, arena, &items[q], &[o], &mut out);
+                prop_assert_eq!(out[0], f64::from(want));
+            }
+        }
+        let mut bounded = [None];
+        for bound in (0..=8).chain([u32::MAX]) {
+            let within = (want <= bound).then_some(want);
+            prop_assert_eq!(edit_distance_bounded(&a, &b, bound), within, "bound {}", bound);
+            prop_assert_eq!(edit_distance_bounded(&b, &a, bound), within, "bound {}", bound);
+            for arena in [Some(&arena), None] {
+                for (q, o) in [(0, 1), (1, 0)] {
+                    metric.distance_batch_bounded(
+                        &items, arena, &items[q], &[o], f64::from(bound), &mut bounded,
+                    );
+                    prop_assert_eq!(bounded[0], within.map(f64::from), "bound {}", bound);
+                }
+            }
         }
     }
 }
