@@ -1,4 +1,4 @@
-//! Ablation A1 (DESIGN.md §2): the GTS design decisions, each toggled off
+//! Ablation A1: the GTS design decisions, each toggled off
 //! in isolation on Words and T-Loc:
 //!
 //! * two-sided ring pruning → lower-bound-only (the paper's literal text);

@@ -2,7 +2,7 @@
 //!
 //! The experiment harness that regenerates **every table and figure** of the
 //! GTS paper's evaluation (§6) on the simulated device, plus the ablations
-//! called out in DESIGN.md. The `experiments` binary runs them all and
+//! of `experiments::ablations`. The `experiments` binary runs them all and
 //! writes `results/*.csv` + a combined markdown report.
 //!
 //! Scaling: cardinalities, device memory, and the EGNAT host budget all

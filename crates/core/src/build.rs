@@ -14,7 +14,7 @@
 //!   split evenly into `Nc` children (`avg = ⌊size/Nc⌋`, the last child
 //!   takes the remainder).
 //!
-//! Differences from the paper's pseudocode, both documented in DESIGN.md:
+//! Differences from the paper's pseudocode, both deliberate:
 //! the child start position uses `pos + j·avg` (the paper's `pos + j·Nc` is
 //! a typo — it would overlap children), and the encoding denominator is
 //! `2(max+1)` rather than `max+1` so the fractional part stays `< ½` and the
@@ -22,13 +22,13 @@
 //! is the pre-sort position, so stored distances are *gathered*, never
 //! re-derived from the encoded key — no precision loss.
 
-use crate::dispatch::distance_block;
+use crate::dispatch::Payloads;
 use crate::node::{Node, NodeList, TreeShape};
 use crate::params::GtsParams;
 use crate::table::TableList;
 use gpu_sim::primitives::{reduce_max_f64, sort_pairs_by_key};
 use gpu_sim::{Device, GpuError};
-use metric_space::{BatchMetric, ObjectArena};
+use metric_space::BatchMetric;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::Arc;
@@ -52,11 +52,11 @@ struct BuildScratch {
     out: Vec<f64>,
 }
 
-/// Construct the GTS structure over `ids` (a subset of `objects`).
+/// Construct the GTS structure over `ids` (a subset of the object store).
 ///
-/// `arena`, when present, is the flat payload arena over the **full**
-/// `objects` store (ids are arena ids); the mapping kernels resolve object
-/// payloads against it instead of chasing per-object pointers.
+/// `payloads` carries the **full** object store and its flat arena (ids
+/// are arena ids); the mapping kernels resolve object payloads against the
+/// arena instead of chasing per-object pointers.
 ///
 /// Runs entirely "on device": every distance evaluation and data movement is
 /// charged to `dev`'s clock; the returned host structures mirror what would
@@ -65,10 +65,8 @@ struct BuildScratch {
 /// only).
 pub(crate) fn construct<O, M>(
     dev: &Arc<Device>,
-    objects: &[O],
-    arena: Option<&ObjectArena>,
+    payloads: &Payloads<'_, O, M>,
     ids: &[u32],
-    metric: &M,
     params: &GtsParams,
     threads: usize,
 ) -> Result<Structure, GpuError>
@@ -104,9 +102,7 @@ where
         let width = shape.level_width(level);
         mapping(
             dev,
-            objects,
-            arena,
-            metric,
+            payloads,
             params,
             threads,
             &mut nodes,
@@ -133,9 +129,7 @@ where
 #[allow(clippy::too_many_arguments)]
 fn mapping<O, M>(
     dev: &Arc<Device>,
-    objects: &[O],
-    arena: Option<&ObjectArena>,
-    metric: &M,
+    payloads: &Payloads<'_, O, M>,
     params: &GtsParams,
     threads: usize,
     nodes: &mut NodeList,
@@ -164,17 +158,9 @@ fn mapping<O, M>(
             table.fill_ids(0, n as u32, ids);
             out.clear();
             out.resize(n, 0.0);
+            let seed = &payloads.objects[seed_obj as usize];
             dev.launch_batch(n, || {
-                let (w, s) = distance_block(
-                    dev,
-                    threads,
-                    metric,
-                    objects,
-                    arena,
-                    &objects[seed_obj as usize],
-                    ids,
-                    out,
-                );
+                let (w, s) = payloads.distance_block(dev, threads, seed, ids, out);
                 ((), w, s)
             });
             *build_distances += n as u64;
@@ -223,7 +209,7 @@ fn mapping<O, M>(
     // One batched kernel over the entire table (grid = nodes, block = the
     // node's objects; pivots staged in shared memory per Alg. 2): each
     // node's segment is contiguous in the table, so the level runs as one
-    // launch of per-node `distance_block` calls resolving object ids
+    // launch of per-node `Payloads::distance_block` calls resolving object ids
     // against the arena — large segments fan out over host threads in
     // fixed-size chunks — charged once for the whole level.
     {
@@ -242,16 +228,8 @@ fn mapping<O, M>(
                 ids.clear();
                 table.fill_ids(node.pos, node.size, ids);
                 let seg = &mut out[node.pos as usize..(node.pos + node.size) as usize];
-                let (w, s) = distance_block(
-                    dev,
-                    threads,
-                    metric,
-                    objects,
-                    arena,
-                    &objects[pivot as usize],
-                    ids,
-                    seg,
-                );
+                let pivot = &payloads.objects[pivot as usize];
+                let (w, s) = payloads.distance_block(dev, threads, pivot, ids, seg);
                 total += w;
                 span = span.max(s);
             }
@@ -370,7 +348,24 @@ fn node_rank_of_positions(
 mod tests {
     use super::*;
     use crate::table::TableEntry;
-    use metric_space::{DatasetKind, ItemMetric, Metric};
+    use metric_space::{Dataset, DatasetKind, ItemMetric, Metric};
+
+    /// Construct over the `ids` subset of `data` on `dev`, on `threads`.
+    fn construct_on(
+        dev: &Arc<Device>,
+        data: &Dataset,
+        ids: &[u32],
+        params: &GtsParams,
+        threads: usize,
+    ) -> Structure {
+        let arena = data.metric.build_arena(&data.items).expect("arena");
+        let payloads = Payloads {
+            metric: &data.metric,
+            objects: &data.items,
+            arena: &arena,
+        };
+        construct(dev, &payloads, ids, params, threads).expect("build")
+    }
 
     fn build_kind(
         kind: DatasetKind,
@@ -381,17 +376,7 @@ mod tests {
         let dev = Device::rtx_2080_ti();
         let ids: Vec<u32> = (0..n as u32).collect();
         let params = GtsParams::default().with_node_capacity(nc);
-        let arena = data.metric.build_arena(&data.items);
-        let s = construct(
-            &dev,
-            &data.items,
-            arena.as_ref(),
-            &ids,
-            &data.metric,
-            &params,
-            dev.host_threads(),
-        )
-        .expect("build");
+        let s = construct_on(&dev, &data, &ids, &params, dev.host_threads());
         (s, data.items, data.metric)
     }
 
@@ -509,16 +494,7 @@ mod tests {
     fn single_level_tree() {
         let data = DatasetKind::Words.generate(3, 5);
         let dev = Device::rtx_2080_ti();
-        let s = construct(
-            &dev,
-            &data.items,
-            None,
-            &[0, 1, 2],
-            &data.metric,
-            &GtsParams::default(),
-            dev.host_threads(),
-        )
-        .expect("tiny build");
+        let s = construct_on(&dev, &data, &[0, 1, 2], &GtsParams::default(), 1);
         assert_eq!(s.nodes.shape().h, 1);
         assert_eq!(s.nodes.get(1).size, 3);
         assert!(s.nodes.get(1).pivot.is_none(), "root-as-leaf has no pivot");
@@ -540,17 +516,7 @@ mod tests {
         let dev = Device::rtx_2080_ti();
         let ids: Vec<u32> = (0..2000).collect();
         dev.reset_clock();
-        let arena = data.metric.build_arena(&data.items);
-        construct(
-            &dev,
-            &data.items,
-            arena.as_ref(),
-            &ids,
-            &data.metric,
-            &GtsParams::default(),
-            dev.host_threads(),
-        )
-        .expect("build");
+        construct_on(&dev, &data, &ids, &GtsParams::default(), dev.host_threads());
         let s = dev.stats();
         assert!(s.kernels > 3, "multiple kernels launched");
         assert!(s.cycles > 0 && s.work > 0);
@@ -562,13 +528,12 @@ mod tests {
         let dev = Device::rtx_2080_ti();
         let ids: Vec<u32> = (0..200).collect();
         let p = GtsParams::default().with_seed(77);
-        let arena = data.metric.build_arena(&data.items);
-        let a = construct(&dev, &data.items, arena.as_ref(), &ids, &data.metric, &p, 2).expect("a");
-        let b = construct(&dev, &data.items, None, &ids, &data.metric, &p, 2).expect("b");
+        let a = construct_on(&dev, &data, &ids, &p, 2);
+        let b = construct_on(&dev, &data, &ids, &p, 1);
         assert_eq!(
             a.table.iter().collect::<Vec<TableEntry>>(),
             b.table.iter().collect::<Vec<TableEntry>>(),
-            "arena and per-pair construction agree bit-for-bit"
+            "same seed, same table, whatever the host threads"
         );
     }
 
@@ -577,17 +542,7 @@ mod tests {
         let data = DatasetKind::Words.generate(100, 3);
         let dev = Device::rtx_2080_ti();
         let ids: Vec<u32> = (0..100).step_by(2).map(|i| i as u32).collect();
-        let arena = data.metric.build_arena(&data.items);
-        let s = construct(
-            &dev,
-            &data.items,
-            arena.as_ref(),
-            &ids,
-            &data.metric,
-            &GtsParams::default(),
-            dev.host_threads(),
-        )
-        .expect("subset build");
+        let s = construct_on(&dev, &data, &ids, &GtsParams::default(), dev.host_threads());
         assert_eq!(s.table.len(), 50);
         assert!(s.table.obj_column().iter().all(|&o| o % 2 == 0));
     }

@@ -17,8 +17,8 @@
 //! **Intra-block chunking is the fallback for single-run batches.** The
 //! single-query API, construction mapping and the cache scan have no second
 //! query segment to run beside the first; their "one query against one id
-//! block" calls go through [`distance_block`] /
-//! [`distance_block_bounded`], which cut a large block into fixed-size
+//! block" calls go through [`Payloads::distance_block`] /
+//! [`Payloads::distance_block_bounded`], which cut a large block into fixed-size
 //! chunks ([`gpu_sim::exec::BATCH_CHUNK`]) across the same pool. A
 //! multi-run batch runs its blocks serially inside each run — the pool is
 //! already busy with the sibling runs.
@@ -85,62 +85,65 @@ pub(crate) fn run_query_chunks<I: Send>(
     dev.run_batch_chunks(threads, items, |item| f(item, inner))
 }
 
-/// Evaluate `out[i] = d(query, objects[ids[i]])` over one id block,
-/// returning the block's `(total_work, span)` — the parallel-aware
-/// equivalent of calling [`BatchMetric::distance_batch`] directly.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn distance_block<O, M>(
-    dev: &Device,
-    threads: usize,
-    metric: &M,
-    objects: &[O],
-    arena: Option<&ObjectArena>,
-    query: &O,
-    ids: &[u32],
-    out: &mut [f64],
-) -> (u64, u64)
-where
-    O: Send + Sync,
-    M: BatchMetric<O>,
-{
-    if threads <= 1 || ids.len() < PAR_MIN_PAIRS {
-        return metric.distance_batch(objects, arena, query, ids, out);
-    }
-    let chunks = chunk_pairs(BATCH_CHUNK, ids, out);
-    dev.run_batch_chunks(threads, chunks, |c| {
-        metric.distance_batch(objects, arena, query, c.ids, c.out)
-    })
+/// What every distance kernel of an index reads: its metric, its object
+/// store and the store's flat arena (same ids).
+pub(crate) struct Payloads<'a, O, M> {
+    pub metric: &'a M,
+    pub objects: &'a [O],
+    pub arena: &'a ObjectArena,
 }
 
-/// Evaluate `out[i] = Some(d)` iff `d = d(query, objects[ids[i]]) ≤ bound`
-/// over one id block via the early-abandoning kernel
-/// ([`BatchMetric::distance_batch_bounded`]), returning `(total_work,
-/// span)` — the bounded sibling of [`distance_block`], with the same
-/// serial-below-threshold / chunked-above dispatch over the same
-/// [`chunk_pairs`] boundaries, and so the same thread-invariance guarantee.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn distance_block_bounded<O, M>(
-    dev: &Device,
-    threads: usize,
-    metric: &M,
-    objects: &[O],
-    arena: Option<&ObjectArena>,
-    query: &O,
-    ids: &[u32],
-    bound: f64,
-    out: &mut [Option<f64>],
-) -> (u64, u64)
+impl<O, M> Payloads<'_, O, M>
 where
     O: Send + Sync,
     M: BatchMetric<O>,
 {
-    if threads <= 1 || ids.len() < PAR_MIN_PAIRS {
-        return metric.distance_batch_bounded(objects, arena, query, ids, bound, out);
+    /// Evaluate `out[i] = d(query, objects[ids[i]])` over one id block,
+    /// returning the block's `(total_work, span)` — the parallel-aware
+    /// equivalent of calling [`BatchMetric::distance_batch`] directly.
+    pub(crate) fn distance_block(
+        &self,
+        dev: &Device,
+        threads: usize,
+        query: &O,
+        ids: &[u32],
+        out: &mut [f64],
+    ) -> (u64, u64) {
+        let (metric, objects, arena) = (self.metric, self.objects, self.arena);
+        if threads <= 1 || ids.len() < PAR_MIN_PAIRS {
+            return metric.distance_batch(objects, Some(arena), query, ids, out);
+        }
+        let chunks = chunk_pairs(BATCH_CHUNK, ids, out);
+        dev.run_batch_chunks(threads, chunks, |c| {
+            metric.distance_batch(objects, Some(arena), query, c.ids, c.out)
+        })
     }
-    let chunks = chunk_pairs(BATCH_CHUNK, ids, out);
-    dev.run_batch_chunks(threads, chunks, |c| {
-        metric.distance_batch_bounded(objects, arena, query, c.ids, bound, c.out)
-    })
+
+    /// Evaluate `out[i] = Some(d)` iff `d = d(query, objects[ids[i]]) ≤
+    /// bound` over one id block via the early-abandoning kernel
+    /// ([`BatchMetric::distance_batch_bounded`]), returning `(total_work,
+    /// span)` — the bounded sibling of [`Payloads::distance_block`], with
+    /// the same serial-below-threshold / chunked-above dispatch over the
+    /// same [`chunk_pairs`] boundaries, and so the same thread-invariance
+    /// guarantee.
+    pub(crate) fn distance_block_bounded(
+        &self,
+        dev: &Device,
+        threads: usize,
+        query: &O,
+        ids: &[u32],
+        bound: f64,
+        out: &mut [Option<f64>],
+    ) -> (u64, u64) {
+        let (metric, objects, arena) = (self.metric, self.objects, self.arena);
+        if threads <= 1 || ids.len() < PAR_MIN_PAIRS {
+            return metric.distance_batch_bounded(objects, Some(arena), query, ids, bound, out);
+        }
+        let chunks = chunk_pairs(BATCH_CHUNK, ids, out);
+        dev.run_batch_chunks(threads, chunks, |c| {
+            metric.distance_batch_bounded(objects, Some(arena), query, c.ids, bound, c.out)
+        })
+    }
 }
 
 #[cfg(test)]
@@ -151,30 +154,32 @@ mod tests {
     use metric_space::{Item, ItemMetric};
 
     #[test]
-    fn parallel_block_matches_serial_bitwise() {
+    fn parallel_blocks_match_serial_bitwise() {
         let items: Vec<Item> = gen::words(512, 3);
         let metric = ItemMetric::Edit;
         let arena = metric.build_arena(&items).expect("arena");
+        let payloads = Payloads {
+            metric: &metric,
+            objects: &items,
+            arena: &arena,
+        };
         let dev = gpu_sim::Device::new(DeviceConfig::rtx_2080_ti());
         let n = PAR_MIN_PAIRS + 777; // forces the chunked path
         let ids: Vec<u32> = (0..n as u32).map(|i| i % items.len() as u32).collect();
         let q = &items[0];
         let mut serial = vec![0.0; n];
         let expect = metric.distance_batch(&items, Some(&arena), q, &ids, &mut serial);
+        let mut serial_bounded = vec![None; n];
+        let expect_bounded =
+            metric.distance_batch_bounded(&items, Some(&arena), q, &ids, 2.0, &mut serial_bounded);
         for threads in [1usize, 2, 8] {
             let mut out = vec![0.0; n];
-            let got = distance_block(
-                &dev,
-                threads,
-                &metric,
-                &items,
-                Some(&arena),
-                q,
-                &ids,
-                &mut out,
-            );
-            assert_eq!(out, serial, "threads = {threads}");
-            assert_eq!(got, expect, "threads = {threads}: accounting");
+            let got = payloads.distance_block(&dev, threads, q, &ids, &mut out);
+            assert_eq!((out, got), (serial.clone(), expect), "threads = {threads}");
+            let mut out = vec![None; n];
+            let got = payloads.distance_block_bounded(&dev, threads, q, &ids, 2.0, &mut out);
+            let want = (serial_bounded.clone(), expect_bounded);
+            assert_eq!((out, got), want, "threads = {threads}: bounded");
         }
     }
 
@@ -212,35 +217,6 @@ mod tests {
             });
             assert_eq!(seen, vec![expect; items], "{items} runs");
             assert_eq!(acct, (2 * items as u64, 5), "sum / max over the runs");
-        }
-    }
-
-    #[test]
-    fn parallel_bounded_block_matches_serial_bitwise() {
-        let items: Vec<Item> = gen::words(512, 5);
-        let metric = ItemMetric::Edit;
-        let arena = metric.build_arena(&items).expect("arena");
-        let dev = gpu_sim::Device::new(DeviceConfig::rtx_2080_ti());
-        let n = PAR_MIN_PAIRS + 311; // forces the chunked path
-        let ids: Vec<u32> = (0..n as u32).map(|i| i % items.len() as u32).collect();
-        let q = &items[0];
-        let mut serial = vec![None; n];
-        let expect = metric.distance_batch_bounded(&items, Some(&arena), q, &ids, 2.0, &mut serial);
-        for threads in [1usize, 2, 8] {
-            let mut out = vec![None; n];
-            let got = distance_block_bounded(
-                &dev,
-                threads,
-                &metric,
-                &items,
-                Some(&arena),
-                q,
-                &ids,
-                2.0,
-                &mut out,
-            );
-            assert_eq!(out, serial, "threads = {threads}");
-            assert_eq!(got, expect, "threads = {threads}: accounting");
         }
     }
 }

@@ -48,11 +48,11 @@
 //! still snapshotted before the wave; per-wave accounts are summed over the
 //! chunks and charged as the same kernels in the same order.
 
-use crate::dispatch::{distance_block, query_chunk_bounds, run_query_chunks};
+use crate::dispatch::{query_chunk_bounds, run_query_chunks};
 use crate::node::Node;
 use crate::search::{
-    verify_block, Frontier, LeafScratch, SearchCtx, SearchScratch, TopK, FRONTIER_ENTRY_BYTES,
-    VERIFY_EXTRA_WORK,
+    multiple_queries, split_groups, verify_block, Frontier, LeafScratch, SearchCtx, SearchScratch,
+    TopK, FRONTIER_ENTRY_BYTES, VERIFY_EXTRA_WORK,
 };
 use gpu_sim::primitives::{reduce_max_f64, sort_pairs_by_key};
 use gpu_sim::GpuError;
@@ -167,11 +167,8 @@ where
         // so later groups inherit tightened bounds — a free bonus of
         // sequential group processing.
         let limit = ctx.size_limit(level);
-        if ctx.params.query_grouping
-            && entries.len() > limit
-            && SearchCtx::<O, M>::multiple_queries(&entries)
-        {
-            let groups = SearchCtx::<O, M>::split_groups(entries, limit);
+        if ctx.params.query_grouping && entries.len() > limit && multiple_queries(&entries) {
+            let groups = split_groups(entries, limit);
             ctx.stats.add(&ctx.stats.groups_formed, groups.len() as u64);
             for group in groups {
                 self.descend(group, level)?;
@@ -468,16 +465,8 @@ where
 {
     let shape = ctx.shape();
     let kernel = |ids: &[u32], out: &mut [f64]| {
-        distance_block(
-            ctx.dev,
-            threads,
-            ctx.metric,
-            ctx.objects,
-            ctx.arena,
-            query,
-            ids,
-            out,
-        )
+        ctx.payloads
+            .distance_block(ctx.dev, threads, query, ids, out)
     };
     let (mut total, mut chain) = (0u64, 0u64);
     let mut node = 1usize;

@@ -2,7 +2,7 @@
 
 use crate::build::{self, Structure};
 use crate::cost::CostModel;
-use crate::dispatch::distance_block;
+use crate::dispatch::Payloads;
 use crate::engine;
 use crate::node::NodeList;
 use crate::params::GtsParams;
@@ -39,12 +39,11 @@ pub struct Gts<O, M> {
     params: GtsParams,
     /// Every object ever inserted; ids are indices here and never recycled.
     objects: Vec<O>,
-    /// Flat payload arena mirroring `objects` (same ids), fed to the
-    /// batched distance kernels. `None` when the metric has no flat layout
-    /// for these objects (a custom [`BatchMetric`], heterogeneous data) —
-    /// kernels then fall back to per-pair object access with identical
-    /// results.
-    arena: Option<ObjectArena>,
+    /// Flat payload arena mirroring `objects` (same ids): the layout every
+    /// batched distance kernel reads. Built with the index, then extended
+    /// by every insert and batch update, so it always holds exactly
+    /// `objects`.
+    arena: ObjectArena,
     /// Host threads this index's batched kernels run on: the device's
     /// [`host_threads`](gpu_sim::DeviceConfig::host_threads), divided by the
     /// number of shards a [`ShardedGts`](crate::ShardedGts) searches
@@ -65,6 +64,14 @@ pub struct Gts<O, M> {
 /// One shard's share of the device's host threads (at least one).
 fn shard_threads(dev: &Device, shards: usize) -> usize {
     (dev.host_threads() / shards).max(1)
+}
+
+/// The flat layout of `objects` under `metric`: without one, they cannot
+/// be indexed.
+fn flat_arena<O, M: BatchMetric<O>>(metric: &M, objects: &[O]) -> Result<ObjectArena, IndexError> {
+    metric.build_arena(objects).ok_or(IndexError::Unsupported(
+        "the metric has no flat payload layout for these objects",
+    ))
 }
 
 fn gpu_err(e: GpuError) -> IndexError {
@@ -136,13 +143,14 @@ where
         if objects.is_empty() {
             return Err(IndexError::EmptyIndex);
         }
+        let arena = flat_arena(&metric, &objects)?;
         let live = vec![true; objects.len()];
         let mut gts = Gts {
             dev: Arc::clone(dev),
             metric,
             params,
             objects,
-            arena: None,
+            arena,
             threads: shard_threads(dev, shards),
             live,
             nodes: NodeList::new(crate::node::TreeShape {
@@ -161,14 +169,32 @@ where
     }
 
     /// Check that every object of `objs` can join this index: the metric
-    /// accepts it and it has the stored objects' shape.
+    /// accepts it, it has the stored objects' shape, and the arena can hold
+    /// it after the stored ones (same payload family, flat buffer within
+    /// its `u32` offsets).
     pub(crate) fn check_new(&self, objs: &[O]) -> Result<(), IndexError> {
-        metric_space::index::check_objects(&self.metric, objs, self.objects.first())
+        metric_space::index::check_objects(&self.metric, objs, self.objects.first())?;
+        if objs.is_empty() || self.metric.arena_fits(&self.arena, objs) {
+            Ok(())
+        } else {
+            Err(IndexError::InvalidObject(
+                "payload does not fit the index's flat arena",
+            ))
+        }
+    }
+
+    /// Append `obj` to the object store and the arena, live.
+    fn push_object(&mut self, obj: O) {
+        let pushed = self.metric.arena_push(&mut self.arena, &obj);
+        assert!(pushed, "check_new admits only objects the arena can hold");
+        self.objects.push(obj);
+        self.live.push(true);
     }
 
     /// Host-only half of a batch update: tombstone `deletions` and append
-    /// `insertions` to the object store **without** touching the device.
-    /// Infallible and panic-free, so a caller can stage several shards and
+    /// `insertions` to the object store and the arena **without** touching
+    /// the device. Infallible and panic-free for insertions
+    /// [`Gts::check_new`] admitted, so a caller can stage several shards and
     /// only then run the (fallible, fault-prone) rebuilds — a panic mid
     /// rebuild leaves every host store already complete. Returns how many
     /// deletions flipped a live object to dead (invalid and duplicate ids
@@ -184,8 +210,7 @@ where
             }
         }
         for obj in insertions {
-            self.objects.push(obj);
-            self.live.push(true);
+            self.push_object(obj);
         }
         removed
     }
@@ -194,20 +219,12 @@ where
     /// device-resident cache and append it to the object store. Returns the
     /// new id and whether the cache overflowed, i.e. owes a [`Gts::rebuild`].
     /// The arena is extended in place — the cache-scan kernel resolves
-    /// fresh ids flat, too.
+    /// fresh ids flat, too. `obj` must have passed [`Gts::check_new`].
     pub(crate) fn stage_insert(&mut self, obj: O) -> (u32, bool) {
         let id = self.objects.len() as u32;
         let bytes = obj.size_bytes() as usize;
         self.dev.h2d_transfer(bytes as u64);
-        if let Some(arena) = self.arena.as_mut() {
-            if !self.metric.arena_push(arena, &obj) {
-                // The object has no flat representation under this arena;
-                // degrade to per-pair kernels rather than desync ids.
-                self.arena = None;
-            }
-        }
-        self.objects.push(obj);
-        self.live.push(true);
+        self.push_object(obj);
         (id, self.cache.insert(id, bytes))
     }
 
@@ -227,22 +244,14 @@ where
         }
         // Free the previous structure before reserving the new one.
         self.residency = None;
-        // (Re)build the flat arena over the current object store. It is the
-        // device *layout* of the already-resident object payloads, not an
-        // extra copy, so it carries no separate reservation.
-        if self
-            .arena
-            .as_ref()
-            .is_none_or(|a| a.len() != self.objects.len())
-        {
-            self.arena = self.metric.build_arena(&self.objects);
-        }
+        // The arena already mirrors the object store: it is the device
+        // *layout* of the resident object payloads, not an extra copy, so it
+        // carries no separate reservation.
+        debug_assert_eq!(self.arena.len(), self.objects.len());
         let Structure { nodes, table, .. } = build::construct(
             &self.dev,
-            &self.objects,
-            self.arena.as_ref(),
+            &self.payloads(),
             &ids,
-            &self.metric,
             &self.params,
             self.threads,
         )
@@ -271,15 +280,21 @@ where
         Ok(())
     }
 
+    fn payloads(&self) -> Payloads<'_, O, M> {
+        Payloads {
+            metric: &self.metric,
+            objects: &self.objects,
+            arena: &self.arena,
+        }
+    }
+
     pub(crate) fn ctx(&self) -> SearchCtx<'_, O, M> {
         SearchCtx {
             dev: &self.dev,
-            objects: &self.objects,
-            metric: &self.metric,
+            payloads: self.payloads(),
             params: &self.params,
             nodes: &self.nodes,
             table: &self.table,
-            arena: self.arena.as_ref(),
             live: &self.live,
             stats: &self.stats,
             threads: self.threads,
@@ -389,20 +404,12 @@ where
         let n = queries.len() * ids.len();
         let mut out = vec![0.0f64; ids.len()];
         let mut dists: Vec<(u32, u32, f64)> = Vec::with_capacity(n);
+        let payloads = self.payloads();
         self.dev.launch_batch(n, || {
             let mut total = 0u64;
             let mut span = 0u64;
             for (q, query) in queries.iter().enumerate() {
-                let (w, s) = distance_block(
-                    &self.dev,
-                    self.threads,
-                    &self.metric,
-                    &self.objects,
-                    self.arena.as_ref(),
-                    query,
-                    ids,
-                    &mut out,
-                );
+                let (w, s) = payloads.distance_block(&self.dev, self.threads, query, ids, &mut out);
                 total += w;
                 span = span.max(s);
                 dists.extend(ids.iter().zip(&out).map(|(&o, &d)| (q as u32, o, d)));
@@ -505,7 +512,8 @@ where
 
     /// Rebuild an index from a [`Gts::snapshot`] and the caller's object
     /// store (which must be the exact store the snapshot was taken over —
-    /// validated structurally). Skips reconstruction entirely; only the
+    /// validated structurally, and every object checked against the metric
+    /// as [`Gts::build`] checks it). Skips reconstruction entirely; only the
     /// device residency is re-reserved (and the snapshot bytes H2D-copied).
     pub fn restore(
         dev: &Arc<Device>,
@@ -513,6 +521,7 @@ where
         metric: M,
         bytes: &[u8],
     ) -> Result<Self, IndexError> {
+        metric_space::index::check_objects(&metric, &objects, None)?;
         Self::restore_shard(dev, objects, metric, bytes, 1)
     }
 
@@ -526,6 +535,7 @@ where
         shards: usize,
     ) -> Result<Self, IndexError> {
         let decoded = crate::snapshot::decode(bytes, objects.len())?;
+        let arena = flat_arena(&metric, &objects)?;
         let data_bytes: u64 = decoded
             .live
             .iter()
@@ -547,7 +557,6 @@ where
         for &id in &decoded.cache_ids {
             cache.insert(id, objects[id as usize].size_bytes() as usize);
         }
-        let arena = metric.build_arena(&objects);
         Ok(Gts {
             dev: Arc::clone(dev),
             metric,
@@ -591,22 +600,24 @@ where
             };
         }
         let mut rng = StdRng::seed_from_u64(seed);
-        let pivot = ids[rng.gen_range(0..ids.len())];
-        let mut sum = 0f64;
-        let mut sum2 = 0f64;
-        let mut work = 0u64;
+        let pivot = &self.objects[ids[rng.gen_range(0..ids.len())] as usize];
         let samples = samples.max(2);
-        for _ in 0..samples {
-            let o = ids[rng.gen_range(0..ids.len())];
-            let d = self
-                .metric
-                .distance(&self.objects[pivot as usize], &self.objects[o as usize]);
-            work += self
-                .metric
-                .work(&self.objects[pivot as usize], &self.objects[o as usize]);
-            sum += d;
-            sum2 += d * d;
-        }
+        let sampled: Vec<u32> = (0..samples)
+            .map(|_| ids[rng.gen_range(0..ids.len())])
+            .collect();
+        // One kernel with the pivot as its query: the query state (the edit
+        // kernel's match masks) is built once per fit, not once per pair.
+        let mut dists = vec![0.0; samples];
+        let (work, _) = self.metric.distance_batch(
+            &self.objects,
+            Some(&self.arena),
+            pivot,
+            &sampled,
+            &mut dists,
+        );
+        let (sum, sum2) = dists
+            .iter()
+            .fold((0f64, 0f64), |(s, s2), &d| (s + d, s2 + d * d));
         self.dev.charge_kernel(work, work / samples as u64);
         let mean = sum / samples as f64;
         let sigma = (sum2 / samples as f64 - mean * mean).max(0.0).sqrt();
@@ -710,6 +721,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::test_metric::Faulty;
     use metric_space::{DatasetKind, Item, ItemMetric, Metric};
 
     fn words(n: usize) -> (Arc<Device>, Vec<Item>, ItemMetric) {
@@ -935,13 +947,99 @@ mod tests {
         }
     }
 
+    /// The fit's one kernel equals the per-pair `Metric::distance` / `work`
+    /// reference loop: same samples, same sums, same charge.
     #[test]
-    fn cost_model_fits() {
-        let (dev, items, metric) = words(300);
-        let gts = Gts::build(&dev, items, metric, GtsParams::default()).expect("build");
-        let m = gts.cost_model(100, 5);
-        assert_eq!(m.n, 300);
-        assert!(m.sigma > 0.0);
-        assert!(m.distance_work > 0.0);
+    fn cost_model_fits_bit_equal_to_the_per_pair_reference() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        for kind in [DatasetKind::Words, DatasetKind::TLoc] {
+            let data = kind.generate(400, 9);
+            let dev = Device::rtx_2080_ti();
+            let gts = Gts::build(&dev, data.items, data.metric, GtsParams::default()).expect("b");
+            let (samples, seed) = (150, 3);
+            let ids = gts.table.live_ids();
+            let mut rng = StdRng::seed_from_u64(seed);
+            let pivot = &gts.objects[ids[rng.gen_range(0..ids.len())] as usize];
+            let (mut sum, mut sum2, mut work) = (0f64, 0f64, 0u64);
+            for _ in 0..samples {
+                let o = &gts.objects[ids[rng.gen_range(0..ids.len())] as usize];
+                let d = gts.metric.distance(pivot, o);
+                work += gts.metric.work(pivot, o);
+                sum += d;
+                sum2 += d * d;
+            }
+            let mean = sum / samples as f64;
+            let sigma = (sum2 / samples as f64 - mean * mean).max(0.0).sqrt();
+
+            let mark = dev.stats();
+            let m = gts.cost_model(samples, seed);
+            let charged = dev.stats();
+            assert!(
+                m.n == 400 && m.sigma > 0.0 && m.distance_work > 0.0,
+                "{kind:?}"
+            );
+            assert_eq!(m.sigma.to_bits(), sigma.to_bits(), "{kind:?}");
+            let per_pair = work as f64 / samples as f64;
+            assert_eq!(m.distance_work.to_bits(), per_pair.to_bits(), "{kind:?}");
+            assert_eq!(charged.kernels - mark.kernels, 1, "{kind:?}: one kernel");
+            assert_eq!(charged.work - mark.work, work, "{kind:?}: the same charge");
+        }
+    }
+
+    #[test]
+    fn a_metric_without_a_flat_layout_is_a_typed_error() {
+        let (dev, items, metric) = words(100);
+        let err = Gts::build(&dev, items.clone(), Faulty::NoLayout, GtsParams::default());
+        assert!(matches!(err, Err(IndexError::Unsupported(_))), "build");
+        let snapshot = Gts::build(&dev, items.clone(), metric, GtsParams::default())
+            .expect("build")
+            .snapshot();
+        let allocated = dev.allocated_bytes();
+        let err = Gts::restore(&dev, items, Faulty::NoLayout, &snapshot);
+        assert!(matches!(err, Err(IndexError::Unsupported(_))), "restore");
+        assert_eq!(dev.allocated_bytes(), allocated, "nothing stays reserved");
+    }
+
+    #[test]
+    fn an_object_the_arena_cannot_hold_is_rejected_before_staging() {
+        let (dev, items, _) = words(100);
+        let mut gts =
+            Gts::build(&dev, items, Faulty::FrozenArena, GtsParams::default()).expect("b");
+        let err = gts.insert(Item::text("fresh"));
+        assert!(matches!(err, Err(IndexError::InvalidObject(_))), "insert");
+        let err = gts.batch_update(vec![Item::text("fresh")], &[3]);
+        assert!(matches!(err, Err(IndexError::InvalidObject(_))), "batch");
+        assert_eq!(
+            (gts.objects.len(), gts.arena.len(), gts.len()),
+            (100, 100, 100)
+        );
+        gts.batch_update(Vec::new(), &[3])
+            .expect("deletions alone need no room");
+        assert_eq!(gts.len(), 99);
+    }
+
+    #[test]
+    fn the_arena_mirrors_the_object_store_through_every_update() {
+        let in_step = |g: &Gts<Item, ItemMetric>| g.arena.len() == g.objects.len();
+        let (dev, items, metric) = words(120);
+        let mut gts = Gts::build(&dev, items.clone(), metric, GtsParams::default()).expect("b");
+        gts.insert(Item::text("fresh")).expect("insert");
+        assert!(in_step(&gts) && gts.objects.len() == 121, "insert");
+        let fresh = || (0..5).map(|i| Item::text(format!("new{i}"))).collect();
+        gts.batch_update(fresh(), &[0, 5]).expect("batch");
+        assert!(in_step(&gts) && gts.objects.len() == 126, "batch_update");
+
+        let pool = gpu_sim::DevicePool::rtx_2080_ti(2);
+        let params = GtsParams::default().with_shards(2);
+        let mut sharded = crate::ShardedGts::build(&pool, items, metric, params).expect("b");
+        let op = crate::UpdateOp::Batch {
+            insertions: fresh(),
+            deletions: vec![1, 2],
+        };
+        sharded.apply(&op).expect("apply");
+        let stores: usize = (0..2).map(|s| sharded.shard(s).objects.len()).sum();
+        assert_eq!(stores, 125);
+        assert!((0..2).all(|s| in_step(sharded.shard(s))), "apply(Batch)");
     }
 }

@@ -64,6 +64,8 @@ pub mod shard;
 pub mod snapshot;
 pub mod stats;
 pub mod table;
+#[cfg(test)]
+mod test_metric;
 pub mod update;
 
 pub use cost::CostModel;

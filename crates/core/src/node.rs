@@ -17,7 +17,10 @@ pub struct Node {
     /// (the ring lower bound used by Lemma 5.1/5.2 pruning). 0 for the root.
     pub min_dis: f64,
     /// Maximum distance from this node's objects to its parent's pivot (the
-    /// symmetric ring upper bound; see DESIGN.md ablation A1).
+    /// symmetric ring upper bound; [`GtsParams::two_sided_pruning`] turns its
+    /// use off).
+    ///
+    /// [`GtsParams::two_sided_pruning`]: crate::GtsParams::two_sided_pruning
     pub max_dis: f64,
     /// Start position of this node's objects in the table list.
     pub pos: u32,

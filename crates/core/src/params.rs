@@ -1,5 +1,5 @@
 //! Tunable parameters of the GTS index, including the ablation toggles
-//! called out in DESIGN.md §2.
+//! that `gts-bench`'s `ablations` experiment turns off one at a time.
 
 /// Construction/search parameters.
 #[derive(Clone, Copy, Debug, PartialEq)]

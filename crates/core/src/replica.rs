@@ -834,28 +834,6 @@ mod tests {
         assert_eq!(rs.dead_shards, 1);
     }
 
-    /// A metric that panics when it touches the poisoned query string —
-    /// standing in for any misbehaving user metric (NaNs, assertions).
-    #[derive(Clone, Copy)]
-    struct PanicOnBoom;
-
-    impl metric_space::Metric<Item> for PanicOnBoom {
-        fn distance(&self, a: &Item, b: &Item) -> f64 {
-            let (Some(a), Some(b)) = (a.as_text(), b.as_text()) else {
-                panic!("text metric")
-            };
-            assert!(a != "boom" && b != "boom", "boom");
-            (a.len() as f64 - b.len() as f64).abs()
-        }
-        fn work(&self, _: &Item, _: &Item) -> u64 {
-            1
-        }
-        fn name(&self) -> &'static str {
-            "panic-on-boom"
-        }
-    }
-    impl metric_space::BatchMetric<Item> for PanicOnBoom {}
-
     #[test]
     fn panicking_metric_bans_for_the_batch_but_never_permanently() {
         // A deterministic poison: the metric panics on the query "boom" on
@@ -866,7 +844,7 @@ mod tests {
         let idx = ReplicatedShards::build(
             &pool,
             items.clone(),
-            PanicOnBoom,
+            crate::test_metric::Faulty::Boom,
             GtsParams::default().with_shards(2).with_replicas(2),
         )
         .expect("build never sees the poisoned query");

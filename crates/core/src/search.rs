@@ -15,10 +15,12 @@
 //! goes through [`BatchMetric::distance_batch`] (pivot distances) or its
 //! early-abandoning sibling [`BatchMetric::distance_batch_bounded`] (leaf
 //! verification): frontier entries are resolved against the flat
-//! [`ObjectArena`] (contiguous payloads, no per-object pointer chasing) and
-//! each level launches **one** batched kernel via [`Device::launch_batch`],
-//! charged once per batch with the same work–span accounting as the
-//! per-pair path. Inside a launch the host runs **chunks of whole query
+//! [`ObjectArena`](metric_space::ObjectArena) (contiguous payloads, no
+//! per-object pointer chasing) and each level launches **one** batched
+//! kernel via [`Device::launch_batch`], charged once per batch with the
+//! work–span accounting of the per-pair reference
+//! ([`Metric::distance`](metric_space::Metric::distance) and `work`, pair
+//! by pair). Inside a launch the host runs **chunks of whole query
 //! segments** concurrently (the dispatch layer, `crate::dispatch`; a batch
 //! that forms a single chunk falls back to chunking its id blocks): the cut
 //! depends on the frontier alone and per-chunk work–span combines by
@@ -55,9 +57,7 @@
 //! (MkNNQ) — one batched early-abandoning kernel per wave, the filter
 //! streaming straight into the kernel's id block.
 
-use crate::dispatch::{
-    distance_block, distance_block_bounded, query_chunk_bounds, run_query_chunks,
-};
+use crate::dispatch::{query_chunk_bounds, run_query_chunks, Payloads};
 use crate::node::TreeShape;
 use crate::params::GtsParams;
 use crate::stats::SearchStats;
@@ -65,7 +65,7 @@ use crate::table::TableList;
 use gpu_sim::exec::BATCH_CHUNK;
 use gpu_sim::Device;
 use metric_space::index::Neighbor;
-use metric_space::{BatchMetric, ObjectArena};
+use metric_space::BatchMetric;
 use std::sync::Arc;
 
 /// One intermediate-result element `E = {N, q, ...}` of the paper's `Q_Res`.
@@ -144,14 +144,12 @@ impl SearchScratch {
 /// Borrowed view of everything a search needs.
 pub(crate) struct SearchCtx<'a, O, M> {
     pub dev: &'a Arc<Device>,
-    pub objects: &'a [O],
-    pub metric: &'a M,
+    /// The metric, the object store and its flat arena: what the kernels
+    /// read.
+    pub payloads: Payloads<'a, O, M>,
     pub params: &'a GtsParams,
     pub nodes: &'a crate::node::NodeList,
     pub table: &'a TableList,
-    /// Flat payload arena over `objects`, when the metric supports one
-    /// (`None` falls back to per-pair object access inside the kernels).
-    pub arena: Option<&'a ObjectArena>,
     /// Liveness per object id: tombstoned ids must neither appear in
     /// answers nor tighten kNN bounds (their pivot distances are still
     /// valid for *ring pruning*, which concerns the tree geometry).
@@ -182,41 +180,6 @@ where
         let shape = self.shape();
         let denom = (shape.h - level + 1) as usize * shape.nc as usize * FRONTIER_ENTRY_BYTES;
         (self.dev.free_bytes() as usize / denom.max(1)).max(1)
-    }
-
-    /// Split a frontier into query groups each within `limit` entries
-    /// (frontiers are always query-contiguous). A single query whose
-    /// frontier alone exceeds the limit forms its own group.
-    pub(crate) fn split_groups(entries: Vec<Frontier>, limit: usize) -> Vec<Vec<Frontier>> {
-        let mut groups: Vec<Vec<Frontier>> = Vec::new();
-        let mut cur: Vec<Frontier> = Vec::new();
-        let mut i = 0usize;
-        while i < entries.len() {
-            // extent of this query's block
-            let q = entries[i].query;
-            let mut j = i;
-            while j < entries.len() && entries[j].query == q {
-                j += 1;
-            }
-            let block = j - i;
-            if !cur.is_empty() && cur.len() + block > limit {
-                groups.push(std::mem::take(&mut cur));
-            }
-            cur.extend_from_slice(&entries[i..j]);
-            i = j;
-        }
-        if !cur.is_empty() {
-            groups.push(cur);
-        }
-        groups
-    }
-
-    pub(crate) fn multiple_queries(entries: &[Frontier]) -> bool {
-        entries
-            .first()
-            .map(|f| f.query)
-            .zip(entries.last().map(|f| f.query))
-            .is_some_and(|(a, b)| a != b)
     }
 
     /// Compute `d(query, node.pivot)` for every frontier entry into
@@ -262,12 +225,9 @@ where
                         let j = (i..out.len())
                             .find(|&j| query_of(first + j) != q)
                             .unwrap_or(out.len());
-                        let (w, s) = distance_block(
+                        let (w, s) = self.payloads.distance_block(
                             self.dev,
                             threads,
-                            self.metric,
-                            self.objects,
-                            self.arena,
                             &queries[q as usize],
                             &kernel_ids[first + i..first + j],
                             &mut out[i..j],
@@ -282,6 +242,41 @@ where
         });
         self.stats.add(&self.stats.distance_computations, n as u64);
     }
+}
+
+/// Split a frontier into query groups each within `limit` entries
+/// (frontiers are always query-contiguous). A single query whose
+/// frontier alone exceeds the limit forms its own group.
+pub(crate) fn split_groups(entries: Vec<Frontier>, limit: usize) -> Vec<Vec<Frontier>> {
+    let mut groups: Vec<Vec<Frontier>> = Vec::new();
+    let mut cur: Vec<Frontier> = Vec::new();
+    let mut i = 0usize;
+    while i < entries.len() {
+        // extent of this query's block
+        let q = entries[i].query;
+        let mut j = i;
+        while j < entries.len() && entries[j].query == q {
+            j += 1;
+        }
+        let block = j - i;
+        if !cur.is_empty() && cur.len() + block > limit {
+            groups.push(std::mem::take(&mut cur));
+        }
+        cur.extend_from_slice(&entries[i..j]);
+        i = j;
+    }
+    if !cur.is_empty() {
+        groups.push(cur);
+    }
+    groups
+}
+
+pub(crate) fn multiple_queries(entries: &[Frontier]) -> bool {
+    entries
+        .first()
+        .map(|f| f.query)
+        .zip(entries.last().map(|f| f.query))
+        .is_some_and(|(a, b)| a != b)
 }
 
 /// Per-verified-object overhead on top of the raw distance work (bound
@@ -323,17 +318,9 @@ where
     for ids in ids.chunks(VERIFY_BLOCK) {
         out.clear();
         out.resize(ids.len(), None);
-        let (w, s) = distance_block_bounded(
-            ctx.dev,
-            threads,
-            ctx.metric,
-            ctx.objects,
-            ctx.arena,
-            query,
-            ids,
-            bound,
-            out,
-        );
+        let (w, s) = ctx
+            .payloads
+            .distance_block_bounded(ctx.dev, threads, query, ids, bound, out);
         work += w;
         span = span.max(s);
         for (&obj, d) in ids.iter().zip(out.iter()) {
@@ -416,7 +403,6 @@ impl TopK {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use metric_space::Metric;
 
     #[test]
     fn topk_keeps_k_best_unique() {
@@ -493,7 +479,7 @@ mod tests {
             dqp: 0.0,
         };
         let entries = vec![mk(0), mk(0), mk(1), mk(1), mk(1), mk(2)];
-        let groups = SearchCtx::<(), DummyMetric>::split_groups(entries, 3);
+        let groups = split_groups(entries, 3);
         assert_eq!(groups.len(), 3);
         assert_eq!(groups[0].len(), 2);
         assert_eq!(groups[1].len(), 3);
@@ -514,7 +500,7 @@ mod tests {
             dqp: 0.0,
         };
         let entries = vec![mk(5); 10];
-        let groups = SearchCtx::<(), DummyMetric>::split_groups(entries, 3);
+        let groups = split_groups(entries, 3);
         assert_eq!(groups.len(), 1, "one query cannot be split");
         assert_eq!(groups[0].len(), 10);
     }
@@ -535,18 +521,4 @@ mod tests {
         assert!(b.is_empty(), "recycled buffer is cleared");
         assert_eq!(b.capacity(), cap, "recycled buffer keeps its capacity");
     }
-
-    struct DummyMetric;
-    impl Metric<()> for DummyMetric {
-        fn distance(&self, _: &(), _: &()) -> f64 {
-            0.0
-        }
-        fn work(&self, _: &(), _: &()) -> u64 {
-            1
-        }
-        fn name(&self) -> &'static str {
-            "dummy"
-        }
-    }
-    impl BatchMetric<()> for DummyMetric {}
 }

@@ -550,14 +550,16 @@ where
     /// Rebuild a sharded index from a [`ShardedGts::snapshot`] and the
     /// caller's **global** object store (every object ever inserted, in
     /// global-id order). The partition assignment is recomputed from the
-    /// envelope's `(strategy, global_len)`; each shard's inner snapshot is
-    /// validated by [`Gts::restore`] against the carved store.
+    /// envelope's `(strategy, global_len)`; every object is checked against
+    /// the metric as [`ShardedGts::build`] checks it, and each shard's inner
+    /// snapshot is validated by [`Gts::restore`] against the carved store.
     pub fn restore(
         pool: &DevicePool,
         objects: Vec<O>,
         metric: M,
         bytes: &[u8],
     ) -> Result<Self, IndexError> {
+        metric_space::index::check_objects(&metric, &objects, None)?;
         let mut r = R { buf: bytes, pos: 0 };
         if r.take(4)? != SHARD_MAGIC {
             return Err(IndexError::Unsupported("bad sharded snapshot magic"));
@@ -640,7 +642,8 @@ where
     /// rebuilds recorded — calling `repair` again finishes the op.
     ///
     /// An object the index cannot hold (see [`IndexError::InvalidObject`])
-    /// is rejected before anything is staged, and the epoch stays put. Any
+    /// is rejected before anything is staged, and the epoch stays put. Each
+    /// shard's arena is checked as if every new object landed on it. Any
     /// later typed `Err` (e.g. device OOM during a rebuild) still advances
     /// the epoch: such errors are deterministic given identical replicas,
     /// so counting the op keeps replica epochs converged.
@@ -650,7 +653,9 @@ where
             UpdateOp::Remove(_) => &[],
             UpdateOp::Batch { insertions, .. } => insertions.as_slice(),
         };
-        self.shards[0].gts.check_new(new)?;
+        for shard in &self.shards {
+            shard.gts.check_new(new)?;
+        }
         let pending = self.pending.insert(Pending {
             applied: Applied {
                 epoch: self.epoch + 1,
@@ -999,30 +1004,6 @@ mod tests {
         );
     }
 
-    /// A metric that panics when it touches the poisoned query string —
-    /// standing in for any misbehaving user metric (NaNs, assertions) — with
-    /// a panic message that names the thread that raised it.
-    #[derive(Clone, Copy)]
-    struct BoomNamesItsThread;
-
-    impl metric_space::Metric<Item> for BoomNamesItsThread {
-        fn distance(&self, a: &Item, b: &Item) -> f64 {
-            let (a, b) = (a.as_text().expect("text"), b.as_text().expect("text"));
-            if a == "boom" || b == "boom" {
-                let thread = std::thread::current();
-                panic!("boom on {}", thread.name().unwrap_or("unnamed"));
-            }
-            (a.len() as f64 - b.len() as f64).abs()
-        }
-        fn work(&self, _: &Item, _: &Item) -> u64 {
-            1
-        }
-        fn name(&self) -> &'static str {
-            "boom-names-its-thread"
-        }
-    }
-    impl metric_space::BatchMetric<Item> for BoomNamesItsThread {}
-
     /// A metric panic raised inside a query-chunk run on a *pool worker*
     /// (not the thread that called `batch_knn`) must cross the host pool and
     /// the shard scatter with its payload intact, and leave pool and index
@@ -1041,7 +1022,7 @@ mod tests {
         let idx = ShardedGts::build(
             &pool,
             items.clone(),
-            BoomNamesItsThread,
+            crate::test_metric::Faulty::Boom,
             GtsParams::default().with_shards(2),
         )
         .expect("build never sees the poisoned query");

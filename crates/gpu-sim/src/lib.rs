@@ -1,7 +1,7 @@
 //! # gpu-sim
 //!
 //! A deterministic software model of a CUDA-class GPU, substituting for the
-//! RTX 2080 Ti the GTS paper evaluates on (DESIGN.md §1). Rust-CUDA tooling
+//! RTX 2080 Ti the GTS paper evaluates on (§6). Rust-CUDA tooling
 //! is immature, so kernels execute on the host (optionally with real
 //! threads), while *scheduling and cost* are modelled as on the device:
 //!

@@ -64,8 +64,8 @@ impl ObjectArena {
     }
 
     /// Build an arena over a homogeneous `Item` collection. Returns `None`
-    /// when the collection is empty or mixes text and vector objects (no
-    /// flat layout exists; callers fall back to per-pair access).
+    /// when the collection is empty or mixes text and vector objects: no
+    /// flat layout exists, and an index refuses to hold them.
     pub fn from_items(items: &[Item]) -> Option<ObjectArena> {
         let kind = match items.first()? {
             Item::Text(_) => ArenaKind::Text,
@@ -91,37 +91,39 @@ impl ObjectArena {
         }
     }
 
+    /// Whether [`push_item`](ObjectArena::push_item) would accept every one
+    /// of `items` in turn: each is of this arena's family, and the flat
+    /// buffer stays within the `u32` offset space.
+    pub fn fits(&self, items: &[Item]) -> bool {
+        let same_kind = |item: &Item| matches!(item, Item::Text(_)) == self.text;
+        let end = items.iter().map(|item| item.arity() as u64).sum::<u64>()
+            + u64::from(self.offsets[self.len()]);
+        items.iter().all(same_kind) && u32::try_from(end).is_ok()
+    }
+
     /// Append one object's payload; its id is the previous [`len`].
-    /// Returns `false` (arena unchanged) if the item's family does not
-    /// match the arena's kind, or if the flat buffer would outgrow the
-    /// `u32` offset space (callers degrade to per-pair access rather than
-    /// silently wrapping payload ranges).
+    /// Returns `false` (arena unchanged) unless the arena
+    /// [`fits`](ObjectArena::fits) it: an item of the other family, or one
+    /// that would outgrow the `u32` offset space, is refused rather than
+    /// silently wrapping payload ranges.
     ///
     /// [`len`]: ObjectArena::len
     pub fn push_item(&mut self, item: &Item) -> bool {
-        match (self.text, item) {
-            (true, Item::Text(s)) => {
-                if u32::try_from(self.bytes.len() + s.len()).is_err() {
-                    return false;
-                }
-                self.bytes.extend_from_slice(s.as_bytes());
-                self.offsets.push(self.bytes.len() as u32);
-                true
-            }
-            (false, Item::Vector(v)) => {
-                let base = *self.offsets.last().expect("offsets start at [0]") as usize;
-                if u32::try_from(base + v.len()).is_err() {
-                    return false;
-                }
+        if !self.fits(std::slice::from_ref(item)) {
+            return false;
+        }
+        let end = self.offsets[self.len()] + item.arity() as u32;
+        match item {
+            Item::Text(s) => self.bytes.extend_from_slice(s.as_bytes()),
+            Item::Vector(v) => {
                 self.floats.extend_from_slice(v);
-                self.offsets.push((base + v.len()) as u32);
                 if let Some(norms) = self.norms.as_mut() {
                     norms.push(norm(v));
                 }
-                true
             }
-            _ => false,
         }
+        self.offsets.push(end);
+        true
     }
 
     /// Compute the Euclidean norm of every vector row and keep the column
@@ -250,6 +252,22 @@ mod tests {
         assert!(!a.push_item(&Item::vector(vec![0.0])), "kind mismatch");
         assert_eq!(a.len(), 1);
         assert_eq!(a.text_bytes(0), b"hi");
+    }
+
+    #[test]
+    fn fits_refuses_the_other_kind_and_what_would_outgrow_the_offsets() {
+        let mut a = ObjectArena::from_items(&[Item::vector(vec![1.0])]).expect("arena");
+        assert!(a.fits(&[Item::vector(vec![2.0, 3.0]), Item::vector(vec![4.0])]));
+        assert!(!a.fits(&[Item::vector(vec![2.0]), Item::text("x")]));
+        // Pretend the buffer already ends two floats short of the limit.
+        a.offsets[1] = u32::MAX - 2;
+        assert!(a.fits(&[Item::vector(vec![0.0; 2])]));
+        assert!(!a.fits(&[Item::vector(vec![0.0]), Item::vector(vec![0.0; 2])]));
+        assert!(
+            !a.push_item(&Item::vector(vec![0.0; 3])),
+            "refused, not wrapped"
+        );
+        assert_eq!(a.len(), 1);
     }
 
     #[test]

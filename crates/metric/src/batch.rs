@@ -14,9 +14,8 @@
 //!
 //! * `distance_batch` is **bit-identical** to calling [`Metric::distance`]
 //!   per pair (same float operations in the same order), and its
-//!   `(total, span)` equals the sum/max of per-pair [`Metric::work`] — so
-//!   an arena-backed search produces the same answers *and the same
-//!   simulated cycle counts* as the per-pair path it replaced.
+//!   `(total, span)` equals the sum/max of per-pair [`Metric::work`]:
+//!   `Metric::distance` is the reference every kernel is tested against.
 //! * `distance_batch_bounded` may abandon early (for edit distance, once
 //!   the bit-parallel kernel's score can no longer return under the bound)
 //!   but is exact whenever it reports `Some(d)`, and `Some(d)` is reported
@@ -37,41 +36,23 @@ use crate::dist::{
 };
 use crate::object::Item;
 
-/// Scalar per-pair fallback shared by the default trait methods and by
-/// specialised implementations when no arena is available.
-fn scalar_batch<O, M: Metric<O> + ?Sized>(
+/// The per-pair reference: `out[i] = keep(d)` for the [`Metric::distance`]
+/// `d` of each pair, with [`Metric::work`] summed and maxed one pair at a
+/// time over the boxed objects. The default trait methods run it, and so
+/// does [`ItemMetric`] when handed no arena.
+fn scalar_batch<O, M: Metric<O> + ?Sized, T>(
     metric: &M,
     objects: &[O],
     query: &O,
     ids: &[u32],
-    out: &mut [f64],
+    out: &mut [T],
+    keep: impl Fn(f64) -> T,
 ) -> (u64, u64) {
     let mut total = 0u64;
     let mut span = 0u64;
     for (slot, &id) in out.iter_mut().zip(ids) {
         let obj = &objects[id as usize];
-        *slot = metric.distance(query, obj);
-        let w = metric.work(query, obj);
-        total += w;
-        span = span.max(w);
-    }
-    (total, span)
-}
-
-fn scalar_batch_bounded<O, M: Metric<O> + ?Sized>(
-    metric: &M,
-    objects: &[O],
-    query: &O,
-    ids: &[u32],
-    bound: f64,
-    out: &mut [Option<f64>],
-) -> (u64, u64) {
-    let mut total = 0u64;
-    let mut span = 0u64;
-    for (slot, &id) in out.iter_mut().zip(ids) {
-        let obj = &objects[id as usize];
-        let d = metric.distance(query, obj);
-        *slot = (d <= bound).then_some(d);
+        *slot = keep(metric.distance(query, obj));
         let w = metric.work(query, obj);
         total += w;
         span = span.max(w);
@@ -80,14 +61,16 @@ fn scalar_batch_bounded<O, M: Metric<O> + ?Sized>(
 }
 
 /// A [`Metric`] that can evaluate one query against many stored objects as
-/// a single batch, optionally resolving payloads from a flat
-/// [`ObjectArena`].
+/// a single batch, resolving payloads from a flat [`ObjectArena`].
 ///
-/// Every method has a scalar default, so `impl BatchMetric<MyObj> for
-/// MyMetric {}` suffices to plug a custom metric into the index — the
-/// batched entry points then dispatch to [`Metric::distance`] per pair with
-/// identical results and work accounting, just without the flat-layout
-/// speedup. [`ItemMetric`] overrides everything with arena-backed kernels.
+/// A metric must have a flat layout to be indexed: the GTS index stores
+/// every object in the arena [`build_arena`](BatchMetric::build_arena)
+/// returns and extends it with [`arena_push`](BatchMetric::arena_push), and
+/// refuses to build over objects that have none. The kernels' scalar
+/// defaults call [`Metric::distance`] per pair over the boxed objects —
+/// the reference a kernel must match bit for bit, in outputs and in work.
+/// [`ItemMetric`] overrides everything with arena-backed kernels, and runs
+/// the per-pair reference when handed no arena.
 ///
 /// # Chunk-safety contract
 ///
@@ -101,22 +84,29 @@ fn scalar_batch_bounded<O, M: Metric<O> + ?Sized>(
 /// and the defaults hold no state.
 pub trait BatchMetric<O>: Metric<O> {
     /// Build the flat arena for `objects`, or `None` when this metric (or
-    /// this object type) has no flat layout — callers then pass
-    /// `arena: None` to the batch kernels and get the scalar fallback.
+    /// this object type) has no flat layout for them. An index refuses to
+    /// build over such objects.
     fn build_arena(&self, _objects: &[O]) -> Option<ObjectArena> {
         None
     }
 
+    /// Whether [`arena_push`](BatchMetric::arena_push) would store every
+    /// object of `objs`, one after another, in `arena`. An index checks it
+    /// before an insert or batch update changes anything.
+    fn arena_fits(&self, _arena: &ObjectArena, _objs: &[O]) -> bool {
+        false
+    }
+
     /// Append one object to an arena previously produced by
-    /// [`build_arena`]; `false` if the object cannot be stored flat (the
-    /// caller should drop the arena and fall back).
-    ///
-    /// [`build_arena`]: BatchMetric::build_arena
+    /// [`build_arena`](BatchMetric::build_arena); `false` (arena unchanged)
+    /// if the object cannot be stored flat.
     fn arena_push(&self, _arena: &mut ObjectArena, _obj: &O) -> bool {
         false
     }
 
-    /// Batched kernel: `out[i] = d(query, objects[ids[i]])`.
+    /// Batched kernel: `out[i] = d(query, objects[ids[i]])`, resolving
+    /// payloads from `arena` (the flat layout of `objects`, same ids) when
+    /// given one.
     ///
     /// Returns `(total_work, span)` over the batch — the sum and max of the
     /// per-pair [`Metric::work`] — for one aggregate device charge.
@@ -127,13 +117,12 @@ pub trait BatchMetric<O>: Metric<O> {
     fn distance_batch(
         &self,
         objects: &[O],
-        arena: Option<&ObjectArena>,
+        _arena: Option<&ObjectArena>,
         query: &O,
         ids: &[u32],
         out: &mut [f64],
     ) -> (u64, u64) {
-        let _ = arena;
-        scalar_batch(self, objects, query, ids, out)
+        scalar_batch(self, objects, query, ids, out, |d| d)
     }
 
     /// Early-abandoning batched kernel: `out[i] = Some(d)` iff
@@ -146,14 +135,15 @@ pub trait BatchMetric<O>: Metric<O> {
     fn distance_batch_bounded(
         &self,
         objects: &[O],
-        arena: Option<&ObjectArena>,
+        _arena: Option<&ObjectArena>,
         query: &O,
         ids: &[u32],
         bound: f64,
         out: &mut [Option<f64>],
     ) -> (u64, u64) {
-        let _ = arena;
-        scalar_batch_bounded(self, objects, query, ids, bound, out)
+        scalar_batch(self, objects, query, ids, out, |d| {
+            (d <= bound).then_some(d)
+        })
     }
 }
 
@@ -210,69 +200,44 @@ fn edit_bound(bound: f64) -> Option<u32> {
 }
 
 /// Fill `out[i] = f(id, row)` for `id = ids[i]`, resolving each vector row
-/// from the arena, or from the boxed item when there is none. Every vector
-/// kernel runs through here with its own closure, so each metric's loop is
-/// compiled with its distance inlined.
+/// from the arena. Every vector kernel runs through here with its own
+/// closure, so each metric's loop is compiled with its distance inlined.
 #[inline(always)]
 fn vector_rows<T>(
-    objects: &[Item],
-    arena: Option<&ObjectArena>,
+    arena: &ObjectArena,
     ids: &[u32],
     out: &mut [T],
     mut f: impl FnMut(u32, &[f32]) -> T,
 ) {
     for (slot, &id) in out.iter_mut().zip(ids) {
-        let o = match arena {
-            Some(arena) => arena.vector(id),
-            None => objects[id as usize]
-                .as_vector()
-                .expect("vector metric over vector items"),
-        };
-        *slot = f(id, o);
+        *slot = f(id, arena.vector(id));
     }
 }
 
 /// [`vector_rows`] for text: fill `out[i] = f(row)` for `id = ids[i]`,
-/// resolving each string's bytes from the arena or from the boxed item.
-/// Both edit kernels run through here, so an index that lost its arena
-/// still builds its query's [`EditPattern`] once per call.
+/// resolving each string's bytes from the arena.
 #[inline(always)]
-fn text_rows<T>(
-    objects: &[Item],
-    arena: Option<&ObjectArena>,
-    ids: &[u32],
-    out: &mut [T],
-    mut f: impl FnMut(&[u8]) -> T,
-) {
+fn text_rows<T>(arena: &ObjectArena, ids: &[u32], out: &mut [T], mut f: impl FnMut(&[u8]) -> T) {
     for (slot, &id) in out.iter_mut().zip(ids) {
-        let o = match arena {
-            Some(arena) => arena.text_bytes(id),
-            None => objects[id as usize]
-                .as_text()
-                .expect("edit metric over text items")
-                .as_bytes(),
-        };
-        *slot = f(o);
+        *slot = f(arena.text_bytes(id));
     }
 }
 
 /// The angular kernel shared by the plain and bounded entry points:
 /// `out[i] = f(q · o, ‖q‖, ‖o‖)` for `o = ids[i]`. The query is widened to
 /// `f64` once per call; row norms come from the arena's column when it
-/// keeps one and are computed otherwise — the same bits either way, so an
-/// index that lost its arena answers identically.
+/// keeps one and are computed otherwise — the same bits either way.
 fn angular_rows<T>(
-    objects: &[Item],
-    arena: Option<&ObjectArena>,
+    arena: &ObjectArena,
     q: &[f32],
     ids: &[u32],
     out: &mut [T],
     f: impl Fn(f64, f64, f64) -> T,
 ) {
-    let norms = arena.and_then(ObjectArena::norms);
+    let norms = arena.norms();
     let nq = norm(q);
     with_widened(q, |qw| {
-        vector_rows(objects, arena, ids, out, |id, o| {
+        vector_rows(arena, ids, out, |id, o| {
             let no = norms.map_or_else(|| norm(o), |n| n[id as usize]);
             f(dot_wide(qw, o), nq, no)
         });
@@ -305,6 +270,10 @@ impl BatchMetric<Item> for ItemMetric {
         }
     }
 
+    fn arena_fits(&self, arena: &ObjectArena, objs: &[Item]) -> bool {
+        arena.fits(objs)
+    }
+
     fn arena_push(&self, arena: &mut ObjectArena, obj: &Item) -> bool {
         arena.push_item(obj)
     }
@@ -318,12 +287,12 @@ impl BatchMetric<Item> for ItemMetric {
         out: &mut [f64],
     ) -> (u64, u64) {
         assert_eq!(ids.len(), out.len());
-        match (self, query) {
-            (ItemMetric::Edit, Item::Text(q)) => {
+        match (self, query, arena) {
+            (ItemMetric::Edit, Item::Text(q), Some(arena)) => {
                 let q = q.as_bytes();
                 let mut pattern = EditPattern::new(q);
                 let (mut total, mut span) = (0u64, 0u64);
-                text_rows(objects, arena, ids, out, |o| {
+                text_rows(arena, ids, out, |o| {
                     let w = EditDistance::work_full_lens(q.len(), o.len());
                     total += w;
                     span = span.max(w);
@@ -332,17 +301,15 @@ impl BatchMetric<Item> for ItemMetric {
                 });
                 (total, span)
             }
-            (ItemMetric::Vector(m), Item::Vector(q)) => {
+            (ItemMetric::Vector(m), Item::Vector(q), Some(arena)) => {
                 match m {
-                    VectorMetric::L1 => vector_rows(objects, arena, ids, out, |_, o| l1(q, o)),
-                    VectorMetric::L2 => vector_rows(objects, arena, ids, out, |_, o| l2(q, o)),
-                    VectorMetric::Angular => {
-                        angular_rows(objects, arena, q, ids, out, angular_from);
-                    }
+                    VectorMetric::L1 => vector_rows(arena, ids, out, |_, o| l1(q, o)),
+                    VectorMetric::L2 => vector_rows(arena, ids, out, |_, o| l2(q, o)),
+                    VectorMetric::Angular => angular_rows(arena, q, ids, out, angular_from),
                 }
                 vector_charge(*m, q.len(), ids.len())
             }
-            _ => scalar_batch(self, objects, query, ids, out),
+            _ => scalar_batch(self, objects, query, ids, out, |d| d),
         }
     }
 
@@ -356,11 +323,8 @@ impl BatchMetric<Item> for ItemMetric {
         out: &mut [Option<f64>],
     ) -> (u64, u64) {
         assert_eq!(ids.len(), out.len());
-        // Both resolution paths (arena payloads vs boxed `Item` payloads)
-        // run the same kernel and charge the same work, so an index that
-        // lost its arena charges the same simulated cycles.
-        match (self, query) {
-            (ItemMetric::Edit, Item::Text(q)) => {
+        match (self, query, arena) {
+            (ItemMetric::Edit, Item::Text(q), Some(arena)) => {
                 // A negative or NaN bound admits nothing and costs nothing.
                 let Some(b) = edit_bound(bound) else {
                     out.fill(None);
@@ -369,7 +333,7 @@ impl BatchMetric<Item> for ItemMetric {
                 let q = q.as_bytes();
                 let mut pattern = EditPattern::new(q);
                 let (mut total, mut span) = (0u64, 0u64);
-                text_rows(objects, arena, ids, out, |o| {
+                text_rows(arena, ids, out, |o| {
                     // Charge the banded DP, not the full table.
                     let w = EditDistance::work_bounded_lens(q.len(), o.len(), b);
                     total += w;
@@ -378,25 +342,23 @@ impl BatchMetric<Item> for ItemMetric {
                 });
                 (total, span)
             }
-            (ItemMetric::Vector(m), Item::Vector(q)) => {
+            (ItemMetric::Vector(m), Item::Vector(q), Some(arena)) => {
                 let within = |d: f64| (d <= bound).then_some(d);
                 match m {
-                    VectorMetric::L1 => {
-                        vector_rows(objects, arena, ids, out, |_, o| within(l1(q, o)));
-                    }
-                    VectorMetric::L2 => {
-                        vector_rows(objects, arena, ids, out, |_, o| within(l2(q, o)));
-                    }
+                    VectorMetric::L1 => vector_rows(arena, ids, out, |_, o| within(l1(q, o))),
+                    VectorMetric::L2 => vector_rows(arena, ids, out, |_, o| within(l2(q, o))),
                     VectorMetric::Angular => {
                         let floor = angular_cos_floor(bound);
-                        angular_rows(objects, arena, q, ids, out, |dot, nq, no| {
+                        angular_rows(arena, q, ids, out, |dot, nq, no| {
                             angular_within(dot, nq, no, bound, floor)
                         });
                     }
                 }
                 vector_charge(*m, q.len(), ids.len())
             }
-            _ => scalar_batch_bounded(self, objects, query, ids, bound, out),
+            _ => scalar_batch(self, objects, query, ids, out, |d| {
+                (d <= bound).then_some(d)
+            }),
         }
     }
 }
@@ -456,18 +418,6 @@ mod tests {
     }
 
     #[test]
-    fn fallback_without_arena_matches_too() {
-        let items = words();
-        let ids: Vec<u32> = (0..items.len() as u32).collect();
-        let mut with = vec![0.0; ids.len()];
-        let mut without = vec![0.0; ids.len()];
-        let arena = ItemMetric::Edit.build_arena(&items).expect("arena");
-        ItemMetric::Edit.distance_batch(&items, Some(&arena), &items[5], &ids, &mut with);
-        ItemMetric::Edit.distance_batch(&items, None, &items[5], &ids, &mut without);
-        assert_eq!(with, without);
-    }
-
-    #[test]
     fn bounded_is_exact_when_some() {
         let items = words();
         let arena = ItemMetric::Edit.build_arena(&items).expect("arena");
@@ -501,33 +451,31 @@ mod tests {
         }
     }
 
+    /// Without an arena, `ItemMetric` runs the per-pair reference: the
+    /// same outputs, full work even where the arena kernel is banded.
     #[test]
-    fn bounded_charges_identically_with_and_without_arena() {
+    fn without_an_arena_the_kernels_run_the_per_pair_reference() {
         for (metric, items) in [(ItemMetric::Edit, words()), (ItemMetric::L2, vectors())] {
-            let arena = metric.build_arena(&items).expect("arena");
             let ids: Vec<u32> = (0..items.len() as u32).collect();
-            let mut with = vec![None; ids.len()];
-            let mut without = vec![None; ids.len()];
-            let q = &items[2];
-            let charged_with =
-                metric.distance_batch_bounded(&items, Some(&arena), q, &ids, 2.0, &mut with);
-            let charged_without =
-                metric.distance_batch_bounded(&items, None, q, &ids, 2.0, &mut without);
-            assert_eq!(with, without, "{}", metric.name());
-            assert_eq!(charged_with, charged_without, "{}", metric.name());
+            let q = &items[4];
+            let mut got = vec![0.0; ids.len()];
+            let mut bounded = vec![None; ids.len()];
+            let charged = metric.distance_batch(&items, None, q, &ids, &mut got);
+            let charged_bounded =
+                metric.distance_batch_bounded(&items, None, q, &ids, 2.0, &mut bounded);
+            let want: Vec<f64> = items.iter().map(|o| metric.distance(q, o)).collect();
+            let work: Vec<u64> = items.iter().map(|o| metric.work(q, o)).collect();
+            let full = (work.iter().sum(), work.iter().copied().max().unwrap_or(0));
+            assert_eq!(got, want, "{}", metric.name());
+            let within: Vec<Option<f64>> = want.iter().map(|&d| (d <= 2.0).then_some(d)).collect();
+            assert_eq!(bounded, within, "{}", metric.name());
+            assert_eq!(
+                (charged, charged_bounded),
+                (full, full),
+                "{}",
+                metric.name()
+            );
         }
-        // The unbounded edit kernel resolves rows the same way.
-        let items = words();
-        let arena = ItemMetric::Edit.build_arena(&items).expect("arena");
-        let ids: Vec<u32> = (0..items.len() as u32).collect();
-        let mut with = vec![0.0; ids.len()];
-        let mut without = vec![0.0; ids.len()];
-        let q = &items[4];
-        let charged_with =
-            ItemMetric::Edit.distance_batch(&items, Some(&arena), q, &ids, &mut with);
-        let charged_without = ItemMetric::Edit.distance_batch(&items, None, q, &ids, &mut without);
-        assert_eq!(with, without);
-        assert_eq!(charged_with, charged_without);
     }
 
     #[test]

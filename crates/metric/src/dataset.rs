@@ -90,8 +90,9 @@ impl Dataset {
 }
 
 /// The five evaluation datasets of the paper (Table 2), generated
-/// synthetically at any cardinality (DESIGN.md §1 documents why the
-/// substitution preserves behaviour).
+/// synthetically at any cardinality with the paper's metric and
+/// dimensionality. The Vector and Color stand-ins do not reproduce the
+/// real sets' pruning: no pivot prunes them (ROADMAP item B).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum DatasetKind {
     /// Moby words; edit distance; paper cardinality 611,756.

@@ -262,7 +262,7 @@ pub enum VectorMetric {
     /// The paper's Vector dataset uses "word cosine distance"; raw
     /// `1 − cos θ` violates the triangle inequality, so exact metric indexing
     /// uses its metric completion, the normalised angle (documented
-    /// substitution; see DESIGN.md §1).
+    /// substitution: the paper's dataset, this reproduction's metric).
     Angular,
 }
 

@@ -29,7 +29,8 @@ pub fn prune_object_knn(d_op: f64, d_qp: f64, d_kcur: f64) -> bool {
 ///
 /// Setting `max_dis = ∞` recovers the one-sided check the paper states
 /// explicitly (`d(q,p) + r < min_dis ⇒ prune`); storing the upper bound too
-/// is the symmetric consequence of Lemma 5.1 (ablation A1 in DESIGN.md).
+/// is the symmetric consequence of Lemma 5.1 (`GtsParams::two_sided_pruning`
+/// in `gts-core` turns the upper bound off for the ablation).
 #[inline]
 pub fn prune_node_range(min_dis: f64, max_dis: f64, d_qp: f64, r: f64) -> bool {
     d_qp + r < min_dis || d_qp - r > max_dis

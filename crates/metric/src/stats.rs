@@ -7,7 +7,8 @@
 //!   ("r × 0.01%") into an absolute radius. We interpret it as *selectivity*:
 //!   `MRQ(q, r)` returns about `r × 0.01%` of the dataset — the convention of
 //!   the authors' earlier metric-indexing studies, and the only reading under
-//!   which edit-distance radii are non-degenerate (documented in DESIGN.md).
+//!   which edit-distance radii are non-degenerate (an absolute radius of a
+//!   few edits would return almost nothing or almost everything).
 
 use crate::dataset::Dataset;
 use rand::rngs::StdRng;

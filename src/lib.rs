@@ -43,8 +43,8 @@
 //! assert_eq!(knn[0].len(), 5);
 //! ```
 //!
-//! See `examples/` for runnable end-to-end scenarios and `DESIGN.md` /
-//! `EXPERIMENTS.md` for the reproduction methodology.
+//! See `examples/` for runnable end-to-end scenarios, `README.md` for the
+//! architecture and `REPORT.md` for the measurements.
 
 #![warn(missing_docs)]
 pub use baselines;

@@ -13,7 +13,7 @@
 //! * **liveness under panics** — a metric that panics deterministically
 //!   fails its own batch typed and the service keeps serving.
 
-use gts::metric::{BatchMetric, Metric};
+use gts::metric::{BatchMetric, Metric, ObjectArena};
 use gts::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -464,27 +464,65 @@ fn dead_shard_fails_fast_and_typed_through_the_service() {
     assert_eq!(stats.replica.dead_shards, 1);
 }
 
-/// A metric that panics when it touches the poisoned query string —
-/// standing in for any misbehaving user metric (NaNs, assertions).
+/// Edit distance over the flat arena whose batch kernels panic when their
+/// query is the poisoned string — standing in for any misbehaving user
+/// kernel (NaNs, assertions).
 #[derive(Clone, Copy)]
 struct PanicOnBoom;
 
+fn explode_on(query: &Item) {
+    assert!(query.as_text() != Some("boom"), "boom");
+}
+
 impl Metric<Item> for PanicOnBoom {
     fn distance(&self, a: &Item, b: &Item) -> f64 {
-        let (Some(a), Some(b)) = (a.as_text(), b.as_text()) else {
-            panic!("text metric")
-        };
-        assert!(a != "boom" && b != "boom", "boom");
-        (a.len() as f64 - b.len() as f64).abs()
+        ItemMetric::Edit.distance(a, b)
     }
-    fn work(&self, _: &Item, _: &Item) -> u64 {
-        1
+    fn work(&self, a: &Item, b: &Item) -> u64 {
+        ItemMetric::Edit.work(a, b)
     }
     fn name(&self) -> &'static str {
         "panic-on-boom"
     }
+    fn accepts(&self, obj: &Item) -> bool {
+        ItemMetric::Edit.accepts(obj)
+    }
 }
-impl BatchMetric<Item> for PanicOnBoom {}
+
+impl BatchMetric<Item> for PanicOnBoom {
+    fn build_arena(&self, objects: &[Item]) -> Option<ObjectArena> {
+        ItemMetric::Edit.build_arena(objects)
+    }
+    fn arena_fits(&self, arena: &ObjectArena, objs: &[Item]) -> bool {
+        ItemMetric::Edit.arena_fits(arena, objs)
+    }
+    fn arena_push(&self, arena: &mut ObjectArena, obj: &Item) -> bool {
+        ItemMetric::Edit.arena_push(arena, obj)
+    }
+    fn distance_batch(
+        &self,
+        objects: &[Item],
+        arena: Option<&ObjectArena>,
+        query: &Item,
+        ids: &[u32],
+        out: &mut [f64],
+    ) -> (u64, u64) {
+        explode_on(query);
+        ItemMetric::Edit.distance_batch(objects, arena, query, ids, out)
+    }
+    fn distance_batch_bounded(
+        &self,
+        objects: &[Item],
+        arena: Option<&ObjectArena>,
+        query: &Item,
+        ids: &[u32],
+        bound: f64,
+        out: &mut [Option<f64>],
+    ) -> (u64, u64) {
+        explode_on(query);
+        ItemMetric::Edit.distance_batch_bounded(objects, arena, query, ids, bound, out)
+    }
+}
 
 /// Regression: a panicking user metric used to poison the executor (the
 /// thread died, every later ticket disconnected). Now the panic is caught

@@ -264,3 +264,40 @@ fn absurd_tree_shapes_are_rejected_before_allocating() {
         Err(IndexError::Unsupported(msg)) if msg.contains("magic")
     ));
 }
+
+/// Regression: a store the metric cannot measure used to restore without
+/// error — a Words snapshot over a store holding one vector panicked at the
+/// first `batch_knn`, and a NaN coordinate went in silently. Both index
+/// types now refuse such a store, typed and before reserving anything.
+#[test]
+fn restore_rejects_a_store_that_does_not_fit_the_metric() {
+    let cases = [
+        (DatasetKind::Words, Item::vector(vec![1.0f32, 2.0])),
+        (DatasetKind::TLoc, Item::vector(vec![f32::NAN, 0.0])),
+    ];
+    for (kind, misfit) in cases {
+        let data = kind.generate(200, 7);
+        let mut store = data.items.clone();
+        store[17] = misfit;
+        let rejected = |err: Option<IndexError>| matches!(err, Some(IndexError::InvalidObject(_)));
+
+        let dev = Device::rtx_2080_ti();
+        let gts =
+            Gts::build(&dev, data.items.clone(), data.metric, GtsParams::default()).expect("build");
+        let allocated = dev.allocated_bytes();
+        let err = Gts::restore(&dev, store.clone(), data.metric, &gts.snapshot()).err();
+        assert!(rejected(err), "{kind:?}: Gts");
+        assert_eq!(
+            dev.allocated_bytes(),
+            allocated,
+            "{kind:?}: nothing reserved"
+        );
+
+        let pool = DevicePool::rtx_2080_ti(2);
+        let params = GtsParams::default().with_shards(2);
+        let sharded =
+            ShardedGts::build(&pool, data.items.clone(), data.metric, params).expect("build");
+        let err = ShardedGts::restore(&pool, store, data.metric, &sharded.snapshot()).err();
+        assert!(rejected(err), "{kind:?}: ShardedGts");
+    }
+}
