@@ -10,6 +10,7 @@
 //! necessitate a complete rebuild for any data updates").
 
 use crate::clock::impl_gpu_clocked;
+use gpu_sim::exec::BATCH_CHUNK;
 use gpu_sim::{Device, GpuError, Reservation};
 use metric_space::index::{
     check_radii, sort_neighbors, DynamicIndex, IndexError, Neighbor, SimilarityIndex,
@@ -281,11 +282,26 @@ impl LbpgTree {
             .enumerate()
             .flat_map(|(qi, c)| c.iter().map(move |&o| (qi as u32, o)))
             .collect();
-        let dists = self.dev.launch_map(flat.len(), |t| {
-            let (qi, o) = flat[t];
-            let q = &queries[qi as usize];
-            let obj = &self.items[o as usize];
-            (self.metric.distance(q, obj), self.metric.work(q, obj))
+        // One thread per candidate pair: the launch charges the pairs'
+        // summed work with the longest pair as its span.
+        let dists = self.dev.launch_batch(flat.len(), || {
+            let mut dists = vec![0.0f64; flat.len()];
+            let chunks: Vec<_> = flat
+                .chunks(BATCH_CHUNK)
+                .zip(dists.chunks_mut(BATCH_CHUNK))
+                .collect();
+            let (total, span) = self.dev.run_batch_chunks(0, chunks, |(pairs, out)| {
+                let (mut total, mut span) = (0u64, 0u64);
+                for (&(qi, o), d) in pairs.iter().zip(out) {
+                    let (q, obj) = (&queries[qi as usize], &self.items[o as usize]);
+                    let w = self.metric.work(q, obj);
+                    *d = self.metric.distance(q, obj);
+                    total += w;
+                    span = span.max(w);
+                }
+                (total, span)
+            });
+            (dists, total, span)
         });
         let mut results: Vec<Vec<Neighbor>> = vec![Vec::new(); queries.len()];
         for ((qi, o), d) in flat.into_iter().zip(dists) {

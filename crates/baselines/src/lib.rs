@@ -19,14 +19,16 @@
 //! charge the shared [`gpu_sim::Device`]. The [`Clocked`] trait exposes
 //! simulated time uniformly to the experiment harness.
 //!
-//! **Where this sits in the arena/batch/launch stack:** the baselines
+//! **Where this sits in the arena/batch/launch stack:** [`LinearScan`],
+//! [`GpuTable`] and [`GpuTree`] resolve payloads from the flat
+//! [`metric_space::ObjectArena`] and evaluate distances with the batched
+//! [`metric_space::BatchMetric`] kernels, launched once per batch through
+//! `Device::launch_batch` like GTS's hot paths; the other baselines
 //! evaluate distances per pair through [`metric_space::Metric`] and charge
-//! the clocks directly — they do not use the flat
-//! [`metric_space::ObjectArena`] or the batched
-//! [`metric_space::BatchMetric`] kernels that GTS's hot paths launch
-//! through `Device::launch_batch` (batching the baselines over the same
-//! arena is a ROADMAP item). Simulated-cycle comparisons are unaffected:
-//! the arena and host-parallel layers are wall-clock optimisations only.
+//! their clocks directly. Simulated-cycle comparisons are unaffected: a
+//! batched launch charges the same total, span and warp padding as the
+//! per-pair grid it replaces, and the arena and host-parallel layers are
+//! wall-clock optimisations only.
 
 #![warn(missing_docs)]
 pub mod bst;

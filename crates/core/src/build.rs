@@ -279,9 +279,12 @@ fn partitioning(
     // the table rows can be gathered afterwards without decoding error.
     let node_of_pos = node_rank_of_positions(nodes, level_start, level_width, n);
     let dis = table.dis_column();
-    let mut pairs: Vec<(f64, u32)> = dev.launch_map(n, |i| {
-        let key = f64::from(node_of_pos[i]) + dis[i] / denom;
-        ((key, i as u32), 2u64)
+    // One thread per position, two units of work each.
+    let mut pairs: Vec<(f64, u32)> = dev.launch_batch(n, || {
+        let pairs = (0..n)
+            .map(|i| (f64::from(node_of_pos[i]) + dis[i] / denom, i as u32))
+            .collect();
+        (pairs, 2 * n as u64, 2)
     });
 
     // Line 7: one global device sort partitions every node simultaneously.

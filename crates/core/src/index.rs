@@ -574,13 +574,19 @@ where
         })
     }
 
-    /// Distance from an arbitrary query object to indexed object `id`
-    /// (charged to the device; the multi-column combiner's random access).
-    pub fn distance_to_query(&self, q: &O, id: u32) -> f64 {
-        let o = &self.objects[id as usize];
-        self.dev.charge_kernel(self.metric.work(q, o), 1);
-        self.stats.add(&self.stats.distance_computations, 1);
-        self.metric.distance(q, o)
+    /// `d(query, objects[id])` for every id, as one batched kernel: the
+    /// multi-column combiner's random access.
+    pub(crate) fn distances_to(&self, query: &O, ids: &[u32]) -> Vec<f64> {
+        let mut out = vec![0.0f64; ids.len()];
+        let payloads = self.payloads();
+        self.dev.launch_batch(ids.len(), || {
+            let (work, span) =
+                payloads.distance_block(&self.dev, self.threads, query, ids, &mut out);
+            ((), work, span)
+        });
+        self.stats
+            .add(&self.stats.distance_computations, ids.len() as u64);
+        out
     }
 
     /// Fit the §5.3 cost model to this index's data by sampling pivot

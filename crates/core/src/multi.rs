@@ -23,7 +23,7 @@ use crate::params::GtsParams;
 use gpu_sim::Device;
 use metric_space::index::{sort_neighbors, IndexError, Neighbor, SimilarityIndex};
 use metric_space::{BatchMetric, Footprint};
-use std::collections::HashMap;
+use std::collections::HashSet;
 use std::sync::Arc;
 
 /// A multi-column index: one GTS per attribute plus column weights.
@@ -89,14 +89,19 @@ where
         &self.columns[c]
     }
 
-    /// Weighted combined distance of row `id` to the query row.
-    fn combined_distance(&self, q: &[O], id: u32) -> f64 {
-        self.columns
+    /// Weighted combined distance of each row in `ids` to the query row:
+    /// one batched kernel per column, summed per row in column order.
+    fn combined_distances(&self, q: &[O], ids: &[u32]) -> Vec<f64> {
+        let per_column: Vec<(f64, Vec<f64>)> = self
+            .columns
             .iter()
             .zip(&self.weights)
             .zip(q)
-            .map(|((col, &w), qc)| w * col.distance_to_query(qc, id))
-            .sum()
+            .map(|((col, &w), qc)| (w, col.distances_to(qc, ids)))
+            .collect();
+        (0..ids.len())
+            .map(|i| per_column.iter().map(|(w, d)| w * d[i]).sum())
+            .collect()
     }
 
     /// Exact multi-column range query: rows with `Σᵢ wᵢ·dᵢ ≤ r`.
@@ -104,19 +109,18 @@ where
         assert_eq!(q.len(), self.columns.len(), "query arity mismatch");
         let m = self.columns.len() as f64;
         // Pigeon-hole candidates: per-column MRQ at radius r/(m·wᵢ).
-        let mut seen: HashMap<u32, ()> = HashMap::new();
+        let mut ids: Vec<u32> = Vec::new();
         for ((col, &w), qc) in self.columns.iter().zip(&self.weights).zip(q) {
-            for n in col.range_query(qc, r / (m * w))? {
-                seen.insert(n.id, ());
-            }
+            ids.extend(col.range_query(qc, r / (m * w))?.iter().map(|n| n.id));
         }
+        ids.sort_unstable();
+        ids.dedup();
         // Verify candidates with the full combined distance.
-        let mut out: Vec<Neighbor> = seen
-            .into_keys()
-            .filter_map(|id| {
-                let d = self.combined_distance(q, id);
-                (d <= r).then_some(Neighbor::new(id, d))
-            })
+        let mut out: Vec<Neighbor> = ids
+            .iter()
+            .zip(self.combined_distances(q, &ids))
+            .filter(|&(_, d)| d <= r)
+            .map(|(&id, d)| Neighbor::new(id, d))
             .collect();
         sort_neighbors(&mut out);
         Ok(out)
@@ -130,7 +134,7 @@ where
         }
         let k = k.min(self.rows);
         let mut best: Vec<Neighbor> = Vec::new(); // ascending, capped at k
-        let mut evaluated: HashMap<u32, f64> = HashMap::new();
+        let mut evaluated: HashSet<u32> = HashSet::new();
         let mut depth = (4 * k).max(16);
         loop {
             // Sorted access: per-column kNN to the current depth.
@@ -138,15 +142,16 @@ where
             for ((col, &w), qc) in self.columns.iter().zip(&self.weights).zip(q) {
                 let front = col.knn_query(qc, depth.min(self.rows))?;
                 // Random access: complete every newly seen row.
-                for n in &front {
-                    if let std::collections::hash_map::Entry::Vacant(e) = evaluated.entry(n.id) {
-                        let d = self.combined_distance(q, n.id);
-                        e.insert(d);
-                        let pos = best.partition_point(|x| (x.dist, x.id) < (d, n.id));
-                        if pos < k {
-                            best.insert(pos, Neighbor::new(n.id, d));
-                            best.truncate(k);
-                        }
+                let fresh: Vec<u32> = front
+                    .iter()
+                    .map(|n| n.id)
+                    .filter(|&id| evaluated.insert(id))
+                    .collect();
+                for (&id, d) in fresh.iter().zip(self.combined_distances(q, &fresh)) {
+                    let pos = best.partition_point(|x| (x.dist, x.id) < (d, id));
+                    if pos < k {
+                        best.insert(pos, Neighbor::new(id, d));
+                        best.truncate(k);
                     }
                 }
                 // Fagin's threshold: no unseen row can beat Σ wᵢ·(depth-th).

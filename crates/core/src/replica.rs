@@ -38,12 +38,10 @@
 
 use crate::index::Gts;
 use crate::params::GtsParams;
-use crate::shard::{
-    merge_knn, merge_range, scoped_map, trace_merge, Applied, ShardedGts, UpdateOp,
-};
+use crate::shard::{merge_knn, merge_range, trace_merge, Applied, ShardedGts, UpdateOp};
 use crate::stats::{ReplicaStats, StatsSnapshot};
 use gpu_sim::fault::DeviceFault;
-use gpu_sim::DevicePool;
+use gpu_sim::{exec, DevicePool};
 use gts_trace::{EventKind, RetryCause, TraceRecorder};
 use metric_space::index::{IndexError, Neighbor};
 use metric_space::{BatchMetric, Footprint};
@@ -550,7 +548,7 @@ where
                 .map(|r| plan.contains(&r).then(|| self.rlock(r)))
                 .collect();
             let slices: Vec<(usize, usize)> = todo.into_iter().zip(plan).collect();
-            let outcomes = scoped_map(slices.clone(), |_, (s, r)| {
+            let outcomes = exec::map(slices.clone(), |_, (s, r)| {
                 let mut ctx = gts_trace::current_ctx();
                 ctx.replica = Some(r as u32);
                 let _scope = gts_trace::scoped_ctx(ctx);

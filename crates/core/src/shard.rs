@@ -9,14 +9,15 @@
 //! similarity search):
 //!
 //! * a deterministic [`Partitioner`] splits the object store into `S`
-//!   shards — round-robin by default, so shards stay balanced under
+//!   shards round-robin (`id mod S`), so shards stay balanced under
 //!   sequential id assignment;
 //! * each shard is a complete [`Gts`] over its objects, pinned to its own
 //!   device from a [`DevicePool`];
 //! * a batched MRQ/MkNNQ is **scattered to every shard** (shards execute
-//!   concurrently on real host threads — each drives its own device, so
-//!   per-device simulated clocks stay deterministic) and the per-shard
-//!   answers are **merged exactly** on the host:
+//!   concurrently: shard 0 on the calling thread, the rest on the
+//!   persistent host pool of [`gpu_sim::exec::map`]; each drives its own
+//!   device, so per-device simulated clocks stay deterministic) and the
+//!   per-shard answers are **merged exactly** on the host:
 //!   - range: concatenation + canonical `(distance, id)` sort;
 //!   - kNN: a k-way merge of the per-shard top-`k` lists under the same
 //!     `(distance, id)` tie-break the single-device search uses.
@@ -38,22 +39,26 @@
 //! ([`PoolStats::span_cycles`](gpu_sim::PoolStats::span_cycles)) — the
 //! sharded critical path, since shards run concurrently. **Snapshots**
 //! wrap every shard's [`Gts::snapshot`] in one envelope together with the
-//! partition spec (shard count, strategy, object count — the assignment
-//! itself is a pure function of these and is recomputed on
+//! partition spec (shard count and object count — the assignment itself
+//! is a pure function of these and is recomputed on
 //! [`ShardedGts::restore`]).
 
 use crate::index::Gts;
 use crate::params::GtsParams;
 use crate::snapshot::{R, W};
 use crate::stats::StatsSnapshot;
-use gpu_sim::{Device, DevicePool};
+use gpu_sim::{exec, Device, DevicePool};
 use metric_space::index::{sort_neighbors, DynamicIndex, IndexError, Neighbor, SimilarityIndex};
-use metric_space::{BatchMetric, Footprint, PartitionStrategy, Partitioner};
+use metric_space::{BatchMetric, Footprint, Partitioner};
 use std::sync::Arc;
 
 /// Magic + version tag of the sharded snapshot envelope. `GTSI` added the
 /// update epoch to the envelope; `GTSH` snapshots (pre-epoch) are rejected.
 const SHARD_MAGIC: &[u8; 4] = b"GTSI";
+
+/// The envelope's partition-strategy byte: round-robin, the only
+/// assignment there is.
+const ROUND_ROBIN: u8 = 0;
 
 /// One serialized update, the unit the epoch counter advances by: applying
 /// an `UpdateOp` to two identical indexes in the same order keeps them
@@ -195,52 +200,6 @@ impl<O, M> ShardedGts<O, M> {
     }
 }
 
-/// Map `f` over owned work items, one scoped host thread per item (inline
-/// when there is at most one), joining in item order — the spawn/join
-/// shape shared by the sharded build and the query scatter (and by the
-/// route of [`ReplicatedShards`](crate::replica::ReplicatedShards)).
-/// Determinism: each item drives only its own device, and results are
-/// collected in item order.
-pub(crate) fn scoped_map<I: Send, T: Send>(
-    items: Vec<I>,
-    f: impl Fn(usize, I) -> T + Sync,
-) -> Vec<T> {
-    if items.len() <= 1 {
-        return items
-            .into_iter()
-            .enumerate()
-            .map(|(i, it)| f(i, it))
-            .collect();
-    }
-    // Trace contexts are thread-local: replant the caller's context inside
-    // every scatter thread so events recorded there keep the request/batch
-    // association (a no-op context plants a no-op).
-    let ctx = gts_trace::current_ctx();
-    std::thread::scope(|scope| {
-        let f = &f;
-        let handles: Vec<_> = items
-            .into_iter()
-            .enumerate()
-            .map(|(i, it)| {
-                scope.spawn(move || {
-                    let _scope = gts_trace::scoped_ctx(ctx);
-                    f(i, it)
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| match h.join() {
-                Ok(v) => v,
-                // Re-raise with the original payload so typed panics (e.g.
-                // an injected `DeviceFault`) stay downcastable after
-                // crossing the scatter threads.
-                Err(payload) => std::panic::resume_unwind(payload),
-            })
-            .collect()
-    })
-}
-
 /// Merge per-shard range answers (each exact over its partition, remapped
 /// to global ids): concatenation plus the canonical `(distance, id)` sort
 /// — the exact union. Shared with
@@ -331,27 +290,14 @@ where
     /// partitioning, shard `s` pinned to `pool.get(s)`.
     ///
     /// The pool must supply at least one device per shard, and every shard
-    /// must receive at least one object — `n ≥ shards` guarantees this
-    /// under round-robin; under [`PartitionStrategy::Hash`] small datasets
-    /// can still leave a shard empty, which is rejected with a dedicated
-    /// error ([`IndexError::EmptyIndex`] is reserved for an actually-empty
-    /// dataset).
+    /// must receive at least one object: fewer objects than shards is
+    /// rejected with a dedicated error ([`IndexError::EmptyIndex`] is
+    /// reserved for an actually-empty dataset).
     pub fn build(
         pool: &DevicePool,
         objects: Vec<O>,
         metric: M,
         params: GtsParams,
-    ) -> Result<Self, IndexError> {
-        Self::build_with_strategy(pool, objects, metric, params, PartitionStrategy::RoundRobin)
-    }
-
-    /// [`ShardedGts::build`] with an explicit partitioning strategy.
-    pub fn build_with_strategy(
-        pool: &DevicePool,
-        objects: Vec<O>,
-        metric: M,
-        params: GtsParams,
-        strategy: PartitionStrategy,
     ) -> Result<Self, IndexError> {
         let shards = params.shards as usize;
         assert!(
@@ -363,12 +309,12 @@ where
             return Err(IndexError::EmptyIndex);
         }
         metric_space::index::check_objects(&metric, &objects, None)?;
-        let partitioner = Partitioner::new(params.shards, strategy);
+        let partitioner = Partitioner::new(params.shards);
         let assignment = partitioner.split(objects.len());
         if assignment.iter().any(Vec::is_empty) {
             return Err(IndexError::Unsupported(
-                "partitioning produced an empty shard (use fewer shards, more \
-                 objects, or round-robin partitioning)",
+                "partitioning produced an empty shard (use fewer shards or more \
+                 objects)",
             ));
         }
         // Carve the per-shard object stores (ids ascend within each shard).
@@ -378,8 +324,8 @@ where
             .collect();
         let global_len = objects.len();
         drop(objects);
-        // Build every shard concurrently, one host thread per device.
-        let built: Vec<Result<Gts<O, M>, IndexError>> = scoped_map(stores, |s, store| {
+        // Build every shard concurrently on the host pool.
+        let built: Vec<Result<Gts<O, M>, IndexError>> = exec::map(stores, |s, store| {
             Gts::build_shard(pool.get(s), store, metric.clone(), params, shards)
         });
         let mut shard_vec = Vec::with_capacity(shards);
@@ -432,17 +378,18 @@ where
         out
     }
 
-    /// Scatter `call` to every shard concurrently (one host thread per
-    /// shard; each drives only its own device, so per-device counters stay
-    /// deterministic regardless of interleaving), fold the per-shard
-    /// answers with `merge` and record the `Merge` instant. The first
-    /// failing shard, in shard order, decides the error.
+    /// Scatter `call` to every shard concurrently (shard 0 on the calling
+    /// thread, the rest on the host pool; each drives only its own device,
+    /// so per-device counters stay deterministic regardless of
+    /// interleaving), fold the per-shard answers with `merge` and record
+    /// the `Merge` instant. The first failing shard, in shard order,
+    /// decides the error.
     fn scatter(
         &self,
         call: impl Fn(&Gts<O, M>) -> Result<Vec<Vec<Neighbor>>, IndexError> + Sync,
         merge: impl FnOnce(Vec<Vec<Vec<Neighbor>>>) -> Vec<Vec<Neighbor>>,
     ) -> Result<Vec<Vec<Neighbor>>, IndexError> {
-        let per_shard = scoped_map((0..self.shards.len()).collect(), |_, s| {
+        let per_shard = exec::map((0..self.shards.len()).collect(), |_, s| {
             self.on_shard(s, &call)
         });
         let merged = merge(per_shard.into_iter().collect::<Result<_, _>>()?);
@@ -529,14 +476,15 @@ where
     }
 
     /// Serialize the whole sharded index into one envelope: the partition
-    /// spec (shard count, strategy, global object count — the per-shard id
-    /// assignment is a pure function of these) followed by every shard's
-    /// [`Gts::snapshot`]; see [`ShardedGts::restore`].
+    /// spec (shard count, a strategy byte that is always 0 for round-robin,
+    /// global object count — the per-shard id assignment is a pure function
+    /// of these) followed by every shard's [`Gts::snapshot`]; see
+    /// [`ShardedGts::restore`].
     pub fn snapshot(&self) -> Vec<u8> {
         let mut w = W(Vec::new());
         w.0.extend_from_slice(SHARD_MAGIC);
         w.u32(self.partitioner.shards());
-        w.u8(self.partitioner.strategy().tag());
+        w.u8(ROUND_ROBIN);
         w.u64(self.global_len as u64);
         w.u64(self.epoch);
         for shard in &self.shards {
@@ -550,7 +498,8 @@ where
     /// Rebuild a sharded index from a [`ShardedGts::snapshot`] and the
     /// caller's **global** object store (every object ever inserted, in
     /// global-id order). The partition assignment is recomputed from the
-    /// envelope's `(strategy, global_len)`; every object is checked against
+    /// envelope's `(shards, global_len)`; a strategy byte other than
+    /// round-robin's 0 is a typed error. Every object is checked against
     /// the metric as [`ShardedGts::build`] checks it, and each shard's inner
     /// snapshot is validated by [`Gts::restore`] against the carved store.
     pub fn restore(
@@ -568,8 +517,9 @@ where
         if shards < 1 {
             return Err(IndexError::Unsupported("corrupt sharded snapshot: shards"));
         }
-        let strategy = PartitionStrategy::from_tag(r.u8()?)
-            .ok_or(IndexError::Unsupported("unknown partition strategy"))?;
+        if r.u8()? != ROUND_ROBIN {
+            return Err(IndexError::Unsupported("unknown partition strategy"));
+        }
         let global_len = r.u64()? as usize;
         let epoch = r.u64()?;
         if global_len != objects.len() {
@@ -585,10 +535,10 @@ where
                 "sharded snapshot has more shards than the pool has devices",
             ));
         }
-        let partitioner = Partitioner::new(shards as u32, strategy);
+        let partitioner = Partitioner::new(shards as u32);
         // Slice every shard's inner snapshot out of the envelope first,
-        // then restore all shards concurrently (same `scoped_map` shape as
-        // the build; restore does device transfers and validation per
+        // then restore all shards concurrently on the host pool, as the
+        // build does (restore does device transfers and validation per
         // shard, so it parallelises the same way).
         let mut parts: Vec<(Vec<u32>, &[u8])> = Vec::with_capacity(shards);
         for global_ids in partitioner.split(global_len) {
@@ -601,7 +551,7 @@ where
             ));
         }
         let restored: Vec<Result<Shard<O, M>, IndexError>> =
-            scoped_map(parts, |s, (global_ids, inner)| {
+            exec::map(parts, |s, (global_ids, inner)| {
                 let store: Vec<O> = global_ids
                     .iter()
                     .map(|&g| objects[g as usize].clone())
@@ -975,6 +925,15 @@ mod tests {
         let mut bad = bytes.clone();
         bad[0] = b'X';
         assert!(ShardedGts::restore(&pool, items.clone(), metric, &bad).is_err());
+        // A partition-strategy byte other than round-robin's 0 (it follows
+        // the magic and the shard count).
+        let mut bad = bytes.clone();
+        assert_eq!(bad[8], 0, "round-robin is written as 0");
+        bad[8] = 1;
+        assert!(matches!(
+            ShardedGts::restore(&pool, items.clone(), metric, &bad),
+            Err(IndexError::Unsupported("unknown partition strategy"))
+        ));
         // Store mismatch.
         assert!(ShardedGts::restore(&pool, items[..50].to_vec(), metric, &bytes).is_err());
         // Trailing garbage.
@@ -1004,12 +963,11 @@ mod tests {
         );
     }
 
-    /// A metric panic raised inside a query-chunk run on a *pool worker*
-    /// (not the thread that called `batch_knn`) must cross the host pool and
-    /// the shard scatter with its payload intact, and leave pool and index
-    /// serving.
+    /// A metric panic raised inside a query-chunk run must cross the host
+    /// pool and the shard scatter with its payload intact, and leave pool
+    /// and index serving.
     #[test]
-    fn panic_on_a_pool_worker_surfaces_through_batch_knn() {
+    fn panic_in_a_query_chunk_surfaces_through_batch_knn() {
         let items: Vec<Item> = (0..120).map(|i| Item::text("x".repeat(i % 30))).collect();
         // Four host threads per device: two per shard once divided.
         let pool = DevicePool::homogeneous(
@@ -1026,16 +984,24 @@ mod tests {
             GtsParams::default().with_shards(2),
         )
         .expect("build never sees the poisoned query");
-        // Two query-chunk runs over two host threads: run 0 executes on the
-        // calling (shard scatter) thread, run 1 — holding the poison — on a
-        // pool worker.
+        // Two query-chunk runs over two host threads per shard: run 1 holds
+        // the poison. Shard 1 runs on a pool worker; shard 0's run 1 runs
+        // on a worker, or on the calling thread when it finds the run
+        // still queued.
         let mut queries: Vec<Item> = items[..2 * crate::QUERY_CHUNK].to_vec();
         queries[crate::QUERY_CHUNK] = Item::text("boom");
         let payload =
             std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| idx.batch_knn(&queries, 3)))
                 .expect_err("the metric panic must surface");
         let msg = payload.downcast_ref::<String>().expect("formatted panic");
-        assert_eq!(msg, "boom on gts-host-kernel");
+        let caller = std::thread::current();
+        let on = msg
+            .strip_prefix("boom on ")
+            .expect("the metric's own payload");
+        assert!(
+            [Some("gts-host-kernel"), caller.name()].contains(&Some(on)),
+            "raised on a pool worker or the caller, not {on}"
+        );
 
         let clean = idx.batch_knn(&items[..2 * crate::QUERY_CHUNK], 3);
         let clean = clean.expect("pool and index still serve");

@@ -232,24 +232,6 @@ impl Device {
             .map(|s| (Arc::clone(&s.rec), s.device))
     }
 
-    /// Record one event against the attached recorder. The closure only
-    /// runs when a recorder is attached; `device` is filled in from the
-    /// attachment.
-    #[inline]
-    pub fn trace_event(&self, f: impl FnOnce(u32) -> TraceEvent) {
-        if !self.trace_on.load(Ordering::Acquire) {
-            return;
-        }
-        if let Some(sink) = self
-            .trace
-            .read()
-            .unwrap_or_else(|e| e.into_inner())
-            .as_ref()
-        {
-            sink.rec.record(f(sink.device));
-        }
-    }
-
     // -- health & fault injection ------------------------------------------
 
     /// True until a permanent fault quarantines the device.
@@ -394,38 +376,15 @@ impl Device {
         }
     }
 
-    /// Launch a map-style kernel over `0..n`: each thread `i` computes
-    /// `f(i) -> (value, work_units)`. Results are returned in index order;
-    /// the grid is charged as one [`launch_batch`](Device::launch_batch)
-    /// whose span is the longest thread.
-    pub fn launch_map<T, F>(&self, n: usize, f: F) -> Vec<T>
-    where
-        T: Send,
-        F: Fn(usize) -> (T, u64) + Sync,
-    {
-        self.launch_batch(n, || {
-            let results = exec::par_map(n, self.cfg.host_threads, &f);
-            let (mut total, mut span) = (0u64, 0u64);
-            let mut out = Vec::with_capacity(n);
-            for (v, w) in results {
-                total += w;
-                span = span.max(w);
-                out.push(v);
-            }
-            (out, total, span)
-        })
-    }
-
     /// Launch a **batched** kernel over `n` logical threads.
     ///
     /// `launch_batch` hands the whole grid to one host-side batch routine
-    /// `f` (e.g. a [`BatchMetric`-style] distance kernel writing an output
+    /// `f` (e.g. a `BatchMetric` distance kernel writing an output
     /// slice) which reports the batch's `(result, total_work, span)` in one
     /// go — the work is charged **once per batch**, not bookkept per pair.
     /// Warp padding idles the partial warp's lanes for the mean thread
     /// duration, and the clock advances by `max(⌈W/C⌉, span)` plus launch
-    /// overhead. [`Device::launch_map`] is this entry over per-thread
-    /// closures.
+    /// overhead.
     ///
     /// `n = 0` executes `f` without charging (no kernel is launched).
     ///
@@ -442,8 +401,6 @@ impl Device {
     /// the batch is still charged **once**, so answers, tie-breaks, and
     /// cycle counts are bit-identical for 1 or N host threads — only
     /// wall-clock changes.
-    ///
-    /// [`BatchMetric`-style]: Device::launch_map
     pub fn launch_batch<T>(&self, n: usize, f: impl FnOnce() -> (T, u64, u64)) -> T {
         let (out, total, span) = f();
         if n == 0 {
@@ -647,69 +604,47 @@ mod tests {
         assert!(dev.cycles() - before > 5_000_000);
     }
 
-    #[test]
-    fn launch_map_returns_ordered_results_and_charges() {
-        let dev = tiny_device(1 << 20);
-        let out = dev.launch_map(1000, |i| (i * 3, 7u64));
-        assert_eq!(out[999], 2997);
-        let s = dev.stats();
-        assert_eq!(s.kernels, 1);
-        assert!(s.work >= 7 * 1000, "warp padding only adds work");
-        assert!(s.cycles > 0);
+    /// The charge of one batched launch over `works`, from the work–span
+    /// model: the partial warp's idle lanes each add the mean thread work,
+    /// and the clock advances by `max(⌈W/C⌉, span)` plus launch overhead.
+    fn analytic_charge(dev: &Device, works: &[u64]) -> (u64, u64) {
+        let n = works.len() as u64;
+        let total: u64 = works.iter().sum();
+        let warp = u64::from(dev.config().warp_size);
+        let padded = total + (n.div_ceil(warp) * warp - n) * (total / n);
+        let span = *works.iter().max().expect("nonempty");
+        let cycles = padded.div_ceil(u64::from(dev.config().cores)).max(span)
+            + dev.config().kernel_launch_cycles;
+        (padded, cycles)
     }
 
     #[test]
-    fn launch_map_deterministic_cycles_across_thread_counts() {
-        let mk = |threads| {
-            let dev = Device::new(DeviceConfig {
-                host_threads: threads,
-                ..DeviceConfig::rtx_2080_ti()
+    fn launch_batch_charges_the_analytic_work_span() {
+        // Uneven per-thread work and a partial last warp exercise both the
+        // span and the padding; a long thread makes the span dominate.
+        for works in [
+            (0..1000).map(|i| (i % 7 + 1) as u64).collect::<Vec<_>>(),
+            (0..1000).map(|i| if i == 3 { 9_000 } else { 2 }).collect(),
+        ] {
+            let dev = tiny_device(1 << 20);
+            let out = dev.launch_batch(works.len(), || {
+                let total = works.iter().sum();
+                let span = *works.iter().max().expect("nonempty");
+                (works.len() * 3, total, span)
             });
-            let out = dev.launch_map(10_000, |i| (i as u64 % 17, (i % 5) as u64 + 1));
-            (out, dev.cycles())
-        };
-        let (o1, c1) = mk(1);
-        let (o8, c8) = mk(8);
-        assert_eq!(o1, o8);
-        assert_eq!(c1, c8, "simulated time must not depend on host threads");
+            assert_eq!(out, 3000);
+            let (padded, cycles) = analytic_charge(&dev, &works);
+            let s = dev.stats();
+            assert_eq!((s.kernels, s.work, s.cycles), (1, padded, cycles));
+        }
     }
 
     #[test]
-    fn launch_batch_charges_exactly_like_launch_map() {
-        let per_pair = tiny_device(1 << 20);
-        let batched = tiny_device(1 << 20);
-        // Uneven per-thread work exercises both the span and the padding.
-        let works: Vec<u64> = (0..1000).map(|i| (i % 7 + 1) as u64).collect();
-        per_pair.launch_map(1000, |i| (i, works[i]));
-        batched.launch_batch(1000, || {
-            (
-                (),
-                works.iter().sum(),
-                *works.iter().max().expect("nonempty"),
-            )
-        });
-        assert_eq!(
-            per_pair.stats(),
-            batched.stats(),
-            "identical clock + counters"
-        );
-    }
-
-    #[test]
-    fn chunked_parallel_batch_charges_exactly_like_serial_batch() {
-        // The same grid, executed three ways: per-pair launch_map, serial
-        // launch_batch, and launch_batch with run_batch_chunks fan-out.
-        // All three must leave identical device counters.
+    fn chunked_parallel_batch_charges_the_analytic_work_span() {
+        // The same grid executed serially and with run_batch_chunks fan-out
+        // over 1, 4 and 8 host threads leaves the analytic charge.
         let n = 10_000usize;
         let works: Vec<u64> = (0..n).map(|i| (i % 11 + 1) as u64).collect();
-        let serial = tiny_device(1 << 20);
-        serial.launch_batch(n, || {
-            (
-                (),
-                works.iter().sum(),
-                *works.iter().max().expect("nonempty"),
-            )
-        });
         for threads in [1usize, 4, 8] {
             let dev = tiny_device(1 << 20);
             dev.launch_batch(n, || {
@@ -719,9 +654,11 @@ mod tests {
                 });
                 ((), total, span)
             });
+            let (padded, cycles) = analytic_charge(&dev, &works);
+            let s = dev.stats();
             assert_eq!(
-                dev.stats(),
-                serial.stats(),
+                (s.kernels, s.work, s.cycles),
+                (1, padded, cycles),
                 "threads = {threads}: chunked execution must charge identically"
             );
         }
@@ -813,7 +750,7 @@ mod tests {
         traced.attach_tracer(Arc::clone(&rec), 0);
         let works: Vec<u64> = (0..500).map(|i| (i % 9 + 1) as u64).collect();
         for dev in [&plain, &traced] {
-            dev.launch_map(500, |i| (i, works[i]));
+            dev.launch_batch(works.len(), || ((), works.iter().sum(), 9));
             dev.charge_kernel(4352 * 3, 2);
         }
         let after_kernels = traced.cycles();

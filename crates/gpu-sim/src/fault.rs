@@ -5,7 +5,7 @@
 //! `at_launch`-th kernel launch on that device after arming fires the
 //! fault instead of executing. Faults surface as panics carrying a
 //! [`DeviceFault`] payload, so the layer that drives the device (a replica
-//! executor, a shard scatter thread) can `catch_unwind`, downcast, and
+//! executor, the shard scatter) can `catch_unwind`, downcast, and
 //! distinguish an injected hardware fault from a misbehaving user metric:
 //!
 //! * [`FaultKind::Transient`] — the in-flight kernel dies but the device

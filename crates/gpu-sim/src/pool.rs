@@ -83,18 +83,6 @@ pub struct DeviceUtilization {
     pub peak_allocated: u64,
 }
 
-impl DeviceUtilization {
-    /// Fraction of the pool span this device spent executing kernels
-    /// (0.0 on an idle pool).
-    pub fn busy_fraction(&self) -> f64 {
-        if self.span_cycles == 0 {
-            0.0
-        } else {
-            self.busy_cycles as f64 / self.span_cycles as f64
-        }
-    }
-}
-
 impl DevicePool {
     /// A pool of existing devices (at least one).
     pub fn from_devices(devices: Vec<Arc<Device>>) -> DevicePool {

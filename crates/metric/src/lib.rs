@@ -48,7 +48,7 @@ pub use dataset::{Dataset, DatasetKind};
 pub use dist::{EditDistance, ItemMetric, Metric, VectorMetric};
 pub use index::{DynamicIndex, IndexError, Neighbor, SimilarityIndex};
 pub use object::{Footprint, Item};
-pub use partition::{PartitionStrategy, Partitioner};
+pub use partition::Partitioner;
 
 /// Identifier of an object inside a dataset (index into `Dataset::items`).
 pub type ObjId = u32;

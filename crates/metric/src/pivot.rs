@@ -3,8 +3,8 @@
 //! The paper uses FFT (farthest-first traversal, the k-center heuristic of
 //! Hochbaum & Shmoys) as its pivot selector, with a random first pivot —
 //! citing \[62\] that no universally optimal pivot selector exists. The CPU
-//! version here is used by the CPU baselines (MVPT, EGNAT) and by tests; the
-//! GTS index runs the same logic as device kernels in `gts-core`.
+//! version here is used by the EGNAT baseline and by tests; the GTS index
+//! runs the same logic as device kernels in `gts-core`.
 
 use crate::dist::Metric;
 use rand::rngs::StdRng;
@@ -54,27 +54,10 @@ pub fn fft_select<O, M: Metric<O>>(
     pivots
 }
 
-/// One FFT step: the element of `ids` farthest from `from` (an object id).
-/// This is the zero-extra-distance pivot rule GTS uses for non-root nodes,
-/// where `d(·, parent pivot)` is already materialised in the table list.
-pub fn farthest_from<O, M: Metric<O>>(items: &[O], ids: &[u32], metric: &M, from: u32) -> u32 {
-    assert!(!ids.is_empty());
-    let mut best = ids[0];
-    let mut best_d = -1f64;
-    for &i in ids {
-        let d = metric.distance(&items[i as usize], &items[from as usize]);
-        if d > best_d {
-            best_d = d;
-            best = i;
-        }
-    }
-    best
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dist::{ItemMetric, Metric};
+    use crate::dist::ItemMetric;
     use crate::object::Item;
 
     fn grid() -> Vec<Item> {
@@ -116,17 +99,6 @@ mod tests {
         assert!(pivots.len() <= 3);
         for p in &pivots {
             assert!(ids.contains(p));
-        }
-    }
-
-    #[test]
-    fn farthest_from_is_argmax() {
-        let items = grid();
-        let ids: Vec<u32> = (0..items.len() as u32).collect();
-        let far = farthest_from(&items, &ids, &ItemMetric::L2, 0);
-        let d = ItemMetric::L2.distance(&items[0], &items[far as usize]);
-        for &i in &ids {
-            assert!(ItemMetric::L2.distance(&items[0], &items[i as usize]) <= d);
         }
     }
 }

@@ -80,10 +80,11 @@ pub struct LatencyBreakdown {
     /// queue, from submission to batch flush.
     pub queue_wait_us: u64,
     /// Simulated device cycles the executing batch call added to the
-    /// sharded critical path ([`ShardedGts::span_cycles`]
-    /// delta around the sub-batch this request was answered in).
+    /// critical path of the executing lane's replicas
+    /// ([`ReplicatedShards::span_of`] delta around the sub-batch this
+    /// request was answered in).
     ///
-    /// [`ShardedGts::span_cycles`]: gts_core::ShardedGts::span_cycles
+    /// [`ReplicatedShards::span_of`]: gts_core::ReplicatedShards::span_of
     pub batch_span_cycles: u64,
     /// Total requests in the flushed batch this request rode in (the
     /// sub-batch that executed it may be smaller: ranges and distinct `k`

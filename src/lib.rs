@@ -72,7 +72,5 @@ pub mod prelude {
         TraceConfig, TraceEvent, TraceRecorder, TraceSummary,
     };
     pub use metric_space::index::{DynamicIndex, Neighbor, SimilarityIndex};
-    pub use metric_space::{
-        Dataset, DatasetKind, Item, ItemMetric, PartitionStrategy, Partitioner,
-    };
+    pub use metric_space::{Dataset, DatasetKind, Item, ItemMetric, Partitioner};
 }

@@ -103,37 +103,6 @@ fn sharded_answers_bit_identical_on_tie_heavy_data() {
 }
 
 #[test]
-fn hash_partitioning_is_equally_exact() {
-    let (items, metric) = tie_heavy(600, 9);
-    let single = Gts::build(
-        &Device::rtx_2080_ti(),
-        items.clone(),
-        metric,
-        GtsParams::default(),
-    )
-    .expect("build");
-    let queries: Vec<Item> = items[..24].to_vec();
-    let radii = vec![2.0; queries.len()];
-    let pool = DevicePool::rtx_2080_ti(4);
-    let sharded = ShardedGts::build_with_strategy(
-        &pool,
-        items,
-        metric,
-        GtsParams::default().with_shards(4),
-        PartitionStrategy::Hash,
-    )
-    .expect("hash-sharded build");
-    assert_eq!(
-        sharded.batch_range(&queries, &radii).expect("mrq"),
-        single.batch_range(&queries, &radii).expect("mrq"),
-    );
-    assert_eq!(
-        sharded.batch_knn(&queries, 6).expect("knn"),
-        single.batch_knn(&queries, 6).expect("knn"),
-    );
-}
-
-#[test]
 fn one_shard_equals_single_device_exactly_including_cycles() {
     let (items, metric) = words(500, 5);
     let queries: Vec<Item> = items[..16].to_vec();
