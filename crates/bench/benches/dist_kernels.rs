@@ -15,8 +15,10 @@
 //!   its score cannot return under the bound; for angular, no `acos` for a
 //!   pair whose cosine already puts it past the bound).
 //!
-//! The per-pair edit path builds a pattern for every pair, so the edit
-//! row's `batch_speedup` is the gain of building it once per query.
+//! The per-pair edit path sets and clears a per-thread mask table for
+//! every pair (words are at most 64 bytes), so the edit row's
+//! `batch_speedup` is the gain of preparing the query once, plus the
+//! batched kernel's arena walk.
 //!
 //! All variants of a metric are timed **round-robin** (one rep of each in
 //! rotation, min per variant): slow drift on the shared core — frequency

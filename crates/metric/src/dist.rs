@@ -137,51 +137,75 @@ impl EditPattern {
     /// time. That row's score moves by at most one per byte, so the run
     /// abandons as soon as it exceeds `bound` by more than the bytes left.
     pub fn distance(&mut self, text: &[u8], bound: u32) -> Option<u32> {
-        let (m, n) = (self.len, text.len());
-        let bound = usize::try_from(bound).unwrap_or(usize::MAX);
-        if m.abs_diff(n) > bound {
-            return None;
-        }
-        if m == 0 {
-            return u32::try_from(n).ok();
-        }
-        let last_row = 1u64 << ((m - 1) % 64);
-        let mut score = m;
-        // The top row of the table is 0, 1, 2, …: every column enters the
-        // first block with a horizontal delta of +1.
-        let mut column = |j: usize, h: isize| {
-            score = score.wrapping_add_signed(h);
-            score <= bound.saturating_add(n - j - 1)
-        };
+        let m = self.len;
         match &mut self.masks {
-            Masks::One(peq) => {
-                let mut delta = (!0u64, 0u64);
-                for (j, &c) in text.iter().enumerate() {
-                    let h = advance_block(&mut delta, peq[usize::from(c)], 1, last_row);
-                    if !column(j, h) {
-                        return None;
-                    }
-                }
-            }
+            Masks::One(peq) => one_block_distance(peq, m, text, bound),
             Masks::Blocks { peq, deltas } => {
                 let blocks = deltas.len();
+                let last_row = 1u64 << ((m - 1) % 64);
                 deltas.fill((!0, 0));
                 let (body, tail) = deltas.split_at_mut(blocks - 1);
-                for (j, &c) in text.iter().enumerate() {
+                last_row_scores(m, text, bound, |c| {
                     let eqs = &peq[usize::from(c) * blocks..][..blocks];
                     let mut h = 1;
                     for (delta, &eq) in body.iter_mut().zip(eqs) {
                         h = advance_block(delta, eq, h, 1 << 63);
                     }
-                    h = advance_block(&mut tail[0], eqs[blocks - 1], h, last_row);
-                    if !column(j, h) {
-                        return None;
-                    }
-                }
+                    advance_block(&mut tail[0], eqs[blocks - 1], h, last_row)
+                })
             }
         }
-        u32::try_from(score).ok()
     }
+}
+
+/// The score loop every pattern shape shares: walk `text`, adding the
+/// horizontal delta `step(byte)` leaves at the table's last row (pattern
+/// length `m`) to its score. That score moves by at most one per byte, so
+/// the run abandons as soon as it exceeds `bound` by more than the bytes
+/// left.
+#[inline(always)]
+fn last_row_scores(
+    m: usize,
+    text: &[u8],
+    bound: u32,
+    mut step: impl FnMut(u8) -> isize,
+) -> Option<u32> {
+    let n = text.len();
+    let bound = usize::try_from(bound).unwrap_or(usize::MAX);
+    if m.abs_diff(n) > bound {
+        return None;
+    }
+    if m == 0 {
+        return u32::try_from(n).ok();
+    }
+    let mut score = m;
+    for (j, &c) in text.iter().enumerate() {
+        score = score.wrapping_add_signed(step(c));
+        if score > bound.saturating_add(n - j - 1) {
+            return None;
+        }
+    }
+    u32::try_from(score).ok()
+}
+
+/// [`EditPattern::distance`] for a pattern of `m ≤ 64` bytes whose match
+/// masks are `peq`.
+fn one_block_distance(peq: &[u64; 256], m: usize, text: &[u8], bound: u32) -> Option<u32> {
+    // The top row of the table is 0, 1, 2, …: every column enters the
+    // block with a horizontal delta of +1. (`m = 0` never steps.)
+    let last_row = 1u64 << (m.saturating_sub(1) % 64);
+    let mut delta = (!0u64, 0u64);
+    last_row_scores(m, text, bound, |c| {
+        advance_block(&mut delta, peq[usize::from(c)], 1, last_row)
+    })
+}
+
+std::thread_local! {
+    /// The match masks of the scalar edit kernel's current pattern, for
+    /// patterns of at most 64 bytes. All zero between calls: each call sets
+    /// its pattern's masks and clears exactly those, instead of building
+    /// (and zeroing) a 2 KB table per pair.
+    static SCALAR_PEQ: std::cell::RefCell<[u64; 256]> = const { std::cell::RefCell::new([0; 256]) };
 }
 
 /// Levenshtein distance over bytes; the generators emit ASCII, matching
@@ -191,15 +215,29 @@ pub fn edit_distance(a: &str, b: &str) -> u32 {
 }
 
 /// Early-abandoning edit distance: `Some(d)` iff `d ≤ bound`, exact when
-/// it answers. Runs [`EditPattern::distance`] with the shorter string as
-/// the pattern.
+/// it answers. Runs the kernel of [`EditPattern::distance`] with the
+/// shorter string as the pattern; a pattern of at most 64 bytes uses this
+/// thread's mask table instead of building one.
 ///
 /// Used by verification steps where a query radius is known; charged the
 /// banded work by [`EditDistance::work_bounded`].
 pub fn edit_distance_bounded(a: &str, b: &str, bound: u32) -> Option<u32> {
     let (a, b) = (a.as_bytes(), b.as_bytes());
     let (pattern, text) = if a.len() <= b.len() { (a, b) } else { (b, a) };
-    EditPattern::new(pattern).distance(text, bound)
+    if pattern.len() > 64 {
+        return EditPattern::new(pattern).distance(text, bound);
+    }
+    SCALAR_PEQ.with(|peq| {
+        let mut peq = peq.borrow_mut();
+        for (i, &c) in pattern.iter().enumerate() {
+            peq[usize::from(c)] |= 1 << i;
+        }
+        let d = one_block_distance(&peq, pattern.len(), text, bound);
+        for &c in pattern {
+            peq[usize::from(c)] = 0;
+        }
+        d
+    })
 }
 
 impl EditDistance {

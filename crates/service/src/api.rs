@@ -58,11 +58,21 @@ impl<O> Request<O> {
 }
 
 /// Which trigger flushed the batch a request rode in.
+///
+/// The batcher is work-conserving: a full batch ships at once
+/// ([`FlushTrigger::Size`]), and so does a partial one whenever the lane it
+/// goes to is idle ([`FlushTrigger::Idle`]). Only a partial batch behind a
+/// busy lane waits, for at most the flush deadline
+/// ([`FlushTrigger::Deadline`]).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum FlushTrigger {
+    /// The lane the batch goes to had no batch running or staged (for an
+    /// update batch, which every lane applies: no lane had one).
+    Idle,
     /// The queue reached the batch target.
     Size,
-    /// The oldest queued request aged past the flush deadline.
+    /// The oldest queued request waited the flush deadline behind a busy
+    /// lane.
     Deadline,
     /// The service was shutting down and drained the queue.
     Shutdown,

@@ -4,32 +4,46 @@
 //! admission queue** — past [`ServiceConfig::queue_depth`] entries,
 //! submission rejects with [`ServiceError::QueueFull`] (reject-with-error
 //! backpressure, never blocking the caller). The **microbatcher** thread
-//! drains the queue into batches on two triggers:
+//! drains the queue into batches, and it is **work-conserving**: every
+//! lane counts its outstanding batches (raised when the batcher sends it
+//! one, lowered once the lane has sent that batch's responses), and the
+//! batcher flushes on the first of three triggers:
 //!
 //! * **size** — the queue holds at least the *batch target*:
-//!   [`ServiceConfig::max_batch`], clamped to the queue depth. Device
-//!   memory is not an admission concern: the descent's two-stage strategy
-//!   (§5.2) splits a batch into query groups against each layer's bound;
-//! * **deadline** — the oldest queued request has waited
-//!   [`ServiceConfig::flush_deadline`], so a partially-filled batch ships
-//!   rather than stalling a quiet period (the latency/throughput knob of
-//!   open-loop serving).
+//!   [`ServiceConfig::max_batch`], clamped to the queue depth. A full
+//!   batch ships at once. Device memory is not an admission concern: the
+//!   descent's two-stage strategy (§5.2) splits a batch into query groups
+//!   against each layer's bound;
+//! * **idle** — the lane the round-robin deal names next has no batch
+//!   running or staged (an update batch, which every lane applies, waits
+//!   for every lane): whatever is queued ships at once. A request arriving
+//!   at a quiet service never waits;
+//! * **deadline** — that lane is busy and the oldest queued request has
+//!   waited [`ServiceConfig::flush_deadline`]: the bound on the wait
+//!   behind a busy lane.
+//!
+//! Only a partial batch behind a busy lane waits. Meanwhile arrivals
+//! accumulate, so a loaded service still ships large batches: batch size
+//! follows load instead of a timer.
+//! At shutdown the queue drains in target-sized chunks without waiting for
+//! any lane.
 //!
 //! Flushed batches are dealt **round-robin** across the service's executor
-//! lanes (batch *i* goes to lane *i* mod *L* — deterministic for a given
-//! arrival sequence), each lane fed by its own **bounded** pipeline channel
-//! (`EXECUTOR_PIPELINE_BATCHES`). Within a lane, batches execute strictly
-//! in flush order, so batch formation under the size trigger — and every
-//! simulated cycle a batch charges — is reproducible for a given arrival
-//! sequence; with one lane the service degenerates to the original single
-//! executor. Slow lanes back pressure up into the admission queue instead
-//! of buffering batches without bound.
+//! lanes (query batch *i* goes to lane *i* mod *L*), each lane fed by its
+//! own **bounded** pipeline channel (`EXECUTOR_PIPELINE_BATCHES`). Within a
+//! lane, batches execute strictly in flush order. Batch formation — and so
+//! every simulated cycle a batch charges — is a pure function of the
+//! arrival sequence and the sequence of lane completions: a caller with one
+//! request in flight at a time always gets batches of one, dealt to the
+//! same lanes, whatever the host timing. With one lane the service
+//! degenerates to a single executor. Slow lanes back pressure up into the
+//! admission queue instead of buffering batches without bound.
 
 use crate::api::{FlushTrigger, Request, Response, ServiceError, Ticket};
 use gts_trace::RequestId;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Condvar, Mutex};
+use std::sync::{mpsc, Arc, Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 /// Configuration of the online query service.
@@ -38,12 +52,16 @@ pub struct ServiceConfig {
     /// Admission-queue bound: submissions beyond this many queued requests
     /// are rejected with [`ServiceError::QueueFull`].
     pub queue_depth: usize,
-    /// Flush a partially-filled batch once its oldest request has waited
-    /// this long.
+    /// The longest a request waits behind a busy lane: while the lane the
+    /// next batch goes to is still running or staging a batch, a
+    /// partially-filled batch ships once its oldest request has waited
+    /// this long. Requests that find that lane idle ship at once and never
+    /// wait it out.
     pub flush_deadline: Duration,
-    /// The batch target: the size trigger flushes once this many requests
-    /// are queued (clamped to [`ServiceConfig::queue_depth`]). Bounds
-    /// per-batch latency and host staging memory.
+    /// The batch target: no flush takes more than this many requests, and
+    /// the size trigger flushes once this many are queued (clamped to
+    /// [`ServiceConfig::queue_depth`]). Bounds per-batch latency and host
+    /// staging memory.
     pub max_batch: usize,
     /// Executor lanes to run. Each lane drains its own bounded pipeline
     /// channel and prefers a disjoint set of replicas, so lanes execute
@@ -178,6 +196,12 @@ pub(crate) struct Batch<O> {
 struct QueueState<O> {
     queue: VecDeque<Pending<O>>,
     stopped: bool,
+    /// Batches sent to each lane whose responses the lane has not finished
+    /// sending (index = lane): raised by the batcher at flush, lowered by
+    /// the lane's [`Completion`]. Zero means the lane is idle. Kept under
+    /// the admission lock, so the batcher's idle check and its wait are
+    /// one atomic step against a lane finishing — no wake-up is lost.
+    outstanding: Vec<usize>,
 }
 
 /// State shared between submit handles and the microbatcher thread.
@@ -194,11 +218,17 @@ pub(crate) struct Shared<O> {
 }
 
 impl<O> Shared<O> {
-    pub(crate) fn new(depth: usize, target: usize, deadline: Duration) -> Arc<Shared<O>> {
+    pub(crate) fn new(
+        depth: usize,
+        target: usize,
+        deadline: Duration,
+        lanes: usize,
+    ) -> Arc<Shared<O>> {
         Arc::new(Shared {
             state: Mutex::new(QueueState {
                 queue: VecDeque::new(),
                 stopped: false,
+                outstanding: vec![0; lanes],
             }),
             cv: Condvar::new(),
             depth,
@@ -214,6 +244,39 @@ impl<O> Shared<O> {
     pub(crate) fn stop(&self) {
         self.state.lock().expect("admission lock").stopped = true;
         self.cv.notify_all();
+    }
+
+    /// The signal that `lane` finished one batch it was sent: hold the
+    /// returned guard while the batch runs and responds.
+    pub(crate) fn completion(&self, lane: usize) -> Completion<'_, O> {
+        Completion { shared: self, lane }
+    }
+}
+
+/// A lane's hold on one batch it received. Dropping it — after the batch's
+/// responses are sent, or while a panic unwinds out of the lane — lowers
+/// the lane's outstanding count and wakes the batcher, so a lane that
+/// panicked is still seen idle and flushes do not fall back to the
+/// deadline.
+pub(crate) struct Completion<'a, O> {
+    shared: &'a Shared<O>,
+    lane: usize,
+}
+
+impl<O> Drop for Completion<'_, O> {
+    fn drop(&mut self) {
+        // Every update under the admission lock leaves the state valid, so
+        // a poisoned lock is safe to use — and panicking here, perhaps
+        // mid-unwind, would abort the process. The batcher raised the
+        // count before sending the batch, so it is at least one.
+        let mut st = self
+            .shared
+            .state
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
+        st.outstanding[self.lane] = st.outstanding[self.lane].saturating_sub(1);
+        drop(st);
+        self.shared.cv.notify_all();
     }
 }
 
@@ -263,10 +326,11 @@ impl<O> SubmitHandle<O> {
         let len = st.queue.len();
         drop(st);
         // Wake the batcher only when this admission changes what it would
-        // do: the empty→non-empty transition (it sits in an untimed wait)
-        // or reaching the size target (an immediate flush is due). Arrivals
-        // in between are covered by its deadline-timed wait, so notifying
-        // per request would only add lock contention on the hot path.
+        // do: the empty→non-empty transition (it sits in an untimed wait,
+        // and an idle lane ships the request at once) or reaching the size
+        // target (an immediate flush is due). Arrivals in between ride the
+        // next lane completion or the deadline-timed wait, so notifying per
+        // request would only add lock contention on the hot path.
         if len == 1 || len >= self.shared.target {
             self.shared.cv.notify_all();
         }
@@ -352,115 +416,132 @@ fn poison<O>(shared: &Shared<O>) {
     st.queue.clear();
 }
 
-/// The microbatcher loop: runs on its own thread until stopped, dealing
-/// flushed **query** batches round-robin across the executor lanes'
-/// bounded pipeline channels (query batch *i* → lane *i* mod *L*,
-/// deterministic) and **broadcasting update batches to every lane** —
-/// lanes pin disjoint replica sets, so each lane must apply every update
-/// to keep its replicas current; only the lane-0 copy answers the
-/// tickets. Per-lane channels are FIFO, so a lane sees
-/// `[earlier queries][update][later queries]` exactly in admission order.
-/// Every `send` happens **outside** the admission lock, so a full
-/// pipeline stalls only this thread — [`SubmitHandle::submit`] stays
-/// non-blocking throughout. Dropping the senders on exit is what tells
-/// the lanes to finish; conversely a failed send means a lane died, and
-/// the queue is poisoned so nothing hangs.
+/// Send one flushed batch: a query batch to `lane`, an update batch to
+/// **every** lane — lanes pin disjoint replica sets, so each lane must
+/// apply every update to keep its replicas current; only the lane-0 copy
+/// answers the tickets. Silent copies go first (lanes 1..), the responder
+/// copy last: a ticket answered implies every lane already has the update
+/// queued ahead of any later query batch.
+fn dispatch<O: Clone>(
+    lane_txs: &[mpsc::SyncSender<Batch<O>>],
+    lane: usize,
+    batch: Batch<O>,
+) -> Result<(), mpsc::SendError<Batch<O>>> {
+    if batch.kind == BatchKind::Query {
+        return lane_txs[lane].send(batch);
+    }
+    for tx in &lane_txs[1..] {
+        let copy = Batch {
+            entries: batch
+                .entries
+                .iter()
+                .map(|e| Entry {
+                    req: e.req.clone(),
+                    tx: e.tx.clone(),
+                    wait_us: e.wait_us,
+                    id: e.id,
+                })
+                .collect(),
+            trigger: batch.trigger,
+            kind: BatchKind::Update,
+            seq: batch.seq,
+            respond: false,
+        };
+        tx.send(copy)?;
+    }
+    lane_txs[0].send(batch)
+}
+
+/// The microbatcher loop: runs on its own thread until stopped, flushing
+/// on the idle, size and deadline triggers (see the module docs), dealing
+/// **query** batches round-robin across the executor lanes' bounded
+/// pipeline channels (query batch *i* → lane *i* mod *L*) and
+/// broadcasting **update** batches to every lane. Per-lane channels are
+/// FIFO, so a lane sees `[earlier queries][update][later queries]` exactly
+/// in admission order. Every `send` happens **outside** the admission
+/// lock, so a full pipeline stalls only this thread —
+/// [`SubmitHandle::submit`] stays non-blocking throughout. Dropping the
+/// senders on exit is what tells the lanes to finish; conversely a failed
+/// send means a lane died, and the queue is poisoned so nothing hangs.
 pub(crate) fn run<O: Clone>(shared: &Shared<O>, lane_txs: &[mpsc::SyncSender<Batch<O>>]) {
     assert!(!lane_txs.is_empty(), "the batcher needs at least one lane");
     let mut next_lane = 0usize;
     let mut next_seq = 0u64;
-    let mut send = move |mut batch: Batch<O>| {
+    let mut st = shared.state.lock().expect("admission lock");
+    assert_eq!(
+        st.outstanding.len(),
+        lane_txs.len(),
+        "one outstanding count per lane"
+    );
+    loop {
+        let Some((update, age)) = st
+            .queue
+            .front()
+            .map(|p| (p.req.is_update(), p.enqueued.elapsed()))
+        else {
+            if st.stopped {
+                return;
+            }
+            st = shared.cv.wait(st).expect("admission lock");
+            continue;
+        };
+        let idle = if update {
+            st.outstanding.iter().all(|&n| n == 0)
+        } else {
+            st.outstanding[next_lane] == 0
+        };
+        let trigger = if st.queue.len() >= shared.target {
+            FlushTrigger::Size
+        } else if idle {
+            FlushTrigger::Idle
+        } else if st.stopped {
+            FlushTrigger::Shutdown
+        } else if age >= shared.deadline {
+            FlushTrigger::Deadline
+        } else {
+            // Behind a busy lane: sleep until a lane completes, the queue
+            // reaches the target, shutdown, or the oldest request's
+            // deadline — whichever comes first.
+            st = shared
+                .cv
+                .wait_timeout(st, shared.deadline - age)
+                .expect("admission lock")
+                .0;
+            continue;
+        };
+        let mut batch = drain(&mut st.queue, shared.target, trigger);
         batch.seq = next_seq;
         next_seq += 1;
+        let lane = next_lane;
         match batch.kind {
             BatchKind::Query => {
-                let tx = &lane_txs[next_lane];
-                next_lane = (next_lane + 1) % lane_txs.len();
-                tx.send(batch)
+                st.outstanding[lane] += 1;
+                next_lane = (lane + 1) % lane_txs.len();
             }
-            BatchKind::Update => {
-                // Silent copies first (lanes 1..), responder copy last: a
-                // ticket answered implies every lane already has the update
-                // queued ahead of any later query batch.
-                for tx in &lane_txs[1..] {
-                    let copy = Batch {
-                        entries: batch
-                            .entries
-                            .iter()
-                            .map(|e| Entry {
-                                req: e.req.clone(),
-                                tx: e.tx.clone(),
-                                wait_us: e.wait_us,
-                                id: e.id,
-                            })
-                            .collect(),
-                        trigger: batch.trigger,
-                        kind: BatchKind::Update,
-                        seq: batch.seq,
-                        respond: false,
-                    };
-                    tx.send(copy)?;
-                }
-                lane_txs[0].send(batch)
-            }
+            BatchKind::Update => st.outstanding.iter_mut().for_each(|n| *n += 1),
         }
-    };
-    let mut st = shared.state.lock().expect("admission lock");
-    loop {
-        // Size trigger: a full batch is ready — ship it immediately.
-        if st.queue.len() >= shared.target {
-            let batch = drain(&mut st.queue, shared.target, FlushTrigger::Size);
-            drop(st);
-            if send(batch).is_err() {
-                return poison(shared);
-            }
-            st = shared.state.lock().expect("admission lock");
-            continue;
+        drop(st);
+        if dispatch(lane_txs, lane, batch).is_err() {
+            return poison(shared);
         }
-        // Shutdown: drain the remainder in FIFO target-sized chunks.
-        if st.stopped {
-            loop {
-                if st.queue.is_empty() {
-                    return;
-                }
-                let batch = drain(&mut st.queue, shared.target, FlushTrigger::Shutdown);
-                drop(st);
-                if send(batch).is_err() {
-                    return poison(shared);
-                }
-                st = shared.state.lock().expect("admission lock");
-            }
-        }
-        // Deadline trigger: the oldest request has waited long enough.
-        match st.queue.front().map(|p| p.enqueued.elapsed()) {
-            Some(age) if age >= shared.deadline => {
-                let batch = drain(&mut st.queue, shared.target, FlushTrigger::Deadline);
-                drop(st);
-                if send(batch).is_err() {
-                    return poison(shared);
-                }
-                st = shared.state.lock().expect("admission lock");
-            }
-            Some(age) => {
-                let (guard, _) = shared
-                    .cv
-                    .wait_timeout(st, shared.deadline - age)
-                    .expect("admission lock");
-                st = guard;
-            }
-            None => {
-                st = shared.cv.wait(st).expect("admission lock");
-            }
-        }
+        st = shared.state.lock().expect("admission lock");
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::thread::JoinHandle;
 
-    fn handle(depth: usize, target: usize) -> (SubmitHandle<u32>, Arc<Shared<u32>>) {
-        let shared = Shared::new(depth, target, Duration::from_millis(1));
+    const HOUR: Duration = Duration::from_secs(3600);
+
+    fn rig(
+        depth: usize,
+        target: usize,
+        deadline: Duration,
+        lanes: usize,
+    ) -> (SubmitHandle<u32>, Arc<Shared<u32>>) {
+        let shared = Shared::new(depth, target, deadline, lanes);
         (
             SubmitHandle {
                 shared: Arc::clone(&shared),
@@ -469,9 +550,58 @@ mod tests {
         )
     }
 
+    type LaneTx = mpsc::SyncSender<Batch<u32>>;
+    type LaneRx = mpsc::Receiver<Batch<u32>>;
+
+    /// Scripted lanes: the test owns every lane's receiving end and signals
+    /// completions itself.
+    fn lanes(n: usize) -> (Vec<LaneTx>, Vec<LaneRx>) {
+        (0..n)
+            .map(|_| mpsc::sync_channel(EXECUTOR_PIPELINE_BATCHES))
+            .unzip()
+    }
+
+    fn start(shared: &Arc<Shared<u32>>, txs: Vec<LaneTx>) -> JoinHandle<()> {
+        let shared = Arc::clone(shared);
+        std::thread::spawn(move || run(&shared, &txs))
+    }
+
+    /// Mark `lane` busy exactly as a flush does: one more batch outstanding.
+    fn hold(shared: &Shared<u32>, lane: usize) {
+        shared.state.lock().expect("admission lock").outstanding[lane] += 1;
+    }
+
+    /// One batch finished on `lane`, through the signal the service's
+    /// lanes give.
+    fn complete(shared: &Shared<u32>, lane: usize) {
+        drop(shared.completion(lane));
+    }
+
+    fn knn(h: &SubmitHandle<u32>, query: u32) -> Ticket {
+        h.submit(Request::Knn { query, k: 1 }).expect("fits")
+    }
+
+    fn recv(rx: &LaneRx) -> Batch<u32> {
+        rx.recv_timeout(Duration::from_secs(5)).expect("a batch")
+    }
+
+    /// A batch as `(seq, trigger, query ids)`.
+    fn shape(b: &Batch<u32>) -> (u64, FlushTrigger, Vec<u32>) {
+        let ids = b
+            .entries
+            .iter()
+            .map(|e| match e.req {
+                Request::Knn { query, .. } => query,
+                Request::Insert { object } => object,
+                _ => panic!("the tests submit kNN queries and inserts"),
+            })
+            .collect();
+        (b.seq, b.trigger, ids)
+    }
+
     #[test]
     fn backpressure_rejects_past_depth() {
-        let (h, shared) = handle(2, 100);
+        let (h, shared) = rig(2, 100, HOUR, 1);
         let _t1 = h.submit(Request::Knn { query: 1, k: 1 }).expect("fits");
         let _t2 = h.submit(Request::Knn { query: 2, k: 1 }).expect("fits");
         let err = h.submit(Request::Knn { query: 3, k: 1 }).expect_err("full");
@@ -483,7 +613,7 @@ mod tests {
 
     #[test]
     fn stopped_queue_rejects_everything() {
-        let (h, shared) = handle(10, 100);
+        let (h, shared) = rig(10, 100, HOUR, 1);
         shared.stop();
         assert_eq!(
             h.submit(Request::Knn { query: 1, k: 1 }).expect_err("down"),
@@ -517,29 +647,25 @@ mod tests {
 
     #[test]
     fn batcher_flushes_on_size_and_shutdown() {
-        let shared = Shared::<u32>::new(64, 4, Duration::from_secs(3600));
-        let h = SubmitHandle {
-            shared: Arc::clone(&shared),
-        };
-        let (tx, rx) = mpsc::sync_channel(EXECUTOR_PIPELINE_BATCHES);
-        let worker = {
-            let shared = Arc::clone(&shared);
-            std::thread::spawn(move || run(&shared, std::slice::from_ref(&tx)))
-        };
-        let _tickets: Vec<Ticket> = (0..10)
-            .map(|i| h.submit(Request::Knn { query: i, k: 1 }).expect("fits"))
-            .collect();
+        let (h, shared) = rig(64, 4, HOUR, 1);
+        let (txs, rxs) = lanes(1);
+        // The lane is busy throughout, so only the size trigger (and then
+        // the shutdown drain) can ship anything: no idle flush takes the
+        // first arrivals before the target fills.
+        hold(&shared, 0);
+        let worker = start(&shared, txs);
+        let _tickets: Vec<Ticket> = (0..10).map(|i| knn(&h, i)).collect();
         // Two full size-triggered batches arrive without any deadline help
         // (the deadline is an hour out).
-        let b1 = rx.recv_timeout(Duration::from_secs(5)).expect("batch 1");
-        let b2 = rx.recv_timeout(Duration::from_secs(5)).expect("batch 2");
+        let b1 = recv(&rxs[0]);
+        let b2 = recv(&rxs[0]);
         assert_eq!(b1.trigger, FlushTrigger::Size);
         assert_eq!(b1.entries.len(), 4);
         assert_eq!(b2.entries.len(), 4);
         assert_eq!((b1.seq, b2.seq), (0, 1), "flush order assigns batch seqs");
-        // Shutdown drains the two stragglers.
+        // Shutdown drains the two stragglers without waiting for the lane.
         shared.stop();
-        let b3 = rx.recv_timeout(Duration::from_secs(5)).expect("drain");
+        let b3 = recv(&rxs[0]);
         assert_eq!(b3.trigger, FlushTrigger::Shutdown);
         assert_eq!(b3.entries.len(), 2);
         worker.join().expect("batcher exits");
@@ -547,23 +673,16 @@ mod tests {
 
     #[test]
     fn executor_death_poisons_the_service() {
-        let shared = Shared::<u32>::new(64, 4, Duration::from_secs(3600));
-        let h = SubmitHandle {
-            shared: Arc::clone(&shared),
-        };
-        let (tx, rx) = mpsc::sync_channel(EXECUTOR_PIPELINE_BATCHES);
-        drop(rx); // the "executor" dies immediately
-        let worker = {
-            let shared = Arc::clone(&shared);
-            std::thread::spawn(move || run(&shared, std::slice::from_ref(&tx)))
-        };
-        // A full batch triggers a flush whose send fails: the batcher must
-        // poison the queue — disconnect every waiting ticket and refuse
-        // new work — rather than leave the service a silent black hole.
-        let tickets: Vec<Ticket> = (0..4)
-            .map(|i| h.submit(Request::Knn { query: i, k: 1 }).expect("fits"))
-            .collect();
-        worker.join().expect("batcher exits");
+        let (h, shared) = rig(64, 4, HOUR, 1);
+        let (txs, rxs) = lanes(1);
+        // The "executor" dies immediately.
+        drop(rxs);
+        // Queued before the batcher starts, so the first flush carries all
+        // four: its send fails, and the batcher must poison the queue —
+        // disconnect every waiting ticket and refuse new work — rather
+        // than leave the service a silent black hole.
+        let tickets: Vec<Ticket> = (0..4).map(|i| knn(&h, i)).collect();
+        start(&shared, txs).join().expect("batcher exits");
         for t in tickets {
             assert_eq!(
                 t.wait().expect_err("disconnected"),
@@ -579,24 +698,15 @@ mod tests {
 
     #[test]
     fn batches_deal_round_robin_across_lanes() {
-        let shared = Shared::<u32>::new(64, 2, Duration::from_secs(3600));
-        let h = SubmitHandle {
-            shared: Arc::clone(&shared),
-        };
-        let (tx0, rx0) = mpsc::sync_channel(EXECUTOR_PIPELINE_BATCHES);
-        let (tx1, rx1) = mpsc::sync_channel(EXECUTOR_PIPELINE_BATCHES);
-        let worker = {
-            let shared = Arc::clone(&shared);
-            std::thread::spawn(move || run(&shared, &[tx0, tx1]))
-        };
-        let _tickets: Vec<Ticket> = (0..8)
-            .map(|i| h.submit(Request::Knn { query: i, k: 1 }).expect("fits"))
-            .collect();
-        // Four size-triggered batches: 0 and 2 land on lane 0, 1 and 3 on
-        // lane 1, preserving FIFO within each lane.
-        for (lane, rx) in [(0u32, &rx0), (1, &rx1)] {
+        let (h, shared) = rig(64, 2, HOUR, 2);
+        let (txs, rxs) = lanes(2);
+        // Queued before the batcher starts: four full batches. Batches 0
+        // and 2 land on lane 0, 1 and 3 on lane 1, FIFO within each lane.
+        let _tickets: Vec<Ticket> = (0..8).map(|i| knn(&h, i)).collect();
+        let worker = start(&shared, txs);
+        for (lane, rx) in [(0u32, &rxs[0]), (1, &rxs[1])] {
             for round in 0..2u32 {
-                let b = rx.recv_timeout(Duration::from_secs(5)).expect("batch");
+                let b = recv(rx);
                 assert_eq!(b.entries.len(), 2);
                 let Request::Knn { query, .. } = b.entries[0].req else {
                     panic!("knn expected")
@@ -604,6 +714,78 @@ mod tests {
                 assert_eq!(query, (round * 2 + lane) * 2, "deterministic deal");
             }
         }
+        shared.stop();
+        worker.join().expect("batcher exits");
+    }
+
+    /// Batch formation is a pure function of the arrivals and the lane
+    /// completions: this script pins every flush's size, trigger, lane and
+    /// seq.
+    #[test]
+    fn flushes_follow_arrivals_and_lane_completions() {
+        let (h, shared) = rig(64, 3, HOUR, 2);
+        let (txs, rxs) = lanes(2);
+        let mut tickets: Vec<Ticket> = (0..5).map(|i| knn(&h, i)).collect();
+        let worker = start(&shared, txs);
+        // A full target ships on size; the idle lane 1 takes the rest.
+        assert_eq!(
+            shape(&recv(&rxs[0])),
+            (0, FlushTrigger::Size, vec![0, 1, 2])
+        );
+        assert_eq!(shape(&recv(&rxs[1])), (1, FlushTrigger::Idle, vec![3, 4]));
+        // Lane 0 is next and busy: arrivals wait for it, not for the clock.
+        tickets.extend([5, 6].map(|i| knn(&h, i)));
+        complete(&shared, 0);
+        assert_eq!(shape(&recv(&rxs[0])), (2, FlushTrigger::Idle, vec![5, 6]));
+        // Lane 1 is next and busy: a full target ships on size.
+        tickets.extend([7, 8, 9].map(|i| knn(&h, i)));
+        assert_eq!(
+            shape(&recv(&rxs[1])),
+            (3, FlushTrigger::Size, vec![7, 8, 9])
+        );
+        // Lane 0 is next and still busy with batch 2; its completion ships
+        // the lone arrival.
+        tickets.push(knn(&h, 10));
+        complete(&shared, 0);
+        assert_eq!(shape(&recv(&rxs[0])), (4, FlushTrigger::Idle, vec![10]));
+        shared.stop();
+        worker.join().expect("batcher exits");
+        assert!(rxs.iter().all(|rx| rx.try_recv().is_err()), "nothing else");
+    }
+
+    #[test]
+    fn a_lone_request_on_an_idle_lane_ships_at_once() {
+        let (h, shared) = rig(64, 100, HOUR, 1);
+        let (txs, rxs) = lanes(1);
+        let worker = start(&shared, txs);
+        let _t = knn(&h, 7);
+        // An hour-long deadline and an unreachable target: only the idle
+        // trigger can ship it.
+        assert_eq!(shape(&recv(&rxs[0])), (0, FlushTrigger::Idle, vec![7]));
+        shared.stop();
+        worker.join().expect("batcher exits");
+    }
+
+    #[test]
+    fn batcher_flushes_on_deadline() {
+        let (h, shared) = rig(64, 1000, Duration::from_millis(5), 1);
+        let (txs, rxs) = lanes(1);
+        hold(&shared, 0);
+        let worker = start(&shared, txs);
+        let _t = h.submit(Request::Range {
+            query: 9,
+            radius: 1.0,
+        });
+        let b = recv(&rxs[0]);
+        assert_eq!(b.trigger, FlushTrigger::Deadline);
+        assert_eq!(b.entries.len(), 1);
+        assert!(b.entries[0].wait_us >= 5_000, "it waited the deadline out");
+        // Both outstanding batches finish: the lane is idle, and the next
+        // request no longer waits.
+        complete(&shared, 0);
+        complete(&shared, 0);
+        let _t = knn(&h, 3);
+        assert_eq!(recv(&rxs[0]).trigger, FlushTrigger::Idle);
         shared.stop();
         worker.join().expect("batcher exits");
     }
@@ -641,20 +823,16 @@ mod tests {
 
     #[test]
     fn update_batches_broadcast_to_every_lane_with_one_responder() {
-        let shared = Shared::<u32>::new(64, 1, Duration::from_secs(3600));
-        let h = SubmitHandle {
-            shared: Arc::clone(&shared),
-        };
-        let (tx0, rx0) = mpsc::sync_channel(EXECUTOR_PIPELINE_BATCHES);
-        let (tx1, rx1) = mpsc::sync_channel(EXECUTOR_PIPELINE_BATCHES);
-        let worker = {
-            let shared = Arc::clone(&shared);
-            std::thread::spawn(move || run(&shared, &[tx0, tx1]))
-        };
+        let (h, shared) = rig(64, 1, HOUR, 2);
+        let (txs, rxs) = lanes(2);
+        // Queued before the batcher starts: the update ships first, then
+        // the query.
         let _t = h.submit(Request::Insert { object: 42 }).expect("fits");
+        let _t = knn(&h, 7);
+        let worker = start(&shared, txs);
         // Both lanes receive the update; only lane 0's copy responds.
-        let b0 = rx0.recv_timeout(Duration::from_secs(5)).expect("lane 0");
-        let b1 = rx1.recv_timeout(Duration::from_secs(5)).expect("lane 1");
+        let b0 = recv(&rxs[0]);
+        let b1 = recv(&rxs[1]);
         for b in [&b0, &b1] {
             assert_eq!(b.kind, BatchKind::Update);
             assert_eq!(b.entries.len(), 1);
@@ -662,33 +840,54 @@ mod tests {
         }
         assert!(b0.respond, "lane 0 answers the ticket");
         assert!(!b1.respond, "lane 1 applies silently");
-        // A query afterwards is dealt to exactly one lane (round-robin).
-        let _t = h.submit(Request::Knn { query: 7, k: 1 }).expect("fits");
-        let q = rx0.recv_timeout(Duration::from_secs(5)).expect("query");
+        // The query afterwards is dealt to exactly one lane (round-robin).
+        let q = recv(&rxs[0]);
         assert_eq!(q.kind, BatchKind::Query);
-        assert!(rx1.try_recv().is_err(), "queries are not broadcast");
+        assert!(rxs[1].try_recv().is_err(), "queries are not broadcast");
         shared.stop();
         worker.join().expect("batcher exits");
     }
 
     #[test]
-    fn batcher_flushes_on_deadline() {
-        let shared = Shared::<u32>::new(64, 1000, Duration::from_millis(5));
-        let h = SubmitHandle {
-            shared: Arc::clone(&shared),
-        };
-        let (tx, rx) = mpsc::sync_channel(EXECUTOR_PIPELINE_BATCHES);
-        let worker = {
+    fn an_update_batch_waits_for_every_lane() {
+        let (h, shared) = rig(64, 100, HOUR, 2);
+        let (txs, rxs) = lanes(2);
+        hold(&shared, 1);
+        let worker = start(&shared, txs);
+        let _t = h.submit(Request::Insert { object: 5 }).expect("fits");
+        // Lane 0 is idle, but lane 1 must apply the update too.
+        assert!(
+            rxs[0].recv_timeout(Duration::from_millis(50)).is_err(),
+            "no lane gets the update while lane 1 is busy"
+        );
+        complete(&shared, 1);
+        for rx in &rxs {
+            assert_eq!(shape(&recv(rx)), (0, FlushTrigger::Idle, vec![5]));
+        }
+        shared.stop();
+        worker.join().expect("batcher exits");
+    }
+
+    #[test]
+    fn a_panicking_lane_still_completes_its_batch() {
+        let (h, shared) = rig(64, 100, HOUR, 1);
+        let (txs, rxs) = lanes(1);
+        let worker = start(&shared, txs);
+        let _t = knn(&h, 1);
+        let first = recv(&rxs[0]);
+        // The next request queues behind the busy lane (an hour-long
+        // deadline, an unreachable target) …
+        let _t = knn(&h, 2);
+        // … until the lane's batch unwinds out of it.
+        let lane = {
             let shared = Arc::clone(&shared);
-            std::thread::spawn(move || run(&shared, std::slice::from_ref(&tx)))
+            std::thread::spawn(move || {
+                let _done = shared.completion(0);
+                panic!("batch {} blew up", first.seq);
+            })
         };
-        let _t = h.submit(Request::Range {
-            query: 9,
-            radius: 1.0,
-        });
-        let b = rx.recv_timeout(Duration::from_secs(5)).expect("deadline");
-        assert_eq!(b.trigger, FlushTrigger::Deadline);
-        assert_eq!(b.entries.len(), 1);
+        assert!(lane.join().is_err(), "the lane panicked");
+        assert_eq!(shape(&recv(&rxs[0])), (1, FlushTrigger::Idle, vec![2]));
         shared.stop();
         worker.join().expect("batcher exits");
     }

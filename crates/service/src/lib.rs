@@ -36,11 +36,13 @@
 //! * [`batcher`] — the bounded **admission queue** (backpressure: past the
 //!   configured depth, [`SubmitHandle::submit`] rejects with
 //!   [`ServiceError::QueueFull`] instead of blocking) and the
-//!   **microbatcher** that flushes a batch when either the **size trigger**
-//!   fires (queue depth reaches the batch target,
-//!   [`ServiceConfig::max_batch`]) or the **deadline trigger**
-//!   fires (the oldest queued request has waited the configured flush
-//!   deadline), dealing flushed batches round-robin across the lanes;
+//!   work-conserving **microbatcher**: it flushes a full batch at once
+//!   (the **size trigger**: the queue reaches the batch target,
+//!   [`ServiceConfig::max_batch`]), flushes whatever is queued as soon as
+//!   the next lane is idle (the **idle trigger**), and bounds the wait of
+//!   a partial batch behind a busy lane by the flush deadline (the
+//!   **deadline trigger**), dealing flushed batches round-robin across
+//!   the lanes;
 //! * [`service`] — [`QueryService`]: owns the batcher and lane threads,
 //!   drives flushed batches through
 //!   [`ReplicatedShards::batch_range`](gts_core::ReplicatedShards::batch_range) /
@@ -52,16 +54,17 @@
 //!   time ([`QueryService::scrape`], [`ServiceStats::metrics`]); nothing
 //!   records on a hot path.
 //!
-//! **Determinism.** Batch *formation* under the size trigger is a pure
-//! function of the arrival sequence: requests are admitted FIFO, the batch
-//! target is fixed by the configuration, batches are dealt to lanes
-//! round-robin, and each lane executes its batches in FIFO order against
-//! its own replicas — so a given arrival sequence always produces the same
-//! batches, and the simulated device clocks advance identically run to
-//! run. The deadline trigger necessarily depends on wall-clock timing, but
-//! **answers never do**: every batch shape returns bit-identical results
-//! to a direct [`ShardedGts`](gts_core::ShardedGts) call over the same
-//! requests, at any lane or replica count (`tests/service_invariance.rs`).
+//! **Determinism.** Batch *formation* is a pure function of the arrival
+//! sequence and the sequence of lane completions: requests are admitted
+//! FIFO, the batch target is fixed by the configuration, batches are dealt
+//! to lanes round-robin, and each lane executes its batches in FIFO order
+//! against its own replicas. A caller with one request in flight at a time
+//! therefore always gets the same batches, and the simulated device clocks
+//! advance identically run to run. When lane completions race arrivals,
+//! batch sizes depend on host timing, but **answers never do**: every
+//! batch shape returns bit-identical results to a direct
+//! [`ShardedGts`](gts_core::ShardedGts) call over the same requests, at
+//! any lane or replica count (`tests/service_invariance.rs`).
 //!
 //! **Fault tolerance.** Device faults are contained by the replica layer
 //! (retry on surviving copies, exact degraded composition, typed

@@ -68,6 +68,7 @@ pub(crate) fn exposition(
         stats.epoch,
     );
     for (trigger, n) in [
+        ("idle", stats.idle_flushes),
         ("size", stats.size_flushes),
         ("deadline", stats.deadline_flushes),
         ("shutdown", stats.shutdown_flushes),
@@ -140,6 +141,7 @@ mod tests {
             admitted: 5,
             completed: 4,
             failed: 1,
+            idle_flushes: 3,
             deadline_flushes: 2,
             ..ServiceStats::default()
         };
@@ -152,6 +154,7 @@ mod tests {
             "gts_requests_served_total 4",
             "gts_requests_failed_total 1",
             "gts_batches_total{trigger=\"deadline\"} 2",
+            "gts_batches_total{trigger=\"idle\"} 3",
             "gts_batches_total{trigger=\"size\"} 0",
         ] {
             assert!(once.contains(&format!("{line}\n")), "{line} in\n{once}");

@@ -132,7 +132,7 @@ where
         // trigger silently unreachable (every flush would wait out the
         // deadline).
         let batch_target = cfg.max_batch.min(cfg.queue_depth);
-        let shared = Shared::new(cfg.queue_depth, batch_target, cfg.flush_deadline);
+        let shared = Shared::new(cfg.queue_depth, batch_target, cfg.flush_deadline, num_lanes);
         // Tracing: one recorder shared by every layer, attached to every
         // device of every replica with globally unique track ids. Purely
         // observational — it reads the simulated clocks, never advances
@@ -179,6 +179,7 @@ where
             .enumerate()
             .map(|(lane, rx)| {
                 let index = Arc::clone(&index);
+                let shared = Arc::clone(&shared);
                 let ledger = Arc::clone(&ledger);
                 let trace = trace.clone();
                 // Disjoint preferred replica sets: lane l owns every
@@ -187,7 +188,7 @@ where
                     .filter(|r| r % num_lanes == lane)
                     .collect();
                 std::thread::spawn(move || {
-                    run_lane(&index, lane, &prefer, &rx, &ledger, trace.as_ref())
+                    run_lane(&index, lane, &prefer, &rx, &shared, &ledger, trace.as_ref())
                 })
             })
             .collect();
@@ -429,7 +430,9 @@ fn lane_panicked<O, M>(
 /// order every lane shares (update batches are broadcast). A panic
 /// escaping the replica layer's own containment is caught here — the
 /// batch fails typed ([`ServiceError::BatchPanicked`]) and the lane keeps
-/// draining.
+/// draining. Once a batch's responses are sent — or a panic unwinds past
+/// every containment layer — the lane signals the batcher that it has one
+/// batch fewer outstanding, which is what the idle trigger reads.
 ///
 /// Stats gating: `lane_batches` counts every batch each lane executes;
 /// all per-request counters (`batches`, flush kinds, queue waits,
@@ -440,6 +443,7 @@ fn run_lane<O, M>(
     lane: usize,
     prefer: &[usize],
     batch_rx: &mpsc::Receiver<Batch<O>>,
+    shared: &Shared<O>,
     stats: &Mutex<ServiceStats>,
     trace: Option<&Arc<TraceRecorder>>,
 ) where
@@ -447,12 +451,14 @@ fn run_lane<O, M>(
     M: BatchMetric<O> + Clone,
 {
     for batch in batch_rx.iter() {
+        let _done = shared.completion(lane);
         {
             let mut s = lock_stats(stats);
             s.lane_batches[lane] += 1;
             if batch.respond {
                 s.batches += 1;
                 match batch.trigger {
+                    FlushTrigger::Idle => s.idle_flushes += 1,
                     FlushTrigger::Size => s.size_flushes += 1,
                     FlushTrigger::Deadline => s.deadline_flushes += 1,
                     FlushTrigger::Shutdown => s.shutdown_flushes += 1,
@@ -1085,11 +1091,13 @@ mod tests {
                 .expect("admitted")
             })
             .collect();
-        // Neither trigger can fire (huge target, hour-long deadline);
-        // shutdown must still answer everything.
+        // Neither the size nor the deadline trigger can fire (huge target,
+        // hour-long deadline); the idle lane ships what it can, and
+        // shutdown must answer the rest.
         let stats = svc.shutdown();
         assert_eq!(stats.completed, 5);
-        assert_eq!(stats.shutdown_flushes, 1);
+        assert_eq!((stats.size_flushes, stats.deadline_flushes), (0, 0));
+        assert_eq!(stats.idle_flushes + stats.shutdown_flushes, stats.batches);
         for t in tickets {
             assert_eq!(
                 t.wait()

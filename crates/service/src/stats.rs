@@ -34,9 +34,11 @@ pub struct ServiceStats {
     pub completed: u64,
     /// Batches flushed by the microbatcher.
     pub batches: u64,
+    /// Partial batches flushed because the lane they went to was idle.
+    pub idle_flushes: u64,
     /// Batches flushed by the size trigger.
     pub size_flushes: u64,
-    /// Batches flushed by the deadline trigger.
+    /// Batches flushed by the deadline trigger (behind a busy lane).
     pub deadline_flushes: u64,
     /// Batches flushed while draining at shutdown.
     pub shutdown_flushes: u64,

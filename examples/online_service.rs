@@ -35,7 +35,8 @@ fn main() {
     // 2. The service: bounded admission queue, a batch target of 256
     //    requests (small enough that the size trigger shows in this demo;
     //    the descent's two-stage strategy keeps any batch within device
-    //    memory), 2 ms flush deadline for quiet periods.
+    //    memory). A request that finds its lane idle ships at once; one
+    //    queued behind a busy lane waits at most the 2 ms flush deadline.
     let cfg = ServiceConfig::default()
         .with_queue_depth(2048)
         .with_max_batch(256)
@@ -102,8 +103,9 @@ fn main() {
         stats.admitted, stats.rejected, stats.completed
     );
     println!(
-        "batches: {} (size {}, deadline {}, shutdown {}), target {}",
+        "batches: {} (idle {}, size {}, deadline {}, shutdown {}), target {}",
         stats.batches,
+        stats.idle_flushes,
         stats.size_flushes,
         stats.deadline_flushes,
         stats.shutdown_flushes,

@@ -250,6 +250,7 @@ fn scrape_is_conformant_and_device_clocks_partition() {
         ("gts_requests_rejected_total", None, stats.rejected),
         ("gts_requests_served_total", None, stats.completed),
         ("gts_requests_failed_total", None, stats.failed),
+        ("gts_batches_total", trigger("idle"), stats.idle_flushes),
         ("gts_batches_total", trigger("size"), stats.size_flushes),
         (
             "gts_batches_total",
