@@ -17,8 +17,8 @@ pub struct CostModel {
     pub n: usize,
     /// GPU concurrent computing power `C` (core count).
     pub cores: u32,
-    /// Standard deviation σ of the pivot-mapped coordinate (from
-    /// `metric_space::stats::pivot_coordinate_sigma`).
+    /// Standard deviation σ of the pivot-mapped coordinate (fitted by
+    /// `Gts::cost_model` from one sampled pivot's distances).
     pub sigma: f64,
     /// Average work units per distance evaluation (metric cost).
     pub distance_work: f64,

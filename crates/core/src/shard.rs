@@ -456,11 +456,6 @@ where
             .fold(StatsSnapshot::default(), StatsSnapshot::combine)
     }
 
-    /// Search counters of shard `s` alone.
-    pub fn shard_stats(&self, s: usize) -> StatsSnapshot {
-        self.shards[s].gts.stats()
-    }
-
     /// Reset every shard's search counters.
     pub fn reset_stats(&self) {
         for s in &self.shards {
@@ -1014,7 +1009,7 @@ mod tests {
         let queries: Vec<Item> = items[..8].to_vec();
         idx.batch_knn(&queries, 3).expect("knn");
         let total = idx.stats();
-        let summed = idx.shard_stats(0).combine(idx.shard_stats(1));
+        let summed = idx.shard(0).stats().combine(idx.shard(1).stats());
         assert_eq!(total, summed);
         assert!(total.distance_computations > 0);
         assert!(idx.span_cycles() > 0);

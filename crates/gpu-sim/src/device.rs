@@ -263,11 +263,6 @@ impl Device {
         self.fault_countdown.store(at_launch - 1, Ordering::Relaxed);
     }
 
-    /// Remove any armed (not yet fired) fault.
-    pub fn disarm_fault(&self) {
-        self.fault_countdown.store(DISARMED, Ordering::Relaxed);
-    }
-
     /// Fault gate, called on every kernel launch. A quarantined device
     /// refuses all work; an armed countdown decrements and fires at zero.
     /// The fault disarms *before* panicking so a retry after a transient
@@ -806,7 +801,6 @@ mod tests {
         );
         // Detaching stops recording without losing what's there.
         dev.detach_tracer();
-        dev.disarm_fault();
         dev.charge_kernel(100, 1);
         assert_eq!(rec.events().len(), rec.events().len());
         assert!(dev.tracer().is_none());

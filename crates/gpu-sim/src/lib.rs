@@ -39,4 +39,4 @@ pub use cpu::CpuClock;
 pub use device::{Device, DeviceStats, Reservation};
 pub use error::GpuError;
 pub use fault::{DeviceFault, FaultKind, FaultPlan, FaultSpec};
-pub use pool::{DevicePool, DeviceUtilization, PoolStats};
+pub use pool::{DevicePool, PoolStats};

@@ -58,31 +58,6 @@ pub struct PoolStats {
     pub quarantined: usize,
 }
 
-/// Per-device cycle breakdown against the pool's span: where device `i`'s
-/// share of the pool's elapsed simulated time went. By construction
-/// `busy + transfer + stall + idle == span` for every device — a device's
-/// clock only advances through kernel charges, transfer charges, and
-/// barrier advances, and whatever remains below the pool-wide span is
-/// idle time (the device finished early while a slower shard ran on).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct DeviceUtilization {
-    /// Device ordinal in the pool.
-    pub device: usize,
-    /// Cycles executing kernels.
-    pub busy_cycles: u64,
-    /// Cycles in H2D/D2H transfers.
-    pub transfer_cycles: u64,
-    /// Cycles stalled at lockstep barriers.
-    pub stall_cycles: u64,
-    /// Cycles idle after this device's clock stopped while the pool's
-    /// slowest device ran on (`span − busy − transfer − stall`).
-    pub idle_cycles: u64,
-    /// The pool-wide span these components partition.
-    pub span_cycles: u64,
-    /// High-water mark of allocated device memory, in bytes.
-    pub peak_allocated: u64,
-}
-
 impl DevicePool {
     /// A pool of existing devices (at least one).
     pub fn from_devices(devices: Vec<Arc<Device>>) -> DevicePool {
@@ -128,16 +103,6 @@ impl DevicePool {
         self.devices.iter().filter(|d| !d.is_healthy()).count()
     }
 
-    /// Indexes of the currently healthy devices, in pool order.
-    pub fn healthy_indices(&self) -> Vec<usize> {
-        self.devices
-            .iter()
-            .enumerate()
-            .filter(|(_, d)| d.is_healthy())
-            .map(|(i, _)| i)
-            .collect()
-    }
-
     /// Aggregate counters: throughput counters summed, `span_cycles` maxed.
     pub fn aggregate(&self) -> PoolStats {
         let mut agg = PoolStats {
@@ -164,28 +129,6 @@ impl DevicePool {
             }
         }
         agg
-    }
-
-    /// True per-device utilization: each device's busy / transfer /
-    /// barrier-stall cycles plus the idle remainder up to the pool-wide
-    /// span, so `busy + transfer + stall + idle == span` holds for every
-    /// row. Also carries the per-device memory high-water mark.
-    pub fn utilization(&self) -> Vec<DeviceUtilization> {
-        let stats: Vec<DeviceStats> = self.devices.iter().map(|d| d.stats()).collect();
-        let span = stats.iter().map(|s| s.cycles).max().unwrap_or(0);
-        stats
-            .iter()
-            .enumerate()
-            .map(|(i, s)| DeviceUtilization {
-                device: i,
-                busy_cycles: s.busy_cycles,
-                transfer_cycles: s.transfer_cycles,
-                stall_cycles: s.stall_cycles,
-                idle_cycles: span - s.cycles,
-                span_cycles: span,
-                peak_allocated: s.peak_allocated,
-            })
-            .collect()
     }
 
     /// Simulated elapsed seconds of the pool: the slowest device's clock
@@ -240,7 +183,7 @@ mod tests {
     }
 
     #[test]
-    fn utilization_partitions_span_for_every_device() {
+    fn device_clocks_partition_into_busy_transfer_stall() {
         let pool = DevicePool::rtx_2080_ti(3);
         // Device 0: kernels only. Device 1: kernels + a transfer. Device 2:
         // idle until a barrier drags it to the pool front.
@@ -249,16 +192,12 @@ mod tests {
         pool.get(1).h2d_transfer(1 << 20);
         let front = pool.get(0).cycles().max(pool.get(1).cycles());
         pool.get(2).advance_clock_to(front);
-        let rows = pool.utilization();
-        assert_eq!(rows.len(), 3);
-        let span = pool.aggregate().span_cycles;
-        for u in &rows {
-            assert_eq!(u.span_cycles, span);
+        let rows: Vec<DeviceStats> = pool.devices().iter().map(|d| d.stats()).collect();
+        for (i, s) in rows.iter().enumerate() {
             assert_eq!(
-                u.busy_cycles + u.transfer_cycles + u.stall_cycles + u.idle_cycles,
-                span,
-                "device {}: busy+transfer+stall+idle must equal span",
-                u.device
+                s.busy_cycles + s.transfer_cycles + s.stall_cycles,
+                s.cycles,
+                "device {i}: busy+transfer+stall must equal its clock"
             );
         }
         assert!(rows[0].busy_cycles > 0 && rows[0].transfer_cycles == 0);
@@ -270,21 +209,6 @@ mod tests {
         assert_eq!(
             agg.busy_cycles + agg.transfer_cycles + agg.stall_cycles,
             agg.cycles_total
-        );
-    }
-
-    #[test]
-    fn utilization_reports_memory_high_water_mark() {
-        let pool = DevicePool::rtx_2080_ti(2);
-        {
-            let _r = pool.get(1).reserve(1 << 20, "transient").expect("fits");
-        }
-        let rows = pool.utilization();
-        assert_eq!(rows[0].peak_allocated, 0);
-        assert!(
-            rows[1].peak_allocated >= 1 << 20,
-            "HWM survives the release: {}",
-            rows[1].peak_allocated
         );
     }
 
@@ -352,6 +276,5 @@ mod tests {
         assert_eq!(agg.quarantined, 1);
         assert_eq!(agg.faults_injected, 1);
         assert_eq!(pool.quarantined(), 1);
-        assert_eq!(pool.healthy_indices(), vec![0, 1]);
     }
 }

@@ -13,6 +13,6 @@ pub mod sort;
 pub mod topk;
 
 pub use compact::compact_indices;
-pub use reduce::{reduce_max_f64, reduce_min_f64, reduce_sum_u64};
+pub use reduce::reduce_max_f64;
 pub use sort::{encode_f64_key, sort_pairs_by_key};
 pub use topk::top_k_min;

@@ -17,18 +17,6 @@ pub fn reduce_max_f64(dev: &Device, data: &[f64]) -> f64 {
     data.iter().copied().fold(f64::NEG_INFINITY, f64::max)
 }
 
-/// Minimum of `data` (+∞ when empty).
-pub fn reduce_min_f64(dev: &Device, data: &[f64]) -> f64 {
-    charge_reduce(dev, data.len());
-    data.iter().copied().fold(f64::INFINITY, f64::min)
-}
-
-/// Sum of `data`.
-pub fn reduce_sum_u64(dev: &Device, data: &[u64]) -> u64 {
-    charge_reduce(dev, data.len());
-    data.iter().sum()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -38,9 +26,7 @@ mod tests {
     fn reductions() {
         let dev = Device::new(DeviceConfig::rtx_2080_ti());
         assert_eq!(reduce_max_f64(&dev, &[1.0, 5.0, 3.0]), 5.0);
-        assert_eq!(reduce_min_f64(&dev, &[1.0, 5.0, 3.0]), 1.0);
-        assert_eq!(reduce_sum_u64(&dev, &[1, 2, 3]), 6);
         assert_eq!(reduce_max_f64(&dev, &[]), f64::NEG_INFINITY);
-        assert_eq!(dev.stats().kernels, 3, "empty input charges nothing");
+        assert_eq!(dev.stats().kernels, 1, "empty input charges nothing");
     }
 }

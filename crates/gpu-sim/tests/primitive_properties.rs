@@ -2,8 +2,7 @@
 //! index built on this device depends on.
 
 use gpu_sim::primitives::{
-    compact_indices, encode_f64_key, reduce_max_f64, reduce_min_f64, reduce_sum_u64,
-    sort_pairs_by_key, top_k_min,
+    compact_indices, encode_f64_key, reduce_max_f64, sort_pairs_by_key, top_k_min,
 };
 use gpu_sim::{Device, DeviceConfig};
 use proptest::prelude::*;
@@ -56,16 +55,12 @@ proptest! {
         prop_assert_eq!(got_keys, want_keys);
     }
 
-    /// Reductions agree with the sequential fold.
+    /// The max reduction agrees with the sequential fold.
     #[test]
-    fn reductions_match_folds(xs in proptest::collection::vec(-1e9f64..1e9, 1..200)) {
+    fn reduce_max_matches_fold(xs in proptest::collection::vec(-1e9f64..1e9, 1..200)) {
         let d = dev();
         let max = xs.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-        let min = xs.iter().copied().fold(f64::INFINITY, f64::min);
         prop_assert_eq!(reduce_max_f64(&d, &xs), max);
-        prop_assert_eq!(reduce_min_f64(&d, &xs), min);
-        let us: Vec<u64> = xs.iter().map(|x| x.abs() as u64 % 1000).collect();
-        prop_assert_eq!(reduce_sum_u64(&d, &us), us.iter().sum::<u64>());
     }
 
     /// Compaction returns exactly the flagged indices, ascending.

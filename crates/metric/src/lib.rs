@@ -26,8 +26,8 @@
 //! * [`pivot`] — farthest-first-traversal (FFT) pivot selection;
 //! * [`lemmas`] — the triangle-inequality pruning predicates of Lemmas 5.1
 //!   and 5.2;
-//! * [`stats`] — sampled distance-distribution statistics feeding the §5.3
-//!   cost model.
+//! * [`stats`] — sampled query workloads and the selectivity radius that
+//!   turns the paper's "r × 0.01%" axis into an absolute radius.
 
 #![warn(missing_docs)]
 pub mod arena;

@@ -1,67 +1,16 @@
-//! Sampled distance-distribution statistics.
+//! Sampled distance statistics for query workloads.
 //!
-//! Two consumers:
-//! * the §5.3 cost model needs the variance `σ²` of the pivot-mapped
-//!   coordinate (treated as an i.i.d. random variable in Eq. 2–3);
-//! * the experiment harness converts the paper's radius parameter
-//!   ("r × 0.01%") into an absolute radius. We interpret it as *selectivity*:
-//!   `MRQ(q, r)` returns about `r × 0.01%` of the dataset — the convention of
-//!   the authors' earlier metric-indexing studies, and the only reading under
-//!   which edit-distance radii are non-degenerate (an absolute radius of a
-//!   few edits would return almost nothing or almost everything).
+//! The experiment harness converts the paper's radius parameter
+//! ("r × 0.01%") into an absolute radius. We interpret it as *selectivity*:
+//! `MRQ(q, r)` returns about `r × 0.01%` of the dataset — the convention of
+//! the authors' earlier metric-indexing studies, and the only reading under
+//! which edit-distance radii are non-degenerate (an absolute radius of a
+//! few edits would return almost nothing or almost everything). It also
+//! samples perturbed query workloads.
 
 use crate::dataset::Dataset;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-
-/// Summary of a sampled pairwise-distance distribution.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct DistanceStats {
-    /// Sample mean of `d(a, b)` over random pairs.
-    pub mean: f64,
-    /// Sample standard deviation.
-    pub std: f64,
-    /// Largest sampled distance (lower bound on the true diameter).
-    pub max: f64,
-    /// Smallest sampled non-self distance.
-    pub min: f64,
-    /// Number of sampled pairs.
-    pub pairs: usize,
-}
-
-/// Sample `pairs` random object pairs and summarise their distances.
-pub fn sample_distance_stats(data: &Dataset, pairs: usize, seed: u64) -> DistanceStats {
-    assert!(data.len() >= 2, "need at least two objects");
-    let mut rng = StdRng::seed_from_u64(seed);
-    let n = data.len() as u32;
-    let mut sum = 0f64;
-    let mut sum2 = 0f64;
-    let mut max = 0f64;
-    let mut min = f64::MAX;
-    let mut taken = 0usize;
-    while taken < pairs {
-        let a = rng.gen_range(0..n);
-        let b = rng.gen_range(0..n);
-        if a == b {
-            continue;
-        }
-        let d = data.distance(a, b);
-        sum += d;
-        sum2 += d * d;
-        max = max.max(d);
-        min = min.min(d);
-        taken += 1;
-    }
-    let mean = sum / taken as f64;
-    let var = (sum2 / taken as f64 - mean * mean).max(0.0);
-    DistanceStats {
-        mean,
-        std: var.sqrt(),
-        max,
-        min,
-        pairs: taken,
-    }
-}
 
 /// Radius whose expected selectivity is `fraction` of the dataset:
 /// the `fraction`-quantile of `d(q, o)` over sampled query/object pairs.
@@ -89,29 +38,6 @@ pub fn radius_for_selectivity(data: &Dataset, fraction: f64, samples: usize, see
     }
 }
 
-/// Estimated variance `σ²` of the pivot-mapped coordinate for the §5.3 cost
-/// model: distances from a sampled pivot to sampled objects.
-pub fn pivot_coordinate_sigma(data: &Dataset, samples: usize, seed: u64) -> f64 {
-    let mut rng = StdRng::seed_from_u64(seed ^ 0x516);
-    let n = data.len() as u32;
-    let pivot = rng.gen_range(0..n);
-    let mut sum = 0f64;
-    let mut sum2 = 0f64;
-    let mut taken = 0usize;
-    while taken < samples {
-        let o = rng.gen_range(0..n);
-        if o == pivot {
-            continue;
-        }
-        let d = data.distance(pivot, o);
-        sum += d;
-        sum2 += d * d;
-        taken += 1;
-    }
-    let mean = sum / taken as f64;
-    (sum2 / taken as f64 - mean * mean).max(0.0).sqrt()
-}
-
 /// A deterministic query workload: `count` objects sampled from the dataset
 /// and slightly perturbed (queries are near, not identical to, data).
 pub fn sample_queries(data: &Dataset, count: usize, seed: u64) -> Vec<crate::object::Item> {
@@ -129,15 +55,6 @@ mod tests {
     use super::*;
     use crate::dataset::DatasetKind;
     use crate::dist::Metric;
-
-    #[test]
-    fn stats_are_sane() {
-        let d = DatasetKind::TLoc.generate(500, 3);
-        let s = sample_distance_stats(&d, 400, 1);
-        assert!(s.mean > 0.0 && s.std > 0.0);
-        assert!(s.min <= s.mean && s.mean <= s.max);
-        assert_eq!(s.pairs, 400);
-    }
 
     #[test]
     fn selectivity_radius_monotone() {
@@ -169,12 +86,6 @@ mod tests {
         }
         let avg = total as f64 / probes as f64;
         assert!((1.0..=600.0).contains(&avg), "avg hits = {avg}");
-    }
-
-    #[test]
-    fn sigma_positive_on_spread_data() {
-        let d = DatasetKind::Vector.generate(300, 3);
-        assert!(pivot_coordinate_sigma(&d, 200, 7) > 0.0);
     }
 
     #[test]

@@ -336,17 +336,6 @@ impl<O> SubmitHandle<O> {
         }
         Ok(Ticket { rx })
     }
-
-    /// Current queue occupancy (instantaneous; for load shedding and the
-    /// open-loop bench driver).
-    pub fn queue_len(&self) -> usize {
-        self.shared
-            .state
-            .lock()
-            .expect("admission lock")
-            .queue
-            .len()
-    }
 }
 
 /// Drain up to `limit` FIFO entries into a [`Batch`], stamping each
@@ -608,7 +597,7 @@ mod tests {
         assert_eq!(err, ServiceError::QueueFull { depth: 2 });
         assert_eq!(shared.admitted.load(Ordering::Relaxed), 2);
         assert_eq!(shared.rejected.load(Ordering::Relaxed), 1);
-        assert_eq!(h.queue_len(), 2);
+        assert_eq!(shared.state.lock().expect("admission lock").queue.len(), 2);
     }
 
     #[test]

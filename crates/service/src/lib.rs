@@ -49,10 +49,11 @@
 //!   [`ReplicatedShards::batch_knn`](gts_core::ReplicatedShards::batch_knn)
 //!   (FIFO within each lane, lanes preferring disjoint replica sets), and
 //!   keeps the [`ServiceStats`] ledger;
-//! * `metrics` — the Prometheus exposition as a **view** of that ledger,
-//!   the per-device utilization and the trace summary, built at scrape
-//!   time ([`QueryService::scrape`], [`ServiceStats::metrics`]); nothing
-//!   records on a hot path.
+//! * [`metrics`] — the Prometheus text exposition, written at scrape time
+//!   ([`QueryService::scrape`], [`ServiceStats::metrics`]) as a **view** of
+//!   that ledger, each device's counters and the trace summary, and
+//!   [`metrics::parse_prometheus`], which reads it back; nothing records on
+//!   a hot path.
 //!
 //! **Determinism.** Batch *formation* is a pure function of the arrival
 //! sequence and the sequence of lane completions: requests are admitted
@@ -77,7 +78,7 @@
 
 pub mod api;
 pub mod batcher;
-mod metrics;
+pub mod metrics;
 pub mod service;
 pub mod stats;
 

@@ -235,16 +235,13 @@ where
         self.trace.as_ref()
     }
 
-    /// Render the Prometheus text exposition of a fresh
-    /// [`ServiceStats::metrics`] view. `None` when metrics are disabled.
+    /// The Prometheus text exposition of a fresh stats snapshot
+    /// ([`ServiceStats::metrics`]). `None` when metrics are disabled.
     /// Scraping is observational: it reads the ledger and the simulated
     /// clocks without advancing them, so two scrapes of an idle service
     /// are byte-identical.
     pub fn scrape(&self) -> Option<String> {
-        self.collect_stats()
-            .metrics
-            .as_ref()
-            .map(gts_metrics::render_prometheus)
+        self.collect_stats().metrics
     }
 
     /// Point-in-time statistics (the service keeps running).
@@ -262,7 +259,8 @@ where
 
     /// Clone the ledger — releasing its lock before anything else is read —
     /// and fill in the fields derived elsewhere; then, with metrics on,
-    /// render the metrics view of the result.
+    /// write the exposition of the result and of every replica pool's
+    /// device counters (replica order, so devices number replica-major).
     fn collect_stats(&self) -> ServiceStats {
         let mut s = lock_stats(&self.ledger).clone();
         s.admitted = self.shared.admitted.load(Ordering::Relaxed);
@@ -288,16 +286,14 @@ where
             s.flight_dumps = rec.flight_dumps();
         }
         if self.metrics {
-            // Device indices are global and replica-major — the numbering
-            // the trace recorder uses for track ids.
-            let devices: Vec<_> = (0..self.index.num_replicas())
-                .flat_map(|r| {
+            let devices: Vec<Vec<_>> = (0..self.index.num_replicas())
+                .map(|r| {
                     let replica = self.index.replica(r).read().expect("replica lock");
-                    replica.pool().utilization()
+                    replica.pool().devices().iter().map(|d| d.stats()).collect()
                 })
                 .collect();
             let stages = self.trace.as_ref().map(|rec| rec.summary());
-            s.metrics = Some(metrics::exposition(&s, &devices, stages));
+            s.metrics = Some(metrics::exposition(&s, &devices, stages.as_ref()));
         }
         s
     }

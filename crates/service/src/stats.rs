@@ -109,9 +109,10 @@ pub struct ServiceStats {
     /// dead shards) — the last-N-events snapshots taken at each fault.
     /// Empty when tracing is disabled.
     pub flight_dumps: Vec<gts_trace::FlightDump>,
-    /// The metrics view of this snapshot — its counters and histograms plus
-    /// the device utilization and the trace summary —
-    /// when [`ServiceConfig::metrics`](crate::ServiceConfig) is on. `None`
-    /// otherwise.
-    pub metrics: Option<gts_metrics::MetricsSnapshot>,
+    /// The Prometheus text exposition of this snapshot — its counters and
+    /// histograms plus the per-device clocks and the trace summary — when
+    /// [`ServiceConfig::metrics`](crate::ServiceConfig) is on. `None`
+    /// otherwise. Parse it back with
+    /// [`parse_prometheus`](crate::metrics::parse_prometheus).
+    pub metrics: Option<String>,
 }

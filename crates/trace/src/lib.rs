@@ -267,8 +267,8 @@ impl EventKind {
 /// lane → replica → shard → descent level → kernel), with the
 /// failure-path instants trailing their layer. This single constant
 /// orders both [`TraceSummary::to_table`] and the stage-labelled series
-/// of the `gts-metrics` Prometheus exposition, so the two views of
-/// the same pipeline always line up row for row.
+/// of the service's Prometheus exposition (`gts_service::metrics`), so the
+/// two views of the same pipeline always line up row for row.
 pub const STAGE_ORDER: [&str; 12] = [
     "batch_start",
     "batch_member",
@@ -713,8 +713,8 @@ pub struct TraceSummary {
 impl TraceSummary {
     /// Render the breakdown as an aligned text table (count, p50, p95,
     /// p99, max per stage). Rows follow the canonical [`STAGE_ORDER`]
-    /// (pipeline order, not alphabetical) — the same order the
-    /// `gts-metrics` exposition uses — so the table is deterministic and
+    /// (pipeline order, not alphabetical) — the same order the service's
+    /// Prometheus exposition uses — so the table is deterministic and
     /// comparable across runs and against scrapes.
     pub fn to_table(&self) -> String {
         let mut out = String::from(

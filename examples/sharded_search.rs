@@ -62,7 +62,7 @@ fn main() {
     //    partition, on its own device.
     println!("\nper-shard stats:");
     for s in 0..index.num_shards() {
-        let st = index.shard_stats(s);
+        let st = index.shard(s).stats();
         let dev = pool.get(s);
         println!(
             "  shard {s}: {:>6} dist computations, {:>5} nodes expanded, {:>7} cycles ({:.3} ms)",

@@ -13,13 +13,11 @@
 //!   clock, memory allocator, parallel primitives);
 //! * [`service`] — the online query service: a bounded
 //!   admission queue plus a microbatcher that coalesces
-//!   individual requests into the batches the index is built for;
+//!   individual requests into the batches the index is built for, and its
+//!   Prometheus scrape, a view of the stats ledger and the device clocks;
 //! * [`trace`] — end-to-end tracing: per-request spans from
 //!   admission to kernel launch, Chrome-trace export, and a fault-triggered
 //!   flight recorder;
-//! * [`metrics`] — the typed metric snapshot and its Prometheus
-//!   exposition: the service's scrape is a view of its stats ledger and
-//!   device-utilization gauges;
 //! * [`baselines`] — every comparator of the paper's evaluation.
 //!
 //! ## Quickstart
@@ -50,7 +48,6 @@
 pub use baselines;
 pub use gpu_sim as gpu;
 pub use gts_core as core;
-pub use gts_metrics as metrics;
 pub use gts_service as service;
 pub use gts_trace as trace;
 pub use metric_space as metric;
@@ -58,11 +55,11 @@ pub use metric_space as metric;
 /// Everything most programs need.
 pub mod prelude {
     pub use baselines::{Bst, Egnat, Ganns, GpuTable, GpuTree, LbpgTree, LinearScan, Mvpt};
-    pub use gpu_sim::{Device, DeviceConfig, DevicePool, DeviceUtilization, FaultKind, FaultPlan};
+    pub use gpu_sim::{Device, DeviceConfig, DevicePool, FaultKind, FaultPlan};
     pub use gts_core::{
         Applied, CostModel, Gts, GtsParams, ReplicaError, ReplicatedShards, ShardedGts, UpdateOp,
     };
-    pub use gts_metrics::{parse_prometheus, MetricsSnapshot};
+    pub use gts_service::metrics::{parse_prometheus, PromSample};
     pub use gts_service::{
         FlushTrigger, LatencyBreakdown, QueryService, Reply, Request, Response, ServiceConfig,
         ServiceError, ServiceStats, SubmitHandle, Ticket, UpdateAck,

@@ -1,5 +1,5 @@
-//! Metrics invariance: the `gts-metrics` contract, proven end-to-end
-//! through the service.
+//! Metrics invariance: the contract of the service's Prometheus scrape
+//! (`gts_service::metrics`), proven end-to-end through the service.
 //!
 //! * **Observation is free of semantic cost** — metrics on ⇒ answers,
 //!   epochs, and simulated device cycles bit-identical to metrics off.
@@ -11,6 +11,10 @@
 //!   with [`parse_prometheus`], every ledger-derived sample equals its
 //!   [`ServiceStats`] field, and a request is counted before its ticket
 //!   returns.
+//! * **Exposition is well-formed** — families in name order, one `# TYPE`
+//!   each before its samples, no sample twice, stage series in
+//!   `STAGE_ORDER`, and cumulative histogram buckets whose `+Inf` bucket
+//!   is the `_count`.
 //! * **The device clock partitions** — for every device,
 //!   `busy + transfer + stall + idle == span`, read straight off the
 //!   scraped gauges.
@@ -40,7 +44,8 @@ fn mixed_sequence(items: &[Item], n: usize) -> Vec<Request<Item>> {
 }
 
 /// Run `n` mixed requests through a fresh stack (one in flight at a time,
-/// so batch formation is a pure function of the sequence) and return
+/// so batch formation is a pure function of the sequence; traced when
+/// `traced`) and return
 /// everything observable: outcomes, final cycles, and the **settled**
 /// exposition text rendered from the post-shutdown snapshot (empty when
 /// metrics are off) — after shutdown every lane has drained, including
@@ -52,6 +57,7 @@ fn metered_run(
     replicas: u32,
     lanes: usize,
     metrics_on: bool,
+    traced: bool,
     n: usize,
 ) -> (
     Vec<(Result<Reply, ServiceError>, u64)>,
@@ -77,7 +83,11 @@ fn metered_run(
         .with_max_batch(4)
         .with_flush_deadline(Duration::from_millis(1))
         .with_lanes(lanes)
-        .with_metrics(metrics_on);
+        .with_metrics(metrics_on)
+        .with_tracing(TraceConfig {
+            enabled: traced,
+            ..TraceConfig::default()
+        });
     let svc = QueryService::start_replicated(Arc::clone(&index), cfg);
     let h = svc.handle();
     let outcomes: Vec<(Result<Reply, ServiceError>, u64)> = mixed_sequence(&data.items, n)
@@ -96,11 +106,7 @@ fn metered_run(
         assert!(svc.scrape().is_none(), "metrics off has nothing to scrape");
     }
     let stats = svc.shutdown();
-    let scrape = stats
-        .metrics
-        .as_ref()
-        .map(gts::metrics::render_prometheus)
-        .unwrap_or_default();
+    let scrape = stats.metrics.clone().unwrap_or_default();
     (
         outcomes,
         index.span_cycles(),
@@ -126,14 +132,19 @@ fn cycle_domain(scrape: &str) -> String {
 #[test]
 fn metrics_change_no_answer_epoch_or_cycle() {
     for shards in [1u32, 2] {
-        let (plain, span_p, total_p, scrape_p, _) = metered_run(shards, 1, 1, false, 30);
-        let (metered, span_m, total_m, scrape_m, stats) = metered_run(shards, 1, 1, true, 30);
+        let (plain, span_p, total_p, scrape_p, _) = metered_run(shards, 1, 1, false, false, 30);
+        let (metered, span_m, total_m, scrape_m, stats) =
+            metered_run(shards, 1, 1, true, false, 30);
         assert_eq!(plain, metered, "shards = {shards}: answers and epochs");
         assert_eq!(span_p, span_m, "shards = {shards}: critical-path cycles");
         assert_eq!(total_p, total_m, "shards = {shards}: total device cycles");
         assert!(scrape_p.is_empty(), "metrics off exposes nothing");
         assert!(!scrape_m.is_empty(), "metrics on exposes the run");
-        assert!(stats.metrics.is_some(), "ServiceStats carries the snapshot");
+        assert_eq!(
+            stats.metrics,
+            Some(scrape_m),
+            "ServiceStats carries the text"
+        );
     }
 }
 
@@ -145,8 +156,8 @@ fn cycle_domain_metrics_reproduce_for_a_fixed_seed() {
     for shards in [1u32, 2] {
         for lanes in [1usize, 2] {
             let replicas = lanes as u32;
-            let (o1, s1, t1, m1, _) = metered_run(shards, replicas, lanes, true, 25);
-            let (o2, s2, t2, m2, _) = metered_run(shards, replicas, lanes, true, 25);
+            let (o1, s1, t1, m1, _) = metered_run(shards, replicas, lanes, true, false, 25);
+            let (o2, s2, t2, m2, _) = metered_run(shards, replicas, lanes, true, false, 25);
             assert_eq!(o1, o2, "shards={shards} lanes={lanes}: outcomes");
             assert_eq!((s1, t1), (s2, t2), "shards={shards} lanes={lanes}: cycles");
             assert_eq!(
@@ -191,13 +202,15 @@ fn idle_service_scrapes_are_byte_identical() {
     assert!(!first.is_empty());
 }
 
-/// The scrape parses back under the exposition grammar, the recovered
-/// per-device gauges satisfy the clock partition exactly
-/// (`busy + transfer + stall + idle == span` for every device), and every
-/// ledger-derived sample equals its `ServiceStats` field.
+/// The scrape of a traced, metered 2-shard × 2-replica stack is
+/// well-formed ([`assert_well_formed`]), parses back under the exposition
+/// grammar, the recovered per-device gauges satisfy the clock partition
+/// exactly (`busy + transfer + stall + idle == span` for every device),
+/// and every ledger-derived sample equals its `ServiceStats` field.
 #[test]
 fn scrape_is_conformant_and_device_clocks_partition() {
-    let (_, _, _, scrape, stats) = metered_run(2, 2, 2, true, 30);
+    let (_, _, _, scrape, stats) = metered_run(2, 2, 2, true, true, 30);
+    assert_well_formed(&scrape);
     let samples = parse_prometheus(&scrape).expect("exposition parses back");
     assert!(!samples.is_empty());
 
@@ -290,12 +303,100 @@ fn scrape_is_conformant_and_device_clocks_partition() {
         );
     }
     assert_eq!(stats.completed, 30, "every request served");
-    let snap = stats.metrics.expect("metrics on");
+}
+
+/// The structure of an exposition, checked line by line on the raw text:
+/// families appear in name order, each opened by exactly one `# TYPE`
+/// before its samples; no `(name, labels)` sample appears twice; the
+/// `gts_stage_cycles` series follow [`STAGE_ORDER`](gts::trace::STAGE_ORDER);
+/// and every histogram series has cumulative buckets ending in
+/// `le="+Inf"`, whose value equals its `_count`.
+fn assert_well_formed(scrape: &str) {
+    type Labels = Vec<(String, String)>;
+    let mut families: Vec<(&str, &str)> = Vec::new();
+    let mut seen: Vec<(String, Labels)> = Vec::new();
+    let mut stages: Vec<String> = Vec::new();
+    // The last `_bucket` sample of the current histogram series: its
+    // labels without `le`, its `le`, its cumulative count.
+    let mut bucket: Option<(Labels, String, f64)> = None;
+    for line in scrape.lines() {
+        if let Some(decl) = line.strip_prefix("# TYPE ") {
+            let (name, kind) = decl.split_once(' ').expect("`# TYPE name kind`");
+            assert!(
+                families.iter().all(|&(f, _)| f != name),
+                "{name} has exactly one # TYPE"
+            );
+            families.push((name, kind));
+            continue;
+        }
+        if line.starts_with('#') {
+            continue;
+        }
+        let mut parsed = parse_prometheus(line).expect("sample parses");
+        let s = parsed.pop().expect("one sample per line");
+        let &(family, kind) = families
+            .last()
+            .unwrap_or_else(|| panic!("{line}: no # TYPE before it"));
+        let suffix = s.name.strip_prefix(family).unwrap_or("<other family>");
+        let allowed: &[&str] = match kind {
+            "histogram" => &["_bucket", "_sum", "_count"],
+            _ => &[""],
+        };
+        assert!(
+            allowed.contains(&suffix),
+            "{line} sits under its own family's # TYPE, not {family}"
+        );
+        assert!(
+            !seen.contains(&(s.name.clone(), s.labels.clone())),
+            "{line} appears twice"
+        );
+        seen.push((s.name.clone(), s.labels.clone()));
+        if kind != "histogram" {
+            continue;
+        }
+        let (le, labels): (Labels, Labels) = s.labels.into_iter().partition(|(k, _)| k == "le");
+        match suffix {
+            "_bucket" => {
+                if let Some((prev, _, count)) = &bucket {
+                    assert!(
+                        *prev != labels || *count <= s.value,
+                        "{line}: buckets are cumulative"
+                    );
+                }
+                bucket = Some((labels, le[0].1.clone(), s.value));
+            }
+            "_count" => {
+                if family == "gts_stage_cycles" {
+                    stages.push(labels[0].1.clone());
+                }
+                let last = bucket.take().expect("buckets before _count");
+                assert_eq!(
+                    last,
+                    (labels, "+Inf".to_string(), s.value),
+                    "{line}: the +Inf bucket closes the series and equals _count"
+                );
+            }
+            _ => {}
+        }
+    }
+    let names: Vec<&str> = families.iter().map(|&(f, _)| f).collect();
     assert!(
-        snap.families
-            .iter()
-            .any(|f| f.name == "gts_device_span_cycles"),
-        "snapshot carries the device families"
+        names.windows(2).all(|w| w[0] < w[1]),
+        "families in name order: {names:?}"
+    );
+    let ranks: Vec<usize> = stages
+        .iter()
+        .map(|s| {
+            gts::trace::STAGE_ORDER
+                .iter()
+                .position(|o| o == s)
+                .unwrap_or_else(|| panic!("stage {s} is in STAGE_ORDER"))
+        })
+        .collect();
+    assert!(!ranks.is_empty(), "a traced stack scrapes its stages");
+    assert!(
+        ranks.windows(2).all(|w| w[0] < w[1]),
+        "stage series follow STAGE_ORDER: {stages:?}"
     );
 }
 
@@ -338,11 +439,7 @@ fn metered_soak_10k_requests() {
 
     let stats = svc.shutdown();
     assert_eq!(stats.completed, N as u64, "every request served");
-    let scrape = stats
-        .metrics
-        .as_ref()
-        .map(gts::metrics::render_prometheus)
-        .expect("metrics on");
+    let scrape = stats.metrics.expect("metrics on");
     let samples = parse_prometheus(&scrape).expect("exposition parses back");
 
     // Per-device utilization table (+ the partition assertion at scale).
