@@ -226,6 +226,10 @@ mod tests {
             GtsParams::default(),
         )
         .expect("build");
+        // Two column builds: at n ≤ 250 every construction kernel fits one
+        // wave of the device's cores, so the charge is launch and span
+        // bound and the same for both tests' tables.
+        assert_eq!(dev.cycles(), 16_002, "build cycles moved");
         let q = vec![cols[0][7].clone(), cols[1][7].clone()];
         let all = brute_force(&cols, &metrics, &weights, &q);
         for r in [all[5].dist, all[20].dist] {
@@ -236,6 +240,10 @@ mod tests {
                 assert!((g.dist - w.dist).abs() < 1e-9);
             }
         }
+        // Recorded once: the pigeon-hole range on each column and the
+        // batched verification of their union, for both radii. A move here
+        // is a change in what MRQ charges, not noise.
+        assert_eq!(dev.cycles(), 83_196, "build + range cycles moved");
     }
 
     #[test]
@@ -251,6 +259,10 @@ mod tests {
             GtsParams::default(),
         )
         .expect("build");
+        // Two column builds: at n ≤ 250 every construction kernel fits one
+        // wave of the device's cores, so the charge is launch and span
+        // bound and the same for both tests' tables.
+        assert_eq!(dev.cycles(), 16_002, "build cycles moved");
         let q = vec![cols[0][99].clone(), cols[1][99].clone()];
         let all = brute_force(&cols, &metrics, &weights, &q);
         for k in [1usize, 5, 12] {
@@ -265,6 +277,12 @@ mod tests {
                 );
             }
         }
+        // Recorded once, with candidates verified by one batched kernel per
+        // column: Fagin's doubling kNN rounds on each column, each followed
+        // by the batched verification of the rows it newly saw, for
+        // k = 1, 5, 12. A move here is a change in what MkNNQ charges, not
+        // noise.
+        assert_eq!(dev.cycles(), 212_712, "build + kNN cycles moved");
     }
 
     #[test]

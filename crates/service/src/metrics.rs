@@ -5,9 +5,9 @@
 //! [`QueryService::scrape`](crate::QueryService::scrape) and
 //! [`ServiceStats::metrics`] return. It reads state the stack already
 //! keeps: the [`ServiceStats`] ledger, each replica pool's per-device
-//! [`DeviceStats`], and the trace recorder's [`TraceSummary`] when tracing
-//! is on. [`parse_prometheus`] reads the text back into [`PromSample`]s for
-//! the conformance tests and the scrape example.
+//! [`DeviceStats`], and the ledger's [`ServiceStats::trace`] summary when
+//! tracing is on. [`parse_prometheus`] reads the text back into
+//! [`PromSample`]s for the conformance tests and the scrape example.
 //!
 //! The layout is fixed here and nowhere else: families in name order, one
 //! `# HELP`/`# TYPE` pair each before its samples, device series in ordinal
@@ -23,7 +23,7 @@
 
 use crate::stats::ServiceStats;
 use gpu_sim::DeviceStats;
-use gts_trace::{LatencyHistogram, TraceSummary, STAGE_ORDER};
+use gts_trace::{LatencyHistogram, STAGE_ORDER};
 use std::fmt::Write as _;
 
 /// Per-device gauges, in family-name order: name, help, and the value read
@@ -68,11 +68,7 @@ const DEVICE_GAUGES: [DeviceGauge; 6] = [
 /// A device's idle cycles are its replica's span (the slowest device of
 /// that pool) minus its own clock, so for every device
 /// `busy + transfer + stall + idle == span`.
-pub(crate) fn exposition(
-    stats: &ServiceStats,
-    replicas: &[Vec<DeviceStats>],
-    stages: Option<&TraceSummary>,
-) -> String {
+pub(crate) fn exposition(stats: &ServiceStats, replicas: &[Vec<DeviceStats>]) -> String {
     let mut out = String::new();
     let o = &mut out;
     header(
@@ -148,17 +144,21 @@ pub(crate) fn exposition(
         header(o, name, "counter", help);
         sample(o, name, "", value);
     }
-    if let Some(summary) = stages.filter(|s| !s.stages.is_empty()) {
+    let stages: Vec<_> = stats
+        .trace
+        .iter()
+        .flat_map(|t| STAGE_ORDER.iter().zip(&t.stages))
+        .filter(|(_, h)| h.count() > 0)
+        .collect();
+    if !stages.is_empty() {
         header(
             o,
             "gts_stage_cycles",
             "histogram",
             "simulated span cycles per pipeline stage",
         );
-        for stage in STAGE_ORDER {
-            if let Some(h) = summary.stages.get(stage) {
-                histogram(o, "gts_stage_cycles", &format!("stage=\"{stage}\""), h);
-            }
+        for (stage, h) in stages {
+            histogram(o, "gts_stage_cycles", &format!("stage=\"{stage}\""), h);
         }
     }
     out
@@ -296,7 +296,7 @@ mod tests {
     #[test]
     fn ledger_counters_are_read_not_accumulated() {
         let stats = ledger();
-        let render = || exposition(&stats, &[], None);
+        let render = || exposition(&stats, &[]);
         let once = render();
         assert_eq!(render(), once, "a view of the same state renders the same");
         for line in [
@@ -334,8 +334,8 @@ mod tests {
         // Two replicas of two devices: each measured against its own
         // replica's slowest device, numbered replica-major.
         let replicas = [vec![dev(30, 5), dev(10, 0)], vec![dev(7, 0), dev(4, 4)]];
-        let samples = parse_prometheus(&exposition(&ServiceStats::default(), &replicas, None))
-            .expect("parses");
+        let samples =
+            parse_prometheus(&exposition(&ServiceStats::default(), &replicas)).expect("parses");
         let get = |name: &str, device: &str| {
             samples
                 .iter()
@@ -354,7 +354,7 @@ mod tests {
 
     #[test]
     fn exposition_round_trips_through_the_parser() {
-        let text = exposition(&ledger(), &[], None);
+        let text = exposition(&ledger(), &[]);
         let samples = parse_prometheus(&text).expect("parses");
         assert_eq!(
             samples.len(),

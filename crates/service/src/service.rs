@@ -229,8 +229,9 @@ where
     }
 
     /// The trace recorder, when [`ServiceConfig::trace`] enabled tracing:
-    /// export with [`TraceRecorder::to_chrome_json`], summarize with
-    /// [`TraceRecorder::summary`], or inspect flight dumps directly.
+    /// export with [`TraceRecorder::to_chrome_json`] or read its flight
+    /// dumps with [`TraceRecorder::flight_dumps`]. Its summary rides every
+    /// stats snapshot as [`ServiceStats::trace`].
     pub fn trace(&self) -> Option<&Arc<TraceRecorder>> {
         self.trace.as_ref()
     }
@@ -281,10 +282,7 @@ where
         // reported rather than silently miscounting throughput.
         let expected = s.batches + (self.num_lanes as u64 - 1) * s.update_batches;
         s.lane_batches_deficit = expected.saturating_sub(s.lane_batches.iter().sum());
-        if let Some(rec) = &self.trace {
-            s.trace_events_dropped = rec.dropped();
-            s.flight_dumps = rec.flight_dumps();
-        }
+        s.trace = self.trace.as_ref().map(|rec| rec.summary());
         if self.metrics {
             let devices: Vec<Vec<_>> = (0..self.index.num_replicas())
                 .map(|r| {
@@ -292,8 +290,7 @@ where
                     replica.pool().devices().iter().map(|d| d.stats()).collect()
                 })
                 .collect();
-            let stages = self.trace.as_ref().map(|rec| rec.summary());
-            s.metrics = Some(metrics::exposition(&s, &devices, stages.as_ref()));
+            s.metrics = Some(metrics::exposition(&s, &devices));
         }
         s
     }

@@ -102,13 +102,12 @@ pub struct ServiceStats {
     /// `lane_batches` slot, and that shortfall is reconciled here at
     /// snapshot time instead of silently undercounting.
     pub lane_batches_deficit: u64,
-    /// Trace events dropped by the recorder's bounded rings (oldest-first).
-    /// Zero when tracing is disabled or the rings never filled.
-    pub trace_events_dropped: u64,
-    /// Flight-recorder dumps captured so far (device faults, lane panics,
-    /// dead shards) — the last-N-events snapshots taken at each fault.
-    /// Empty when tracing is disabled.
-    pub flight_dumps: Vec<gts_trace::FlightDump>,
+    /// The trace recorder's summary of the whole run — per-stage span
+    /// histograms, events recorded and events its rings dropped — when
+    /// [`ServiceConfig::trace`](crate::ServiceConfig::trace) is enabled.
+    /// `None` otherwise. Flight dumps are read from
+    /// [`QueryService::trace`](crate::QueryService::trace).
+    pub trace: Option<gts_trace::TraceSummary>,
     /// The Prometheus text exposition of this snapshot — its counters and
     /// histograms plus the per-device clocks and the trace summary — when
     /// [`ServiceConfig::metrics`](crate::ServiceConfig) is on. `None`

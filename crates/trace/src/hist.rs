@@ -42,6 +42,18 @@ impl LatencyHistogram {
         self.min = self.min.min(v);
     }
 
+    /// Add every sample of `other`, bucket by bucket: the result equals one
+    /// histogram that recorded both sample sets.
+    pub fn merge(&mut self, other: &LatencyHistogram) {
+        for (a, b) in self.buckets.iter_mut().zip(&other.buckets) {
+            *a += b;
+        }
+        self.count += other.count;
+        self.sum = self.sum.saturating_add(other.sum);
+        self.max = self.max.max(other.max);
+        self.min = self.min.min(other.min);
+    }
+
     /// Number of recorded samples.
     pub fn count(&self) -> u64 {
         self.count

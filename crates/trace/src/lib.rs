@@ -14,6 +14,10 @@
 //!   shard, the last N events are snapshotted into a [`FlightDump`] so a
 //!   chaos-soak postmortem is self-contained.
 //!
+//! The bounded rings ([`TraceConfig::ring_capacity`]) bound the Chrome
+//! export, the flight dumps and the determinism projection, not the
+//! summary: a span is folded into its stage histogram when it is recorded.
+//!
 //! ## Determinism contract
 //!
 //! Events *observe* clocks, never advance them: recording an event reads
@@ -25,7 +29,8 @@
 //! sorts events by a content key on the cycle timebase — for a fixed seed
 //! and arrival sequence the projection reproduces exactly (provided the
 //! ring capacity held every event; an overflowing ring drops oldest-first
-//! per ring, which is reported via [`TraceRecorder::dropped`]).
+//! per ring, which is reported via [`TraceRecorder::dropped`]). The
+//! summary reproduces at any ring capacity.
 //!
 //! Context (which request/batch/lane/replica/shard an event belongs to)
 //! rides a thread-local [`TraceCtx`] set by the layer that knows it;
@@ -39,9 +44,8 @@ pub mod json;
 pub use hist::LatencyHistogram;
 
 use std::cell::Cell;
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
@@ -250,49 +254,27 @@ impl EventKind {
         }
     }
 
-    /// True for kinds that carry a real `[begin, end]` duration.
-    pub fn is_span(&self) -> bool {
-        matches!(
-            self,
-            EventKind::LaneBatch { .. }
-                | EventKind::ShardScatter
-                | EventKind::Level { .. }
-                | EventKind::Kernel { .. }
-        )
+    /// The position of a span kind's stage in [`STAGE_ORDER`]; `None` for
+    /// instants, which carry no duration.
+    pub(crate) fn stage(&self) -> Option<usize> {
+        match self {
+            EventKind::LaneBatch { .. } => Some(0),
+            EventKind::ShardScatter => Some(1),
+            EventKind::Level { .. } => Some(2),
+            EventKind::Kernel { .. } => Some(3),
+            _ => None,
+        }
     }
 }
 
-/// The canonical stage order: every name [`EventKind::name`] can produce,
-/// listed in the order a request travels the serving stack (admission →
-/// lane → replica → shard → descent level → kernel), with the
-/// failure-path instants trailing their layer. This single constant
-/// orders both [`TraceSummary::to_table`] and the stage-labelled series
-/// of the service's Prometheus exposition (`gts_service::metrics`), so the
-/// two views of the same pipeline always line up row for row.
-pub const STAGE_ORDER: [&str; 12] = [
-    "batch_start",
-    "batch_member",
-    "lane_batch",
-    "replica_retry",
-    "degraded",
-    "shard_scatter",
-    "merge",
-    "level",
-    "kernel",
-    "fault",
-    "shard_unavailable",
-    "lane_panic",
-];
-
-/// Rank of `stage` in [`STAGE_ORDER`]. Unknown names sort after every
-/// known stage (they still render — deterministically, alphabetically —
-/// rather than disappearing).
-pub fn stage_rank(stage: &str) -> usize {
-    STAGE_ORDER
-        .iter()
-        .position(|s| *s == stage)
-        .unwrap_or(STAGE_ORDER.len())
-}
+/// The span stages — the kinds that carry a real `[begin, end]` duration —
+/// by [`EventKind::name`], in the order a request travels the serving
+/// stack (lane → shard → descent level → kernel). [`TraceSummary`] holds
+/// one histogram per entry, and both [`TraceSummary::to_table`] and the
+/// stage-labelled series of the service's Prometheus exposition
+/// (`gts_service::metrics`) walk it, so the two views of the same pipeline
+/// line up row for row.
+pub const STAGE_ORDER: [&str; 4] = ["lane_batch", "shard_scatter", "level", "kernel"];
 
 /// One recorded event: a kind, the context it happened under, its interval
 /// on the simulated-cycle timebase, the device it ran on (if any), and the
@@ -319,14 +301,7 @@ pub struct TraceEvent {
 impl TraceEvent {
     /// An instant event at `at` cycles.
     pub fn instant(kind: EventKind, ctx: TraceCtx, device: Option<u32>, at: u64) -> TraceEvent {
-        TraceEvent {
-            begin_cycles: at,
-            end_cycles: at,
-            device,
-            ctx,
-            kind,
-            wall_us: 0,
-        }
+        TraceEvent::span(kind, ctx, device, at, at)
     }
 
     /// A span event over `[begin, end]` cycles.
@@ -372,7 +347,10 @@ pub struct TraceConfig {
     pub enabled: bool,
     /// Events retained per ring shard (the recorder keeps
     /// [`NUM_RINGS`] rings, so total capacity is `NUM_RINGS *
-    /// ring_capacity`). Oldest events in a full ring are dropped.
+    /// ring_capacity`). Oldest events in a full ring are dropped. The rings
+    /// bound the Chrome export, the flight dumps and the determinism
+    /// projection, not the [`TraceSummary`], which is folded as events are
+    /// recorded.
     pub ring_capacity: usize,
     /// Events snapshotted into each [`FlightDump`] (the "last N").
     pub flight_events: usize,
@@ -426,24 +404,29 @@ const MAX_DUMPS: usize = 32;
 /// [`TraceConfig::enabled`]).
 #[derive(Debug)]
 pub struct TraceRecorder {
-    rings: Vec<Mutex<VecDeque<TraceEvent>>>,
+    rings: Vec<Mutex<Ring>>,
     ring_capacity: usize,
     flight_events: usize,
-    dropped: AtomicU64,
     dumps: Mutex<Vec<FlightDump>>,
     epoch: Instant,
+}
+
+/// One ring shard: its newest events, and the summary of every event it
+/// was ever handed (`recorded` of them, retained or dropped).
+#[derive(Debug, Default)]
+struct Ring {
+    events: VecDeque<TraceEvent>,
+    recorded: u64,
+    stages: [LatencyHistogram; STAGE_ORDER.len()],
 }
 
 impl TraceRecorder {
     /// A recorder with the given ring and flight-dump sizes.
     pub fn new(cfg: TraceConfig) -> Arc<TraceRecorder> {
         Arc::new(TraceRecorder {
-            rings: (0..NUM_RINGS)
-                .map(|_| Mutex::new(VecDeque::new()))
-                .collect(),
+            rings: (0..NUM_RINGS).map(|_| Mutex::default()).collect(),
             ring_capacity: cfg.ring_capacity.max(1),
             flight_events: cfg.flight_events.max(1),
-            dropped: AtomicU64::new(0),
             dumps: Mutex::new(Vec::new()),
             epoch: Instant::now(),
         })
@@ -451,7 +434,7 @@ impl TraceRecorder {
 
     /// Events dropped from full rings so far.
     pub fn dropped(&self) -> u64 {
-        self.dropped.load(Ordering::Relaxed)
+        self.summary().dropped
     }
 
     fn ring_of(&self, ev: &TraceEvent) -> usize {
@@ -467,17 +450,21 @@ impl TraceRecorder {
         key % NUM_RINGS
     }
 
-    /// Record one event, stamping its wall clock.
+    /// Record one event, stamping its wall clock and folding a span's
+    /// duration into its stage histogram.
     pub fn record(&self, mut ev: TraceEvent) {
         ev.wall_us = self.epoch.elapsed().as_micros() as u64;
         let mut ring = self.rings[self.ring_of(&ev)]
             .lock()
             .unwrap_or_else(|e| e.into_inner());
-        if ring.len() >= self.ring_capacity {
-            ring.pop_front();
-            self.dropped.fetch_add(1, Ordering::Relaxed);
+        ring.recorded += 1;
+        if let Some(stage) = ev.kind.stage() {
+            ring.stages[stage].record(ev.end_cycles - ev.begin_cycles);
         }
-        ring.push_back(ev);
+        if ring.events.len() >= self.ring_capacity {
+            ring.events.pop_front();
+        }
+        ring.events.push_back(ev);
     }
 
     /// All currently-retained events in canonical order (content sort key
@@ -488,6 +475,7 @@ impl TraceRecorder {
             out.extend(
                 ring.lock()
                     .unwrap_or_else(|e| e.into_inner())
+                    .events
                     .iter()
                     .cloned(),
             );
@@ -530,20 +518,20 @@ impl TraceRecorder {
         self.dumps.lock().unwrap_or_else(|e| e.into_inner()).clone()
     }
 
-    /// Per-stage latency table over the retained span events.
+    /// The whole run's per-stage latency summary: the rings' stage
+    /// histograms merged, plus every event recorded and how many the full
+    /// rings dropped.
     pub fn summary(&self) -> TraceSummary {
-        let mut stages: BTreeMap<&'static str, LatencyHistogram> = BTreeMap::new();
-        let mut events = 0u64;
-        for ev in self.events() {
-            events += 1;
-            if ev.kind.is_span() {
-                stages
-                    .entry(ev.kind.name())
-                    .or_default()
-                    .record(ev.end_cycles - ev.begin_cycles);
+        let mut sum = TraceSummary::default();
+        for ring in &self.rings {
+            let ring = ring.lock().unwrap_or_else(|e| e.into_inner());
+            sum.events += ring.recorded;
+            sum.dropped += ring.recorded - ring.events.len() as u64;
+            for (acc, h) in sum.stages.iter_mut().zip(&ring.stages) {
+                acc.merge(h);
             }
         }
-        TraceSummary { events, stages }
+        sum
     }
 
     /// Export the retained events as Chrome `trace_event` JSON (the
@@ -635,7 +623,7 @@ fn push_event(out: &mut String, ev: &TraceEvent) {
         .map(|(k, v)| format!("\"{k}\":{v}"))
         .collect::<Vec<_>>()
         .join(",");
-    if ev.kind.is_span() {
+    if ev.kind.stage().is_some() {
         out.push_str(&format!(
             "{{\"ph\":\"X\",\"pid\":{pid},\"tid\":{tid},\"name\":\"{name}\",\"ts\":{},\"dur\":{},\"args\":{{{args_json}}}}}",
             ev.begin_cycles,
@@ -701,28 +689,27 @@ pub fn validate_chrome_trace(src: &str) -> Result<usize, String> {
     Ok(events)
 }
 
-/// Per-stage latency breakdown over the span events of a trace.
-#[derive(Clone, Debug, Default)]
+/// Per-stage latency breakdown over every span a recorder was handed.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct TraceSummary {
-    /// Total retained events (spans and instants).
+    /// Every event recorded (spans and instants), retained or dropped.
     pub events: u64,
-    /// Stage name → histogram of span durations in simulated cycles.
-    pub stages: BTreeMap<&'static str, LatencyHistogram>,
+    /// Events the full rings dropped (oldest-first).
+    pub dropped: u64,
+    /// Histograms of span durations in simulated cycles, one per stage in
+    /// [`STAGE_ORDER`].
+    pub stages: [LatencyHistogram; STAGE_ORDER.len()],
 }
 
 impl TraceSummary {
     /// Render the breakdown as an aligned text table (count, p50, p95,
-    /// p99, max per stage). Rows follow the canonical [`STAGE_ORDER`]
-    /// (pipeline order, not alphabetical) — the same order the service's
-    /// Prometheus exposition uses — so the table is deterministic and
-    /// comparable across runs and against scrapes.
+    /// p99, max per stage), one row per stage in [`STAGE_ORDER`] — the
+    /// order the service's Prometheus exposition uses.
     pub fn to_table(&self) -> String {
         let mut out = String::from(
             "stage            count      p50        p95        p99        max (cycles)\n",
         );
-        let mut rows: Vec<(&&'static str, &LatencyHistogram)> = self.stages.iter().collect();
-        rows.sort_by_key(|(stage, _)| (stage_rank(stage), **stage));
-        for (stage, h) in rows {
+        for (stage, h) in STAGE_ORDER.iter().zip(&self.stages) {
             out.push_str(&format!(
                 "{:<16} {:<10} {:<10} {:<10} {:<10} {}\n",
                 stage,
@@ -803,6 +790,13 @@ mod tests {
         assert_eq!(evs.len(), 4, "ring holds the last `ring_capacity` events");
         assert_eq!(rec.dropped(), 6);
         assert_eq!(evs[0].begin_cycles, 6, "oldest were dropped");
+        let sum = rec.summary();
+        assert_eq!((sum.events, sum.dropped), (10, 6));
+        assert_eq!(
+            stage(&sum, "kernel").count(),
+            10,
+            "dropped spans stay summarised"
+        );
     }
 
     #[test]
@@ -838,6 +832,15 @@ mod tests {
         );
     }
 
+    /// The histogram of `name`'s stage.
+    fn stage<'a>(sum: &'a TraceSummary, name: &str) -> &'a LatencyHistogram {
+        let i = STAGE_ORDER
+            .iter()
+            .position(|s| *s == name)
+            .expect("a stage");
+        &sum.stages[i]
+    }
+
     #[test]
     fn summary_buckets_spans_by_stage() {
         let rec = TraceRecorder::new(TraceConfig {
@@ -854,11 +857,12 @@ mod tests {
             24,
         ));
         let sum = rec.summary();
-        assert_eq!(sum.events, 4);
-        assert_eq!(sum.stages["kernel"].count(), 2);
-        assert_eq!(sum.stages["kernel"].max(), 16);
-        assert_eq!(sum.stages["shard_scatter"].count(), 1);
-        assert!(!sum.stages.contains_key("merge"), "instants aren't spans");
+        assert_eq!((sum.events, sum.dropped), (4, 0));
+        assert_eq!(stage(&sum, "kernel").count(), 2);
+        assert_eq!(stage(&sum, "kernel").max(), 16);
+        assert_eq!(stage(&sum, "shard_scatter").count(), 1);
+        let spans: u64 = sum.stages.iter().map(LatencyHistogram::count).sum();
+        assert_eq!(spans, 3, "instants aren't spans");
         let table = sum.to_table();
         assert!(table.contains("kernel"), "table lists the stage: {table}");
     }
@@ -893,19 +897,13 @@ mod tests {
             EventKind::ShardUnavailable { shard: 0 },
             EventKind::LanePanic,
         ];
-        assert_eq!(all.len(), STAGE_ORDER.len());
+        let stages: Vec<usize> = all.iter().filter_map(EventKind::stage).collect();
+        assert_eq!(stages, [0, 1, 2, 3], "each stage once, in pipeline order");
         for kind in &all {
-            assert!(
-                stage_rank(kind.name()) < STAGE_ORDER.len(),
-                "{} missing from STAGE_ORDER",
-                kind.name()
-            );
+            if let Some(i) = kind.stage() {
+                assert_eq!(STAGE_ORDER[i], kind.name(), "a stage is its kind's name");
+            }
         }
-        let mut sorted = STAGE_ORDER.to_vec();
-        sorted.sort_unstable();
-        sorted.dedup();
-        assert_eq!(sorted.len(), STAGE_ORDER.len(), "no duplicate stages");
-        assert_eq!(stage_rank("no_such_stage"), STAGE_ORDER.len());
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! Property tests for [`LatencyHistogram`]: quantiles are monotone and
-//! exact at the boundaries.
+//! exact at the boundaries, and merging equals recording.
 
 use gts_trace::LatencyHistogram;
 use proptest::prelude::*;
@@ -30,5 +30,18 @@ proptest! {
             prop_assert!(v >= prev, "quantile not monotone at q = {}", q);
             prev = v;
         }
+    }
+
+    /// Merging the histograms of two halves of a sample vector, split
+    /// anywhere (empty halves included), equals recording the whole vector.
+    #[test]
+    fn merge_of_split_halves_equals_recording_all(
+        xs in proptest::collection::vec(0u64..1 << 48, 0..128),
+        cut in 0usize..=128,
+    ) {
+        let (a, b) = xs.split_at(cut.min(xs.len()));
+        let mut merged = record_all(a);
+        merged.merge(&record_all(b));
+        prop_assert_eq!(merged, record_all(&xs));
     }
 }

@@ -60,8 +60,9 @@ fn main() {
         .cloned()
         .expect("tracing was enabled in the config");
 
-    // The per-stage latency table (simulated cycles, from the recorder).
-    println!("{}", rec.summary().to_table());
+    // The per-stage latency table (simulated cycles) of the whole run.
+    let summary = rec.summary();
+    println!("{}", summary.to_table());
 
     // The Chrome-trace export, schema-checked before it leaves the process.
     let json = rec.to_chrome_json();
@@ -72,8 +73,7 @@ fn main() {
     std::fs::write(&path, &json).expect("write trace file");
     println!(
         "wrote {path}: {events} trace events ({} recorded, {} dropped by the rings)",
-        rec.events().len(),
-        rec.dropped(),
+        summary.events, summary.dropped,
     );
     println!("open it in chrome://tracing or https://ui.perfetto.dev");
 

@@ -647,6 +647,7 @@ fn flight_recorder_soak(total: usize, fault_at_launch: u64, exact_prior: bool) {
             .result
             .expect("a transient fault retries on the sibling replica");
     }
+    let rec = svc.trace().cloned().expect("tracing is on");
     let stats = svc.shutdown();
     assert_eq!(
         stats.completed, total as u64,
@@ -655,8 +656,8 @@ fn flight_recorder_soak(total: usize, fault_at_launch: u64, exact_prior: bool) {
     assert!(stats.device_faults >= 1, "the armed fault fired");
 
     // Exactly the armed fault dumped (no spurious dumps), tagged right.
-    let dumps: Vec<_> = stats
-        .flight_dumps
+    let all_dumps = rec.flight_dumps();
+    let dumps: Vec<_> = all_dumps
         .iter()
         .filter(|d| d.reason == DumpReason::DeviceFault)
         .collect();

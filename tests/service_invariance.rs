@@ -549,3 +549,56 @@ fn traced_event_streams_reproduce_for_a_fixed_seed() {
         }
     }
 }
+
+/// The rings bound what the recorder keeps, not what it summarises: one
+/// seeded run traced with 16-event rings (which overflow) and with
+/// 1 << 20-event rings (which do not) gives the same stage histograms, the
+/// same event count and the same `gts_stage_cycles` scrape lines.
+#[test]
+fn ring_capacity_bounds_the_rings_not_the_summary() {
+    let run = |ring_capacity: usize| {
+        let data = DatasetKind::Words.generate(360, 909);
+        let pool = DevicePool::rtx_2080_ti(2);
+        let index = Arc::new(
+            ReplicatedShards::build(
+                &pool,
+                data.items.clone(),
+                data.metric,
+                GtsParams::default().with_shards(2),
+            )
+            .expect("build"),
+        );
+        let cfg = ServiceConfig::default()
+            .with_max_batch(4)
+            .with_flush_deadline(Duration::from_millis(1))
+            .with_metrics(true)
+            .with_tracing(TraceConfig {
+                enabled: true,
+                ring_capacity,
+                ..TraceConfig::default()
+            });
+        let svc = QueryService::start_replicated(index, cfg);
+        let h = svc.handle();
+        // One request in flight at a time, as in `traced_run`.
+        for r in mixed_sequence(&data.items, 30) {
+            h.submit(r).expect("admitted").wait().expect("answered");
+        }
+        let stats = svc.shutdown();
+        let stage_lines: Vec<String> = stats
+            .metrics
+            .expect("metrics are on")
+            .lines()
+            .filter(|l| l.starts_with("gts_stage_cycles"))
+            .map(str::to_string)
+            .collect();
+        (stats.trace.expect("tracing is on"), stage_lines)
+    };
+    let (small, small_lines) = run(16);
+    let (large, large_lines) = run(1 << 20);
+    assert!(small.dropped > 0, "16-event rings overflow on this run");
+    assert_eq!(large.dropped, 0, "1 << 20-event rings hold the run");
+    assert_eq!(small.events, large.events, "every event is counted");
+    assert_eq!(small.stages, large.stages, "every span is summarised");
+    assert!(!large_lines.is_empty(), "the scrape carries the stages");
+    assert_eq!(small_lines, large_lines, "the stage series are identical");
+}
