@@ -7,7 +7,9 @@
 
 use crate::clock::impl_cpu_clocked;
 use gpu_sim::CpuClock;
-use metric_space::index::{sort_neighbors, DynamicIndex, IndexError, Neighbor, SimilarityIndex};
+use metric_space::index::{
+    sort_neighbors, DynamicIndex, IndexError, Neighbor, SimilarityIndex, TopK,
+};
 use metric_space::{Item, ItemMetric, Metric};
 
 const LEAF_CAP: usize = 16;
@@ -143,24 +145,14 @@ impl Bst {
         }
     }
 
-    fn knn_rec(&self, node: u32, q: &Item, k: usize, heap: &mut Vec<Neighbor>) {
-        let bound = |h: &Vec<Neighbor>| {
-            if h.len() == k {
-                h.last().map_or(f64::INFINITY, |n| n.dist)
-            } else {
-                f64::INFINITY
-            }
-        };
+    fn knn_rec(&self, node: u32, q: &Item, pool: &mut TopK) {
         match &self.nodes[node as usize] {
             BstNode::Leaf { objs } => {
                 for &o in objs {
                     if !self.live[o as usize] {
                         continue;
                     }
-                    let d = self.dist(o, q);
-                    if d < bound(heap) || heap.len() < k {
-                        insert_bounded(heap, Neighbor::new(o, d), k);
-                    }
+                    pool.insert(Neighbor::new(o, self.dist(o, q)));
                 }
             }
             BstNode::Internal {
@@ -177,25 +169,13 @@ impl Bst {
                     [(1, d1), (0, d0)]
                 };
                 for (side, d) in order {
-                    if d - radius[side] < bound(heap) {
-                        self.knn_rec(children[side], q, k, heap);
+                    if d - radius[side] < pool.bound() {
+                        self.knn_rec(children[side], q, pool);
                     }
                 }
             }
         }
     }
-}
-
-pub(crate) fn insert_bounded(heap: &mut Vec<Neighbor>, n: Neighbor, k: usize) {
-    if heap.iter().any(|x| x.id == n.id) {
-        return;
-    }
-    let pos = heap.partition_point(|x| (x.dist, x.id) < (n.dist, n.id));
-    if pos >= k {
-        return;
-    }
-    heap.insert(pos, n);
-    heap.truncate(k);
 }
 
 impl SimilarityIndex<Item> for Bst {
@@ -215,11 +195,11 @@ impl SimilarityIndex<Item> for Bst {
     }
 
     fn knn_query(&self, q: &Item, k: usize) -> Result<Vec<Neighbor>, IndexError> {
-        let mut heap = Vec::new();
+        let mut pool = TopK::new(k);
         if k > 0 {
-            self.knn_rec(self.root, q, k, &mut heap);
+            self.knn_rec(self.root, q, &mut pool);
         }
-        Ok(heap)
+        Ok(pool.into_sorted())
     }
 
     fn memory_bytes(&self) -> u64 {

@@ -8,10 +8,11 @@
 //! **host-memory budget** and fails with `IndexError::OutOfMemory` when the
 //! accumulating structure exceeds it — reproducing the `/` entries.
 
-use crate::bst::insert_bounded;
 use crate::clock::impl_cpu_clocked;
 use gpu_sim::CpuClock;
-use metric_space::index::{sort_neighbors, DynamicIndex, IndexError, Neighbor, SimilarityIndex};
+use metric_space::index::{
+    sort_neighbors, DynamicIndex, IndexError, Neighbor, SimilarityIndex, TopK,
+};
 use metric_space::pivot::fft_select;
 use metric_space::{Item, ItemMetric, Metric};
 
@@ -228,14 +229,7 @@ impl Egnat {
         }
     }
 
-    fn knn_rec(&self, node: u32, q: &Item, k: usize, heap: &mut Vec<Neighbor>) {
-        let bound = |h: &Vec<Neighbor>| {
-            if h.len() == k {
-                h.last().map_or(f64::INFINITY, |n| n.dist)
-            } else {
-                f64::INFINITY
-            }
-        };
+    fn knn_rec(&self, node: u32, q: &Item, pool: &mut TopK) {
         match &self.nodes[node as usize] {
             GnatNode::Leaf { objs, parent_d } => {
                 let _ = parent_d;
@@ -243,8 +237,7 @@ impl Egnat {
                     if !self.live[o as usize] {
                         continue;
                     }
-                    let d = self.dist(o, q);
-                    insert_bounded(heap, Neighbor::new(o, d), k);
+                    pool.insert(Neighbor::new(o, self.dist(o, q)));
                 }
             }
             GnatNode::Internal {
@@ -259,9 +252,9 @@ impl Egnat {
                     let di = self.dist(s, q);
                     dqs[i] = di;
                     if self.live[s as usize] {
-                        insert_bounded(heap, Neighbor::new(s, di), k);
+                        pool.insert(Neighbor::new(s, di));
                     }
-                    let b = bound(heap);
+                    let b = pool.bound();
                     for (j, a) in alive.iter_mut().enumerate() {
                         if !*a {
                             continue;
@@ -277,13 +270,13 @@ impl Egnat {
                 order.sort_by(|&a, &b| dqs[a].partial_cmp(&dqs[b]).expect("NaN"));
                 for j in order {
                     // Re-check with the current (possibly tighter) bound.
-                    let b = bound(heap);
+                    let b = pool.bound();
                     let prunable = (0..m).any(|i| {
                         let (lo, hi) = ranges[i * m + j];
                         lo <= hi && (dqs[i] + b <= lo || dqs[i] - b >= hi)
                     });
                     if !prunable {
-                        self.knn_rec(children[j], q, k, heap);
+                        self.knn_rec(children[j], q, pool);
                     }
                 }
             }
@@ -308,11 +301,11 @@ impl SimilarityIndex<Item> for Egnat {
     }
 
     fn knn_query(&self, q: &Item, k: usize) -> Result<Vec<Neighbor>, IndexError> {
-        let mut heap = Vec::new();
+        let mut pool = TopK::new(k);
         if k > 0 {
-            self.knn_rec(self.root, q, k, &mut heap);
+            self.knn_rec(self.root, q, &mut pool);
         }
-        Ok(heap)
+        Ok(pool.into_sorted())
     }
 
     fn memory_bytes(&self) -> u64 {

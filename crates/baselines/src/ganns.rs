@@ -10,7 +10,7 @@
 //! Color) and blow device memory on T-Loc-scale data — the Table 4 `/`.
 
 use crate::clock::impl_gpu_clocked;
-use gpu_sim::{Device, GpuError, Reservation};
+use gpu_sim::{Device, Reservation};
 use metric_space::index::{DynamicIndex, IndexError, Neighbor, SimilarityIndex};
 use metric_space::{Footprint, Item, ItemMetric, Metric};
 use std::collections::HashSet;
@@ -38,23 +38,6 @@ pub struct Ganns {
     _graph_mem: Option<Reservation>,
 }
 
-fn gpu_err(e: GpuError) -> IndexError {
-    match e {
-        GpuError::OutOfMemory {
-            requested,
-            available,
-            context,
-        } => IndexError::OutOfMemory {
-            requested,
-            available,
-            context,
-        },
-        GpuError::DeviceUnavailable { .. } => {
-            IndexError::Unsupported("device quarantined by a permanent fault")
-        }
-    }
-}
-
 impl Ganns {
     /// Build the proximity graph; `Unsupported` for non-vector data, OOM
     /// when the graph + construction workspace exceed device memory.
@@ -70,9 +53,7 @@ impl Ganns {
             return Err(IndexError::EmptyIndex);
         }
         let bytes: u64 = items.iter().map(Footprint::size_bytes).sum();
-        let resident = dev
-            .reserve(bytes, "GANNS resident objects")
-            .map_err(gpu_err)?;
+        let resident = dev.reserve(bytes, "GANNS resident objects")?;
         dev.h2d_transfer(bytes);
         let start = dev.cycles();
         let mut g = Ganns {
@@ -97,17 +78,11 @@ impl Ganns {
         // Construction workspace (candidate pools for the parallel insertion
         // waves) + adjacency. Reserved up front: this is the T-Loc OOM.
         let graph_bytes = (n * DEGREE * 4) as u64;
-        let workspace = self
-            .dev
-            .reserve(
-                n as u64 * WORKSPACE_PER_NODE,
-                "GANNS construction workspace",
-            )
-            .map_err(gpu_err)?;
-        let graph_mem = self
-            .dev
-            .reserve(graph_bytes, "GANNS adjacency lists")
-            .map_err(gpu_err)?;
+        let workspace = self.dev.reserve(
+            n as u64 * WORKSPACE_PER_NODE,
+            "GANNS construction workspace",
+        )?;
+        let graph_mem = self.dev.reserve(graph_bytes, "GANNS adjacency lists")?;
 
         self.adj = vec![Vec::new(); n];
         self.entry = (0..n as u32)

@@ -11,7 +11,7 @@
 
 use crate::clock::impl_gpu_clocked;
 use gpu_sim::primitives::top_k_min;
-use gpu_sim::{Device, GpuError, Reservation};
+use gpu_sim::{Device, Reservation};
 use metric_space::index::{
     check_radii, sort_neighbors, DynamicIndex, IndexError, Neighbor, SimilarityIndex,
 };
@@ -34,23 +34,6 @@ pub struct GpuTable {
     _resident: Reservation,
 }
 
-fn gpu_err(e: GpuError) -> IndexError {
-    match e {
-        GpuError::OutOfMemory {
-            requested,
-            available,
-            context,
-        } => IndexError::OutOfMemory {
-            requested,
-            available,
-            context,
-        },
-        GpuError::DeviceUnavailable { .. } => {
-            IndexError::Unsupported("device quarantined by a permanent fault")
-        }
-    }
-}
-
 impl GpuTable {
     /// Load the dataset onto the device (the only "construction" cost).
     pub fn new(
@@ -59,9 +42,7 @@ impl GpuTable {
         metric: ItemMetric,
     ) -> Result<Self, IndexError> {
         let bytes: u64 = items.iter().map(Footprint::size_bytes).sum();
-        let resident = dev
-            .reserve(bytes, "GPU-Table resident objects")
-            .map_err(gpu_err)?;
+        let resident = dev.reserve(bytes, "GPU-Table resident objects")?;
         dev.h2d_transfer(bytes);
         let arena = metric.build_arena(&items);
         let ids = (0..items.len() as u32).collect();
@@ -153,13 +134,10 @@ impl SimilarityIndex<Item> for GpuTable {
         while lo < queries.len() {
             let rows = self.rows_that_fit(queries.len() - lo);
             let hi = lo + rows;
-            let _table = self
-                .dev
-                .reserve(
-                    (rows * n * std::mem::size_of::<f64>()) as u64,
-                    "GPU-Table distance table",
-                )
-                .map_err(gpu_err)?;
+            let _table = self.dev.reserve(
+                (rows * n * std::mem::size_of::<f64>()) as u64,
+                "GPU-Table distance table",
+            )?;
             let d = self.distance_rows(queries, lo, hi);
             // Parallel filter pass over the table.
             self.dev.charge_kernel((rows * n) as u64, 8);
@@ -188,13 +166,10 @@ impl SimilarityIndex<Item> for GpuTable {
         while lo < queries.len() {
             let rows = self.rows_that_fit(queries.len() - lo);
             let hi = lo + rows;
-            let _table = self
-                .dev
-                .reserve(
-                    (rows * n * std::mem::size_of::<f64>()) as u64,
-                    "GPU-Table distance table",
-                )
-                .map_err(gpu_err)?;
+            let _table = self.dev.reserve(
+                (rows * n * std::mem::size_of::<f64>()) as u64,
+                "GPU-Table distance table",
+            )?;
             let mut d = self.distance_rows(queries, lo, hi);
             // Tombstoned objects are masked before selection.
             for row in 0..rows {

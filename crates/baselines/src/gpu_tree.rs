@@ -14,9 +14,9 @@
 //!    memory — the Fig. 9 "memory deadlock" at 512 queries on Color.
 
 use crate::clock::impl_gpu_clocked;
-use gpu_sim::{Device, GpuError, Reservation};
+use gpu_sim::{Device, Reservation};
 use metric_space::index::{
-    check_radii, sort_neighbors, DynamicIndex, IndexError, Neighbor, SimilarityIndex,
+    check_radii, sort_neighbors, DynamicIndex, IndexError, Neighbor, SimilarityIndex, TopK,
 };
 use metric_space::lemmas::{prune_node_knn, prune_node_range};
 use metric_space::{BatchMetric, Footprint, Item, ItemMetric, Metric, ObjectArena};
@@ -85,23 +85,6 @@ pub struct GpuTree {
     _resident: Reservation,
 }
 
-fn gpu_err(e: GpuError) -> IndexError {
-    match e {
-        GpuError::OutOfMemory {
-            requested,
-            available,
-            context,
-        } => IndexError::OutOfMemory {
-            requested,
-            available,
-            context,
-        },
-        GpuError::DeviceUnavailable { .. } => {
-            IndexError::Unsupported("device quarantined by a permanent fault")
-        }
-    }
-}
-
 /// Build accumulator: total work plus the heaviest per-depth node work
 /// (= the span under the one-core-per-node model).
 #[derive(Default)]
@@ -142,9 +125,7 @@ impl GpuTree {
         params: GpuTreeParams,
     ) -> Result<Self, IndexError> {
         let bytes: u64 = items.iter().map(Footprint::size_bytes).sum();
-        let resident = dev
-            .reserve(bytes, "GPU-Tree resident objects")
-            .map_err(gpu_err)?;
+        let resident = dev.reserve(bytes, "GPU-Tree resident objects")?;
         dev.h2d_transfer(bytes);
         let start = dev.cycles();
         let mut t = GpuTree {
@@ -264,7 +245,7 @@ impl GpuTree {
                 self.buffer_bytes_per_query() * batch as u64,
                 "GPU-Tree per-query candidate buffers",
             )
-            .map_err(gpu_err)
+            .map_err(IndexError::from)
     }
 
     /// Serial (per-block) range traversal of one tree; returns accumulated
@@ -322,14 +303,7 @@ impl GpuTree {
         (work, span)
     }
 
-    fn knn_tree(&self, tree: &SubTree, q: &Item, k: usize, heap: &mut Vec<Neighbor>) -> (u64, u64) {
-        let bound = |h: &Vec<Neighbor>| {
-            if h.len() == k {
-                h.last().map_or(f64::INFINITY, |n| n.dist)
-            } else {
-                f64::INFINITY
-            }
-        };
+    fn knn_tree(&self, tree: &SubTree, q: &Item, pool: &mut TopK) -> (u64, u64) {
         let mut work = 0u64;
         let mut span = 0u64;
         let mut stack = vec![tree.root];
@@ -349,11 +323,14 @@ impl GpuTree {
                         &live_ids,
                         &mut d,
                     );
-                    // Candidates enter the bounded heap in object order —
-                    // the same order the per-pair loop used.
-                    for (&o, &dist) in live_ids.iter().zip(&d) {
-                        crate::bst::insert_bounded(heap, Neighbor::new(o, dist), k);
-                    }
+                    // Candidates enter the pool in object order — the same
+                    // order the per-pair loop used.
+                    pool.extend(
+                        live_ids
+                            .iter()
+                            .zip(&d)
+                            .map(|(&o, &dist)| Neighbor::new(o, dist)),
+                    );
                     work += leaf_work;
                     span += leaf_work / u64::from(self.params.block_threads) + 1;
                 }
@@ -368,9 +345,9 @@ impl GpuTree {
                     work += w;
                     span += w;
                     if self.live[*pivot as usize] {
-                        crate::bst::insert_bounded(heap, Neighbor::new(*pivot, d), k);
+                        pool.insert(Neighbor::new(*pivot, d));
                     }
-                    let b = bound(heap);
+                    let b = pool.bound();
                     for (j, &(lo, hi)) in rings.iter().enumerate() {
                         if !prune_node_knn(lo, hi, d, b) {
                             stack.push(children[j]);
@@ -443,17 +420,17 @@ impl SimilarityIndex<Item> for GpuTree {
         let mut total_work = 0u64;
         let mut max_span = 0u64;
         for (qi, q) in queries.iter().enumerate() {
-            let mut heap = Vec::new();
+            let mut pool = TopK::new(k);
             let mut q_span = 0u64;
             if k > 0 {
                 for tree in &self.trees {
-                    let (w, s) = self.knn_tree(tree, q, k, &mut heap);
+                    let (w, s) = self.knn_tree(tree, q, &mut pool);
                     total_work += w;
                     q_span += s;
                 }
             }
             max_span = max_span.max(q_span);
-            results[qi] = heap;
+            results[qi] = pool.into_sorted();
         }
         self.dev.charge_kernel(total_work, max_span);
         let hits: usize = results.iter().map(Vec::len).sum();

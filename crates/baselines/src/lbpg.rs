@@ -11,7 +11,7 @@
 
 use crate::clock::impl_gpu_clocked;
 use gpu_sim::exec::BATCH_CHUNK;
-use gpu_sim::{Device, GpuError, Reservation};
+use gpu_sim::{Device, Reservation};
 use metric_space::index::{
     check_radii, sort_neighbors, DynamicIndex, IndexError, Neighbor, SimilarityIndex,
 };
@@ -47,23 +47,6 @@ pub struct LbpgTree {
     _mbr_mem: Option<Reservation>,
 }
 
-fn gpu_err(e: GpuError) -> IndexError {
-    match e {
-        GpuError::OutOfMemory {
-            requested,
-            available,
-            context,
-        } => IndexError::OutOfMemory {
-            requested,
-            available,
-            context,
-        },
-        GpuError::DeviceUnavailable { .. } => {
-            IndexError::Unsupported("device quarantined by a permanent fault")
-        }
-    }
-}
-
 impl LbpgTree {
     /// Bulk-load over vector data; `Unsupported` for non-Lp metrics.
     pub fn build(
@@ -85,9 +68,7 @@ impl LbpgTree {
             .map(<[f32]>::len)
             .ok_or(IndexError::EmptyIndex)?;
         let bytes: u64 = items.iter().map(Footprint::size_bytes).sum();
-        let resident = dev
-            .reserve(bytes, "LBPG resident objects")
-            .map_err(gpu_err)?;
+        let resident = dev.reserve(bytes, "LBPG resident objects")?;
         dev.h2d_transfer(bytes);
         let start = dev.cycles();
         let mut t = LbpgTree {
@@ -179,11 +160,7 @@ impl LbpgTree {
         // MBR storage: 2·dim·f32 per node — the dimension-curse footprint.
         let nodes: usize = self.levels.iter().map(Vec::len).sum();
         let mbr_bytes = (nodes * 2 * self.dim * 4 + nodes * 8) as u64;
-        self._mbr_mem = Some(
-            self.dev
-                .reserve(mbr_bytes, "LBPG MBR storage")
-                .map_err(gpu_err)?,
-        );
+        self._mbr_mem = Some(self.dev.reserve(mbr_bytes, "LBPG MBR storage")?);
         Ok(())
     }
 
@@ -270,13 +247,10 @@ impl LbpgTree {
         let total: usize = candidates.iter().map(Vec::len).sum();
         // Candidate buffers materialised on device — high-dimensional data
         // barely prunes, so this is where LBPG runs out of memory.
-        let _buf = self
-            .dev
-            .reserve(
-                (total * std::mem::size_of::<u64>()) as u64,
-                "LBPG candidate buffers",
-            )
-            .map_err(gpu_err)?;
+        let _buf = self.dev.reserve(
+            (total * std::mem::size_of::<u64>()) as u64,
+            "LBPG candidate buffers",
+        )?;
         let flat: Vec<(u32, u32)> = candidates
             .iter()
             .enumerate()

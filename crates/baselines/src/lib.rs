@@ -15,6 +15,14 @@
 //! | [`LbpgTree`] | GPU | LBPG \[36\] | STR R-tree; Lp-norm vector data only |
 //! | [`Ganns`] | GPU | GANNS \[58\] | kNN-graph beam search; approximate, vector-only |
 //!
+//! The exact tree baselines ([`Bst`], [`Mvpt`], [`Egnat`], [`GpuTree`]) keep
+//! their running kNN answers in [`metric_space::TopK`], the pool GTS's own
+//! descent and shard merge select through: one `(distance, id)` tie-break
+//! and one k-th-distance bound for every exact method. [`LinearScan`] sorts
+//! and truncates instead (it is the oracle the pool is tested against),
+//! [`GpuTable`] charges the Dr.Top-k device primitive, and [`Ganns`]'s beam
+//! is approximate.
+//!
 //! CPU methods charge a [`gpu_sim::CpuClock`] (sequential work); GPU methods
 //! charge the shared [`gpu_sim::Device`]. The [`Clocked`] trait exposes
 //! simulated time uniformly to the experiment harness.

@@ -9,11 +9,12 @@
 //! filters with `|d(o, pᵢ) − d(q, pᵢ)| > r` before any real distance call —
 //! the classic MVPT path-distance trick.
 
-use crate::bst::insert_bounded;
 use crate::clock::impl_cpu_clocked;
 use gpu_sim::CpuClock;
-use metric_space::index::{sort_neighbors, DynamicIndex, IndexError, Neighbor, SimilarityIndex};
-use metric_space::lemmas::{prune_node_knn, prune_node_range};
+use metric_space::index::{
+    sort_neighbors, DynamicIndex, IndexError, Neighbor, SimilarityIndex, TopK,
+};
+use metric_space::lemmas::{prune_node_knn, prune_node_range, ring_gap};
 use metric_space::{Item, ItemMetric, Metric};
 
 const FANOUT: usize = 5;
@@ -194,35 +195,21 @@ impl Mvpt {
         }
     }
 
-    fn knn_rec(
-        &self,
-        node: u32,
-        q: &Item,
-        k: usize,
-        qpath: &mut Vec<f64>,
-        heap: &mut Vec<Neighbor>,
-    ) {
-        let bound = |h: &Vec<Neighbor>| {
-            if h.len() == k {
-                h.last().map_or(f64::INFINITY, |n| n.dist)
-            } else {
-                f64::INFINITY
-            }
-        };
+    fn knn_rec(&self, node: u32, q: &Item, qpath: &mut Vec<f64>, pool: &mut TopK) {
         match &self.nodes[node as usize] {
             MvptNode::Leaf { objs, path_d } => {
                 'obj: for (i, &o) in objs.iter().enumerate() {
                     if !self.live[o as usize] {
                         continue;
                     }
-                    let b = bound(heap);
+                    let b = pool.bound();
                     for (a, &dop) in path_d[i].iter().enumerate() {
                         if a < qpath.len() && (dop - qpath[a]).abs() >= b {
                             continue 'obj;
                         }
                     }
                     let d = self.dist(o, q);
-                    insert_bounded(heap, Neighbor::new(o, d), k);
+                    pool.insert(Neighbor::new(o, d));
                 }
             }
             MvptNode::Internal {
@@ -232,35 +219,24 @@ impl Mvpt {
             } => {
                 let dq = self.dist(*pivot, q);
                 if self.live[*pivot as usize] {
-                    insert_bounded(heap, Neighbor::new(*pivot, dq), k);
+                    pool.insert(Neighbor::new(*pivot, dq));
                 }
                 qpath.push(dq);
                 // Visit rings nearest the query coordinate first.
                 let mut order: Vec<usize> = (0..children.len()).collect();
                 order.sort_by(|&a, &b| {
-                    ring_gap(rings[a], dq)
-                        .partial_cmp(&ring_gap(rings[b], dq))
-                        .expect("NaN")
+                    let gap = |j: usize| ring_gap(rings[j].0, rings[j].1, dq);
+                    gap(a).partial_cmp(&gap(b)).expect("NaN")
                 });
                 for j in order {
                     let (lo, hi) = rings[j];
-                    if !prune_node_knn(lo, hi, dq, bound(heap)) {
-                        self.knn_rec(children[j], q, k, qpath, heap);
+                    if !prune_node_knn(lo, hi, dq, pool.bound()) {
+                        self.knn_rec(children[j], q, qpath, pool);
                     }
                 }
                 qpath.pop();
             }
         }
-    }
-}
-
-fn ring_gap((lo, hi): (f64, f64), dq: f64) -> f64 {
-    if dq < lo {
-        lo - dq
-    } else if dq > hi {
-        dq - hi
-    } else {
-        0.0
     }
 }
 
@@ -281,11 +257,11 @@ impl SimilarityIndex<Item> for Mvpt {
     }
 
     fn knn_query(&self, q: &Item, k: usize) -> Result<Vec<Neighbor>, IndexError> {
-        let mut heap = Vec::new();
+        let mut pool = TopK::new(k);
         if k > 0 {
-            self.knn_rec(self.root, q, k, &mut Vec::new(), &mut heap);
+            self.knn_rec(self.root, q, &mut Vec::new(), &mut pool);
         }
-        Ok(heap)
+        Ok(pool.into_sorted())
     }
 
     fn memory_bytes(&self) -> u64 {
@@ -323,8 +299,8 @@ impl DynamicIndex<Item> for Mvpt {
                     let d = self.dist(*pivot, &self.items[id as usize]);
                     let mut best = 0usize;
                     let mut best_gap = f64::INFINITY;
-                    for (j, &ring) in rings.iter().enumerate() {
-                        let g = ring_gap(ring, d);
+                    for (j, &(lo, hi)) in rings.iter().enumerate() {
+                        let g = ring_gap(lo, hi, d);
                         if g < best_gap {
                             best_gap = g;
                             best = j;

@@ -49,15 +49,14 @@
 //! chunks and charged as the same kernels in the same order.
 
 use crate::dispatch::{query_chunk_bounds, run_query_chunks};
-use crate::node::Node;
 use crate::search::{
     multiple_queries, split_groups, verify_block, Frontier, LeafScratch, SearchCtx, SearchScratch,
-    TopK, FRONTIER_ENTRY_BYTES, VERIFY_EXTRA_WORK,
+    FRONTIER_ENTRY_BYTES, VERIFY_EXTRA_WORK,
 };
 use gpu_sim::primitives::{reduce_max_f64, sort_pairs_by_key};
 use gpu_sim::GpuError;
-use metric_space::index::{sort_neighbors, Neighbor};
-use metric_space::lemmas::prune_node_range;
+use metric_space::index::{sort_neighbors, Neighbor, TopK};
+use metric_space::lemmas::{prune_node_range, ring_gap};
 use metric_space::BatchMetric;
 use std::sync::atomic::Ordering;
 
@@ -368,19 +367,6 @@ where
     next
 }
 
-/// Distance from a query's mapped coordinate `d` (its distance to the
-/// parent pivot) to `node`'s ring `[min_dis, max_dis]`: 0 inside the ring.
-/// A NaN coordinate (a root leaf, which has no parent pivot) also gives 0.
-fn ring_gap(d: f64, node: &Node) -> f64 {
-    if d < node.min_dis {
-        node.min_dis - d
-    } else if d > node.max_dis {
-        d - node.max_dis
-    } else {
-        0.0
-    }
-}
-
 /// The exact MkNNQ root level's fused **seeding kernel** (see the module
 /// docs), in place of the root's pivot-distance kernel and Alg. 5 bound
 /// update: per query, `d(q, root pivot)` into `scratch.dq` and one greedy
@@ -489,7 +475,7 @@ where
             .map(|j| shape.child(node, j))
             .filter_map(|c| {
                 let child = ctx.nodes.get(c);
-                (!child.is_empty()).then(|| (ring_gap(d, child), c))
+                (!child.is_empty()).then(|| (ring_gap(child.min_dis, child.max_dis, d), c))
             })
             .min_by(|a, b| a.0.total_cmp(&b.0));
         match nearest {
@@ -754,11 +740,8 @@ fn verify_knn<O, M>(
             let q = seg[0].query;
             keys.clear();
             keys.extend(seg.iter().map(|e| {
-                (
-                    ring_gap(e.dqp, ctx.nodes.get(e.node as usize)),
-                    e.node,
-                    e.dqp,
-                )
+                let n = ctx.nodes.get(e.node as usize);
+                (ring_gap(n.min_dis, n.max_dis, e.dqp), e.node, e.dqp)
             }));
             keys.sort_unstable_by(|a, b| {
                 let by_gap = a.0.partial_cmp(&b.0).expect("finite gap");

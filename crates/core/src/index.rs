@@ -7,10 +7,11 @@ use crate::engine;
 use crate::node::NodeList;
 use crate::params::GtsParams;
 use crate::search::SearchCtx;
+use crate::shard::merge_knn;
 use crate::stats::{SearchStats, StatsSnapshot};
 use crate::table::TableList;
 use crate::update::CacheTable;
-use gpu_sim::{Device, GpuError, Reservation};
+use gpu_sim::{Device, Reservation};
 use metric_space::index::{sort_neighbors, DynamicIndex, IndexError, Neighbor, SimilarityIndex};
 use metric_space::{BatchMetric, Footprint, ObjectArena};
 use std::sync::Arc;
@@ -72,26 +73,6 @@ fn flat_arena<O, M: BatchMetric<O>>(metric: &M, objects: &[O]) -> Result<ObjectA
     metric.build_arena(objects).ok_or(IndexError::Unsupported(
         "the metric has no flat payload layout for these objects",
     ))
-}
-
-fn gpu_err(e: GpuError) -> IndexError {
-    match e {
-        GpuError::OutOfMemory {
-            requested,
-            available,
-            context,
-        } => IndexError::OutOfMemory {
-            requested,
-            available,
-            context,
-        },
-        // A quarantined device can't host new structures; surface it as an
-        // unsupported-operation error (the replicated serving tier routes
-        // around dead devices before ever allocating on them).
-        GpuError::DeviceUnavailable { .. } => {
-            IndexError::Unsupported("device quarantined by a permanent fault")
-        }
-    }
 }
 
 impl<O, M> Gts<O, M>
@@ -254,24 +235,14 @@ where
             &ids,
             &self.params,
             self.threads,
-        )
-        .map_err(gpu_err)?;
+        )?;
         let data_bytes: u64 = ids
             .iter()
             .map(|&i| self.objects[i as usize].size_bytes())
             .sum();
-        let res_nodes = self
-            .dev
-            .reserve(nodes.bytes(), "GTS node list")
-            .map_err(gpu_err)?;
-        let res_table = self
-            .dev
-            .reserve(table.bytes(), "GTS table list")
-            .map_err(gpu_err)?;
-        let res_data = self
-            .dev
-            .reserve(data_bytes, "GTS resident objects")
-            .map_err(gpu_err)?;
+        let res_nodes = self.dev.reserve(nodes.bytes(), "GTS node list")?;
+        let res_table = self.dev.reserve(table.bytes(), "GTS table list")?;
+        let res_data = self.dev.reserve(data_bytes, "GTS resident objects")?;
         self.nodes = nodes;
         self.table = table;
         self.residency = Some([res_nodes, res_table, res_data]);
@@ -334,7 +305,7 @@ where
         metric_space::index::check_radii(queries, radii)?;
         metric_space::index::check_queries(&self.metric, queries, self.objects.first())?;
         self.transfer_queries_in(queries);
-        let mut results = engine::batch_range(&self.ctx(), queries, radii).map_err(gpu_err)?;
+        let mut results = engine::batch_range(&self.ctx(), queries, radii)?;
         self.merge_cache_range(queries, radii, &mut results);
         self.transfer_results_out(&results);
         Ok(results)
@@ -376,7 +347,7 @@ where
     pub fn batch_knn(&self, queries: &[O], k: usize) -> Result<Vec<Vec<Neighbor>>, IndexError> {
         metric_space::index::check_queries(&self.metric, queries, self.objects.first())?;
         self.transfer_queries_in(queries);
-        let mut results = engine::batch_knn(&self.ctx(), queries, k).map_err(gpu_err)?;
+        let mut results = engine::batch_knn(&self.ctx(), queries, k)?;
         self.merge_cache_knn(queries, k, &mut results);
         self.transfer_results_out(&results);
         Ok(results)
@@ -431,19 +402,17 @@ where
         }
     }
 
-    pub(crate) fn merge_cache_knn(&self, queries: &[O], k: usize, results: &mut [Vec<Neighbor>]) {
+    /// Fold the cached insertions into each query's tree answer, merged as
+    /// one more shard's lists would be.
+    fn merge_cache_knn(&self, queries: &[O], k: usize, results: &mut Vec<Vec<Neighbor>>) {
         if self.cache.len() == 0 {
             return;
         }
-        let mut extra: Vec<Vec<Neighbor>> = vec![Vec::new(); queries.len()];
+        let mut cached: Vec<Vec<Neighbor>> = vec![Vec::new(); queries.len()];
         for (q, o, d) in self.cache_distances(queries) {
-            extra[q as usize].push(Neighbor::new(o, d));
+            cached[q as usize].push(Neighbor::new(o, d));
         }
-        for (r, mut e) in results.iter_mut().zip(extra) {
-            r.append(&mut e);
-            sort_neighbors(r);
-            r.truncate(k);
-        }
+        *results = merge_knn(vec![std::mem::take(results), cached], queries.len(), k);
     }
 
     // -- accessors ------------------------------------------------------------
@@ -543,15 +512,9 @@ where
             .filter(|&(&l, _)| l)
             .map(|(_, o)| o.size_bytes())
             .sum();
-        let res_nodes = dev
-            .reserve(decoded.nodes.bytes(), "GTS node list")
-            .map_err(gpu_err)?;
-        let res_table = dev
-            .reserve(decoded.table.bytes(), "GTS table list")
-            .map_err(gpu_err)?;
-        let res_data = dev
-            .reserve(data_bytes, "GTS resident objects")
-            .map_err(gpu_err)?;
+        let res_nodes = dev.reserve(decoded.nodes.bytes(), "GTS node list")?;
+        let res_table = dev.reserve(decoded.table.bytes(), "GTS table list")?;
+        let res_data = dev.reserve(data_bytes, "GTS resident objects")?;
         dev.h2d_transfer(bytes.len() as u64 + data_bytes);
         let mut cache = CacheTable::new(decoded.params.cache_capacity_bytes);
         for &id in &decoded.cache_ids {

@@ -21,7 +21,7 @@
 use crate::index::Gts;
 use crate::params::GtsParams;
 use gpu_sim::Device;
-use metric_space::index::{sort_neighbors, IndexError, Neighbor, SimilarityIndex};
+use metric_space::index::{sort_neighbors, IndexError, Neighbor, SimilarityIndex, TopK};
 use metric_space::{BatchMetric, Footprint};
 use std::collections::HashSet;
 use std::sync::Arc;
@@ -133,7 +133,7 @@ where
             return Ok(Vec::new());
         }
         let k = k.min(self.rows);
-        let mut best: Vec<Neighbor> = Vec::new(); // ascending, capped at k
+        let mut best = TopK::new(k);
         let mut evaluated: HashSet<u32> = HashSet::new();
         let mut depth = (4 * k).max(16);
         loop {
@@ -147,23 +147,13 @@ where
                     .map(|n| n.id)
                     .filter(|&id| evaluated.insert(id))
                     .collect();
-                for (&id, d) in fresh.iter().zip(self.combined_distances(q, &fresh)) {
-                    let pos = best.partition_point(|x| (x.dist, x.id) < (d, id));
-                    if pos < k {
-                        best.insert(pos, Neighbor::new(id, d));
-                        best.truncate(k);
-                    }
-                }
+                let dists = self.combined_distances(q, &fresh);
+                best.extend(fresh.iter().zip(dists).map(|(&id, d)| Neighbor::new(id, d)));
                 // Fagin's threshold: no unseen row can beat Σ wᵢ·(depth-th).
                 threshold += w * front.last().map_or(0.0, |n| n.dist);
             }
-            let kth = if best.len() == k {
-                best.last().map_or(f64::INFINITY, |n| n.dist)
-            } else {
-                f64::INFINITY
-            };
-            if kth <= threshold || depth >= self.rows {
-                return Ok(best);
+            if best.bound() <= threshold || depth >= self.rows {
+                return Ok(best.into_sorted());
             }
             depth = (depth * 2).min(self.rows);
         }

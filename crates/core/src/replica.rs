@@ -495,7 +495,8 @@ where
     /// Batched kNN over the healthy copies: the whole batch on the
     /// least-loaded fully-healthy replica, or each shard on its best
     /// surviving copy when no replica is fully healthy. Failed shard slices
-    /// re-run per the module rules; the slices k-way-merge exactly.
+    /// re-run per the module rules; the slices merge exactly through one
+    /// top-`k` pool per query.
     pub fn batch_knn(&self, queries: &[O], k: usize) -> Result<Vec<Vec<Neighbor>>, ReplicaError> {
         self.batch_knn_preferring(&[], queries, k)
     }

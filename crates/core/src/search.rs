@@ -9,7 +9,8 @@
 //! recursive descent — lives in `crate::engine`. This module keeps the
 //! shared substrate: the frontier representation, the reusable
 //! `SearchScratch`, the borrowed `SearchCtx` with the per-layer memory
-//! bound, the batched `verify_block` kernel wrapper, and the `TopK` pool.
+//! bound, and the batched `verify_block` kernel wrapper. The per-query kNN
+//! pool is [`TopK`](metric_space::TopK), shared with every other exact kNN path.
 //!
 //! **Batched distance kernels.** Every distance evaluation in the hot path
 //! goes through [`BatchMetric::distance_batch`] (pivot distances) or its
@@ -64,7 +65,6 @@ use crate::stats::SearchStats;
 use crate::table::TableList;
 use gpu_sim::exec::BATCH_CHUNK;
 use gpu_sim::Device;
-use metric_space::index::Neighbor;
 use metric_space::BatchMetric;
 use std::sync::Arc;
 
@@ -297,7 +297,7 @@ const VERIFY_BLOCK: usize = 4 * BATCH_CHUNK;
 /// host-thread budget for intra-block chunking (1 inside a multi-run batch).
 ///
 /// `bound` must upper-bound the caller's acceptance rule (range: `d ≤ r`
-/// with `bound = r`; kNN: [`TopK::insert`] with `bound` the pool's k-th
+/// with `bound = r`; kNN: [`TopK::insert`](metric_space::TopK::insert) with `bound` the pool's k-th
 /// distance), so an abandoned pair is one the sink would have rejected —
 /// the shared body is what keeps the MRQ and MkNNQ paths provably identical
 /// in staging and accounting.
@@ -333,143 +333,9 @@ where
     (work, span, abandoned)
 }
 
-// ---------------------------------------------------------------------------
-// Metric kNN pool (Algorithm 5's per-query state)
-// ---------------------------------------------------------------------------
-
-/// Running best-k pool of one query; the bound `d(q, k_cur)` of Lemma 5.2.
-#[derive(Clone, Debug)]
-pub(crate) struct TopK {
-    k: usize,
-    items: Vec<Neighbor>, // ascending (dist, id), length ≤ k, unique ids
-    /// A NaN distance entered the pool (a broken metric): `items` is then
-    /// no longer ordered, so the fast reject — which reads the last item as
-    /// the maximum — is off.
-    unordered: bool,
-}
-
-impl TopK {
-    pub(crate) fn new(k: usize) -> TopK {
-        TopK {
-            k,
-            items: Vec::with_capacity(k.min(1024)),
-            unordered: false,
-        }
-    }
-
-    /// Insert a candidate, keeping the k best distinct object ids.
-    pub(crate) fn insert(&mut self, n: Neighbor) {
-        // Fast reject: a full, ordered pool's last item is its maximum, so a
-        // candidate at or past it is either that very id or sorts after all
-        // k items — the common case once the bound has settled.
-        if self.items.len() == self.k
-            && !self.unordered
-            && self
-                .items
-                .last()
-                .is_none_or(|last| (last.dist, last.id) <= (n.dist, n.id))
-        {
-            return;
-        }
-        if self.items.iter().any(|x| x.id == n.id) {
-            return;
-        }
-        let pos = self
-            .items
-            .partition_point(|x| (x.dist, x.id) < (n.dist, n.id));
-        if pos >= self.k {
-            return;
-        }
-        self.unordered |= n.dist.is_nan();
-        self.items.insert(pos, n);
-        self.items.truncate(self.k);
-    }
-
-    /// Current k-th-NN distance bound (∞ until k candidates are known).
-    pub(crate) fn bound(&self) -> f64 {
-        if self.items.len() == self.k {
-            self.items.last().map_or(f64::INFINITY, |n| n.dist)
-        } else {
-            f64::INFINITY
-        }
-    }
-
-    /// Final answers, canonical order.
-    pub(crate) fn into_sorted(self) -> Vec<Neighbor> {
-        self.items
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn topk_keeps_k_best_unique() {
-        let mut t = TopK::new(2);
-        assert_eq!(t.bound(), f64::INFINITY);
-        t.insert(Neighbor::new(1, 5.0));
-        assert_eq!(t.bound(), f64::INFINITY, "not full yet");
-        t.insert(Neighbor::new(2, 3.0));
-        assert_eq!(t.bound(), 5.0);
-        t.insert(Neighbor::new(2, 3.0)); // duplicate id ignored
-        assert_eq!(t.bound(), 5.0);
-        t.insert(Neighbor::new(3, 1.0));
-        assert_eq!(t.bound(), 3.0);
-        let out = t.into_sorted();
-        assert_eq!(out.len(), 2);
-        assert_eq!((out[0].id, out[1].id), (3, 2));
-    }
-
-    #[test]
-    fn topk_zero_k() {
-        let mut t = TopK::new(0);
-        t.insert(Neighbor::new(1, 1.0));
-        assert!(t.into_sorted().is_empty());
-    }
-
-    /// `TopK::insert` as it was before the fast reject, kept as the
-    /// reference the property below compares against.
-    fn reference_insert(items: &mut Vec<Neighbor>, k: usize, n: Neighbor) {
-        if k == 0 || items.iter().any(|x| x.id == n.id) {
-            return;
-        }
-        let pos = items.partition_point(|x| (x.dist, x.id) < (n.dist, n.id));
-        if pos >= k {
-            return;
-        }
-        items.insert(pos, n);
-        items.truncate(k);
-    }
-
-    proptest::proptest! {
-        /// The fast reject changes no pool: over duplicate ids, exact
-        /// `(dist, id)` ties, k ∈ {0, 1, 8}, and ∞ / NaN distances (a NaN in
-        /// the pool unorders it, which must switch the fast reject off).
-        #[test]
-        fn fast_reject_insert_equals_reference(
-            k_sel in 0usize..3,
-            ids in proptest::collection::vec(0u32..24, 96),
-            codes in proptest::collection::vec(0u32..16, 96),
-        ) {
-            let k = [0usize, 1, 8][k_sel];
-            let mut pool = TopK::new(k);
-            let mut reference: Vec<Neighbor> = Vec::new();
-            let bits = |v: &[Neighbor]| -> Vec<(u32, u64)> {
-                v.iter().map(|n| (n.id, n.dist.to_bits())).collect()
-            };
-            for (&id, &code) in ids.iter().zip(&codes) {
-                let dist = match code {
-                    14 => f64::INFINITY,
-                    15 => f64::NAN,
-                    c => f64::from(c % 7) * 0.5, // few values: many exact ties
-                };
-                pool.insert(Neighbor::new(id, dist));
-                reference_insert(&mut reference, k, Neighbor::new(id, dist));
-                proptest::prop_assert_eq!(bits(&pool.items), bits(&reference));
-            }
-        }
-    }
 
     #[test]
     fn split_groups_respects_query_blocks() {

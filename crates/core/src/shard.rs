@@ -19,8 +19,9 @@
 //!   device, so per-device simulated clocks stay deterministic) and the
 //!   per-shard answers are **merged exactly** on the host:
 //!   - range: concatenation + canonical `(distance, id)` sort;
-//!   - kNN: a k-way merge of the per-shard top-`k` lists under the same
-//!     `(distance, id)` tie-break the single-device search uses.
+//!   - kNN: every per-shard top-`k` list feeds one [`TopK`] per query —
+//!     the pool the single-device search selects through, so the merge
+//!     keeps its `(distance, id)` tie-break.
 //!
 //! **Exactness.** Every distance is computed against the same objects as
 //! on one device, so per-shard answers are exact over their partition;
@@ -48,7 +49,9 @@ use crate::params::GtsParams;
 use crate::snapshot::{R, W};
 use crate::stats::StatsSnapshot;
 use gpu_sim::{exec, Device, DevicePool};
-use metric_space::index::{sort_neighbors, DynamicIndex, IndexError, Neighbor, SimilarityIndex};
+use metric_space::index::{
+    sort_neighbors, DynamicIndex, IndexError, Neighbor, SimilarityIndex, TopK,
+};
 use metric_space::{BatchMetric, Footprint, Partitioner};
 use std::sync::Arc;
 
@@ -222,21 +225,22 @@ pub(crate) fn merge_range(
 }
 
 /// Merge per-shard top-`k` lists (remapped to global ids) into per-query
-/// global top-`k` answers by [`kway_merge`], shared like [`merge_range`].
+/// global top-`k` answers: each query's lists fill one [`TopK`], the pool
+/// the single-device search selects through, so the merged answer keeps
+/// its `(distance, id)` tie-break. Shared like [`merge_range`], and by
+/// [`Gts`]'s merge of its cached insertions.
 pub(crate) fn merge_knn(
-    mut per_shard: Vec<Vec<Vec<Neighbor>>>,
+    per_shard: Vec<Vec<Vec<Neighbor>>>,
     queries: usize,
     k: usize,
 ) -> Vec<Vec<Neighbor>> {
-    (0..queries)
-        .map(|q| {
-            let lists: Vec<Vec<Neighbor>> = per_shard
-                .iter_mut()
-                .map(|per_q| std::mem::take(&mut per_q[q]))
-                .collect();
-            kway_merge(&lists, k)
-        })
-        .collect()
+    let mut pools: Vec<TopK> = (0..queries).map(|_| TopK::new(k)).collect();
+    for lists in per_shard {
+        for (pool, list) in pools.iter_mut().zip(lists) {
+            pool.extend(list);
+        }
+    }
+    pools.into_iter().map(TopK::into_sorted).collect()
 }
 
 /// Record a `Merge` instant (per-shard answers folded into global ones)
@@ -257,28 +261,6 @@ pub(crate) fn trace_merge<'a>(
         Some(dev_id),
         at,
     ));
-}
-
-/// Merge per-shard top-`k` lists (each in canonical ascending `(dis, id)`
-/// order) into the global top-`k`, preserving the single-device tie-break.
-fn kway_merge(lists: &[Vec<Neighbor>], k: usize) -> Vec<Neighbor> {
-    let mut heads = vec![0usize; lists.len()];
-    let mut out = Vec::with_capacity(k);
-    while out.len() < k {
-        let mut best: Option<(usize, (f64, u32))> = None;
-        for (s, list) in lists.iter().enumerate() {
-            if let Some(n) = list.get(heads[s]) {
-                let key = (n.dist, n.id);
-                if best.is_none_or(|(_, b)| key < b) {
-                    best = Some((s, key));
-                }
-            }
-        }
-        let Some((s, _)) = best else { break };
-        out.push(lists[s][heads[s]]);
-        heads[s] += 1;
-    }
-    out
 }
 
 impl<O, M> ShardedGts<O, M>
@@ -413,8 +395,9 @@ where
     }
 
     /// Batched metric kNN query: every shard returns its local top-`k`;
-    /// the global top-`k` is a k-way merge under the `(distance, id)`
-    /// tie-break — bit-identical to the single-device answer.
+    /// the global top-`k` is their union kept by one [`TopK`] per query,
+    /// under its `(distance, id)` tie-break — bit-identical to the
+    /// single-device answer.
     pub fn batch_knn(&self, queries: &[O], k: usize) -> Result<Vec<Vec<Neighbor>>, IndexError> {
         self.scatter(
             |gts| gts.batch_knn(queries, k),
@@ -800,21 +783,22 @@ mod tests {
     }
 
     #[test]
-    fn kway_merge_respects_tie_break() {
-        let lists = vec![
-            vec![Neighbor::new(5, 1.0), Neighbor::new(9, 2.0)],
-            vec![Neighbor::new(2, 1.0), Neighbor::new(3, 1.0)],
+    fn merge_knn_respects_tie_break() {
+        // Two shards, one query each.
+        let per_shard = vec![
+            vec![vec![Neighbor::new(5, 1.0), Neighbor::new(9, 2.0)]],
+            vec![vec![Neighbor::new(2, 1.0), Neighbor::new(3, 1.0)]],
         ];
-        let merged = kway_merge(&lists, 3);
-        let ids: Vec<u32> = merged.iter().map(|n| n.id).collect();
+        let merged = merge_knn(per_shard, 1, 3);
+        let ids: Vec<u32> = merged[0].iter().map(|n| n.id).collect();
         assert_eq!(ids, vec![2, 3, 5], "ties at d=1.0 break by ascending id");
     }
 
     #[test]
-    fn kway_merge_short_lists() {
-        let lists = vec![vec![Neighbor::new(1, 0.5)], Vec::new()];
-        assert_eq!(kway_merge(&lists, 10).len(), 1);
-        assert!(kway_merge(&[], 5).is_empty());
+    fn merge_knn_short_lists() {
+        let per_shard = vec![vec![vec![Neighbor::new(1, 0.5)]], vec![Vec::new()]];
+        assert_eq!(merge_knn(per_shard, 1, 10)[0].len(), 1);
+        assert_eq!(merge_knn(Vec::new(), 2, 5), vec![Vec::new(); 2]);
     }
 
     #[test]

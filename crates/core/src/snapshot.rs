@@ -10,7 +10,7 @@
 
 use crate::node::{Node, NodeList, TreeShape};
 use crate::params::GtsParams;
-use crate::table::{TableEntry, TableList};
+use crate::table::TableList;
 use metric_space::index::IndexError;
 
 /// Magic + version tag (bumped whenever the layout changes; `GTS3` has one
@@ -233,7 +233,6 @@ pub(crate) fn decode(bytes: &[u8], object_count: usize) -> Result<Decoded, Index
         dis.push(r.f64()?);
         deleted.push(r.u8()? != 0);
     }
-    let table = TableList::from_columns(ids, dis, deleted);
     let live_len = r.u64()? as usize;
     if live_len != object_count {
         return Err(IndexError::Unsupported(
@@ -246,6 +245,18 @@ pub(crate) fn decode(bytes: &[u8], object_count: usize) -> Result<Decoded, Index
     for i in 0..live_len {
         live.push(bits[i / 8] & (1 << (i % 8)) != 0);
     }
+    // A search reads only the rows' tombstones, so a row must be tombstoned
+    // exactly when its object is dead: else a removed object would serve.
+    if ids
+        .iter()
+        .zip(&deleted)
+        .any(|(&obj, &del)| del == live[obj as usize])
+    {
+        return Err(IndexError::Unsupported(
+            "corrupt snapshot: a row's tombstone disagrees with the liveness bitmap",
+        ));
+    }
+    let table = TableList::from_columns(ids, dis, deleted);
     let cache_len = r.u64()? as usize;
     if cache_len > object_count {
         return Err(IndexError::Unsupported("corrupt snapshot: cache length"));
@@ -261,7 +272,6 @@ pub(crate) fn decode(bytes: &[u8], object_count: usize) -> Result<Decoded, Index
     if !r.done() {
         return Err(IndexError::Unsupported("trailing bytes in snapshot"));
     }
-    let _ = TableEntry::default();
     Ok(Decoded {
         params,
         nodes,

@@ -1,5 +1,6 @@
 //! Device errors.
 
+use metric_space::IndexError;
 use std::fmt;
 
 /// Errors raised by the device model.
@@ -43,3 +44,26 @@ impl fmt::Display for GpuError {
 }
 
 impl std::error::Error for GpuError {}
+
+/// The index-level view of a device error: an exhausted device keeps its
+/// numbers; a quarantined one can't host new structures, so it surfaces as
+/// an unsupported operation (the replicated serving tier routes around dead
+/// devices before ever allocating on them).
+impl From<GpuError> for IndexError {
+    fn from(e: GpuError) -> IndexError {
+        match e {
+            GpuError::OutOfMemory {
+                requested,
+                available,
+                context,
+            } => IndexError::OutOfMemory {
+                requested,
+                available,
+                context,
+            },
+            GpuError::DeviceUnavailable { .. } => {
+                IndexError::Unsupported("device quarantined by a permanent fault")
+            }
+        }
+    }
+}

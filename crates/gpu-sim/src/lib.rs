@@ -12,7 +12,9 @@
 //! * **Global-memory allocator** — every [`Reservation`] draws from a
 //!   hard capacity; exhaustion returns
 //!   [`GpuError::OutOfMemory`], reproducing the paper's observed OOMs and
-//!   memory deadlocks (Table 4, Fig. 9, Fig. 11).
+//!   memory deadlocks (Table 4, Fig. 9, Fig. 11). A `GpuError` converts
+//!   into the indexes' [`IndexError`](metric_space::IndexError), so index
+//!   code propagates device errors with `?`.
 //! * **Transfer accounting** — H2D/D2H bytes advance the clock at PCIe-like
 //!   bandwidth (queries are loaded CPU→GPU and results returned, §5.1).
 //! * **Parallel primitives** — reduction, exclusive scan, stream compaction,

@@ -36,6 +36,83 @@ pub fn sort_neighbors(v: &mut [Neighbor]) {
     });
 }
 
+/// The exact top-`k` pool every kNN path shares: one query's running `k`
+/// best distinct ids in canonical ascending `(dist, id)` order, whose k-th
+/// distance is the pruning bound `d(q, k_cur)` of Lemma 5.2. The GTS
+/// descent, the cache-table and per-shard merges, multi-column search and
+/// the tree baselines all select through it, so every exact method breaks
+/// ties by the one rule the sharded merge relies on.
+#[derive(Clone, Debug)]
+pub struct TopK {
+    k: usize,
+    items: Vec<Neighbor>, // ascending (dist, id), length ≤ k, unique ids
+    /// A NaN distance entered the pool (a broken metric): `items` is then
+    /// no longer ordered, so the fast reject — which reads the last item as
+    /// the maximum — is off.
+    unordered: bool,
+}
+
+impl TopK {
+    /// An empty pool keeping the `k` best candidates.
+    pub fn new(k: usize) -> TopK {
+        TopK {
+            k,
+            items: Vec::with_capacity(k.min(1024)),
+            unordered: false,
+        }
+    }
+
+    /// Insert a candidate, keeping the k best distinct object ids.
+    pub fn insert(&mut self, n: Neighbor) {
+        // Fast reject: a full, ordered pool's last item is its maximum, so a
+        // candidate at or past it is either that very id or sorts after all
+        // k items — the common case once the bound has settled.
+        if self.items.len() == self.k
+            && !self.unordered
+            && self
+                .items
+                .last()
+                .is_none_or(|last| (last.dist, last.id) <= (n.dist, n.id))
+        {
+            return;
+        }
+        if self.items.iter().any(|x| x.id == n.id) {
+            return;
+        }
+        let pos = self
+            .items
+            .partition_point(|x| (x.dist, x.id) < (n.dist, n.id));
+        if pos >= self.k {
+            return;
+        }
+        self.unordered |= n.dist.is_nan();
+        self.items.insert(pos, n);
+        self.items.truncate(self.k);
+    }
+
+    /// Current k-th-NN distance bound (∞ until k candidates are known).
+    pub fn bound(&self) -> f64 {
+        if self.items.len() == self.k {
+            self.items.last().map_or(f64::INFINITY, |n| n.dist)
+        } else {
+            f64::INFINITY
+        }
+    }
+
+    /// Final answers, canonical order.
+    pub fn into_sorted(self) -> Vec<Neighbor> {
+        self.items
+    }
+}
+
+impl Extend<Neighbor> for TopK {
+    fn extend<I: IntoIterator<Item = Neighbor>>(&mut self, candidates: I) {
+        for n in candidates {
+            self.insert(n);
+        }
+    }
+}
+
 /// Errors surfaced by index construction and querying.
 ///
 /// `OutOfMemory` models the paper's observed failures: EGNAT/GANNS during
@@ -226,6 +303,73 @@ mod tests {
             vec![1, 2, 3],
             "ties broken by id"
         );
+    }
+
+    #[test]
+    fn topk_keeps_k_best_unique() {
+        let mut t = TopK::new(2);
+        assert_eq!(t.bound(), f64::INFINITY);
+        t.insert(Neighbor::new(1, 5.0));
+        assert_eq!(t.bound(), f64::INFINITY, "not full yet");
+        t.insert(Neighbor::new(2, 3.0));
+        assert_eq!(t.bound(), 5.0);
+        t.insert(Neighbor::new(2, 3.0)); // duplicate id ignored
+        assert_eq!(t.bound(), 5.0);
+        t.insert(Neighbor::new(3, 1.0));
+        assert_eq!(t.bound(), 3.0);
+        let out = t.into_sorted();
+        assert_eq!(out.len(), 2);
+        assert_eq!((out[0].id, out[1].id), (3, 2));
+    }
+
+    #[test]
+    fn topk_zero_k() {
+        let mut t = TopK::new(0);
+        t.insert(Neighbor::new(1, 1.0));
+        assert!(t.into_sorted().is_empty());
+    }
+
+    /// `TopK::insert` as it was before the fast reject, kept as the
+    /// reference the property below compares against.
+    fn reference_insert(items: &mut Vec<Neighbor>, k: usize, n: Neighbor) {
+        if k == 0 || items.iter().any(|x| x.id == n.id) {
+            return;
+        }
+        let pos = items.partition_point(|x| (x.dist, x.id) < (n.dist, n.id));
+        if pos >= k {
+            return;
+        }
+        items.insert(pos, n);
+        items.truncate(k);
+    }
+
+    proptest::proptest! {
+        /// The fast reject changes no pool: over duplicate ids, exact
+        /// `(dist, id)` ties, k ∈ {0, 1, 8}, and ∞ / NaN distances (a NaN in
+        /// the pool unorders it, which must switch the fast reject off).
+        #[test]
+        fn fast_reject_insert_equals_reference(
+            k_sel in 0usize..3,
+            ids in proptest::collection::vec(0u32..24, 96),
+            codes in proptest::collection::vec(0u32..16, 96),
+        ) {
+            let k = [0usize, 1, 8][k_sel];
+            let mut pool = TopK::new(k);
+            let mut reference: Vec<Neighbor> = Vec::new();
+            let bits = |v: &[Neighbor]| -> Vec<(u32, u64)> {
+                v.iter().map(|n| (n.id, n.dist.to_bits())).collect()
+            };
+            for (&id, &code) in ids.iter().zip(&codes) {
+                let dist = match code {
+                    14 => f64::INFINITY,
+                    15 => f64::NAN,
+                    c => f64::from(c % 7) * 0.5, // few values: many exact ties
+                };
+                pool.insert(Neighbor::new(id, dist));
+                reference_insert(&mut reference, k, Neighbor::new(id, dist));
+                proptest::prop_assert_eq!(bits(&pool.items), bits(&reference));
+            }
+        }
     }
 
     #[test]

@@ -43,6 +43,21 @@ pub fn prune_node_knn(min_dis: f64, max_dis: f64, d_qp: f64, d_kcur: f64) -> boo
     d_qp + d_kcur <= min_dis || d_qp - d_kcur >= max_dis
 }
 
+/// Distance from a query's mapped coordinate `d_qp` to the ring
+/// `[min_dis, max_dis]` on the pivot axis: 0 inside the ring. MRQ prunes a
+/// ring whose gap exceeds `r`, MkNNQ one whose gap reaches the bound, so
+/// kNN searches visit rings in ascending gap order. A NaN coordinate gives 0.
+#[inline]
+pub fn ring_gap(min_dis: f64, max_dis: f64, d_qp: f64) -> f64 {
+    if d_qp < min_dis {
+        min_dis - d_qp
+    } else if d_qp > max_dis {
+        d_qp - max_dis
+    } else {
+        0.0
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -20,7 +20,8 @@
 //!   paper's Words, T-Loc, Vector, DNA, and Color datasets (Table 2);
 //! * [`SimilarityIndex`] — the query interface shared by GTS and every
 //!   baseline (metric range query MRQ, Def. 3.1; metric kNN query MkNNQ,
-//!   Def. 3.2);
+//!   Def. 3.2), with [`TopK`], the exact top-`k` pool every kNN path
+//!   selects through;
 //! * [`Partitioner`] — deterministic id→shard assignment (round-robin or
 //!   multiplicative hash) used by the multi-device sharded index;
 //! * [`pivot`] — farthest-first-traversal (FFT) pivot selection;
@@ -46,7 +47,7 @@ pub use arena::{ArenaKind, ObjectArena};
 pub use batch::{chunk_pairs, BatchChunk, BatchMetric};
 pub use dataset::{Dataset, DatasetKind};
 pub use dist::{EditDistance, ItemMetric, Metric, VectorMetric};
-pub use index::{DynamicIndex, IndexError, Neighbor, SimilarityIndex};
+pub use index::{DynamicIndex, IndexError, Neighbor, SimilarityIndex, TopK};
 pub use object::{Footprint, Item};
 pub use partition::Partitioner;
 

@@ -40,20 +40,26 @@ fn all_exact_methods_agree() {
                 assert_eq!(got, &want_mrq, "{kind:?} {name} MRQ q={qi}");
             }
 
-            let knns: Vec<(&str, Vec<Neighbor>)> = vec![
-                ("BST", bst.knn_query(&q, 7).expect("bst")),
-                ("MVPT", mvpt.knn_query(&q, 7).expect("mvpt")),
-                ("EGNAT", egnat.knn_query(&q, 7).expect("egnat")),
-                ("GPU-Table", table.knn_query(&q, 7).expect("table")),
-                ("GPU-Tree", gtree.knn_query(&q, 7).expect("gtree")),
-                ("GTS", gts.knn_query(&q, 7).expect("gts")),
-            ];
-            for (name, got) in &knns {
-                assert_eq!(
-                    knn_dists(got),
-                    knn_dists(&want_knn),
-                    "{kind:?} {name} kNN q={qi}"
-                );
+            // k = 0 and k > n are the pool's capacity edges: no answer,
+            // and every object.
+            for k in [0, 7, data.len() + 5] {
+                let want = scan.knn_query(&q, k).expect("scan");
+                assert_eq!(want.len(), k.min(data.len()));
+                let knns: Vec<(&str, Vec<Neighbor>)> = vec![
+                    ("BST", bst.knn_query(&q, k).expect("bst")),
+                    ("MVPT", mvpt.knn_query(&q, k).expect("mvpt")),
+                    ("EGNAT", egnat.knn_query(&q, k).expect("egnat")),
+                    ("GPU-Table", table.knn_query(&q, k).expect("table")),
+                    ("GPU-Tree", gtree.knn_query(&q, k).expect("gtree")),
+                    ("GTS", gts.knn_query(&q, k).expect("gts")),
+                ];
+                for (name, got) in &knns {
+                    assert_eq!(
+                        knn_dists(got),
+                        knn_dists(&want),
+                        "{kind:?} {name} kNN k={k} q={qi}"
+                    );
+                }
             }
         }
     }

@@ -265,6 +265,47 @@ fn absurd_tree_shapes_are_rejected_before_allocating() {
     ));
 }
 
+/// Regression: the table's per-row tombstone byte was never checked against
+/// the liveness bitmap. A search reads only the tombstones, so a snapshot
+/// whose removed object's row byte read 0 restored an index that returned
+/// that object. Such a snapshot is now refused, typed.
+#[test]
+fn restore_rejects_a_removed_object_whose_row_is_not_tombstoned() {
+    let data = DatasetKind::Words.generate(200, 91);
+    let dev = Device::rtx_2080_ti();
+    let mut gts =
+        Gts::build(&dev, data.items.clone(), data.metric, GtsParams::default()).expect("build");
+    let removed = 17u32;
+    assert!(gts.remove(removed).expect("rm"));
+    let mut bytes = gts.snapshot();
+    let restore =
+        |b: &[u8]| Gts::restore(&Device::rtx_2080_ti(), data.items.clone(), data.metric, b);
+    let query = data.item(removed).clone();
+    let hits = restore(&bytes).expect("intact").range_query(&query, 0.0);
+    assert!(hits.expect("mrq").iter().all(|n| n.id != removed));
+
+    // Header, node list (36 B a node), then the table: its length, and one
+    // (u32 id, f64 distance, u8 tombstone) row of 13 B per entry.
+    let read_u64 = |at: usize| u64::from_le_bytes(bytes[at..at + 8].try_into().expect("8 B"));
+    let nodes = read_u64(H_AT + 4) as usize;
+    let table_at = H_AT + 12 + 36 * nodes;
+    let rows = read_u64(table_at) as usize;
+    let mut cleared = 0;
+    for row in 0..rows {
+        let at = table_at + 8 + 13 * row;
+        if bytes[at..at + 4] == removed.to_le_bytes() {
+            assert_eq!(bytes[at + 12], 1, "the removed object's row is tombstoned");
+            bytes[at + 12] = 0;
+            cleared += 1;
+        }
+    }
+    assert!(cleared > 0, "the removed object has a row");
+    assert!(matches!(
+        restore(&bytes),
+        Err(IndexError::Unsupported(msg)) if msg.contains("tombstone")
+    ));
+}
+
 /// Regression: a store the metric cannot measure used to restore without
 /// error — a Words snapshot over a store holding one vector panicked at the
 /// first `batch_knn`, and a NaN coordinate went in silently. Both index
